@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: reprolint ruff mypy lint test fleet-smoke trace-smoke edge-smoke edge-topology-smoke gp-smoke fleet-scale-smoke scenario-smoke bench bench-smoke check
+.PHONY: reprolint ruff mypy lint test replay-check bench bench-smoke check
 
 reprolint:
 	PYTHONPATH=tools $(PYTHON) -m reprolint src benchmarks examples \
@@ -30,77 +30,11 @@ lint: reprolint ruff mypy
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# A small end-to-end fleet run (8 sessions, reduced budget): exercises the
-# scheduler, the batched GP service, and the warm-start store in one shot.
-fleet-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fleet --sessions 8 --initial 3 --iterations 5
-
-# A tiny traced fleet: `repro trace` exits non-zero unless the emitted
-# file is a non-empty, schema-valid Chrome trace that round-trips.
-trace-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro trace --fleet 4 --initial 2 --iterations 3 \
-		--out /tmp/repro-trace-smoke.trace.json \
-		--metrics /tmp/repro-trace-smoke.metrics.json
-
-# Edge offloading smoke: a 16-session fleet sharing ONE edge server must
-# be bit-reproducible — run it twice at seed 2024 and byte-compare.
-edge-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fleet --edge --sessions 16 --seed 2024 \
-		--initial 2 --iterations 3 > /tmp/repro-edge-smoke-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro fleet --edge --sessions 16 --seed 2024 \
-		--initial 2 --iterations 3 > /tmp/repro-edge-smoke-b.txt
-	cmp /tmp/repro-edge-smoke-a.txt /tmp/repro-edge-smoke-b.txt
-	@echo "edge-smoke: 16-session --edge fleet is bit-reproducible"
-
-# Multi-server topology smoke: a 16-session fleet placed across FOUR edge
-# servers (admission + shedding live) must be bit-reproducible — run it
-# twice at seed 2024 and byte-compare.
-edge-topology-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fleet --edge-servers 4 --sessions 16 \
-		--seed 2024 --initial 2 --iterations 3 > /tmp/repro-edge-topo-smoke-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro fleet --edge-servers 4 --sessions 16 \
-		--seed 2024 --initial 2 --iterations 3 > /tmp/repro-edge-topo-smoke-b.txt
-	cmp /tmp/repro-edge-topo-smoke-a.txt /tmp/repro-edge-topo-smoke-b.txt
-	@echo "edge-topology-smoke: 4-server topology fleet is bit-reproducible"
-
-# Sparse GP tier smoke: a fleet on the sparse tier with a tiny switch
-# threshold (so support-set selection actually fires) must be
-# bit-reproducible — run it twice at seed 2024 and byte-compare.
-gp-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fleet --gp-tier sparse --gp-threshold 6 \
-		--sessions 8 --seed 2024 --initial 3 --iterations 8 \
-		> /tmp/repro-gp-smoke-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro fleet --gp-tier sparse --gp-threshold 6 \
-		--sessions 8 --seed 2024 --initial 3 --iterations 8 \
-		> /tmp/repro-gp-smoke-b.txt
-	cmp /tmp/repro-gp-smoke-a.txt /tmp/repro-gp-smoke-b.txt
-	@echo "gp-smoke: sparse-tier fleet is bit-reproducible"
-
-# Shard-parallel determinism smoke: the seed-2024 fleet stepped in 4
-# worker-process cohorts must render byte-identically to `--shards 1`
-# (the SoA core's headline contract — see docs/fleet.md).
-fleet-scale-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fleet --sessions 12 --seed 2024 \
-		--edge-servers 3 --initial 2 --iterations 3 --shards 1 \
-		> /tmp/repro-fleet-scale-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro fleet --sessions 12 --seed 2024 \
-		--edge-servers 3 --initial 2 --iterations 3 --shards 4 \
-		> /tmp/repro-fleet-scale-b.txt
-	cmp /tmp/repro-fleet-scale-a.txt /tmp/repro-fleet-scale-b.txt
-	@echo "fleet-scale-smoke: 4-shard fleet is byte-identical to shards=1"
-
-# Scenario replay smoke: compile-and-run one catalog scenario twice at a
-# fixed seed and byte-compare the replay artifacts (the catalog's
-# name+seed→identical-trace contract — see docs/scenarios.md).
-scenario-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro scenario run flash-crowd --seed 2024 \
-		--sessions 6 --initial 2 --iterations 3 \
-		--export /tmp/repro-scenario-smoke-a.json > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro scenario run flash-crowd --seed 2024 \
-		--sessions 6 --initial 2 --iterations 3 \
-		--export /tmp/repro-scenario-smoke-b.json > /dev/null
-	cmp /tmp/repro-scenario-smoke-a.json /tmp/repro-scenario-smoke-b.json
-	@echo "scenario-smoke: flash-crowd replay is byte-identical at seed 2024"
+# The CLI's byte-reproducibility contract: every fleet/edge/topology/GP/
+# shard/scenario/trace invocation in tools/replay_check.py runs twice (or
+# at two shard counts), byte-compares, and checks its pinned sha256.
+replay-check:
+	$(PYTHON) tools/replay_check.py
 
 # Time the hot kernels and distill the scalar-vs-batched backend numbers
 # into the committed BENCH_pr4.json (see docs/performance.md).
@@ -120,4 +54,4 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbench.py -q \
 		--benchmark-disable
 
-check: lint test fleet-smoke trace-smoke edge-smoke edge-topology-smoke gp-smoke fleet-scale-smoke scenario-smoke bench-smoke
+check: lint test replay-check bench-smoke

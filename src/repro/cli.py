@@ -133,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable cross-session warm starting")
     fleet.add_argument("--edge", action="store_true",
                        help="offload to one shared edge server all "
-                            "sessions contend on")
+                            "sessions contend on (a 1-node open topology)")
     fleet.add_argument("--edge-servers", type=int, metavar="N", default=1,
                        help="offload through an N-server edge topology "
                             "with placement and admission control "
-                            "(N=1 with --edge keeps the legacy singleton)")
+                            "(N=1 needs --edge)")
     fleet.add_argument("--placement",
                        choices=("nearest", "least-loaded", "price-aware"),
                        default="price-aware",
@@ -276,7 +276,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         gp_tier=args.gp_tier,
         gp_sparse_threshold=args.gp_threshold,
     )
-    edge_config = None
     topology = None
     if args.edge_servers < 1:
         raise SystemExit("--edge-servers must be >= 1")
@@ -285,16 +284,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
         topology = default_topology(args.edge_servers)
     elif args.edge:
-        # The legacy singleton path: byte-identical to PR 5 output.
-        from repro.edge.runtime import EdgeConfig
+        from repro.edge.topology import EdgeTopologyConfig
 
-        edge_config = EdgeConfig()
+        topology = EdgeTopologyConfig.single()
     experiment = fleet_exp.run_fleet_experiment(
         seed=args.seed,
         config=config,
         n_sessions=args.sessions,
         warm_start=not args.cold,
-        edge=edge_config,
         topology=topology,
         placement=args.placement,
         shards=args.shards,
@@ -361,7 +358,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"final B={report.final_reward:+.3f}"
         )
 
-    # The trace-smoke contract: the emitted file must be non-empty,
+    # The replay-check contract: the emitted file must be non-empty,
     # schema-valid, and reload as trace events.
     events = write_trace_json(tracer, args.out, include_wall=args.wall)
     reloaded = load_trace_json(args.out)

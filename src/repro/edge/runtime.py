@@ -37,9 +37,10 @@ from repro.rng import SeedLike
 class EdgeConfig:
     """Top-level switch for the edge subsystem.
 
-    Passing one of these anywhere (CLI ``--edge``, ``FleetConfig.edge``,
-    ``build_system(edge=...)``) turns the fourth resource on; omitting
-    it leaves every code path byte-identical to a device-only build.
+    Passing one of these anywhere (``repro tune --edge``, an edge
+    topology node, ``build_system(edge=...)``) turns the fourth resource
+    on; omitting it leaves every code path byte-identical to a
+    device-only build.
     """
 
     server: EdgeServerConfig = field(default_factory=EdgeServerConfig)

@@ -106,9 +106,9 @@ class EdgeTopologyConfig:
     @property
     def is_singleton(self) -> bool:
         """True for the degenerate PR 5-equivalent shape: one node, open
-        admission, migration off. The fleet suppresses topology reporting
-        for it so a 1-server run renders byte-identically to the legacy
-        singleton edge server."""
+        admission, migration off — the fleet's ``--edge`` shape. The
+        fleet suppresses topology reporting for it so a 1-server run
+        renders byte-identically to the PR 5 singleton edge server."""
         return (
             len(self.nodes) == 1
             and not self.nodes[0].admission.enabled

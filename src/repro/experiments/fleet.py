@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.controller import HBOConfig
-from repro.edge.runtime import EdgeConfig
 from repro.edge.topology import EdgeTopologyConfig
 from repro.experiments.common import DEFAULT_SEED
 from repro.experiments.report import format_kv, format_series, format_table
@@ -24,13 +23,12 @@ from repro.fleet.scheduler import FleetConfig, FleetResult, run_fleet
 from repro.fleet.store import SharedConfigStore
 from repro.rng import derive_seed
 
-# The cohort table and the hand-written staggered schedule moved to the
-# scenario generator (they are the catalog's `legacy-fleet` entry now);
-# re-exported here because this was their public home.
-from repro.scenarios.generator import COHORTS, default_fleet_specs
+# The hand-written staggered schedule moved to the scenario generator (it
+# is the catalog's `legacy-fleet` entry now); re-exported here because
+# this was its public home.
+from repro.scenarios.generator import default_fleet_specs
 
 __all__ = [
-    "COHORTS",
     "FleetExperimentResult",
     "default_fleet_specs",
     "render",
@@ -61,17 +59,15 @@ def run_fleet_experiment(
     n_sessions: int = 16,
     warm_start: bool = True,
     store: Optional[SharedConfigStore] = None,
-    edge: Optional[EdgeConfig] = None,
     topology: Optional[EdgeTopologyConfig] = None,
     placement: str = "price-aware",
     shards: int = 1,
 ) -> FleetExperimentResult:
     """Run the mixed fleet; pass ``warm_start=False`` for an all-cold
-    control run (every session ignores the store on admission), an
-    :class:`~repro.edge.runtime.EdgeConfig` to stand up one shared edge
-    server all sessions offload to and contend on, or an
+    control run (every session ignores the store on admission), or an
     :class:`~repro.edge.topology.EdgeTopologyConfig` to route sessions
-    through a multi-server topology under ``placement``. ``shards > 1``
+    through an edge topology under ``placement`` (``EdgeTopologyConfig.
+    single()`` is one shared server all sessions contend on). ``shards > 1``
     steps the fleet in parallel worker processes with byte-identical
     output (see :mod:`repro.fleet.shard`)."""
     cfg = config if config is not None else HBOConfig()
@@ -79,7 +75,6 @@ def run_fleet_experiment(
     fleet_config = FleetConfig(
         hbo=cfg,
         warm_start=warm_start,
-        edge=edge,
         topology=topology,
         placement=placement,
         shards=shards,

@@ -31,6 +31,7 @@ from scipy.stats import norm
 
 from repro.bo.kernels import RBF, Kernel, Matern
 from repro.bo.optimizer import BayesianOptimizer
+from repro.bo.space import HBOSpace
 from repro.errors import FleetError, GPFitError
 from repro.obs import runtime as obs
 
@@ -241,7 +242,13 @@ class SharedOptimizerService:
     def _candidates(
         self, optimizer: BayesianOptimizer, rng: np.random.Generator
     ) -> np.ndarray:
-        pools = [optimizer.space.sample(rng, size=self.n_candidates)]
+        space = optimizer.space
+        if not isinstance(space, HBOSpace):
+            raise FleetError(
+                "batched proposals need HBOSpace optimizers, got "
+                f"{type(space).__name__}"
+            )
+        pools = [space.sample(rng, size=self.n_candidates)]
         if self.n_local > 0:
             incumbent = optimizer.best().z
             per_scale = max(1, self.n_local // 2)
@@ -249,19 +256,8 @@ class SharedOptimizerService:
             # sequential perturb() calls (see HBOSpace.perturb_batch), so
             # this vectorization leaves proposals bit-identical — it was
             # ~50% of the fleet tick as a Python loop.
-            batch = getattr(optimizer.space, "perturb_batch", None)
             for scale in (0.05, 0.15):
-                if batch is not None:
-                    pools.append(batch(incumbent, scale, per_scale, rng))
-                else:
-                    pools.append(
-                        np.asarray(
-                            [
-                                optimizer.space.perturb(incumbent, scale, rng)
-                                for _ in range(per_scale)
-                            ]
-                        )
-                    )
+                pools.append(space.perturb_batch(incumbent, scale, per_scale, rng))
         return np.vstack(pools)
 
     def propose(
@@ -271,8 +267,8 @@ class SharedOptimizerService:
     ) -> List[np.ndarray]:
         """Guided proposals for every optimizer, via one batched GP pass.
 
-        All optimizers must share the search-space dimension and have at
-        least one observation. Falls back to uniform exploration (matching
+        All optimizers must search an :class:`~repro.bo.space.HBOSpace`
+        of one shared dimension and have at least one observation. Falls back to uniform exploration (matching
         the single-session optimizer's degenerate-fit behavior) if the
         batched fit is impossible or a session's scores are all
         non-finite.

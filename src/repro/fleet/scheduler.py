@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend.solve import solve
 from repro.core.algorithm import PendingEvaluation
 from repro.core.controller import HBOConfig
-from repro.edge.placement import migration_candidate, resolve_policy
-from repro.edge.runtime import EdgeConfig
-from repro.edge.server import EdgeServer
+from repro.edge.placement import (
+    PlacementOutcome,
+    migration_candidate,
+    resolve_policy,
+)
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 from repro.errors import FleetError
 from repro.fleet.batch import SharedOptimizerService
@@ -52,15 +54,11 @@ class FleetConfig:
     tick_s: float = 1.0  # one control period per session per tick
     warm_start: bool = True  # consult the shared store on admission
     hbo: HBOConfig = field(default_factory=HBOConfig)
-    #: Edge offloading (off by default): when set, the scheduler stands
-    #: up ONE shared :class:`~repro.edge.server.EdgeServer` and every
-    #: session gets its own wireless link + tenancy on it, so sessions
-    #: contend for edge compute across the fleet.
-    edge: Optional[EdgeConfig] = None
-    #: Multi-server edge topology (mutually exclusive with ``edge``):
-    #: sessions are placed onto one of N nodes at arrival, admission can
-    #: reject them onto their devices, saturated nodes shed tenants, and
-    #: drift can migrate them — see :mod:`repro.edge.topology`.
+    #: Edge offloading (off by default): sessions are placed onto one of
+    #: N nodes at arrival, admission can reject them onto their devices,
+    #: saturated nodes shed tenants, and drift can migrate them — see
+    #: :mod:`repro.edge.topology`. :meth:`EdgeTopologyConfig.single` is
+    #: one shared server every session contends on (CLI ``--edge``).
     topology: Optional[EdgeTopologyConfig] = None
     #: Placement policy name for topology mode (see
     #: :data:`repro.edge.placement.PLACEMENT_POLICIES`).
@@ -92,8 +90,8 @@ class FleetConfig:
     #: (time_s, scale) breakpoints — the mobility axis's link half (a
     #: user walking away from their serving cell). Applied to the
     #: session's own link each tick; scales must respect the link's
-    #: ``[min_scale, max_scale]`` band. Requires an edge (legacy or
-    #: topology) and ``shards == 1``.
+    #: ``[min_scale, max_scale]`` band. Requires a topology and
+    #: ``shards == 1``.
     link_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
 
     def __post_init__(self) -> None:
@@ -101,16 +99,11 @@ class FleetConfig:
             raise FleetError(f"tick_s must be > 0, got {self.tick_s}")
         if self.shards < 1:
             raise FleetError(f"shards must be >= 1, got {self.shards}")
-        if self.edge is not None and self.topology is not None:
-            raise FleetError(
-                "configure either the legacy singleton edge or a topology, "
-                "not both"
-            )
         resolve_policy(self.placement)
         if self.topology is None and (self.edge_drift or self.edge_outages):
             raise FleetError(
-                "edge_drift/edge_outages require a topology; the legacy "
-                "singleton edge has no named servers to schedule against"
+                "edge_drift/edge_outages require a topology to schedule "
+                "against"
             )
         if self.topology is not None:
             names = {node.name for node in self.topology.nodes}
@@ -131,10 +124,10 @@ class FleetConfig:
                 "session_events/link_drift run in the coordinator's tick "
                 "loop and are not shard-aware; use shards=1"
             )
-        if self.link_drift and self.edge is None and self.topology is None:
+        if self.link_drift and self.topology is None:
             raise FleetError(
-                "link_drift needs an edge (legacy or topology) — device-only "
-                "sessions have no wireless link to drift"
+                "link_drift needs an edge topology — device-only sessions "
+                "have no wireless link to drift"
             )
         for sid, script in (self.session_events or {}).items():
             times = [event.time_s for event in script]
@@ -218,6 +211,115 @@ def batched_steady(
     ]
 
 
+def validate_specs(specs: Sequence[SessionSpec]) -> Tuple[SessionSpec, ...]:
+    """The specs as a tuple; raises unless non-empty with unique ids."""
+    specs = tuple(specs)
+    if not specs:
+        raise FleetError("a fleet needs at least one session spec")
+    ids = [spec.session_id for spec in specs]
+    duplicates = sorted({s for s in ids if ids.count(s) > 1})
+    if duplicates:
+        raise FleetError(f"duplicate session ids: {duplicates}")
+    return specs
+
+
+def maintain_topology(
+    topology: EdgeTopology, config: FleetConfig, now_s: float
+) -> List[str]:
+    """Apply the scheduled cell drift and outage windows due at ``now_s``.
+
+    Runs before admissions so arrivals are placed against the state they
+    would actually experience. A node *entering* an outage detaches
+    every tenant; a node leaving one simply starts admitting again.
+    Returns the detached session ids in detach order — the caller moves
+    each onto its device (graceful fallback) or marks its row. Drift and
+    outages are pure functions of sim time and config, so shard workers
+    replay this on their mirror topologies instead of receiving commands.
+    """
+    orphaned: List[str] = []
+    drift = config.edge_drift
+    for node in topology.nodes:
+        if drift and node.name in drift:
+            node.set_bandwidth_scale(
+                network_drift_scale(now_s, tuple(drift[node.name]))
+            )
+        down = any(
+            episode.node == node.name and episode.covers(now_s)
+            for episode in config.edge_outages
+        )
+        if down != node.in_outage:
+            node.set_outage(down)
+            if down:
+                for session_id in node.server.tenant_ids:
+                    topology.detach(session_id)
+                    orphaned.append(session_id)
+    return orphaned
+
+
+def drain(
+    table: SessionTable, tick_s: float, step: Callable[[int], None]
+) -> int:
+    """Call ``step(tick)`` until every table row is done; returns the
+    tick count. Raises :class:`FleetError` naming the stuck sessions if
+    the fleet outlives its last arrival plus the longest budget."""
+    max_ticks = (
+        int(math.ceil(float(table.arrival_s.max()) / tick_s))
+        + table.max_budget
+        + 4
+    )
+    tick = 0
+    while not table.all_done():
+        if tick > max_ticks:
+            stuck = [
+                table.session_ids[i]
+                for i in np.nonzero(table.phase != PHASE_DONE)[0]
+            ]
+            raise FleetError(
+                f"fleet did not drain within {max_ticks} ticks; "
+                f"stuck sessions: {stuck}"
+            )
+        step(tick)
+        tick += 1
+    return tick
+
+
+def topology_stats(
+    topology: Optional[EdgeTopology],
+    placement: str,
+    outcomes: Sequence[Optional[PlacementOutcome]],
+    table: SessionTable,
+    sheds: int,
+    outage_fallbacks: int,
+) -> Optional[Dict[str, Any]]:
+    """Roll up placement/admission/migration outcomes for reporting.
+
+    ``None`` without a topology and for a singleton one (the ``--edge``
+    shape), whose run renders no topology block.
+    """
+    if topology is None or topology.config.is_singleton:
+        return None
+    placements = {node.name: 0 for node in topology.nodes}
+    rejections = 0
+    for outcome in outcomes:
+        if outcome is not None:
+            if outcome.node is None:
+                rejections += 1
+            else:
+                placements[outcome.node] += 1
+    return {
+        "n_nodes": len(topology.nodes),
+        "placement_policy": placement,
+        "placements": placements,
+        "rejections": rejections,
+        "sheds": sheds,
+        "outage_fallbacks": outage_fallbacks,
+        "migrations": int(table.migrations.sum()),
+        "final_utilization": {
+            node.name: node.utilization for node in topology.nodes
+        },
+    }
+
+
 @dataclass
 class FleetResult:
     """Outcome of one fleet run (see :mod:`repro.fleet.telemetry`)."""
@@ -230,8 +332,8 @@ class FleetResult:
     ticks: int
     tick_s: float
     #: Placement/admission/migration roll-up for topology runs. ``None``
-    #: for legacy runs AND for a singleton topology (the PR 5-equivalent
-    #: shape), so single-server output stays byte-identical.
+    #: for device-only runs AND for a singleton topology (the one shared
+    #: server of ``--edge``), see :func:`topology_stats`.
     topology_stats: Optional[Dict[str, Any]] = None
 
     def report_for(self, session_id: str) -> FleetSessionReport:
@@ -252,28 +354,15 @@ class FleetScheduler:
         store: Optional[SharedConfigStore] = None,
         service: Optional[SharedOptimizerService] = None,
     ) -> None:
-        specs = tuple(specs)
-        if not specs:
-            raise FleetError("a fleet needs at least one session spec")
-        ids = [spec.session_id for spec in specs]
-        duplicates = sorted({s for s in ids if ids.count(s) > 1})
-        if duplicates:
-            raise FleetError(f"duplicate session ids: {duplicates}")
+        specs = validate_specs(specs)
         self.specs = specs
         self.config = config if config is not None else FleetConfig()
         self.store = store if store is not None else SharedConfigStore()
         self.service = service if service is not None else SharedOptimizerService()
         self.clock = SimClock()
-        #: The fleet's shared edge server (None when edge is off): all
-        #: sessions register as tenants of this one instance, so one
-        #: session's offloaded demand slows every other's.
-        self.edge_server: Optional[EdgeServer] = (
-            EdgeServer(self.config.edge.server)
-            if self.config.edge is not None
-            else None
-        )
-        #: The live multi-server topology all sessions share in topology
-        #: mode (None otherwise).
+        #: The live edge topology all sessions share (None when edge is
+        #: off): tenants of one node contend for its compute, so one
+        #: session's offloaded demand slows every other's there.
         self.topology: Optional[EdgeTopology] = (
             EdgeTopology(self.config.topology)
             if self.config.topology is not None
@@ -288,8 +377,6 @@ class FleetScheduler:
                 spec,
                 self.config.hbo,
                 rng,
-                edge=self.config.edge,
-                edge_server=self.edge_server,
                 topology=self.topology,
                 placement=self.config.placement,
                 table=self.table,
@@ -340,7 +427,11 @@ class FleetScheduler:
         """
         with obs.span("fleet.tick", category="fleet", tick=tick) as span:
             if self.topology is not None:
-                self._maintain_topology()
+                for session_id in maintain_topology(
+                    self.topology, self.config, self.clock.now_s
+                ):
+                    self._session_of[session_id].fallback_to_device("outage")
+                    self._outage_fallbacks += 1
             self._admit_arrivals(tick)
             if self.topology is not None:
                 self._shed_overloaded()
@@ -387,7 +478,7 @@ class FleetScheduler:
         event fires exactly once (a per-session cursor); events due while
         a session was still waiting all fire on its first active tick.
         Per-session drift is applied after topology-level cell drift
-        (:meth:`_maintain_topology`), so a mobility schedule wins over
+        (:func:`maintain_topology`), so a mobility schedule wins over
         its node's backhaul schedule for that session's own link.
         """
         now_s = self.clock.now_s
@@ -411,36 +502,6 @@ class FleetScheduler:
                 apply_network_drift(runtime.link, now_s, tuple(schedule))
 
     # ----------------------------------------------------- topology upkeep
-
-    def _maintain_topology(self) -> None:
-        """Apply this tick's scheduled cell drift and outage windows.
-
-        Runs before admissions so arrivals are placed against the state
-        they would actually experience. A node *entering* an outage sheds
-        every tenant onto its device (graceful fallback); a node leaving
-        one simply starts admitting again.
-        """
-        assert self.topology is not None
-        now_s = self.clock.now_s
-        drift = self.config.edge_drift
-        for node in self.topology.nodes:
-            if drift and node.name in drift:
-                node.set_bandwidth_scale(
-                    network_drift_scale(now_s, tuple(drift[node.name]))
-                )
-            down = any(
-                episode.node == node.name and episode.covers(now_s)
-                for episode in self.config.edge_outages
-            )
-            if down != node.in_outage:
-                node.set_outage(down)
-                if down:
-                    for session_id in node.server.tenant_ids:
-                        self.topology.detach(session_id)
-                        self._session_of[session_id].fallback_to_device(
-                            "outage"
-                        )
-                        self._outage_fallbacks += 1
 
     def _shed_overloaded(self) -> None:
         """Push the newest tenants of any saturated node back onto their
@@ -489,25 +550,7 @@ class FleetScheduler:
     def run(self) -> FleetResult:
         """Drive the fleet until every session has drained."""
         table = self.table
-        max_arrival_s = float(table.arrival_s.max())
-        max_ticks = (
-            int(math.ceil(max_arrival_s / self.config.tick_s))
-            + table.max_budget
-            + 4
-        )
-        tick = 0
-        while not table.all_done():
-            if tick > max_ticks:
-                stuck = [
-                    self.specs[i].session_id
-                    for i in np.nonzero(table.phase != PHASE_DONE)[0]
-                ]
-                raise FleetError(
-                    f"fleet did not drain within {max_ticks} ticks; "
-                    f"stuck sessions: {stuck}"
-                )
-            self.step(tick)
-            tick += 1
+        ticks = drain(table, self.config.tick_s, self.step)
         # Reports, aggregates, and the convergence histogram all come
         # from trajectory columns; the cohort convergence target is the
         # table's vectorized per-cohort best (value-identical to the
@@ -524,46 +567,18 @@ class FleetScheduler:
                 "batches": self.service.batches,
                 "proposals_served": self.service.proposals_served,
             },
-            ticks=tick,
+            ticks=ticks,
             tick_s=self.config.tick_s,
-            topology_stats=self._topology_stats(),
+            topology_stats=topology_stats(
+                self.topology,
+                self.config.placement,
+                [s.placement_outcome for s in self.sessions],
+                table,
+                self._shed_fallbacks,
+                self._outage_fallbacks,
+            ),
         )
 
-    def _topology_stats(self) -> Optional[Dict[str, Any]]:
-        """Roll up placement/admission/migration outcomes for reporting.
-
-        ``None`` in legacy mode and for a singleton topology — the
-        PR 5-equivalent shape must render byte-identically to PR 5.
-        """
-        if (
-            self.topology is None
-            or self.config.topology is None
-            or self.config.topology.is_singleton
-        ):
-            return None
-        placements = {node.name: 0 for node in self.topology.nodes}
-        rejections = 0
-        migrations = 0
-        for session in self.sessions:
-            outcome = session.placement_outcome
-            if outcome is not None:
-                if outcome.node is None:
-                    rejections += 1
-                else:
-                    placements[outcome.node] += 1
-            migrations += session.migrations
-        return {
-            "n_nodes": len(self.topology.nodes),
-            "placement_policy": self.config.placement,
-            "placements": placements,
-            "rejections": rejections,
-            "sheds": self._shed_fallbacks,
-            "outage_fallbacks": self._outage_fallbacks,
-            "migrations": migrations,
-            "final_utilization": {
-                node.name: node.utilization for node in self.topology.nodes
-            },
-        }
 
 def run_fleet(
     specs: Sequence[SessionSpec],

@@ -36,8 +36,7 @@ from repro.device.resources import Resource
 from repro.device.thermal import ThermalSpec
 from repro.edge.link import WirelessLink
 from repro.edge.placement import PlacementOutcome, PlacementRequest, place
-from repro.edge.runtime import EdgeConfig, EdgeRuntime, build_edge_runtime
-from repro.edge.server import EdgeServer
+from repro.edge.runtime import EdgeConfig, EdgeRuntime
 from repro.edge.share import edge_demand
 from repro.edge.topology import EdgeTopology
 from repro.errors import FleetError
@@ -110,14 +109,19 @@ class SessionSpec:
             )
 
 
-def _offloadable_profiles(spec: SessionSpec) -> List[StaticProfile]:
-    """The session's CPU-capable task profiles — the ones an edge server
-    could host — in taskset order."""
-    return [
+def offload_demand(spec: SessionSpec) -> Tuple[float, Optional[StaticProfile]]:
+    """The session's estimated edge demand: the summed streams of its
+    CPU-capable task profiles (the ones an edge server could host), and
+    the heaviest of them (``None`` when nothing can offload)."""
+    profiles = [
         task.profile
         for task in scenario_taskset(spec.taskset, spec.device)
         if task.profile.supports(Resource.CPU)
     ]
+    est = 0.0
+    for profile in profiles:
+        est += edge_demand(profile)
+    return est, (max(profiles, key=edge_demand) if profiles else None)
 
 
 def _device_fallback_resource(profile: StaticProfile) -> Resource:
@@ -139,24 +143,15 @@ class FleetSession:
         spec: SessionSpec,
         config: HBOConfig,
         rng: np.random.Generator,
-        edge: Optional[EdgeConfig] = None,
-        edge_server: Optional[EdgeServer] = None,
         topology: Optional[EdgeTopology] = None,
         placement: str = "price-aware",
         table: Optional[SessionTable] = None,
         index: int = 0,
         thermal: Optional[ThermalSpec] = None,
     ) -> None:
-        if edge is not None and topology is not None:
-            raise FleetError(
-                f"{spec.session_id}: a session offloads through either the "
-                "legacy singleton edge config or a topology, not both"
-            )
         self.spec = spec
         self.config = config
         self.rng = rng
-        self._edge_config = edge
-        self._edge_server = edge_server
         self._topology = topology
         self._placement_policy = placement
         # Double gate: the fleet config supplies the parameters AND the
@@ -290,37 +285,15 @@ class FleetSession:
         store: Optional[SharedConfigStore] = None,
         warm_start: bool = True,
     ) -> None:
-        """Bring the session up: build its system, consult the store, and
-        construct a (possibly warm-started) optimizer."""
+        """Bring the session up: place it on the topology (if any), build
+        its system, consult the store, and construct a (possibly
+        warm-started) optimizer."""
         if self.phase is not SessionPhase.WAITING:
             raise FleetError(f"{self.spec.session_id}: admitted twice")
-        spec = self.spec
-        # Placement is keyed by the spec (shared within a cohort); the
-        # noise stream comes from the session's own decorrelated rng.
-        session_seed = int(self.rng.integers(0, 2**31))
-        # The link seed is drawn AFTER the session seed and ONLY when
-        # edge is enabled, so device-only fleets consume exactly the
-        # pre-edge draws from this stream (fixed-seed byte identity).
-        edge_runtime = None
-        if self._edge_config is not None:
-            link_seed = int(self.rng.integers(0, 2**31))
-            edge_runtime = build_edge_runtime(
-                config=self._edge_config,
-                seed=link_seed,
-                session_id=spec.session_id,
-                server=self._edge_server,
-            )
-            self._link_seed = link_seed
-        elif self._topology is not None:
-            edge_runtime = self._admit_to_topology()
-            if edge_runtime is not None:
-                self.attached_tick = tick
-        self._finish_admission(
+        self._admit(
             tick,
-            session_seed,
-            edge_runtime,
-            store=store,
-            warm_start=warm_start,
+            self._place() if self._topology is not None else ("device",),
+            store=store if warm_start else None,
             entry=None,
         )
 
@@ -333,80 +306,95 @@ class FleetSession:
         """Shard-worker admission with coordinator-made decisions.
 
         The coordinator owns the store and the authoritative topology, so
-        placement and warm lookup arrive as inputs; the RNG draws here
-        replay :meth:`admit`'s exact order (session seed first, link seed
-        only when an edge tenancy is actually granted), which is what
+        placement and warm lookup arrive as inputs; the admission itself
+        runs the same :meth:`_admit` as :meth:`admit`, which is what
         keeps a sharded run byte-identical to ``shards=1``.
 
-        ``directive``: ``("device",)`` (no edge), ``("legacy",)``
-        (singleton edge server), ``("node", name)`` (admitted to a
-        topology node), or ``("rejected",)`` (placement rejected —
-        device fallback, no link draw).
+        ``directive``: ``("device",)`` (no edge), ``("node", name)``
+        (admitted to a topology node), or ``("rejected",)`` (placement
+        rejected — device fallback, no link draw).
         """
         if self.phase is not SessionPhase.WAITING:
             raise FleetError(f"{self.spec.session_id}: admitted twice")
-        spec = self.spec
-        session_seed = int(self.rng.integers(0, 2**31))
-        edge_runtime = None
-        kind = directive[0]
-        if kind == "legacy":
-            if self._edge_config is None:
-                raise FleetError(f"{spec.session_id}: no edge config to admit to")
-            link_seed = int(self.rng.integers(0, 2**31))
-            edge_runtime = build_edge_runtime(
-                config=self._edge_config,
-                seed=link_seed,
-                session_id=spec.session_id,
-                server=self._edge_server,
-            )
-            self._link_seed = link_seed
-        elif kind == "node":
-            if self._topology is None:
-                raise FleetError(f"{spec.session_id}: no topology to admit to")
-            profiles = _offloadable_profiles(spec)
-            est = 0.0
-            for profile in profiles:
-                est += edge_demand(profile)
-            self._est_streams = est
-            self._edge_profile = max(profiles, key=edge_demand)
-            link_seed = int(self.rng.integers(0, 2**31))
-            self._link_seed = link_seed
-            node = self._topology.node(directive[1])
-            link = WirelessLink(node.config.link, link_seed)
-            self._topology.attach(spec.session_id, directive[1], link)
-            self.edge_node = directive[1]
-            edge_runtime = EdgeRuntime(
-                EdgeConfig(server=node.config.server, link=node.config.link),
-                node.server,
-                link,
-                session_id=spec.session_id,
-                register=False,
-            )
-            self.attached_tick = tick
-        elif kind not in ("device", "rejected"):
+        if directive[0] not in ("device", "node", "rejected"):
             raise FleetError(
-                f"{spec.session_id}: unknown admission directive {kind!r}"
+                f"{self.spec.session_id}: unknown admission directive "
+                f"{directive[0]!r}"
             )
-        self._finish_admission(
-            tick,
-            session_seed,
-            edge_runtime,
-            store=None,
-            warm_start=False,
-            entry=warm_entry,
+        self._admit(tick, directive, store=None, entry=warm_entry)
+
+    def _place(self) -> Tuple:
+        """Run the placement policy on the topology; returns the
+        admission directive :meth:`_admit` executes."""
+        assert self._topology is not None
+        spec = self.spec
+        est, profile = offload_demand(spec)
+        if profile is None:
+            return ("device",)
+        outcome = place(
+            self._topology,
+            PlacementRequest(
+                session_id=spec.session_id,
+                est_streams=est,
+                position=spec.position,
+                profile=profile,
+            ),
+            self._placement_policy,
+        )
+        self.placement_outcome = outcome
+        if outcome.node is None:
+            obs.counter(
+                "edge_admission_rejections", policy=self._placement_policy
+            ).inc()
+            return ("rejected",)
+        obs.counter(
+            "edge_placements", policy=self._placement_policy, node=outcome.node
+        ).inc()
+        return ("node", outcome.node)
+
+    def _attach(self, node_name: str, tick: int) -> EdgeRuntime:
+        """Draw the link seed and bind this session's tenancy on a node."""
+        spec = self.spec
+        if self._topology is None:
+            raise FleetError(f"{spec.session_id}: no topology to admit to")
+        self._est_streams, self._edge_profile = offload_demand(spec)
+        link_seed = int(self.rng.integers(0, 2**31))
+        self._link_seed = link_seed
+        node = self._topology.node(node_name)
+        link = WirelessLink(node.config.link, link_seed)
+        self._topology.attach(spec.session_id, node_name, link)
+        self.edge_node = node_name
+        self.attached_tick = tick
+        return EdgeRuntime(
+            EdgeConfig(server=node.config.server, link=node.config.link),
+            node.server,
+            link,
+            session_id=spec.session_id,
+            register=False,
         )
 
-    def _finish_admission(
+    def _admit(
         self,
         tick: int,
-        session_seed: int,
-        edge_runtime: Optional[EdgeRuntime],
+        directive: Tuple,
         store: Optional[SharedConfigStore],
-        warm_start: bool,
         entry: Optional[WarmStartEntry],
     ) -> None:
-        """Shared admission tail: system, optimizer, warm seed, columns."""
+        """Execute an admission directive: system, optimizer, warm seed,
+        columns.
+
+        The session seed is drawn first and the link seed only when a
+        node admitted the session, so device-only and rejected sessions
+        consume exactly the pre-edge draws from their stream (fixed-seed
+        byte identity).
+        """
         spec = self.spec
+        # Placement is keyed by the spec (shared within a cohort); the
+        # noise stream comes from the session's own decorrelated rng.
+        session_seed = int(self.rng.integers(0, 2**31))
+        edge_runtime = (
+            self._attach(directive[1], tick) if directive[0] == "node" else None
+        )
         self.system = build_system(
             spec.scenario,
             spec.taskset,
@@ -440,7 +428,7 @@ class FleetSession:
             gp_tier=cfg.gp_tier,
             sparse_threshold=cfg.gp_sparse_threshold,
         )
-        if store is not None and warm_start:
+        if store is not None:
             entry = store.warm_start_for(self.signature, scope=spec.device)
         # A donor whose observations live in a different-dimensional
         # space (a device-fallback session donating 3-simplex points
@@ -467,57 +455,6 @@ class FleetSession:
         )
         table.obs_count[i] = len(self.optimizer.state.observations)
         table.init_plan_row(i, self.system.device)
-
-    def _admit_to_topology(self) -> Optional[EdgeRuntime]:
-        """Ask the topology for a server; None means device fallback.
-
-        Runs the placement policy, and — only when a node admits the
-        session — draws the link seed and binds the tenancy. Rejected
-        sessions consume exactly the RNG draws of a device-only one, the
-        same only-when-edge contract the legacy path keeps.
-        """
-        assert self._topology is not None
-        spec = self.spec
-        profiles = _offloadable_profiles(spec)
-        if not profiles:
-            return None
-        est = 0.0
-        for profile in profiles:
-            est += edge_demand(profile)
-        self._est_streams = est
-        self._edge_profile = max(profiles, key=edge_demand)
-        outcome = place(
-            self._topology,
-            PlacementRequest(
-                session_id=spec.session_id,
-                est_streams=est,
-                position=spec.position,
-                profile=self._edge_profile,
-            ),
-            self._placement_policy,
-        )
-        self.placement_outcome = outcome
-        if outcome.node is None:
-            obs.counter(
-                "edge_admission_rejections", policy=self._placement_policy
-            ).inc()
-            return None
-        link_seed = int(self.rng.integers(0, 2**31))
-        self._link_seed = link_seed
-        node = self._topology.node(outcome.node)
-        link = WirelessLink(node.config.link, link_seed)
-        self._topology.attach(spec.session_id, outcome.node, link)
-        self.edge_node = outcome.node
-        obs.counter(
-            "edge_placements", policy=self._placement_policy, node=outcome.node
-        ).inc()
-        return EdgeRuntime(
-            EdgeConfig(server=node.config.server, link=node.config.link),
-            node.server,
-            link,
-            session_id=spec.session_id,
-            register=False,
-        )
 
     def fallback_to_device(self, reason: str) -> None:
         """Collapse the session from the 4-simplex to the device 3-simplex
@@ -712,16 +649,14 @@ class FleetSession:
             )
             if store is not None:
                 store.donate(**donation)
-        # Leave the shared edge server: a finished session's offloaded
-        # demand must stop slowing the tenants still running.
+        # Leave the edge node: a finished session's offloaded demand must
+        # stop slowing the tenants still running. edge_node is kept for
+        # reporting: it names the node that served the session through
+        # its final control period.
         if self.system.device.edge is not None:
-            if self._topology is not None:
-                # edge_node is kept for reporting: it names the node that
-                # served the session through its final control period.
-                self._topology.detach(self.spec.session_id)
-                self.system.device.edge.abandon()
-            else:
-                self.system.device.edge.release()
+            assert self._topology is not None
+            self._topology.detach(self.spec.session_id)
+            self.system.device.edge.abandon()
         self.phase = SessionPhase.DONE
         self.end_tick = tick
         return donation

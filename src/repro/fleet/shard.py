@@ -6,9 +6,9 @@ every piece of state sessions share across shard boundaries:
 
 - the :class:`~repro.fleet.store.SharedConfigStore` (warm lookups at
   admission, donations at retirement),
-- the authoritative :class:`~repro.edge.topology.EdgeTopology` / legacy
-  singleton :class:`~repro.edge.server.EdgeServer` (placement, admission,
-  shedding, migration, and the registration-order external-demand sums),
+- the authoritative :class:`~repro.edge.topology.EdgeTopology`
+  (placement, admission, shedding, migration, and the registration-order
+  external-demand sums),
 - the :class:`~repro.sim.clock.SimClock` and every lifecycle decision.
 
 Workers own what never crosses a shard boundary: the heavyweight session
@@ -29,7 +29,7 @@ Each tick runs in lockstep:
 2. **Worker begin** — apply commands, one batched GP pass per space dim
    (batch-composition invariant, so per-shard sub-batches equal the
    global batch bitwise), apply configurations, publish edge demands.
-3. **Demand barrier** (edge modes only) — the coordinator folds worker
+3. **Demand barrier** (with a topology only) — the coordinator folds worker
    demands into the authoritative servers and returns each tenant's
    external-stream sum, computed in global registration order; demand is
    only written during begins and externs only read after, so one
@@ -49,7 +49,6 @@ and reports/aggregates come from the same column math as ``shards=1``.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -64,7 +63,6 @@ from repro.edge.placement import (
     place,
 )
 from repro.edge.server import EdgeServer
-from repro.edge.share import edge_demand
 from repro.edge.topology import EdgeTopology
 from repro.errors import FleetError, UnknownTenantError
 from repro.fleet.batch import SharedOptimizerService
@@ -72,24 +70,19 @@ from repro.fleet.scheduler import (
     FleetConfig,
     FleetResult,
     batched_steady,
+    drain,
+    maintain_topology,
     propose_and_begin,
+    topology_stats,
+    validate_specs,
 )
-from repro.fleet.session import (
-    FleetSession,
-    SessionSpec,
-    _offloadable_profiles,
-)
+from repro.fleet.session import FleetSession, SessionSpec, offload_demand
 from repro.fleet.store import SharedConfigStore, WarmStartEntry
 from repro.fleet.table import PHASE_ACTIVE, PHASE_DONE, SessionTable
 from repro.obs import runtime as obs
 from repro.rng import SeedLike, spawn_shard_rngs
 from repro.sim.clock import SimClock
-from repro.sim.scenarios import (
-    build_system,
-    network_drift_scale,
-    place_catalog,
-    scenario_catalog,
-)
+from repro.sim.scenarios import build_system, place_catalog, scenario_catalog
 
 #: Seed of the coordinator's placeholder links. The coordinator never
 #: samples a link (workers own the drift traces, seeded from their own
@@ -157,19 +150,12 @@ class _ShardWorker:
         self.clock = SimClock()
         self.table = SessionTable(specs, config.hbo)
         self.service = SharedOptimizerService()
-        self.edge_server: Optional[_MirrorEdgeServer] = (
-            _MirrorEdgeServer(config.edge.server)
-            if config.edge is not None
-            else None
-        )
         self.topology = _mirror_topology(config)
         self.sessions = [
             FleetSession(
                 spec,
                 config.hbo,
                 rng,
-                edge=config.edge,
-                edge_server=self.edge_server,
                 topology=self.topology,
                 placement=config.placement,
                 table=self.table,
@@ -183,40 +169,16 @@ class _ShardWorker:
         self._dims: List[int] = []
         self._n_guided = 0
 
-    def _maintain_mirror(self) -> None:
-        """Replay drift/outage upkeep on the mirror topology.
-
-        Drift scales and outage windows are pure functions of sim time
-        and config, so the worker recomputes them instead of receiving
-        commands; outage fallbacks touch only this shard's own tenants,
-        making the cross-shard detach order irrelevant.
-        """
-        if self.topology is None:
-            return
-        now_s = self.clock.now_s
-        drift = self.config.edge_drift
-        for node in self.topology.nodes:
-            if drift and node.name in drift:
-                node.set_bandwidth_scale(
-                    network_drift_scale(now_s, tuple(drift[node.name]))
-                )
-            down = any(
-                episode.node == node.name and episode.covers(now_s)
-                for episode in self.config.edge_outages
-            )
-            if down != node.in_outage:
-                node.set_outage(down)
-                if down:
-                    for session_id in node.server.tenant_ids:
-                        self.topology.detach(session_id)
-                        self._session_of[session_id].fallback_to_device(
-                            "outage"
-                        )
-
     def tick_begin(self, msg: Dict[str, Any]) -> Dict[str, float]:
         """Apply coordinator commands, propose, begin; return demands."""
         tick = int(msg["tick"])
-        self._maintain_mirror()
+        if self.topology is not None:
+            # Outage fallbacks touch only this shard's own tenants, so the
+            # cross-shard detach order is irrelevant.
+            for session_id in maintain_topology(
+                self.topology, self.config, self.clock.now_s
+            ):
+                self._session_of[session_id].fallback_to_device("outage")
         for local_idx, directive, entry in msg["admit"]:
             self.sessions[local_idx].admit_directed(
                 tick, directive, warm_entry=entry
@@ -232,19 +194,15 @@ class _ShardWorker:
             self.service, self.table, self.sessions
         )
         demands: Dict[str, float] = {}
-        if self.edge_server is not None:
-            demands.update(self.edge_server.snapshot())
         if self.topology is not None:
             for node in self.topology.nodes:
                 demands.update(node.server.snapshot())
         return demands
 
     def inject_externs(self, externs: Dict[str, float]) -> None:
-        if self.edge_server is not None:
-            self.edge_server.extern_override = externs
-        if self.topology is not None:
-            for node in self.topology.nodes:
-                node.server.extern_override = externs
+        assert self.topology is not None
+        for node in self.topology.nodes:
+            node.server.extern_override = externs
 
     def tick_finish(self, tick: int) -> Dict[str, Any]:
         """Solve, measure, retire; ship worker-truth events up."""
@@ -277,14 +235,13 @@ def _shard_worker_main(
 ) -> None:
     """Worker process entry point: lockstep command loop until ``stop``."""
     worker = _ShardWorker(specs, config, rngs)
-    edge_mode = config.edge is not None or config.topology is not None
     try:
         while True:
             msg = conn.recv()
             op = msg["op"]
             if op == "tick":
                 demands = worker.tick_begin(msg)
-                if edge_mode:
+                if worker.topology is not None:
                     conn.send({"demands": demands})
                     worker.inject_externs(conn.recv()["externs"])
                 conn.send(worker.tick_finish(int(msg["tick"])))
@@ -313,46 +270,22 @@ class ShardedFleetScheduler:
         config: Optional[FleetConfig] = None,
         store: Optional[SharedConfigStore] = None,
     ) -> None:
-        specs = tuple(specs)
-        if not specs:
-            raise FleetError("a fleet needs at least one session spec")
-        ids = [spec.session_id for spec in specs]
-        duplicates = sorted({s for s in ids if ids.count(s) > 1})
-        if duplicates:
-            raise FleetError(f"duplicate session ids: {duplicates}")
+        specs = validate_specs(specs)
         self.specs = specs
         self.config = config if config is not None else FleetConfig()
         self.store = store if store is not None else SharedConfigStore()
         self.clock = SimClock()
         self.table = SessionTable(specs, self.config.hbo)
-        self.edge_server: Optional[EdgeServer] = (
-            EdgeServer(self.config.edge.server)
-            if self.config.edge is not None
-            else None
-        )
         self.topology: Optional[EdgeTopology] = (
             EdgeTopology(self.config.topology)
             if self.config.topology is not None
             else None
         )
-        self._edge_mode = (
-            self.edge_server is not None or self.topology is not None
-        )
         self._row_of = {spec.session_id: i for i, spec in enumerate(specs)}
-        # Pure per-spec inputs the migration guard needs (the in-process
-        # scheduler reads them off live sessions; they depend only on the
-        # spec, so the coordinator recomputes them).
-        self._est_streams: List[float] = []
-        self._edge_profiles: List[Optional[Any]] = []
-        for spec in specs:
-            profiles = _offloadable_profiles(spec)
-            est = 0.0
-            for profile in profiles:
-                est += edge_demand(profile)
-            self._est_streams.append(est)
-            self._edge_profiles.append(
-                max(profiles, key=edge_demand) if profiles else None
-            )
+        #: Pure per-spec (est_streams, heaviest profile) inputs placement
+        #: and the migration guard need (the in-process scheduler reads
+        #: them off live sessions; they depend only on the spec).
+        self._demand = [offload_demand(spec) for spec in specs]
         self._signatures: Dict[
             Tuple[str, str, str, int], EnvironmentSignature
         ] = {}
@@ -407,30 +340,6 @@ class ShardedFleetScheduler:
 
     # --------------------------------------------------- coordinator phase A
 
-    def _maintain_topology(self) -> None:
-        """Authoritative drift/outage upkeep (decision mirror of
-        :meth:`FleetScheduler._maintain_topology`); workers replay the
-        pure parts themselves, so no commands are shipped."""
-        assert self.topology is not None
-        now_s = self.clock.now_s
-        drift = self.config.edge_drift
-        for node in self.topology.nodes:
-            if drift and node.name in drift:
-                node.set_bandwidth_scale(
-                    network_drift_scale(now_s, tuple(drift[node.name]))
-                )
-            down = any(
-                episode.node == node.name and episode.covers(now_s)
-                for episode in self.config.edge_outages
-            )
-            if down != node.in_outage:
-                node.set_outage(down)
-                if down:
-                    for session_id in node.server.tenant_ids:
-                        self.topology.detach(session_id)
-                        self._note_fallback(self._row_of[session_id])
-                        self._outage_fallbacks += 1
-
     def _note_fallback(self, row: int) -> None:
         self.table.edge_node[row] = ""
         self.table.attached_tick[row] = -1
@@ -469,16 +378,16 @@ class ShardedFleetScheduler:
         """Run placement on the authoritative topology; returns the
         admission directive for the owning worker."""
         assert self.topology is not None
-        profiles = _offloadable_profiles(spec)
-        if not profiles:
+        est, profile = self._demand[row]
+        if profile is None:
             return ("device",)
         outcome = place(
             self.topology,
             PlacementRequest(
                 session_id=spec.session_id,
-                est_streams=self._est_streams[row],
+                est_streams=est,
                 position=spec.position,
-                profile=self._edge_profiles[row],
+                profile=profile,
             ),
             self.config.placement,
         )
@@ -513,13 +422,11 @@ class ShardedFleetScheduler:
                 entry = self.store.warm_start_for(
                     self._signature_of(spec), scope=spec.device
                 )
-            if self.edge_server is not None:
-                self.edge_server.register(spec.session_id)
-                directive: Tuple = ("legacy",)
-            elif self.topology is not None:
-                directive = self._place_session(int(i), spec, tick)
-            else:
-                directive = ("device",)
+            directive: Tuple = (
+                self._place_session(int(i), spec, tick)
+                if self.topology is not None
+                else ("device",)
+            )
             self.table.phase[i] = PHASE_ACTIVE
             self.table.start_tick[i] = tick
             shard, local = self._shard_local(int(i))
@@ -550,7 +457,7 @@ class ShardedFleetScheduler:
             attached = int(table.attached_tick[row])
             if attached < 0 or tick - attached < migration.dwell_ticks:
                 continue
-            profile = self._edge_profiles[row]
+            est, profile = self._demand[row]
             if profile is None:
                 continue
             session_id = self.specs[row].session_id
@@ -560,7 +467,7 @@ class ShardedFleetScheduler:
                 self.topology,
                 session_id,
                 profile,
-                demand if demand > 0 else self._est_streams[row],
+                demand if demand > 0 else est,
             )
             if target is None:
                 continue
@@ -584,21 +491,32 @@ class ShardedFleetScheduler:
 
     # -------------------------------------------------------------- barrier
 
+    def _recv(self, shard: int, stage: str) -> Any:
+        """One worker's answer; a dead worker raises :class:`FleetError`
+        naming the shard and the stage instead of a bare ``EOFError``."""
+        try:
+            return self._conns[shard].recv()
+        except (EOFError, OSError) as exc:
+            proc = self._procs[shard]
+            proc.join(timeout=5)
+            raise FleetError(
+                f"fleet shard {shard} ({proc.name}) died during {stage} "
+                f"(exit code {proc.exitcode})"
+            ) from exc
+
     def _server_of(self, session_id: str) -> EdgeServer:
-        if self.edge_server is not None:
-            return self.edge_server
         assert self.topology is not None
         node_name = self.topology.assignment_of(session_id)
         if node_name is None:  # pragma: no cover - protocol guard
             raise FleetError(f"{session_id}: demand from unattached session")
         return self.topology.node(node_name).server
 
-    def _demand_barrier(self) -> None:
+    def _demand_barrier(self, tick: int) -> None:
         """Fold worker demands into the authoritative servers, answer
         with every tenant's external-stream sum."""
         merged: Dict[str, float] = {}
-        for conn in self._conns:
-            merged.update(conn.recv()["demands"])
+        for k in range(len(self._conns)):
+            merged.update(self._recv(k, f"tick {tick}")["demands"])
         for session_id, demand in merged.items():
             self._server_of(session_id).set_demand(session_id, demand)
         externs = {
@@ -616,23 +534,27 @@ class ShardedFleetScheduler:
                 {"admit": [], "shed": [], "migrate": []} for _ in self._conns
             ]
             if self.topology is not None:
-                self._maintain_topology()
+                for session_id in maintain_topology(
+                    self.topology, self.config, self.clock.now_s
+                ):
+                    self._note_fallback(self._row_of[session_id])
+                    self._outage_fallbacks += 1
             self._admit_arrivals(tick, commands)
             if self.topology is not None:
                 self._shed_overloaded(commands)
                 self._migrate_sessions(tick, commands)
             for conn, command in zip(self._conns, commands):
                 conn.send({"op": "tick", "tick": tick, **command})
-            if self._edge_mode:
-                self._demand_barrier()
+            if self.topology is not None:
+                self._demand_barrier(tick)
             table = self.table
             active_idx = table.active_indices()
             dims_union: set = set()
             n_guided = 0
             reported_retired: List[int] = []
             donations: List[Tuple[int, Optional[Dict[str, Any]]]] = []
-            for start, conn in zip(self._starts, self._conns):
-                events = conn.recv()
+            for k, start in enumerate(self._starts):
+                events = self._recv(k, f"tick {tick}")
                 n_guided += int(events["n_guided"])
                 dims_union.update(events["dims"])
                 reported_retired.extend(
@@ -659,11 +581,11 @@ class ShardedFleetScheduler:
                     self.store.donate(**payload)
             for i in retiring:
                 session_id = self.specs[int(i)].session_id
-                if self.topology is not None:
-                    if self.topology.assignment_of(session_id) is not None:
-                        self.topology.detach(session_id)
-                elif self.edge_server is not None:
-                    self.edge_server.release(session_id)
+                if (
+                    self.topology is not None
+                    and self.topology.assignment_of(session_id) is not None
+                ):
+                    self.topology.detach(session_id)
                 table.phase[i] = PHASE_DONE
                 table.end_tick[i] = tick
             span.set(n_active=len(active_idx), n_guided=n_guided)
@@ -679,30 +601,12 @@ class ShardedFleetScheduler:
     def run(self) -> FleetResult:
         """Drive the sharded fleet until every session has drained."""
         table = self.table
-        max_arrival_s = float(table.arrival_s.max())
-        max_ticks = (
-            int(math.ceil(max_arrival_s / self.config.tick_s))
-            + table.max_budget
-            + 4
-        )
-        tick = 0
         try:
-            while not table.all_done():
-                if tick > max_ticks:
-                    stuck = [
-                        self.specs[i].session_id
-                        for i in np.nonzero(table.phase != PHASE_DONE)[0]
-                    ]
-                    raise FleetError(
-                        f"fleet did not drain within {max_ticks} ticks; "
-                        f"stuck sessions: {stuck}"
-                    )
-                self._step(tick)
-                tick += 1
+            ticks = drain(table, self.config.tick_s, self._step)
             for conn in self._conns:
                 conn.send({"op": "collect"})
-            for start, conn in zip(self._starts, self._conns):
-                table.absorb(start, conn.recv())
+            for k, start in enumerate(self._starts):
+                table.absorb(start, self._recv(k, "the final collect"))
         finally:
             self._shutdown()
         reports = table.build_reports(self._placement_outcomes)
@@ -715,40 +619,17 @@ class ShardedFleetScheduler:
                 "batches": self._batches,
                 "proposals_served": self._proposals,
             },
-            ticks=tick,
+            ticks=ticks,
             tick_s=self.config.tick_s,
-            topology_stats=self._topology_stats(),
+            topology_stats=topology_stats(
+                self.topology,
+                self.config.placement,
+                self._placement_outcomes,
+                table,
+                self._shed_fallbacks,
+                self._outage_fallbacks,
+            ),
         )
-
-    def _topology_stats(self) -> Optional[Dict[str, Any]]:
-        """Same roll-up (and suppression rule) as the in-process
-        scheduler: ``None`` for legacy mode and singleton topologies."""
-        if (
-            self.topology is None
-            or self.config.topology is None
-            or self.config.topology.is_singleton
-        ):
-            return None
-        placements = {node.name: 0 for node in self.topology.nodes}
-        rejections = 0
-        for outcome in self._placement_outcomes:
-            if outcome is not None:
-                if outcome.node is None:
-                    rejections += 1
-                else:
-                    placements[outcome.node] += 1
-        return {
-            "n_nodes": len(self.topology.nodes),
-            "placement_policy": self.config.placement,
-            "placements": placements,
-            "rejections": rejections,
-            "sheds": self._shed_fallbacks,
-            "outage_fallbacks": self._outage_fallbacks,
-            "migrations": int(self.table.migrations.sum()),
-            "final_utilization": {
-                node.name: node.utilization for node in self.topology.nodes
-            },
-        }
 
     def _shutdown(self) -> None:
         for conn in self._conns:

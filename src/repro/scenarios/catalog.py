@@ -12,7 +12,7 @@ schedules, thermal gates and all.
 Replay contract: ``compile_scenario`` is a pure function of its
 arguments. The same ``(spec, seed, hbo)`` always produce byte-identical
 session specs, schedules, and scripts, and running the compiled fleet
-reproduces the same trace — that is what ``make scenario-smoke`` and the
+reproduces the same trace — that is what ``make replay-check`` and the
 Hypothesis purity suite assert. The ``legacy-fleet`` entry compiles
 through the original hand-written staggered-cohort schedule, so at seed
 2024 it replays the pre-catalog ``repro fleet`` byte-for-byte.
@@ -33,8 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.core.controller import HBOConfig
 from repro.device.profiles import GALAXY_A54, GALAXY_S22, PIXEL6A, PIXEL7
 from repro.device.thermal import ThermalSpec
-from repro.edge.runtime import EdgeConfig
-from repro.edge.topology import default_topology
+from repro.edge.topology import EdgeTopologyConfig, default_topology
 from repro.errors import ScenarioError
 from repro.fleet.scheduler import FleetConfig
 from repro.fleet.session import SessionSpec
@@ -361,12 +360,11 @@ def compile_scenario(
                     )
         thermal_gate = spec.thermal.model if spec.thermal is not None else None
 
-    edge_cfg = EdgeConfig() if serving.mode == "legacy-edge" else None
-    topo_cfg = (
-        default_topology(serving.n_servers)
-        if serving.mode == "topology"
-        else None
-    )
+    topo_cfg: Optional[EdgeTopologyConfig] = None
+    if serving.mode == "legacy-edge":
+        topo_cfg = EdgeTopologyConfig.single()
+    elif serving.mode == "topology":
+        topo_cfg = default_topology(serving.n_servers)
     edge_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
     if topo_cfg is not None and serving.node_drift_stagger_s >= 0:
         edge_drift = staggered_drift_schedules(
@@ -375,11 +373,10 @@ def compile_scenario(
         )
     fleet_config = FleetConfig(
         hbo=cfg,
-        edge=edge_cfg,
         topology=topo_cfg,
         placement=serving.placement,
         edge_drift=edge_drift,
-        edge_outages=serving.outages if topo_cfg is not None else (),
+        edge_outages=serving.outages,
         thermal=thermal_gate,
         session_events=session_events or None,
         link_drift=link_drift or None,

@@ -4,8 +4,8 @@ The runner is the thin layer between the catalog and the fleet: it
 compiles a spec, hands the result to
 :func:`repro.fleet.scheduler.run_fleet`, and renders/export the outcome
 deterministically. ``export_json`` is the byte-comparison surface —
-``make scenario-smoke`` runs one scenario twice at a fixed seed and
-``cmp``s the two exports.
+``make replay-check`` runs one scenario twice at a fixed seed and
+byte-compares the two exports.
 """
 
 from __future__ import annotations

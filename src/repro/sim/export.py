@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.obs.metrics import MetricsRegistry
+from typing import Any, Dict, Union
 
 from repro.core.controller import HBORunResult
 from repro.core.system import Measurement
@@ -121,28 +118,6 @@ def trace_from_dict(data: Dict[str, Any]) -> SessionTrace:
             )
         )
     return trace
-
-
-def fleet_report_to_dict(report: Any) -> Dict[str, Any]:
-    """Backward-compat wrapper: moved to :mod:`repro.fleet.export`.
-
-    The fleet serializers lived here before RL006 flagged the upward
-    ``sim → fleet`` type dependency. The lazy import below is the
-    allowlisted compat seam; new code should import from
-    ``repro.fleet.export`` directly.
-    """
-    from repro.fleet.export import fleet_report_to_dict as _impl
-
-    return _impl(report)
-
-
-def fleet_result_to_dict(
-    result: Any, metrics: "Optional[MetricsRegistry]" = None
-) -> Dict[str, Any]:
-    """Backward-compat wrapper: moved to :mod:`repro.fleet.export`."""
-    from repro.fleet.export import fleet_result_to_dict as _impl
-
-    return _impl(result, metrics)
 
 
 def allocation_from_dict(data: Dict[str, str]) -> Dict[str, Resource]:

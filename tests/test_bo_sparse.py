@@ -21,10 +21,10 @@ from repro.bo import (
     SparseGaussianProcess,
     select_support,
 )
-from repro.bo.space import BoxSpace
+from repro.bo.space import BoxSpace, HBOSpace
 from repro.bo.optimizer import Observation
 from repro.cli import main
-from repro.errors import ConfigurationError, GPFitError
+from repro.errors import ConfigurationError, FleetError, GPFitError
 from repro.fleet.batch import SharedOptimizerService
 from repro.rng import make_rng, spawn_rngs
 
@@ -199,7 +199,16 @@ class TestOptimizerSparseTier:
 class TestBatchedServiceSparse:
     def test_propose_prices_sparse_sessions_from_their_support_set(self):
         cost = lambda z: float(np.sum((z - 0.3) ** 2))  # noqa: E731
-        opts = [_seeded_optimizer(seed=s, threshold=6) for s in (1, 2)]
+        opts = [
+            BayesianOptimizer(
+                HBOSpace(3, r_min=0.1),
+                n_initial=3,
+                seed=s,
+                gp_tier="sparse",
+                sparse_threshold=6,
+            )
+            for s in (1, 2)
+        ]
         for opt in opts:
             for _ in range(12):
                 z = opt.ask()
@@ -216,6 +225,13 @@ class TestBatchedServiceSparse:
         # The padded batch width is capped at the support budget.
         widths = {x.shape[0] for x, _ in (o.surrogate_dataset() for o in opts)}
         assert widths == {6}
+
+    def test_propose_rejects_non_simplex_spaces(self):
+        opt = _seeded_optimizer(seed=1)
+        z = opt.ask()
+        opt.tell(z, 1.0)
+        with pytest.raises(FleetError, match="HBOSpace"):
+            SharedOptimizerService().propose([opt], spawn_rngs(9, 1))
 
 
 class TestTierOffByteIdentity:

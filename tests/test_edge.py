@@ -39,6 +39,7 @@ from repro.edge import (
     extend_taskset,
 )
 from repro.errors import DeviceError, EdgeError
+from repro.edge.topology import EdgeTopologyConfig
 from repro.fleet.scheduler import FleetConfig, run_fleet
 from repro.fleet.session import SessionSpec
 from repro.core.controller import HBOConfig
@@ -292,7 +293,8 @@ class TestFleetEdge:
             for i in range(4)
         ]
         cfg = FleetConfig(
-            hbo=HBOConfig(n_initial=2, n_iterations=2), edge=EdgeConfig()
+            hbo=HBOConfig(n_initial=2, n_iterations=2),
+            topology=EdgeTopologyConfig.single(),
         )
         r1 = run_fleet(specs, seed=2024, config=cfg)
         r2 = run_fleet(specs, seed=2024, config=cfg)

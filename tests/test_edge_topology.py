@@ -2,8 +2,8 @@
 
 The tentpole contracts under test:
 
-- a 1-node topology with admission disabled reproduces the PR 5
-  singleton edge fleet **bit for bit** (same reports, same render);
+- a 1-node topology with admission disabled (``--edge``) reproduces the
+  pinned stdout of the one-shared-server fleet **bit for bit**;
 - placement decisions are a pure function of (seed, arrival order,
   topology config) — the Hypothesis property;
 - admission rejections and mid-run shedding/outages degrade sessions to
@@ -13,6 +13,9 @@ The tentpole contracts under test:
 - stale tenant handles raise :class:`~repro.errors.UnknownTenantError`
   instead of silently corrupting the demand table.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -55,7 +58,7 @@ from repro.experiments.edge import (
     run_saturation_study,
     saturation_topology,
 )
-from repro.experiments.fleet import render, run_fleet_experiment
+from repro.cli import main
 from repro.fleet.export import fleet_result_to_dict
 from repro.fleet.scheduler import FleetConfig, FleetScheduler
 from repro.rng import derive_seed
@@ -380,33 +383,35 @@ class TestDriftMap:
 
 
 class TestSingletonEquivalence:
-    """Tentpole acceptance: 1-node open topology == PR 5 singleton."""
+    """``--edge`` is the 1-node open topology: it keeps the bytes of the
+    one-shared-server fleet it replaced and names the node it used."""
 
-    def test_single_node_topology_matches_legacy_edge_bit_for_bit(self):
-        legacy = run_fleet_experiment(
-            seed=2024, config=SMALL, n_sessions=6, edge=EdgeConfig()
+    def test_edge_cli_matches_pinned_singleton_bytes(self, capsys):
+        # Measured on the retired singleton-server path at seed 2024.
+        assert main(
+            ["fleet", "--edge", "--sessions", "16", "--seed", "2024",
+             "--initial", "2", "--iterations", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c6cc54d1b9808517cd75035c6ee2e218470c1e1526982b2f431a7b29439047fb"
         )
-        topo = run_fleet_experiment(
-            seed=2024,
-            config=SMALL,
-            n_sessions=6,
-            topology=EdgeTopologyConfig.single(),
-        )
-        assert topo.result.topology_stats is None
-        for a, b in zip(legacy.result.reports, topo.result.reports):
-            assert a.costs == b.costs
-            assert a.epsilons == b.epsilons
-            assert a.latencies_ms == b.latencies_ms
-            assert a.qualities == b.qualities
-        assert render(legacy) == render(topo)
+
+    def test_edge_export_names_the_shared_server(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        assert main(
+            ["fleet", "--edge", "--sessions", "6", "--seed", "2024",
+             "--initial", "2", "--iterations", "2", "--export", str(path)]
+        ) == 0
+        capsys.readouterr()
+        exported = json.loads(path.read_text())
+        assert "topology" not in exported  # topology_stats is None
+        for session in exported["sessions"]:
+            assert session["placed_node"] == session["edge_node"] == "edge-server"
 
 
 class TestTopologyFleet:
     def test_config_cross_validation(self):
-        with pytest.raises(Exception):
-            FleetConfig(
-                edge=EdgeConfig(), topology=EdgeTopologyConfig.single()
-            )
         with pytest.raises(Exception):
             FleetConfig(edge_outages=(ServerOutage("edge-0", 0.0, 1.0),))
         with pytest.raises(Exception):

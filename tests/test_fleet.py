@@ -36,7 +36,7 @@ from repro.fleet.telemetry import (
     iterations_to_converge,
 )
 from repro.rng import make_rng, spawn_rngs
-from repro.sim.export import fleet_result_to_dict
+from repro.fleet.export import fleet_result_to_dict
 
 FAST = HBOConfig(n_initial=2, n_iterations=2)
 

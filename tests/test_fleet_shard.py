@@ -2,8 +2,8 @@
 
 The headline contract under test: one seed reproduces the fleet
 bit-for-bit at ANY shard count — `shards=k` output is byte-identical to
-`shards=1` in every mode (device-only, legacy singleton edge, and the
-multi-server topology with admission, shedding, outages, and
+`shards=1` in every mode (device-only, the one-node `--edge` topology,
+and the multi-server topology with admission, shedding, outages, and
 migrations all live mid-run). Alongside it, the building blocks:
 `spawn_shard_rngs` stream partitioning, batched search-space ops,
 SessionTable <-> FleetSession row-view parity, and the columnar
@@ -11,6 +11,7 @@ telemetry path's value-identity with the per-report legacy path.
 """
 
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from repro.bo.space import HBOSpace
 from repro.core.controller import HBOConfig
 from repro.device.profiles import GALAXY_S22, PIXEL7
 from repro.edge.admission import AdmissionConfig
-from repro.edge.runtime import EdgeConfig
-from repro.edge.topology import MigrationConfig, default_topology
+from repro.edge.topology import (
+    EdgeTopologyConfig,
+    MigrationConfig,
+    default_topology,
+)
 from repro.errors import FleetError
 from repro.fleet import (
     FleetConfig,
@@ -31,7 +35,7 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.export import fleet_result_to_dict
-from repro.fleet.shard import shard_sizes
+from repro.fleet.shard import ShardedFleetScheduler, _ShardWorker, shard_sizes
 from repro.fleet.table import PHASE_DONE
 from repro.fleet.telemetry import (
     convergence_from_columns,
@@ -227,10 +231,11 @@ class TestShardedByteIdentity:
         _, sharded = _canonical(specs, shards)
         assert sharded == base
 
-    def test_legacy_singleton_edge(self):
+    def test_single_node_edge(self):
         specs = _specs(8)
-        _, base = _canonical(specs, 1, edge=EdgeConfig())
-        _, sharded = _canonical(specs, 3, edge=EdgeConfig())
+        topology = EdgeTopologyConfig.single()
+        _, base = _canonical(specs, 1, topology=topology)
+        _, sharded = _canonical(specs, 3, topology=topology)
         assert sharded == base
 
     def test_topology_with_admission_and_shedding(self):
@@ -295,3 +300,37 @@ class TestShardedByteIdentity:
         for shards in (2, 5):
             _, sharded = _canonical(specs, shards, **kwargs)
             assert sharded == base
+
+
+class TestShardFailure:
+    def test_dying_worker_raises_fleet_error_naming_the_shard(
+        self, monkeypatch
+    ):
+        """An exception inside one worker reaches the caller as a
+        FleetError naming the shard and tick, within a bounded wait."""
+        original = _ShardWorker.tick_begin
+
+        def tick_begin(worker, msg):
+            if msg["tick"] == 2 and worker.table.session_ids[0] == "s03":
+                raise RuntimeError("injected worker failure")
+            return original(worker, msg)
+
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(_ShardWorker, "tick_begin", tick_begin)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("shard failure not surfaced within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            scheduler = ShardedFleetScheduler(
+                _specs(6), seed=2024, config=FleetConfig(hbo=FAST, shards=2)
+            )
+            with pytest.raises(FleetError, match="shard 1 .* tick 2") as info:
+                scheduler.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert isinstance(info.value.__cause__, EOFError)
+        assert not any(proc.is_alive() for proc in scheduler._procs)

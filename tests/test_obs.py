@@ -470,7 +470,7 @@ class TestInstrumentedRuns:
         assert NULL_METRICS.snapshot()["counters"] == {}
 
     def test_fleet_export_embeds_metrics_snapshot(self):
-        from repro.sim.export import fleet_result_to_dict
+        from repro.fleet.export import fleet_result_to_dict
 
         tracer, metrics, result = run_traced_fleet()
         exported = fleet_result_to_dict(result, metrics=metrics)

@@ -33,7 +33,7 @@ from repro.device.soc import galaxy_s22_soc
 from repro.fleet import FleetConfig, SessionSpec, run_fleet
 from repro.models.tasks import taskset_cf1
 from repro.rng import make_rng, spawn_rngs
-from repro.sim.export import fleet_result_to_dict
+from repro.fleet.export import fleet_result_to_dict
 
 finite_floats = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False

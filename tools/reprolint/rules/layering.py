@@ -82,10 +82,6 @@ ALLOWLIST: FrozenSet[Tuple[str, str]] = frozenset(
         # PR 5 kept `repro.core.remote.NetworkLink` importable after the
         # link model moved to the edge package.
         ("repro.core.remote", "repro.edge.link"),
-        # This PR moved fleet serialization out of sim.export; the lazy
-        # wrapper there keeps old `from repro.sim.export import
-        # fleet_report_to_dict` call sites working.
-        ("repro.sim.export", "repro.fleet.export"),
     }
 )
 
