@@ -95,6 +95,36 @@ CASES: Tuple[Case, ...] = (
          "--export", f"{OUT}/scenario.json"),
         {"scenario.json": "31eae2d2721e722c813da8bdb0f9302b9c495362ef40e5f1f92408e3d4735e43"},
     ),
+    # Catalog entries that exercise the fleet's scene-event, link-drift,
+    # shed, rejection and migration paths at full population.
+    Case(
+        "commuter-mobility",
+        ("scenario", "run", "commuter-mobility", "--sessions", "8",
+         "--seed", "2024", "--initial", "2", "--iterations", "3",
+         "--export", f"{OUT}/commuter-mobility.json"),
+        {"commuter-mobility.json": "4b01fbd7ecf91784ff821a297689299da0a3b09b07be453b3905b65005cbe23a"},
+    ),
+    Case(
+        "network-collapse",
+        ("scenario", "run", "network-collapse", "--seed", "2024",
+         "--initial", "2", "--iterations", "3",
+         "--export", f"{OUT}/network-collapse.json"),
+        {"network-collapse.json": "f4bd5618bb18ff5507f5a8cde9e0dc5340a554a100c948dfc86bf0f44f808a76"},
+    ),
+    Case(
+        "flash-crowd",
+        ("scenario", "run", "flash-crowd", "--seed", "2024",
+         "--initial", "2", "--iterations", "3",
+         "--export", f"{OUT}/flash-crowd.json"),
+        {"flash-crowd.json": "fd42473edf8443bf3f2ec8fefad0373b3068c76a8f46a74ab8476819814eb556"},
+    ),
+    Case(
+        "low-tier-surge",
+        ("scenario", "run", "low-tier-surge", "--seed", "2024",
+         "--initial", "2", "--iterations", "3",
+         "--export", f"{OUT}/low-tier-surge.json"),
+        {"low-tier-surge.json": "c3f45a8c10b37a55db79a65e27f1380a76bca07c4ad66d07d072a76c506d8d9a"},
+    ),
     Case(
         # `repro trace` also exits non-zero unless the trace is a
         # non-empty, schema-valid Chrome trace that round-trips.
