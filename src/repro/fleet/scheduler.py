@@ -9,6 +9,11 @@ control period per tick, and guided-phase proposals for all sessions come
 out of one batched GP pass (:class:`~repro.fleet.batch.
 SharedOptimizerService`) instead of per-session fits.
 
+The tick loop is one coordinator (:class:`FleetScheduler`) over shard
+workers (:mod:`repro.fleet.shard`): the coordinator makes every decision
+sessions share, the workers step the sessions; ``FleetConfig.shards``
+only picks whether the one worker runs in-process or N run forked.
+
 Determinism contract: ``spawn_rngs(seed, n)`` hands each session its own
 decorrelated stream in spec order, sessions are admitted and stepped in
 spec order, and nothing draws from a shared stream — so one seed
@@ -19,6 +24,7 @@ interleave.
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,24 +33,33 @@ import numpy as np
 from repro.backend.solve import solve
 from repro.core.algorithm import PendingEvaluation
 from repro.core.controller import HBOConfig
+from repro.core.lookup import EnvironmentSignature
+from repro.edge.link import WirelessLink
 from repro.edge.placement import (
     PlacementOutcome,
     migration_candidate,
     resolve_policy,
 )
+from repro.edge.server import EdgeServer
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 from repro.errors import FleetError
 from repro.fleet.batch import SharedOptimizerService
-from repro.fleet.session import FleetSession, SessionSpec
-from repro.fleet.store import SharedConfigStore
-from repro.fleet.table import PHASE_DONE, SessionTable
+from repro.fleet.session import FleetSession, SessionSpec, offload_demand, place_spec
+from repro.fleet.store import SharedConfigStore, WarmStartEntry
+from repro.fleet.table import PHASE_ACTIVE, PHASE_DONE, SessionTable
 from repro.fleet.telemetry import FleetAggregates, FleetSessionReport
 from repro.obs import runtime as obs
-from repro.rng import SeedLike, spawn_rngs
+from repro.rng import SeedLike, spawn_shard_rngs
 from repro.device.thermal import ThermalSpec
 from repro.sim.clock import SimClock
 from repro.sim.events import SceneEvent
-from repro.sim.scenarios import ServerOutage, apply_network_drift, network_drift_scale
+from repro.sim.scenarios import (
+    ServerOutage,
+    build_system,
+    network_drift_scale,
+    place_catalog,
+    scenario_catalog,
+)
 
 
 @dataclass(frozen=True)
@@ -68,10 +83,11 @@ class FleetConfig:
     edge_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
     #: Scheduled server outages (topology mode only).
     edge_outages: Tuple[ServerOutage, ...] = ()
-    #: Shard-parallel cohorts: split the spec list into this many
-    #: contiguous blocks, each stepped in its own worker process (see
-    #: :mod:`repro.fleet.shard`). Any value reproduces the ``shards=1``
-    #: output byte-for-byte at the same seed.
+    #: Worker count of the tick loop: the spec list splits into this many
+    #: contiguous blocks, one worker each (see :mod:`repro.fleet.shard`).
+    #: ``1`` steps its one worker in-process; more fork one process per
+    #: worker. Any value reproduces the ``shards=1`` output byte-for-byte
+    #: at the same seed.
     shards: int = 1
     #: Thermal-throttling gate (off by default): when set, sessions whose
     #: spec carries ``thermal=True`` get a fresh
@@ -80,18 +96,17 @@ class FleetConfig:
     #: regardless of spec flags — the legacy byte-identical path.
     thermal: Optional[ThermalSpec] = None
     #: Per-session scene-event scripts, session id → time-sorted events
-    #: (absolute fleet sim time). The scheduler fires each session's due
+    #: (absolute fleet sim time). The session's worker fires its due
     #: events once, right before that tick's proposals, so the §IV-E
     #: distance→culling→latency mechanism runs inside fleet runs. Built
     #: by the scenario engine's mobility axis; ``None`` (default) is the
-    #: legacy static-scene path. Requires ``shards == 1``.
+    #: legacy static-scene path.
     session_events: Optional[Mapping[str, Tuple[SceneEvent, ...]]] = None
     #: Per-session wireless-link bandwidth schedules, session id →
     #: (time_s, scale) breakpoints — the mobility axis's link half (a
     #: user walking away from their serving cell). Applied to the
     #: session's own link each tick; scales must respect the link's
-    #: ``[min_scale, max_scale]`` band. Requires a topology and
-    #: ``shards == 1``.
+    #: ``[min_scale, max_scale]`` band. Requires a topology.
     link_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
 
     def __post_init__(self) -> None:
@@ -119,11 +134,6 @@ class FleetConfig:
                         f"edge_outages names unknown node {episode.node!r} "
                         f"(topology has {sorted(names)})"
                     )
-        if self.shards > 1 and (self.session_events or self.link_drift):
-            raise FleetError(
-                "session_events/link_drift run in the coordinator's tick "
-                "loop and are not shard-aware; use shards=1"
-            )
         if self.link_drift and self.topology is None:
             raise FleetError(
                 "link_drift needs an edge topology — device-only sessions "
@@ -135,6 +145,17 @@ class FleetConfig:
                 raise FleetError(
                     f"session_events[{sid!r}] must be time-sorted"
                 )
+        # network_drift_scale takes the last *listed* breakpoint at or
+        # before now, so an unsorted schedule silently applies a stale
+        # scale.
+        for field_name in ("edge_drift", "link_drift"):
+            for key, schedule in (getattr(self, field_name) or {}).items():
+                times = [time_s for time_s, _ in schedule]
+                if not times or times != sorted(times):
+                    raise FleetError(
+                        f"{field_name}[{key!r}] must be a non-empty, "
+                        "time-sorted schedule"
+                    )
 
 
 def propose_and_begin(
@@ -147,9 +168,7 @@ def propose_and_begin(
     Guided rows are grouped by the ``space_dim`` column (ascending) and
     each group takes one :class:`SharedOptimizerService` GP pass;
     initial-phase rows ask their own samplers. Returns the begun
-    ``(row, pending)`` pairs, the dims proposed, and the guided count —
-    shared verbatim by the in-process scheduler and the shard workers so
-    both paths step bit-identically.
+    ``(row, pending)`` pairs, the dims proposed, and the guided count.
     """
     active_idx = table.active_indices()
     guided_mask = table.guided_mask()
@@ -288,8 +307,6 @@ def topology_stats(
     placement: str,
     outcomes: Sequence[Optional[PlacementOutcome]],
     table: SessionTable,
-    sheds: int,
-    outage_fallbacks: int,
 ) -> Optional[Dict[str, Any]]:
     """Roll up placement/admission/migration outcomes for reporting.
 
@@ -311,8 +328,9 @@ def topology_stats(
         "placement_policy": placement,
         "placements": placements,
         "rejections": rejections,
-        "sheds": sheds,
-        "outage_fallbacks": outage_fallbacks,
+        # A session falls back at most once: it has no tenancy after.
+        "sheds": table.fallback_reason.count("shed"),
+        "outage_fallbacks": table.fallback_reason.count("outage"),
         "migrations": int(table.migrations.sum()),
         "final_utilization": {
             node.name: node.utilization for node in topology.nodes
@@ -343,8 +361,27 @@ class FleetResult:
         raise FleetError(f"no session {session_id!r} in this fleet run")
 
 
+#: Seed of the coordinator's placeholder links. The coordinator never
+#: samples a link (workers own the drift traces, seeded from their own
+#: session streams), so the value is irrelevant — it only satisfies the
+#: topology's attach signature.
+_PLACEHOLDER_LINK_SEED = 0
+
+
 class FleetScheduler:
-    """Admits, steps, and drains a fleet of MAR sessions."""
+    """The fleet's one tick loop: a coordinator over shard workers.
+
+    The coordinator owns every piece of state sessions share: the clock,
+    the :class:`SharedConfigStore` (warm lookups at admission, donations
+    at retirement), the authoritative :class:`EdgeTopology` (placement,
+    admission, shedding, migration, the demand barrier's external-stream
+    sums), retirement, the edge decision counters and the
+    :class:`FleetResult`. Workers (:class:`repro.fleet.shard._ShardWorker`)
+    own the session objects and their RNG streams and execute its
+    directives. ``config.shards`` picks only the transport: one shard is
+    one worker called in-process, more are forked worker processes driven
+    over pipes, and every count reproduces the same bytes at one seed.
+    """
 
     def __init__(
         self,
@@ -352,168 +389,193 @@ class FleetScheduler:
         seed: SeedLike = None,
         config: Optional[FleetConfig] = None,
         store: Optional[SharedConfigStore] = None,
-        service: Optional[SharedOptimizerService] = None,
     ) -> None:
+        # Imported here: repro.fleet.shard builds on this module's
+        # row-pass helpers, so a module-level import would be a cycle.
+        from repro.fleet.shard import _shard_worker_main, _ShardWorker, shard_sizes
+
         specs = validate_specs(specs)
         self.specs = specs
         self.config = config if config is not None else FleetConfig()
         self.store = store if store is not None else SharedConfigStore()
-        self.service = service if service is not None else SharedOptimizerService()
         self.clock = SimClock()
-        #: The live edge topology all sessions share (None when edge is
-        #: off): tenants of one node contend for its compute, so one
-        #: session's offloaded demand slows every other's there.
+        self.table = SessionTable(specs, self.config.hbo)
         self.topology: Optional[EdgeTopology] = (
             EdgeTopology(self.config.topology)
             if self.config.topology is not None
             else None
         )
-        rngs = spawn_rngs(seed, len(specs))
-        #: Columnar source of truth for lifecycle/trajectory/pricing state;
-        #: every FleetSession below is a row view into it.
-        self.table = SessionTable(specs, self.config.hbo)
-        self.sessions: List[FleetSession] = [
-            FleetSession(
-                spec,
-                self.config.hbo,
-                rng,
-                topology=self.topology,
-                placement=self.config.placement,
-                table=self.table,
-                index=i,
-                thermal=self.config.thermal,
-            )
-            for i, (spec, rng) in enumerate(zip(specs, rngs))
-        ]
-        self._session_of: Dict[str, FleetSession] = {
-            s.spec.session_id: s for s in self.sessions
-        }
-        known = set(self._session_of)
+        self._row_of = {spec.session_id: i for i, spec in enumerate(specs)}
         for field_name in ("session_events", "link_drift"):
             mapping = getattr(self.config, field_name) or {}
-            unknown = sorted(set(mapping) - known)
+            unknown = sorted(set(mapping) - set(self._row_of))
             if unknown:
                 raise FleetError(
                     f"{field_name} names unknown session ids: {unknown}"
                 )
-        #: Per-session cursor into its event script (events fire once).
-        self._event_cursors: Dict[str, int] = {}
-        self._shed_fallbacks = 0
-        self._outage_fallbacks = 0
+        #: Pure per-spec (est_streams, heaviest profile) inputs placement
+        #: and the migration guard need.
+        self._demand = [offload_demand(spec) for spec in specs]
+        self._signatures: Dict[
+            Tuple[str, str, str, int], EnvironmentSignature
+        ] = {}
+        self._placement_outcomes: List[Optional[PlacementOutcome]] = [
+            None
+        ] * len(specs)
+        self._batches = 0
+        self._proposals = 0
 
-    # ------------------------------------------------------------- stepping
+        sizes = shard_sizes(len(specs), self.config.shards)
+        self._starts: List[int] = []
+        start = 0
+        for size in sizes:
+            self._starts.append(start)
+            start += size
+        shard_rngs = spawn_shard_rngs(seed, sizes)
+        self._conns: List[Any] = []
+        self._procs: List[Any] = []
+        #: The one worker, stepped in this process, at a single shard.
+        self._worker: Optional[_ShardWorker] = None
+        if len(sizes) == 1:
+            self._worker = _ShardWorker(specs, self.config, shard_rngs[0])
+            return
+        method = (
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
+        ctx = mp.get_context(method)
+        for k, (block_start, size) in enumerate(zip(self._starts, sizes)):
+            parent, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_shard_worker_main,
+                args=(
+                    child,
+                    specs[block_start : block_start + size],
+                    self.config,
+                    shard_rngs[k],
+                ),
+                name=f"fleet-shard-{k}",
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            self._conns.append(parent)
+            self._procs.append(proc)
 
-    def _admit_arrivals(self, tick: int) -> None:
+    # ----------------------------------------------------------- addressing
+
+    def _shard_local(self, row: int) -> Tuple[int, int]:
+        """(shard index, local row) of a global table row."""
+        for k in range(len(self._starts) - 1, -1, -1):
+            if row >= self._starts[k]:
+                return k, row - self._starts[k]
+        raise FleetError(f"row {row} outside every shard")  # pragma: no cover
+
+    # ----------------------------------------------------- coordinator phase
+
+    def _note_fallback(self, row: int, reason: str) -> None:
+        self.table.edge_node[row] = ""
+        self.table.attached_tick[row] = -1
+        obs.counter("edge_fallbacks", reason=reason).inc()
+
+    def _signature_of(self, spec: SessionSpec) -> EnvironmentSignature:
+        """The spec's environment signature, cached per cohort.
+
+        The signature depends on the scene (scenario + placement seed)
+        and the taskset — never on the session's measurement-noise seed —
+        so the coordinator computes it from a throwaway system without
+        touching any session RNG stream.
+        """
+        key = (spec.scenario, spec.taskset, spec.device, spec.placement_seed)
+        cached = self._signatures.get(key)
+        if cached is not None:
+            return cached
+        system = build_system(
+            spec.scenario,
+            spec.taskset,
+            device=spec.device,
+            seed=0,
+            noise_sigma=spec.noise_sigma,
+            samples_per_period=spec.samples_per_period,
+            place_objects=False,
+        )
+        place_catalog(
+            system.scene,
+            scenario_catalog(spec.scenario),
+            seed=spec.placement_seed,
+        )
+        signature = EnvironmentSignature.of(system)
+        self._signatures[key] = signature
+        return signature
+
+    def _place_session(self, row: int, tick: int) -> Tuple:
+        """Run placement on the authoritative topology; returns the
+        admission directive for the owning worker."""
+        assert self.topology is not None
+        spec = self.specs[row]
+        est, profile = self._demand[row]
+        if profile is None:
+            return ("device",)
+        outcome = place_spec(
+            self.topology, spec, est, profile, self.config.placement
+        )
+        self._placement_outcomes[row] = outcome
+        if outcome.node is None:
+            obs.counter(
+                "edge_admission_rejections", policy=self.config.placement
+            ).inc()
+            return ("rejected",)
+        node = self.topology.node(outcome.node)
+        self.topology.attach(
+            spec.session_id,
+            outcome.node,
+            WirelessLink(node.config.link, _PLACEHOLDER_LINK_SEED),
+        )
+        self.table.edge_node[row] = outcome.node
+        self.table.attached_tick[row] = tick
+        obs.counter(
+            "edge_placements",
+            policy=self.config.placement,
+            node=outcome.node,
+        ).inc()
+        return ("node", outcome.node)
+
+    def _admit_arrivals(
+        self, tick: int, commands: List[Dict[str, Any]]
+    ) -> None:
         # Due-mask selection over the table's arrival/phase columns; the
-        # due rows come back in spec order, matching the legacy scan.
+        # due rows come back in spec order.
         for i in self.table.due_indices(self.clock.now_s):
-            self.sessions[i].admit(
-                tick, store=self.store, warm_start=self.config.warm_start
+            spec = self.specs[i]
+            entry: Optional[WarmStartEntry] = None
+            if self.config.warm_start:
+                entry = self.store.warm_start_for(
+                    self._signature_of(spec), scope=spec.device
+                )
+            directive: Tuple = (
+                self._place_session(int(i), tick)
+                if self.topology is not None
+                else ("device",)
             )
+            self.table.phase[i] = PHASE_ACTIVE
+            self.table.start_tick[i] = tick
+            shard, local = self._shard_local(int(i))
+            commands[shard]["admit"].append((local, directive, entry))
 
-    def step(self, tick: int) -> None:
-        """One fleet tick: admit, propose (batched), evaluate, retire.
-
-        Evaluation is batched end to end: guided proposals come out of
-        one :class:`SharedOptimizerService` GP pass, every stepped
-        session's configuration is applied (``begin``), all their steady
-        states are computed in **one** :func:`repro.backend.solve` over a
-        multi-row :class:`~repro.backend.plan.EvalPlan` (heterogeneous
-        devices and tasksets ride in the same batch), and each session
-        then finishes its control period from its row. Sessions own
-        decorrelated RNG streams and the backend's rows are independent,
-        so the result is bit-identical to stepping sessions one at a
-        time.
-        """
-        with obs.span("fleet.tick", category="fleet", tick=tick) as span:
-            if self.topology is not None:
-                for session_id in maintain_topology(
-                    self.topology, self.config, self.clock.now_s
-                ):
-                    self._session_of[session_id].fallback_to_device("outage")
-                    self._outage_fallbacks += 1
-            self._admit_arrivals(tick)
-            if self.topology is not None:
-                self._shed_overloaded()
-                self._migrate_sessions(tick)
-            if self.config.session_events or self.config.link_drift:
-                self._apply_scenario_hooks()
-            # Columnar selection: active / guided / initial come from
-            # phase + observation-count masks, not attribute scans.
-            # Every active row steps, so len(stepped) is the active count.
-            table = self.table
-            stepped, _, n_guided = propose_and_begin(
-                self.service, table, self.sessions
-            )
-            for (i, pending), steady in zip(
-                stepped,
-                batched_steady(table, self.sessions, [i for i, _ in stepped]),
-            ):
-                self.sessions[i].finish_step(pending, steady_latencies=steady)
-            # Batched phase transition: the budget column names this
-            # tick's retirements; per-session finish() does the heavy
-            # lifting (donation, tenancy release) in spec order.
-            for i in table.exhausted_indices():
-                self.sessions[i].finish(tick, store=self.store)
-            span.set(n_active=len(stepped), n_guided=n_guided)
-            if self.topology is not None:
-                for node in self.topology.nodes:
-                    obs.gauge("edge_server_load", node=node.name).set(
-                        node.utilization
-                    )
-            # Advance inside the span so a tick renders with its real
-            # sim-time width (tick_s) instead of as a zero-width slice.
-            self.clock.advance(self.config.tick_s)
-        obs.counter("fleet_ticks").inc()
-        obs.gauge("fleet_active_sessions").set(len(stepped))
-
-    # ----------------------------------------------------- scenario hooks
-
-    def _apply_scenario_hooks(self) -> None:
-        """Fire due scene events and scheduled per-session link drift.
-
-        Runs after admissions/shed/migrate and before the batched
-        proposals, so a scene or link change takes effect inside the same
-        tick's evaluation. Sessions are visited in spec order and each
-        event fires exactly once (a per-session cursor); events due while
-        a session was still waiting all fire on its first active tick.
-        Per-session drift is applied after topology-level cell drift
-        (:func:`maintain_topology`), so a mobility schedule wins over
-        its node's backhaul schedule for that session's own link.
-        """
-        now_s = self.clock.now_s
-        events = self.config.session_events or {}
-        drift = self.config.link_drift or {}
-        for session in self.sessions:
-            if not session.active or session.system is None:
-                continue
-            sid = session.spec.session_id
-            script = events.get(sid)
-            if script:
-                cursor = self._event_cursors.get(sid, 0)
-                while cursor < len(script) and script[cursor].time_s <= now_s:
-                    script[cursor].apply(session.system.scene)
-                    obs.counter("fleet_scene_events").inc()
-                    cursor += 1
-                self._event_cursors[sid] = cursor
-            schedule = drift.get(sid)
-            runtime = session.system.device.edge
-            if schedule and runtime is not None:
-                apply_network_drift(runtime.link, now_s, tuple(schedule))
-
-    # ----------------------------------------------------- topology upkeep
-
-    def _shed_overloaded(self) -> None:
+    def _shed_overloaded(self, commands: List[Dict[str, Any]]) -> None:
         """Push the newest tenants of any saturated node back onto their
         devices until its utilization re-enters the admission band."""
         assert self.topology is not None
         for node in self.topology.nodes:
             for session_id in self.topology.shed_candidates(node.name):
                 self.topology.detach(session_id)
-                self._session_of[session_id].fallback_to_device("shed")
-                self._shed_fallbacks += 1
+                row = self._row_of[session_id]
+                self._note_fallback(row, "shed")
+                shard, local = self._shard_local(row)
+                commands[shard]["shed"].append(local)
 
-    def _migrate_sessions(self, tick: int) -> None:
+    def _migrate_sessions(
+        self, tick: int, commands: List[Dict[str, Any]]
+    ) -> None:
         """Move sessions whose node drifted expensive, hysteresis-bounded.
 
         A session migrates only after the configured dwell on its current
@@ -525,59 +587,237 @@ class FleetScheduler:
         migration = self.topology.config.migration
         if not migration.enabled:
             return
-        for session in self.sessions:
-            if not session.active or not session.edge_node:
+        table = self.table
+        for row in range(table.n):
+            if table.phase[row] != PHASE_ACTIVE or not table.edge_node[row]:
                 continue
-            if (
-                session.attached_tick is None
-                or tick - session.attached_tick < migration.dwell_ticks
-            ):
+            attached = int(table.attached_tick[row])
+            if attached < 0 or tick - attached < migration.dwell_ticks:
                 continue
-            profile = session._edge_profile
-            runtime = session.system.device.edge if session.system else None
-            if profile is None or runtime is None:
+            est, profile = self._demand[row]
+            if profile is None:
                 continue
-            demand = runtime.server.demand_of(session.spec.session_id)
+            session_id = self.specs[row].session_id
+            node = self.topology.node(table.edge_node[row])
+            demand = node.server.demand_of(session_id)
             target = migration_candidate(
                 self.topology,
-                session.spec.session_id,
+                session_id,
                 profile,
-                demand if demand > 0 else session._est_streams,
+                demand if demand > 0 else est,
             )
-            if target is not None:
-                session.migrate_edge(target, tick)
+            if target is None:
+                continue
+            previous = self.topology.detach(session_id)
+            target_node = self.topology.node(target)
+            self.topology.attach(
+                session_id,
+                target,
+                WirelessLink(target_node.config.link, _PLACEHOLDER_LINK_SEED),
+            )
+            # Carry the published demand across, exactly like the worker's
+            # runtime migrate, so same-tick utilization reads on the
+            # authoritative servers match the workers'.
+            target_node.server.set_demand(session_id, demand)
+            table.edge_node[row] = target
+            table.attached_tick[row] = tick
+            table.migrations[row] += 1
+            shard, local = self._shard_local(row)
+            commands[shard]["migrate"].append((local, target))
+            obs.counter("edge_migrations", src=previous, dst=target).inc()
+
+    # -------------------------------------------------------------- workers
+
+    def _recv(self, shard: int, stage: str) -> Any:
+        """One worker's answer; a dead worker raises :class:`FleetError`
+        naming the shard and the stage instead of a bare ``EOFError``."""
+        try:
+            return self._conns[shard].recv()
+        except (EOFError, OSError) as exc:
+            proc = self._procs[shard]
+            proc.join(timeout=5)
+            raise FleetError(
+                f"fleet shard {shard} ({proc.name}) died during {stage} "
+                f"(exit code {proc.exitcode})"
+            ) from exc
+
+    def _server_of(self, session_id: str) -> EdgeServer:
+        assert self.topology is not None
+        node_name = self.topology.assignment_of(session_id)
+        if node_name is None:  # pragma: no cover - protocol guard
+            raise FleetError(f"{session_id}: demand from unattached session")
+        return self.topology.node(node_name).server
+
+    def _externs(self, demands: Dict[str, float]) -> Dict[str, float]:
+        """The demand barrier: fold worker demands into the authoritative
+        servers, answer with every tenant's external-stream sum."""
+        for session_id, demand in demands.items():
+            self._server_of(session_id).set_demand(session_id, demand)
+        return {
+            session_id: self._server_of(session_id).extern_streams(session_id)
+            for session_id in demands
+        }
+
+    def _tick_workers(
+        self, tick: int, commands: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """Run every worker's row pass; their answers in shard order.
+
+        Forked workers all get their tick message before any answer is
+        awaited, so they step in parallel.
+        """
+        if self._worker is not None:
+            worker = self._worker
+            demands = worker.tick_begin({"tick": tick, **commands[0]})
+            if self.topology is not None:
+                worker.inject_externs(self._externs(demands))
+            return [worker.tick_finish(tick)]
+        stage = f"tick {tick}"
+        for conn, command in zip(self._conns, commands):
+            conn.send({"op": "tick", "tick": tick, **command})
+        if self.topology is not None:
+            demands = {}
+            for k in range(len(self._conns)):
+                demands.update(self._recv(k, stage)["demands"])
+            externs = self._externs(demands)
+            for conn in self._conns:
+                conn.send({"externs": externs})
+        return [self._recv(k, stage) for k in range(len(self._conns))]
+
+    # ------------------------------------------------------------- stepping
+
+    def step(self, tick: int) -> None:
+        """One fleet tick: coordinator decisions, worker rows, close.
+
+        The coordinator applies drift/outage upkeep, admits arrivals
+        (placement + warm lookup), sheds and migrates, and ships the
+        decisions down as commands. Each worker applies them, fires its
+        sessions' scene events and link drift, proposes (one batched GP
+        pass per space dim), publishes edge demands, takes the external
+        demand sums from the barrier, prices every stepped row in one
+        :func:`repro.backend.solve`, measures, and retires. The
+        coordinator then donates in spec order and releases retiring
+        tenancies.
+        """
+        with obs.span("fleet.tick", category="fleet", tick=tick) as span:
+            commands: List[Dict[str, Any]] = [
+                {"admit": [], "shed": [], "migrate": []} for _ in self._starts
+            ]
+            if self.topology is not None:
+                for session_id in maintain_topology(
+                    self.topology, self.config, self.clock.now_s
+                ):
+                    self._note_fallback(self._row_of[session_id], "outage")
+            self._admit_arrivals(tick, commands)
+            if self.topology is not None:
+                self._shed_overloaded(commands)
+                self._migrate_sessions(tick, commands)
+            answers = self._tick_workers(tick, commands)
+            table = self.table
+            active_idx = table.active_indices()
+            dims_union: set = set()
+            n_guided = 0
+            reported_retired: List[int] = []
+            donations: List[Tuple[int, Optional[Dict[str, Any]]]] = []
+            for start, answer in zip(self._starts, answers):
+                n_guided += int(answer["n_guided"])
+                dims_union.update(answer["dims"])
+                reported_retired.extend(
+                    start + local for local in answer["retired"]
+                )
+                donations.extend(
+                    (start + local, payload)
+                    for local, payload in answer["donations"]
+                )
+            self._batches += len(dims_union)
+            self._proposals += n_guided
+            # Every active row steps exactly once per tick; retirement is
+            # the same budget comparison the workers ran, asserted below.
+            table.n_results[active_idx] += 1
+            retiring = table.exhausted_indices()
+            if sorted(reported_retired) != [int(i) for i in retiring]:
+                raise FleetError(
+                    f"tick {tick}: worker retirements {sorted(reported_retired)} "
+                    f"disagree with coordinator budget accounting "
+                    f"{[int(i) for i in retiring]}"
+                )
+            for row, payload in sorted(donations, key=lambda item: item[0]):
+                if payload is not None:
+                    self.store.donate(**payload)
+            for i in retiring:
+                session_id = self.specs[int(i)].session_id
+                if (
+                    self.topology is not None
+                    and self.topology.assignment_of(session_id) is not None
+                ):
+                    self.topology.detach(session_id)
+                table.phase[i] = PHASE_DONE
+                table.end_tick[i] = tick
+            span.set(n_active=len(active_idx), n_guided=n_guided)
+            if self.topology is not None:
+                for node in self.topology.nodes:
+                    obs.gauge("edge_server_load", node=node.name).set(
+                        node.utilization
+                    )
+            # Advance inside the span so a tick renders with its real
+            # sim-time width (tick_s) instead of as a zero-width slice.
+            self.clock.advance(self.config.tick_s)
+        obs.counter("fleet_ticks").inc()
+        obs.gauge("fleet_active_sessions").set(len(active_idx))
+
+    _step = step  # perfbench/layers.py resolves this name
 
     def run(self) -> FleetResult:
         """Drive the fleet until every session has drained."""
         table = self.table
-        ticks = drain(table, self.config.tick_s, self.step)
+        try:
+            ticks = drain(table, self.config.tick_s, self.step)
+            if self._worker is not None:
+                # No transport in-process: the payload keys are the
+                # worker table's own column names, read in place.
+                table.absorb(0, vars(self._worker.table))
+            else:
+                for conn in self._conns:
+                    conn.send({"op": "collect"})
+                for k, start in enumerate(self._starts):
+                    table.absorb(start, self._recv(k, "the final collect"))
+        finally:
+            self._shutdown()
         # Reports, aggregates, and the convergence histogram all come
         # from trajectory columns; the cohort convergence target is the
         # table's vectorized per-cohort best (value-identical to the
         # per-session reduction, asserted in the test suite).
-        reports = table.build_reports(
-            [s.placement_outcome for s in self.sessions]
-        )
         return FleetResult(
-            reports=reports,
+            reports=table.build_reports(self._placement_outcomes),
             aggregates=table.aggregates(),
             histogram=table.histogram(),
             store_stats=self.store.stats(),
             service_stats={
-                "batches": self.service.batches,
-                "proposals_served": self.service.proposals_served,
+                "batches": self._batches,
+                "proposals_served": self._proposals,
             },
             ticks=ticks,
             tick_s=self.config.tick_s,
             topology_stats=topology_stats(
                 self.topology,
                 self.config.placement,
-                [s.placement_outcome for s in self.sessions],
+                self._placement_outcomes,
                 table,
-                self._shed_fallbacks,
-                self._outage_fallbacks,
             ),
         )
+
+    def _shutdown(self) -> None:
+        for conn in self._conns:
+            try:
+                conn.send({"op": "stop"})
+            except (BrokenPipeError, OSError):  # pragma: no cover
+                pass
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - hung worker guard
+                proc.terminate()
+                proc.join(timeout=5)
 
 
 def run_fleet(
@@ -586,17 +826,5 @@ def run_fleet(
     config: Optional[FleetConfig] = None,
     store: Optional[SharedConfigStore] = None,
 ) -> FleetResult:
-    """Build a scheduler, run the fleet, return the result.
-
-    ``config.shards > 1`` routes through the shard-parallel coordinator
-    (:mod:`repro.fleet.shard`); any shard count reproduces the
-    ``shards=1`` result byte-for-byte at the same seed.
-    """
-    cfg = config if config is not None else FleetConfig()
-    if cfg.shards > 1:
-        from repro.fleet.shard import ShardedFleetScheduler
-
-        return ShardedFleetScheduler(
-            specs, seed=seed, config=cfg, store=store
-        ).run()
-    return FleetScheduler(specs, seed=seed, config=cfg, store=store).run()
+    """Build a scheduler, run the fleet, return the result."""
+    return FleetScheduler(specs, seed=seed, config=config, store=store).run()

@@ -9,10 +9,11 @@ BO optimizer, and a lifecycle driven by the shared
 tick, until the evaluation budget is spent) → ``DONE`` (best
 configuration locked in, observations donated to the shared store).
 
-On admission the session asks the :class:`~repro.fleet.store.
-SharedConfigStore` for a warm start: if a similar environment was already
-solved on the same device model, the donor's observations seed the
-optimizer and the random initialization phase is skipped (see
+On admission the scheduler hands the session the
+:class:`~repro.fleet.store.SharedConfigStore`'s warm start, if any: when a
+similar environment was already solved on the same device model, the
+donor's observations seed the optimizer and the random initialization
+phase is skipped (see
 :meth:`~repro.bo.optimizer.BayesianOptimizer.warm_start`).
 """
 
@@ -40,9 +41,8 @@ from repro.edge.runtime import EdgeConfig, EdgeRuntime
 from repro.edge.share import edge_demand
 from repro.edge.topology import EdgeTopology
 from repro.errors import FleetError
-from repro.fleet.store import SharedConfigStore, WarmStartEntry
+from repro.fleet.store import WarmStartEntry
 from repro.fleet.table import SessionTable
-from repro.obs import runtime as obs
 from repro.rng import derive_seed
 from repro.sim.scenarios import (
     build_system,
@@ -124,6 +124,27 @@ def offload_demand(spec: SessionSpec) -> Tuple[float, Optional[StaticProfile]]:
     return est, (max(profiles, key=edge_demand) if profiles else None)
 
 
+def place_spec(
+    topology: EdgeTopology,
+    spec: SessionSpec,
+    est_streams: float,
+    profile: StaticProfile,
+    policy: str,
+) -> PlacementOutcome:
+    """Run placement ``policy`` for ``spec`` with its :func:`offload_demand`
+    estimate (``est_streams``, heaviest ``profile``)."""
+    return place(
+        topology,
+        PlacementRequest(
+            session_id=spec.session_id,
+            est_streams=est_streams,
+            position=spec.position,
+            profile=profile,
+        ),
+        policy,
+    )
+
+
 def _device_fallback_resource(profile: StaticProfile) -> Resource:
     """Fastest on-device resource for a task coming back from the edge
     (mirrors the device's own failed-delegate fallback ranking)."""
@@ -144,7 +165,6 @@ class FleetSession:
         config: HBOConfig,
         rng: np.random.Generator,
         topology: Optional[EdgeTopology] = None,
-        placement: str = "price-aware",
         table: Optional[SessionTable] = None,
         index: int = 0,
         thermal: Optional[ThermalSpec] = None,
@@ -153,7 +173,6 @@ class FleetSession:
         self.config = config
         self.rng = rng
         self._topology = topology
-        self._placement_policy = placement
         # Double gate: the fleet config supplies the parameters AND the
         # spec opts this session in — either alone leaves the device
         # athermal, so legacy configs are byte-identical.
@@ -172,11 +191,7 @@ class FleetSession:
             )
         self.table = table
         self.index = int(index)
-        #: Where this session landed (set on admission in topology mode).
-        self.placement_outcome: Optional[PlacementOutcome] = None
         self._link_seed: Optional[int] = None
-        self._est_streams = 0.0
-        self._edge_profile: Optional[StaticProfile] = None
         self.system: Optional[MARSystem] = None
         self.optimizer: Optional[BayesianOptimizer] = None
         self.iteration: Optional[HBOIteration] = None
@@ -279,85 +294,11 @@ class FleetSession:
 
     # ------------------------------------------------------------ lifecycle
 
-    def admit(
-        self,
-        tick: int,
-        store: Optional[SharedConfigStore] = None,
-        warm_start: bool = True,
-    ) -> None:
-        """Bring the session up: place it on the topology (if any), build
-        its system, consult the store, and construct a (possibly
-        warm-started) optimizer."""
-        if self.phase is not SessionPhase.WAITING:
-            raise FleetError(f"{self.spec.session_id}: admitted twice")
-        self._admit(
-            tick,
-            self._place() if self._topology is not None else ("device",),
-            store=store if warm_start else None,
-            entry=None,
-        )
-
-    def admit_directed(
-        self,
-        tick: int,
-        directive: Tuple,
-        warm_entry: Optional[WarmStartEntry] = None,
-    ) -> None:
-        """Shard-worker admission with coordinator-made decisions.
-
-        The coordinator owns the store and the authoritative topology, so
-        placement and warm lookup arrive as inputs; the admission itself
-        runs the same :meth:`_admit` as :meth:`admit`, which is what
-        keeps a sharded run byte-identical to ``shards=1``.
-
-        ``directive``: ``("device",)`` (no edge), ``("node", name)``
-        (admitted to a topology node), or ``("rejected",)`` (placement
-        rejected — device fallback, no link draw).
-        """
-        if self.phase is not SessionPhase.WAITING:
-            raise FleetError(f"{self.spec.session_id}: admitted twice")
-        if directive[0] not in ("device", "node", "rejected"):
-            raise FleetError(
-                f"{self.spec.session_id}: unknown admission directive "
-                f"{directive[0]!r}"
-            )
-        self._admit(tick, directive, store=None, entry=warm_entry)
-
-    def _place(self) -> Tuple:
-        """Run the placement policy on the topology; returns the
-        admission directive :meth:`_admit` executes."""
-        assert self._topology is not None
-        spec = self.spec
-        est, profile = offload_demand(spec)
-        if profile is None:
-            return ("device",)
-        outcome = place(
-            self._topology,
-            PlacementRequest(
-                session_id=spec.session_id,
-                est_streams=est,
-                position=spec.position,
-                profile=profile,
-            ),
-            self._placement_policy,
-        )
-        self.placement_outcome = outcome
-        if outcome.node is None:
-            obs.counter(
-                "edge_admission_rejections", policy=self._placement_policy
-            ).inc()
-            return ("rejected",)
-        obs.counter(
-            "edge_placements", policy=self._placement_policy, node=outcome.node
-        ).inc()
-        return ("node", outcome.node)
-
     def _attach(self, node_name: str, tick: int) -> EdgeRuntime:
         """Draw the link seed and bind this session's tenancy on a node."""
         spec = self.spec
         if self._topology is None:
             raise FleetError(f"{spec.session_id}: no topology to admit to")
-        self._est_streams, self._edge_profile = offload_demand(spec)
         link_seed = int(self.rng.integers(0, 2**31))
         self._link_seed = link_seed
         node = self._topology.node(node_name)
@@ -373,21 +314,33 @@ class FleetSession:
             register=False,
         )
 
-    def _admit(
+    def admit(
         self,
         tick: int,
         directive: Tuple,
-        store: Optional[SharedConfigStore],
-        entry: Optional[WarmStartEntry],
+        warm_entry: Optional[WarmStartEntry] = None,
     ) -> None:
-        """Execute an admission directive: system, optimizer, warm seed,
-        columns.
+        """Bring the session up on a coordinator-made decision: system,
+        optimizer, warm seed, columns.
+
+        The coordinator owns the store and the authoritative topology, so
+        placement and the warm-start lookup arrive as inputs.
+        ``directive``: ``("device",)`` (no edge), ``("node", name)``
+        (admitted to a topology node), or ``("rejected",)`` (placement
+        rejected — device fallback, no link draw).
 
         The session seed is drawn first and the link seed only when a
         node admitted the session, so device-only and rejected sessions
         consume exactly the pre-edge draws from their stream (fixed-seed
         byte identity).
         """
+        if self.phase is not SessionPhase.WAITING:
+            raise FleetError(f"{self.spec.session_id}: admitted twice")
+        if directive[0] not in ("device", "node", "rejected"):
+            raise FleetError(
+                f"{self.spec.session_id}: unknown admission directive "
+                f"{directive[0]!r}"
+            )
         spec = self.spec
         # Placement is keyed by the spec (shared within a cohort); the
         # noise stream comes from the session's own decorrelated rng.
@@ -428,19 +381,17 @@ class FleetSession:
             gp_tier=cfg.gp_tier,
             sparse_threshold=cfg.gp_sparse_threshold,
         )
-        if store is not None:
-            entry = store.warm_start_for(self.signature, scope=spec.device)
         # A donor whose observations live in a different-dimensional
         # space (a device-fallback session donating 3-simplex points
         # into a 4-simplex fleet, or vice versa) cannot seed this
         # optimizer; treat the hit as cold instead of corrupting the GP.
         if (
-            entry is not None
-            and entry.observations
-            and len(entry.observations[0][0]) == space.dim
+            warm_entry is not None
+            and warm_entry.observations
+            and len(warm_entry.observations[0][0]) == space.dim
         ):
-            self.optimizer.warm_start(entry.to_observations())
-            self.warm_entry = entry
+            self.optimizer.warm_start(warm_entry.to_observations())
+            self.warm_entry = warm_entry
         self.iteration = HBOIteration(
             self.system, self.optimizer, w=cfg.w, latency_only=cfg.latency_only
         )
@@ -455,6 +406,8 @@ class FleetSession:
         )
         table.obs_count[i] = len(self.optimizer.state.observations)
         table.init_plan_row(i, self.system.device)
+
+    admit_directed = admit  # perfbench/layers.py resolves this name
 
     def fallback_to_device(self, reason: str) -> None:
         """Collapse the session from the 4-simplex to the device 3-simplex
@@ -510,7 +463,6 @@ class FleetSession:
         table.n_warm[i] = 0
         table.warm_started[i] = False
         table.obs_count[i] = 0
-        obs.counter("edge_fallbacks", reason=reason).inc()
 
     def migrate_edge(self, node_name: str, tick: int) -> None:
         """Move this session's tenancy to ``node_name`` mid-run.
@@ -530,7 +482,7 @@ class FleetSession:
         runtime = self.system.device.edge
         session_id = self.spec.session_id
         demand = runtime.server.demand_of(session_id)
-        previous = self._topology.detach(session_id)
+        self._topology.detach(session_id)
         node = self._topology.node(node_name)
         assert self._link_seed is not None
         link = WirelessLink(
@@ -547,7 +499,6 @@ class FleetSession:
         self.migrations += 1
         self.edge_node = node_name
         self.attached_tick = tick
-        obs.counter("edge_migrations", src=previous, dst=node_name).inc()
 
     def step_initial(self) -> IterationResult:
         """One control period with the session's own (random-phase) ask."""
@@ -600,14 +551,12 @@ class FleetSession:
     def budget_exhausted(self) -> bool:
         return len(self.results) >= self.budget
 
-    def finish(
-        self, tick: int, store: Optional[SharedConfigStore] = None
-    ) -> Optional[Dict[str, Any]]:
-        """Lock in the best configuration and donate to the shared store.
+    def finish(self, tick: int) -> Optional[Dict[str, Any]]:
+        """Lock in the best configuration and return the donation.
 
-        Returns the donation payload (the exact ``store.donate`` kwargs)
-        so a shard worker without the authoritative store can ship it to
-        the coordinator; ``None`` when the session has no signature.
+        The payload is the exact ``store.donate`` kwargs; the coordinator
+        owns the store and applies it. ``None`` when the session has no
+        signature.
         """
         if not self.active:
             raise FleetError(f"{self.spec.session_id}: finished while not active")
@@ -647,8 +596,6 @@ class FleetSession:
                 scope=self.spec.device,
                 session_id=self.spec.session_id,
             )
-            if store is not None:
-                store.donate(**donation)
         # Leave the edge node: a finished session's offloaded demand must
         # stop slowing the tenants still running. edge_node is kept for
         # reporting: it names the node that served the session through

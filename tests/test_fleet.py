@@ -212,14 +212,14 @@ class TestSessionLifecycle:
 
     def test_double_admission(self):
         session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
-        session.admit(0)
+        session.admit(0, ("device",))
         with pytest.raises(FleetError):
-            session.admit(1)
+            session.admit(1, ("device",))
 
     def test_phases_progress(self):
         session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
         assert session.phase is SessionPhase.WAITING
-        session.admit(0)
+        session.admit(0, ("device",))
         assert session.active and not session.warm_started
         while not session.budget_exhausted:
             if session.needs_guided_proposal:

@@ -10,6 +10,7 @@ SessionTable <-> FleetSession row-view parity, and the columnar
 telemetry path's value-identity with the per-report legacy path.
 """
 
+import dataclasses
 import json
 import signal
 
@@ -35,7 +36,7 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.export import fleet_result_to_dict
-from repro.fleet.shard import ShardedFleetScheduler, _ShardWorker, shard_sizes
+from repro.fleet.shard import _ShardWorker, shard_sizes
 from repro.fleet.table import PHASE_DONE
 from repro.fleet.telemetry import (
     convergence_from_columns,
@@ -43,7 +44,9 @@ from repro.fleet.telemetry import (
     fleet_aggregates,
     iterations_to_converge,
 )
+from repro.obs import MetricsRegistry, Tracer, instrumented
 from repro.rng import make_rng, spawn_rngs, spawn_shard_rngs
+from repro.scenarios import compile_scenario, get_scenario
 from repro.sim.scenarios import ServerOutage
 
 FAST = HBOConfig(n_initial=2, n_iterations=3)
@@ -168,12 +171,13 @@ def device_run():
 
 class TestRowViewParity:
     """FleetSession is a thin row-view: every lifecycle attribute it
-    exposes must be the table column, not a shadow copy."""
+    exposes must be the table column, not a shadow copy. At one shard
+    the sessions live in the in-process worker, over its own table."""
 
     def test_session_views_mirror_table_columns(self, device_run):
         scheduler, _ = device_run
-        table = scheduler.table
-        for i, session in enumerate(scheduler.sessions):
+        table = scheduler._worker.table
+        for i, session in enumerate(scheduler._worker.sessions):
             assert session.index == i
             assert session.done and int(table.phase[i]) == PHASE_DONE
             assert session.start_tick == int(table.start_tick[i])
@@ -188,7 +192,7 @@ class TestRowViewParity:
 
     def test_reports_are_built_from_columns(self, device_run):
         scheduler, result = device_run
-        table = scheduler.table
+        table = scheduler._worker.table
         for i, report in enumerate(result.reports):
             n = int(table.n_results[i])
             assert list(report.costs) == [float(c) for c in table.costs[i, :n]]
@@ -302,6 +306,67 @@ class TestShardedByteIdentity:
             assert sharded == base
 
 
+def _edge_counters(name, shards):
+    """The edge_* counters of one instrumented catalog run, except the
+    per-measurement edge_offloaded_tasks."""
+    compiled = compile_scenario(
+        get_scenario(name), 2024, hbo=HBOConfig(n_initial=2, n_iterations=4)
+    )
+    metrics = MetricsRegistry()
+    with instrumented(Tracer(), metrics):
+        run_fleet(
+            compiled.session_specs,
+            seed=compiled.fleet_seed,
+            config=dataclasses.replace(compiled.fleet_config, shards=shards),
+        )
+    return {
+        key: value
+        for key, value in metrics.snapshot()["counters"].items()
+        if key.startswith("edge_") and key != "edge_offloaded_tasks"
+    }
+
+
+class TestEdgeDecisionCounters:
+    """The coordinator alone counts placements, rejections, fallbacks
+    and migrations, so the counters read the same at any shard count."""
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            (
+                "network-collapse",
+                {
+                    "edge_migrations{dst=edge-0,src=edge-2}": 1.0,
+                    "edge_migrations{dst=edge-2,src=edge-1}": 1.0,
+                    "edge_placements{node=edge-0,policy=price-aware}": 9.0,
+                    "edge_placements{node=edge-1,policy=price-aware}": 1.0,
+                    "edge_placements{node=edge-2,policy=price-aware}": 2.0,
+                },
+            ),
+            (
+                "flash-crowd",
+                {
+                    "edge_fallbacks{reason=shed}": 3.0,
+                    "edge_placements{node=edge-0,policy=price-aware}": 10.0,
+                    "edge_placements{node=edge-1,policy=price-aware}": 4.0,
+                },
+            ),
+            (
+                "low-tier-surge",
+                {
+                    "edge_admission_rejections{policy=price-aware}": 2.0,
+                    "edge_fallbacks{reason=shed}": 2.0,
+                    "edge_placements{node=edge-0,policy=price-aware}": 9.0,
+                    "edge_placements{node=edge-1,policy=price-aware}": 3.0,
+                },
+            ),
+        ],
+    )
+    def test_counters_match_across_shard_counts(self, name, expected):
+        assert _edge_counters(name, 1) == expected
+        assert _edge_counters(name, 2) == expected
+
+
 class TestShardFailure:
     def test_dying_worker_raises_fleet_error_naming_the_shard(
         self, monkeypatch
@@ -324,7 +389,7 @@ class TestShardFailure:
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(60)
         try:
-            scheduler = ShardedFleetScheduler(
+            scheduler = FleetScheduler(
                 _specs(6), seed=2024, config=FleetConfig(hbo=FAST, shards=2)
             )
             with pytest.raises(FleetError, match="shard 1 .* tick 2") as info:

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.controller import HBOConfig
 from repro.device.profiles import device_names
 from repro.device.thermal import ThermalModel, ThermalSpec
+from repro.edge.topology import default_topology
 from repro.errors import ConfigurationError, FleetError, ScenarioError
-from repro.fleet.scheduler import FleetConfig
+from repro.fleet.scheduler import FleetConfig, run_fleet
 from repro.fleet.session import SessionSpec
 from repro.rng import derive_seed
 from repro.scenarios import (
@@ -31,6 +32,7 @@ from repro.scenarios import (
     mobility_flags,
     mobility_link_schedule,
     run_scenario,
+    ScenarioRun,
     scenario_names,
     thermal_flags,
     user_positions,
@@ -299,6 +301,30 @@ class TestReplay:
         )
         assert export_json(with_hooks) != export_json(without)
 
+    def test_mobility_hooks_compose_with_sharding(self) -> None:
+        """Scene events and link drift run in each worker's row pass, so
+        a sharded mobility run exports the shards=1 bytes in every
+        serving mode."""
+        for mode in SERVING_MODES:
+            compiled = compile_scenario(
+                with_serving_mode(get_scenario("commuter-mobility"), mode),
+                2024, hbo=TINY, n_sessions=6,
+            )
+            exports = []
+            for shards in (1, 2, 3):
+                config = dataclasses.replace(
+                    compiled.fleet_config, shards=shards
+                )
+                result = run_fleet(
+                    compiled.session_specs, seed=compiled.fleet_seed,
+                    config=config,
+                )
+                exports.append(
+                    export_json(ScenarioRun(compiled=compiled, result=result))
+                )
+            assert exports[1] == exports[0], mode
+            assert exports[2] == exports[0], mode
+
     def test_thermal_episode_changes_the_run(self) -> None:
         spec = get_scenario("hot-device")
         hot = run_scenario(spec, seed=11, hbo=TINY, n_sessions=3)
@@ -359,11 +385,25 @@ class TestSchedulerHookValidation:
             taskset="CF1", arrival_s=0.0, placement_seed=11,
         )
 
-    def test_hooks_require_single_shard(self) -> None:
-        events = {"s00": (DistanceChange(time_s=1.0,
-                                         user_position=(0.0, 0.0, 1.0)),)}
-        with pytest.raises(FleetError, match="shards"):
-            FleetConfig(hbo=TINY, shards=2, session_events=events)
+    @pytest.mark.parametrize(
+        "field_name, schedule",
+        [
+            ("edge_drift", ((5.0, 0.5), (0.0, 1.0))),
+            ("edge_drift", ()),
+            ("link_drift", ((5.0, 0.5), (0.0, 1.0))),
+            ("link_drift", ()),
+        ],
+    )
+    def test_drift_schedules_must_be_nonempty_and_time_sorted(
+        self, field_name: str, schedule: tuple
+    ) -> None:
+        key = "edge-0" if field_name == "edge_drift" else "s00"
+        with pytest.raises(FleetError, match="non-empty, time-sorted"):
+            FleetConfig(
+                hbo=TINY,
+                topology=default_topology(2),
+                **{field_name: {key: schedule}},
+            )
 
     def test_link_drift_requires_an_edge(self) -> None:
         with pytest.raises(FleetError, match="link_drift needs an edge"):

@@ -70,7 +70,10 @@ def _specs(n: int) -> List[SessionSpec]:
 
 def _live_scheduler(n: int) -> FleetScheduler:
     """A fleet with every session admitted and one tick stepped, so each
-    table row carries real plan columns (device rates, scene loads)."""
+    table row carries real plan columns (device rates, scene loads).
+
+    At one shard the sessions and their plan columns live in the
+    in-process worker's table; the coordinator's table has none."""
     scheduler = FleetScheduler(
         _specs(n),
         seed=2024,
@@ -83,7 +86,7 @@ def _live_scheduler(n: int) -> FleetScheduler:
 
 def _time_pricing_passes(scheduler: FleetScheduler) -> Dict[str, float]:
     """Time one tick's steady-state pricing, both ways, same rows."""
-    table = scheduler.table
+    table = scheduler._worker.table
     rows = list(table.active_indices())
     columnar = float("inf")
     for _ in range(REPEATS):
@@ -119,7 +122,7 @@ def run() -> Dict[str, Any]:
     small = _time_pricing_passes(_live_scheduler(SMALL_N))
 
     big_scheduler = _live_scheduler(BIG_N)
-    table = big_scheduler.table
+    table = big_scheduler._worker.table
     rows = list(table.active_indices())
     tick = float("inf")
     for _ in range(REPEATS):
