@@ -125,6 +125,28 @@ CASES: Tuple[Case, ...] = (
          "--export", f"{OUT}/low-tier-surge.json"),
         {"low-tier-surge.json": "c3f45a8c10b37a55db79a65e27f1380a76bca07c4ad66d07d072a76c506d8d9a"},
     ),
+    # The paper's single-device loop (Alg. 1 via `HBOController.activate`):
+    # the exact and sparse GP tiers, device-only and with the edge.
+    # Stdout echoes the temporary export path, so only the JSON is pinned.
+    Case(
+        "tune",
+        ("tune", "--seed", "2024", "--export", f"{OUT}/tune.json"),
+        {"tune.json": "27e86dd92ac54c198a06d5b015089e76e73a2542f63d0a86e7e6f92467e894c6"},
+    ),
+    Case(
+        "tune-edge",
+        ("tune", "--scenario", "SC2", "--taskset", "CF2",
+         "--device", "Samsung Galaxy A54", "--edge", "--seed", "2024",
+         "--export", f"{OUT}/tune-edge.json"),
+        {"tune-edge.json": "8e877e88633856429dd76df23ac206d240490a49af93b1e280f1fa320ac97fdb"},
+    ),
+    Case(
+        "tune-sparse",
+        ("tune", "--gp-tier", "sparse", "--gp-threshold", "6",
+         "--iterations", "12", "--seed", "2024",
+         "--export", f"{OUT}/tune-sparse.json"),
+        {"tune-sparse.json": "23ae8554df1582523970fc8adef8d3cbaf17fe027f458f77da9ed8e35b1e2185"},
+    ),
     Case(
         # `repro trace` also exits non-zero unless the trace is a
         # non-empty, schema-valid Chrome trace that round-trips.
