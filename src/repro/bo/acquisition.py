@@ -13,13 +13,31 @@ acquisition returns a score to be **maximized** over candidates.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.bo.gp import Surrogate
 from repro.errors import ConfigurationError
+
+
+def expected_improvement(
+    mean: np.ndarray, std: np.ndarray, best_y: Union[float, np.ndarray], xi: float
+) -> np.ndarray:
+    """Closed-form EI (see :class:`ExpectedImprovement`), elementwise.
+
+    ``best_y`` is a scalar incumbent, or a ``(B, 1)`` column of per-session
+    incumbents for a ``(B, C)`` batch of pools.
+    """
+    improvement = best_y - mean - xi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = improvement / std
+        # ndtr(u) and exp(-u²/2)/√(2π) are exactly scipy.stats.norm's cdf
+        # and pdf, without its per-call argument handling.
+        ei = improvement * ndtr(u) + std * (np.exp(-u**2 / 2.0) / 2.5066282746310002)
+    ei = np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))
+    return np.clip(ei, 0.0, None)
 
 
 class AcquisitionFunction(ABC):
@@ -56,12 +74,7 @@ class ExpectedImprovement(AcquisitionFunction):
         self, gp: Surrogate, x: np.ndarray, best_y: float
     ) -> np.ndarray:
         post = gp.predict(x)
-        improvement = best_y - post.mean - self.xi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = improvement / post.std
-            ei = improvement * norm.cdf(u) + post.std * norm.pdf(u)
-        ei = np.where(post.std > 1e-12, ei, np.maximum(improvement, 0.0))
-        return np.clip(ei, 0.0, None)
+        return expected_improvement(post.mean, post.std, best_y, self.xi)
 
 
 class ProbabilityOfImprovement(AcquisitionFunction):
@@ -80,7 +93,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
         post = gp.predict(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = (best_y - post.mean - self.xi) / post.std
-        pi = norm.cdf(u)
+        pi = ndtr(u)
         return np.where(post.std > 1e-12, pi, (post.mean < best_y - self.xi) * 1.0)
 
 

@@ -34,6 +34,33 @@ SpaceLike = Union[HBOSpace, BoxSpace]
 GP_TIERS = ("exact", "sparse")
 
 
+def candidate_pool(
+    space: SpaceLike,
+    rng: np.random.Generator,
+    n_uniform: int,
+    anchors: Optional[np.ndarray],
+    incumbents: np.ndarray,
+    n_local: int,
+) -> np.ndarray:
+    """The acquisition maximizer's pool: ``[uniform; anchors; local]``.
+
+    Local rows: ``k = max(1, n_local // (2m))`` perturbations of each of
+    the ``m`` incumbent rows per scale — scale outer, incumbent inner —
+    from one ``perturb_rows`` draw, which consumes ``rng`` exactly like
+    making them one at a time in that order.
+    """
+    pools = [space.sample(rng, size=n_uniform)]
+    if anchors is not None:
+        pools.append(anchors)
+    m = len(incumbents)
+    if n_local > 0 and m > 0:
+        k = max(1, n_local // (2 * m))
+        scales = (0.05, 0.15)
+        centers = np.tile(np.repeat(incumbents, k, axis=0), (len(scales), 1))
+        pools.append(space.perturb_rows(centers, np.repeat(scales, m * k), rng))
+    return np.vstack(pools)
+
+
 @dataclass(frozen=True)
 class Observation:
     """One evaluated configuration and its measured cost."""
@@ -81,8 +108,8 @@ class BayesianOptimizer:
     Parameters
     ----------
     space:
-        Search space providing ``sample`` / ``project`` / ``perturb`` /
-        ``contains`` (e.g. :class:`~repro.bo.space.HBOSpace`).
+        Search space providing ``sample`` / ``project[_rows]`` /
+        ``perturb_rows`` / ``contains`` (e.g. :class:`~repro.bo.space.HBOSpace`).
     n_initial:
         Number of random configurations used to seed the dataset before
         the GP-guided phase starts (the paper uses 5).
@@ -149,7 +176,11 @@ class BayesianOptimizer:
         self.noise = float(noise)
         if anchors is not None:
             anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-            anchors = np.asarray([space.project(a) for a in anchors])
+            # Domain-informed cells (e.g. the count-lattice cells the HBO
+            # heuristic rounds to) that every pool scores, so a cell that is
+            # a narrow sliver of the simplex is never missed. Zero rows
+            # means no anchors; a wrong width raises here.
+            anchors = space.project_rows(anchors) if len(anchors) else None
         self.anchors = anchors
         self._rng = make_rng(seed)
         self.state = OptimizerState()
@@ -327,25 +358,11 @@ class BayesianOptimizer:
         return sgp
 
     def _candidate_pool(self) -> np.ndarray:
-        pools = [self.space.sample(self._rng, size=self.n_candidates)]
-        if self.anchors is not None:
-            # Domain-informed anchors (e.g. the count-lattice cells the HBO
-            # heuristic rounds to): guarantees the acquisition sees every
-            # discrete allocation cell even when it is a narrow sliver of
-            # the continuous simplex.
-            pools.append(self.anchors)
-        if self.n_local > 0 and self.state.observations:
-            incumbents = sorted(self.state.observations, key=lambda o: o.cost)[:3]
-            for scale in (0.05, 0.15):
-                for inc in incumbents:
-                    local = np.asarray(
-                        [
-                            self.space.perturb(inc.z, scale, self._rng)
-                            for _ in range(max(1, self.n_local // (2 * len(incumbents))))
-                        ]
-                    )
-                    pools.append(local)
-        return np.vstack(pools)
+        best = sorted(self.state.observations, key=lambda o: o.cost)[:3]
+        return candidate_pool(
+            self.space, self._rng, self.n_candidates, self.anchors,
+            np.asarray([o.z for o in best]), self.n_local,
+        )
 
     def _maximize_acquisition(self) -> np.ndarray:
         try:

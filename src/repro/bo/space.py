@@ -26,13 +26,57 @@ from repro.rng import SeedLike, make_rng
 _TOL = 1e-8
 
 
-class SimplexSpace:
+class _RowSpace:
+    """Single-vector ops as one-row calls of the row-wise ones.
+
+    A space supplies ``project_rows`` and ``_noise``, the per-column
+    factor on a row's perturbation scale.
+    """
+
+    _noise: np.ndarray
+
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """Euclidean projection of ``z`` into the space."""
+        return self.project_rows(np.asarray(z, dtype=float).ravel()[None])[0]
+
+    def perturb(self, z: np.ndarray, scale: float, rng: SeedLike) -> np.ndarray:
+        """Gaussian jitter at ``scale``, projected back into the space."""
+        z = np.asarray(z, dtype=float).ravel()
+        return self.perturb_rows(z[None], [scale], rng)[0]
+
+    def perturb_rows(
+        self, centers: np.ndarray, scales: Sequence[float], rng: SeedLike
+    ) -> np.ndarray:
+        """Row ``i`` is ``centers[i]`` jittered at ``scales[i]``, projected.
+
+        Stream contract: one ``(m, d)`` normal draw with per-row ×
+        per-column scales consumes the generator row-major, exactly like
+        ``m`` single-row draws in order, so every row is bit-identical to
+        perturbing it alone.
+        """
+        z = np.asarray(centers, dtype=float)
+        s = np.asarray(scales, dtype=float).ravel()
+        if z.ndim != 2 or z.shape[1] != len(self._noise) or len(s) != len(z):
+            raise SearchSpaceError(
+                f"expected (m, {len(self._noise)}) centers and m scales, got "
+                f"shape {z.shape} and {len(s)} scales"
+            )
+        if not np.all(np.isfinite(s)) or np.any(s < 0):
+            raise SearchSpaceError(f"scales must be finite and >= 0, got {s.tolist()}")
+        return self.project_rows(z + make_rng(rng).normal(0.0, s[:, None] * self._noise))
+
+
+class SimplexSpace(_RowSpace):
     """The probability simplex {c ∈ [0,1]^n : Σ c_i = 1}."""
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise SearchSpaceError(f"simplex needs at least 1 coordinate, got {n}")
         self.n = int(n)
+        self._noise = np.ones(self.n)
 
     @property
     def dim(self) -> int:
@@ -55,44 +99,13 @@ class SimplexSpace:
             and abs(float(np.sum(c)) - 1.0) <= max(tol, 1e-6)
         )
 
-    def project(self, c: np.ndarray) -> np.ndarray:
-        """Euclidean projection of ``c`` onto the simplex.
-
-        Uses the sorting algorithm of Held, Wolfe & Crowder; O(n log n).
-        Always returns a valid simplex point, even for wildly infeasible
-        input.
-        """
-        v = np.asarray(c, dtype=float).ravel()
-        if v.shape[0] != self.n:
-            raise SearchSpaceError(
-                f"expected {self.n} coordinates, got {v.shape[0]}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise SearchSpaceError("cannot project non-finite vector")
-        u = np.sort(v)[::-1]
-        css = np.cumsum(u)
-        rho_candidates = u + (1.0 - css) / np.arange(1, self.n + 1)
-        rho = int(np.nonzero(rho_candidates > 0)[0][-1])
-        theta = (css[rho] - 1.0) / (rho + 1)
-        w = np.clip(v - theta, 0.0, None)
-        # For large-magnitude input, cancellation in ``css - 1`` can leave
-        # the sum off by ~1e-9; renormalize so Σw = 1 to machine precision
-        # (the support is already correct, so this is a tiny rescale).
-        return w / float(np.sum(w))
-
-    def perturb(
-        self, c: np.ndarray, scale: float, rng: SeedLike
-    ) -> np.ndarray:
-        """Gaussian jitter followed by projection back onto the simplex."""
-        gen = make_rng(rng)
-        noisy = np.asarray(c, dtype=float).ravel() + gen.normal(0.0, scale, self.n)
-        return self.project(noisy)
-
     def project_rows(self, c: np.ndarray) -> np.ndarray:
-        """Row-wise simplex projection of a ``(k, n)`` matrix.
+        """Euclidean projection of each row of a ``(k, n)`` matrix onto
+        the simplex.
 
-        Bit-identical to calling :meth:`project` per row (same sort /
-        cumsum / clip / renormalize sequence, applied along ``axis=1``).
+        Uses the sorting algorithm of Held, Wolfe & Crowder; O(n log n)
+        per row. Always returns valid simplex points, even for wildly
+        infeasible input.
         """
         v = np.asarray(c, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.n:
@@ -109,10 +122,13 @@ class SimplexSpace:
         rho = (self.n - 1) - np.argmax((rho_candidates > 0)[:, ::-1], axis=1)
         theta = (css[np.arange(v.shape[0]), rho] - 1.0) / (rho + 1)
         w = np.clip(v - theta[:, None], 0.0, None)
+        # For large-magnitude input, cancellation in ``css - 1`` can leave
+        # the sum off by ~1e-9; renormalize so Σw = 1 to machine precision
+        # (the support is already correct, so this is a tiny rescale).
         return w / np.sum(w, axis=1, dtype=float)[:, None]
 
 
-class BoxSpace:
+class BoxSpace(_RowSpace):
     """An axis-aligned box ``[low_i, high_i]`` per coordinate."""
 
     def __init__(self, bounds: Sequence[Tuple[float, float]]) -> None:
@@ -126,6 +142,7 @@ class BoxSpace:
             raise SearchSpaceError(f"low > high in bounds: {bad.tolist()}")
         self.low = arr[:, 0].copy()
         self.high = arr[:, 1].copy()
+        self._noise = self.high - self.low
 
     @property
     def dim(self) -> int:
@@ -143,19 +160,14 @@ class BoxSpace:
             return False
         return bool(np.all(x >= self.low - tol) and np.all(x <= self.high + tol))
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise SearchSpaceError(f"expected {self.dim} coordinates, got {x.shape[0]}")
+    def project_rows(self, x: np.ndarray) -> np.ndarray:
+        """Clip each row of a ``(k, dim)`` matrix into the box."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise SearchSpaceError(f"expected (k, {self.dim}) rows, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise SearchSpaceError("cannot project non-finite vector")
         return np.clip(x, self.low, self.high)
-
-    def perturb(self, x: np.ndarray, scale: float, rng: SeedLike) -> np.ndarray:
-        gen = make_rng(rng)
-        span = self.high - self.low
-        noisy = np.asarray(x, dtype=float).ravel() + gen.normal(0.0, scale * span)
-        return self.project(noisy)
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,7 @@ class HBOPoint:
         return np.concatenate([self.proportions, [self.triangle_ratio]])
 
 
-class HBOSpace:
+class HBOSpace(_RowSpace):
     """Joint space ``z = [c (simplex over N resources); x (triangle ratio)]``.
 
     Implements Constraints 8–10 of the paper: 0 ≤ c_i ≤ 1, Σ c_i = 1 and
@@ -182,6 +194,9 @@ class HBOSpace:
         self.simplex = SimplexSpace(n_resources)
         self.box = BoxSpace([(r_min, 1.0)])
         self.r_min = float(r_min)
+        # Simplex coordinates jitter at the row's scale, the triangle
+        # ratio at the scale times its span.
+        self._noise = np.concatenate([self.simplex._noise, self.box._noise])
 
     @property
     def n_resources(self) -> int:
@@ -223,44 +238,12 @@ class HBOSpace:
             z[self.simplex.n :], tol
         )
 
-    def project(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        if z.shape[0] != self.dim:
-            raise SearchSpaceError(f"expected {self.dim} coordinates, got {z.shape[0]}")
-        c = self.simplex.project(z[: self.simplex.n])
-        x = self.box.project(z[self.simplex.n :])
-        return np.concatenate([c, x])
-
-    def perturb(self, z: np.ndarray, scale: float, rng: SeedLike) -> np.ndarray:
-        gen = make_rng(rng)
-        pt = self.split(z)
-        c = self.simplex.perturb(pt.proportions, scale, gen)
-        x = self.box.perturb(np.array([pt.triangle_ratio]), scale, gen)
-        return np.concatenate([c, x])
-
-    def perturb_batch(
-        self, z: np.ndarray, scale: float, k: int, rng: SeedLike
-    ) -> np.ndarray:
-        """``k`` local perturbations of ``z`` in one vectorized draw.
-
-        Stream-contract: consumes the generator exactly like ``k``
-        sequential :meth:`perturb` calls and returns bit-identical rows.
-        Each perturb call draws ``n`` normals at ``scale`` (simplex) then
-        one at ``scale * span`` (box); a single ``(k, n+1)`` draw with a
-        per-column scale vector replays that order row-major, and the
-        projections vectorize row-wise.
-        """
-        if k < 1:
-            raise SearchSpaceError(f"k must be >= 1, got {k}")
-        gen = make_rng(rng)
-        z = np.asarray(z, dtype=float).ravel()
-        if z.shape[0] != self.dim:
-            raise SearchSpaceError(f"expected {self.dim} coordinates, got {z.shape[0]}")
+    def project_rows(self, z: np.ndarray) -> np.ndarray:
+        """Project each row of a ``(k, dim)`` matrix: simplex part, then ratio."""
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2 or z.shape[1] != self.dim:
+            raise SearchSpaceError(f"expected (k, {self.dim}) rows, got shape {z.shape}")
         n = self.simplex.n
-        span = self.box.high - self.box.low
-        scales = np.concatenate([np.full(n, float(scale)), scale * span])
-        noisy = z[None, :] + gen.normal(0.0, scales, size=(k, self.dim))
-        out = np.empty_like(noisy)
-        out[:, :n] = self.simplex.project_rows(noisy[:, :n])
-        out[:, n:] = np.clip(noisy[:, n:], self.box.low, self.box.high)
-        return out
+        return np.hstack(
+            [self.simplex.project_rows(z[:, :n]), self.box.project_rows(z[:, n:])]
+        )

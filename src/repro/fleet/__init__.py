@@ -9,7 +9,6 @@ GP service, and ``docs/fleet.md`` for the architecture overview.
 from repro.fleet.batch import (
     BatchedGPService,
     SharedOptimizerService,
-    batched_expected_improvement,
     batched_kernel_matrix,
 )
 from repro.fleet.export import fleet_report_to_dict, fleet_result_to_dict
@@ -38,7 +37,6 @@ from repro.fleet.telemetry import (
 __all__ = [
     "BatchedGPService",
     "SharedOptimizerService",
-    "batched_expected_improvement",
     "batched_kernel_matrix",
     "FleetConfig",
     "FleetResult",

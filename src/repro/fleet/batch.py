@@ -14,7 +14,7 @@ This module runs the same math as ``gp.py`` across all sessions at once:
   ``linalg`` kernels, with the same jitter-escalation ladder as
   :class:`~repro.bo.gp.GaussianProcess`;
 - Expected Improvement is evaluated on the full ``(B, C)`` posterior in
-  one vectorized pass.
+  one vectorized pass (per-session incumbents as a column).
 
 :class:`SharedOptimizerService` packages this as "give me B optimizers,
 get B proposals", which is what :class:`~repro.fleet.scheduler.
@@ -27,10 +27,10 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
+from repro.bo.acquisition import expected_improvement
 from repro.bo.kernels import RBF, Kernel, Matern
-from repro.bo.optimizer import BayesianOptimizer
+from repro.bo.optimizer import BayesianOptimizer, candidate_pool
 from repro.bo.space import HBOSpace
 from repro.errors import FleetError, GPFitError
 from repro.obs import runtime as obs
@@ -193,29 +193,12 @@ class BatchedGPService:
         return mean, std
 
 
-def batched_expected_improvement(
-    mean: np.ndarray, std: np.ndarray, best_y: np.ndarray, xi: float = 0.01
-) -> np.ndarray:
-    """EI over a ``(B, C)`` posterior with per-session incumbents.
-
-    Same closed form as :class:`~repro.bo.acquisition.ExpectedImprovement`
-    (cost minimization, exploration margin ``xi``), vectorized across the
-    batch axis.
-    """
-    improvement = best_y[:, None] - mean - xi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = improvement / std
-        ei = improvement * norm.cdf(u) + std * norm.pdf(u)
-    ei = np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))
-    return np.clip(ei, 0.0, None)
-
-
 class SharedOptimizerService:
     """One-tick proposal engine: B guided optimizers in, B proposals out.
 
-    Candidate pools mirror :meth:`BayesianOptimizer._candidate_pool`
-    (uniform samples plus local perturbations of the incumbent) but with a
-    fixed per-session pool size so the whole fleet scores as one tensor.
+    Pools come from :func:`~repro.bo.optimizer.candidate_pool` around each
+    session's best observation, without anchors, so all pools have one
+    size and the whole fleet scores as one tensor.
     """
 
     def __init__(
@@ -248,17 +231,10 @@ class SharedOptimizerService:
                 "batched proposals need HBOSpace optimizers, got "
                 f"{type(space).__name__}"
             )
-        pools = [space.sample(rng, size=self.n_candidates)]
-        if self.n_local > 0:
-            incumbent = optimizer.best().z
-            per_scale = max(1, self.n_local // 2)
-            # perturb_batch consumes the generator exactly like per_scale
-            # sequential perturb() calls (see HBOSpace.perturb_batch), so
-            # this vectorization leaves proposals bit-identical — it was
-            # ~50% of the fleet tick as a Python loop.
-            for scale in (0.05, 0.15):
-                pools.append(space.perturb_batch(incumbent, scale, per_scale, rng))
-        return np.vstack(pools)
+        incumbent = optimizer.best().z[None]
+        return candidate_pool(
+            space, rng, self.n_candidates, None, incumbent, self.n_local
+        )
 
     def propose(
         self,
@@ -300,7 +276,7 @@ class SharedOptimizerService:
         ) as span:
             try:
                 mean, std = self.gp.posterior(train_x, train_y, candidates)
-                scores = batched_expected_improvement(mean, std, best_y, xi=self.xi)
+                scores = expected_improvement(mean, std, best_y[:, None], self.xi)
             except GPFitError:
                 scores = None
                 span.set(degenerate_fit=True)

@@ -1,17 +1,27 @@
 """Unit tests for repro.bo.acquisition."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from repro.bo.acquisition import (
     ExpectedImprovement,
     LowerConfidenceBound,
     ProbabilityOfImprovement,
+    expected_improvement,
     make_acquisition,
 )
-from repro.bo.gp import GaussianProcess
+from repro.bo.gp import GaussianProcess, GPPosterior
 from repro.bo.kernels import Matern
 from repro.errors import ConfigurationError
+from repro.rng import make_rng
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -110,3 +120,89 @@ class TestMakeAcquisition:
     def test_unknown_raises(self):
         with pytest.raises(ConfigurationError, match="unknown acquisition"):
             make_acquisition("ucb")
+
+
+class _FixedPosterior:
+    """A surrogate stub whose posterior is given directly."""
+
+    def __init__(self, mean, std):
+        self.post = GPPosterior(mean=mean, std=std)
+
+    def predict(self, x):
+        return self.post
+
+
+def _posterior_grid():
+    """A (B, C) grid with zero std, u = ±inf and NaN rows."""
+    rng = make_rng(21)
+    mean = rng.normal(size=(6, 7))
+    std = rng.uniform(0.0, 2.0, size=(6, 7))
+    std[1] = [0.0, 0.0, 1e-13, 1e-300, 5e-324, 0.0, 1e-12]
+    mean[1] = [0.5, 1.5, 0.2, -3.0, 3.0, 0.99, 0.5]
+    mean[2] = [-np.inf, np.inf, -1e308, 1e308, 0.0, 1.0, -1.0]
+    std[3] = [np.inf, 1e-320, 1e300, 0.0, 1e-200, 1e200, 3.0]
+    mean[4] = np.nan
+    std[5] = np.nan
+    best_y = np.array([[0.0], [1.0], [0.5], [-0.2], [0.3], [2.0]])
+    return mean, std, best_y
+
+
+def _scipy_ei(mean, std, best_y, xi):
+    improvement = best_y - mean - xi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = improvement / std
+        ei = improvement * norm.cdf(u) + std * norm.pdf(u)
+    ei = np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))
+    return np.clip(ei, 0.0, None)
+
+
+def _assert_bitwise(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    finite = ~np.isnan(expected)
+    np.testing.assert_array_equal(np.signbit(actual[finite]), np.signbit(expected[finite]))
+
+
+class TestNormalWithoutScipyStats:
+    """EI and PI use ``ndtr`` and an inline density; both must equal the
+    ``scipy.stats.norm`` formulas bit for bit, edge cases included."""
+
+    @pytest.mark.parametrize("xi", [0.0, 0.01])
+    def test_batched_ei_matches_scipy_stats(self, xi):
+        mean, std, best_y = _posterior_grid()
+        with np.errstate(over="ignore"):
+            actual = expected_improvement(mean, std, best_y, xi)
+        _assert_bitwise(actual, _scipy_ei(mean, std, best_y, xi))
+
+    def test_scalar_ei_matches_scipy_stats_row_by_row(self):
+        mean, std, best_y = _posterior_grid()
+        for b in range(mean.shape[0]):
+            gp = _FixedPosterior(mean[b], std[b])
+            with np.errstate(over="ignore"):
+                actual = ExpectedImprovement(xi=0.01)(gp, None, float(best_y[b, 0]))
+            _assert_bitwise(actual, _scipy_ei(mean[b], std[b], best_y[b, 0], 0.01))
+
+    def test_pi_matches_scipy_stats(self):
+        mean, std, best_y = _posterior_grid()
+        for b in range(mean.shape[0]):
+            gp = _FixedPosterior(mean[b], std[b])
+            y = float(best_y[b, 0])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                u = (y - mean[b] - 0.01) / std[b]
+                actual = ProbabilityOfImprovement(xi=0.01)(gp, None, y)
+            expected = np.where(std[b] > 1e-12, norm.cdf(u), (mean[b] < y - 0.01) * 1.0)
+            _assert_bitwise(actual, expected)
+
+    def test_package_import_leaves_out_scipy_stats(self):
+        code = (
+            "import repro, repro.cli, repro.fleet, repro.scenarios, "
+            "repro.experiments; import sys; print('scipy.stats' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import pytest
 from repro.bo.acquisition import LowerConfidenceBound
 from repro.bo.optimizer import BayesianOptimizer, Observation, OptimizerState
 from repro.bo.space import BoxSpace, HBOSpace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SearchSpaceError
 
 
 def _quadratic(space):
@@ -89,6 +89,33 @@ class TestAskTell:
             BayesianOptimizer(HBOSpace(3), n_candidates=0)
         with pytest.raises(ConfigurationError):
             BayesianOptimizer(HBOSpace(3), n_local=-1)
+
+
+class TestAnchors:
+    def test_empty_anchors_mean_no_anchors(self):
+        space = HBOSpace(3)
+        opt = BayesianOptimizer(space, n_initial=2, anchors=np.zeros((0, 4)), seed=5)
+        assert opt.anchors is None
+        plain = BayesianOptimizer(space, n_initial=2, seed=5)
+        fn = _quadratic(space)
+        for _ in range(4):
+            z = opt.ask()
+            np.testing.assert_array_equal(z, plain.ask())
+            opt.tell(z, fn(z))
+            plain.tell(z, fn(z))
+
+    def test_wrong_width_anchors_raise_at_construction(self):
+        with pytest.raises(SearchSpaceError):
+            BayesianOptimizer(HBOSpace(3), anchors=np.full((2, 3), 1.0 / 3.0))
+
+    def test_anchors_are_projected_into_the_space(self):
+        space = HBOSpace(3, r_min=0.2)
+        raw = np.array([[2.0, -1.0, 0.5, 7.0], [0.2, 0.3, 0.5, 0.0]])
+        opt = BayesianOptimizer(space, anchors=raw)
+        expected = np.array([[1.0, 0.0, 0.0, 1.0], [0.2, 0.3, 0.5, 0.2]])
+        np.testing.assert_array_equal(opt.anchors, expected)
+        # A single 1-D anchor is one row.
+        assert BayesianOptimizer(space, anchors=raw[0]).anchors.shape == (1, 4)
 
 
 class TestMinimize:

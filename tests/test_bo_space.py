@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bo.optimizer import BayesianOptimizer, candidate_pool
 from repro.bo.space import BoxSpace, HBOSpace, SimplexSpace
 from repro.errors import SearchSpaceError
+from repro.rng import make_rng
 
 
 class TestSimplexSpace:
@@ -135,3 +137,164 @@ class TestHBOSpace:
     def test_join_wrong_length_raises(self):
         with pytest.raises(SearchSpaceError):
             HBOSpace(3).join(np.array([0.5, 0.5]), 0.5)
+
+
+def simplex_project_one(v):
+    """Held-Wolfe-Crowder simplex projection of one vector, written as a
+    scalar loop body: the oracle the row-wise projection must match bit
+    for bit."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho_candidates = u + (1.0 - css) / np.arange(1, len(v) + 1)
+    rho = int(np.nonzero(rho_candidates > 0)[0][-1])
+    theta = (css[rho] - 1.0) / (rho + 1)
+    w = np.clip(v - theta, 0.0, None)
+    return w / float(np.sum(w))
+
+
+def _scalar_project(space, z):
+    """Project one vector: scalar simplex projection, clip for boxes."""
+    if isinstance(space, HBOSpace):
+        n = space.simplex.n
+        return np.concatenate(
+            [simplex_project_one(z[:n]), np.clip(z[n:], space.box.low, space.box.high)]
+        )
+    if isinstance(space, BoxSpace):
+        return np.clip(z, space.low, space.high)
+    return simplex_project_one(z)
+
+
+def _scalar_perturb(space, z, scale, gen):
+    """The scalar perturbation formulas, one row at a time: the oracle
+    every batched draw must reproduce bit for bit."""
+    if isinstance(space, HBOSpace):
+        n = space.simplex.n
+        c = simplex_project_one(z[:n] + gen.normal(0.0, scale, n))
+        span = space.box.high - space.box.low
+        x = np.clip(z[n:] + gen.normal(0.0, scale * span), space.box.low, space.box.high)
+        return np.concatenate([c, x])
+    if isinstance(space, BoxSpace):
+        span = space.high - space.low
+        return np.clip(z + gen.normal(0.0, scale * span), space.low, space.high)
+    return simplex_project_one(z + gen.normal(0.0, scale, space.n))
+
+
+def _scalar_pool(space, gen, n_uniform, anchors, incumbents, n_local):
+    """The candidate pool built one perturbation at a time."""
+    pools = [space.sample(gen, size=n_uniform)]
+    if anchors is not None:
+        pools.append(anchors)
+    if n_local > 0 and len(incumbents):
+        k = max(1, n_local // (2 * len(incumbents)))
+        for scale in (0.05, 0.15):
+            for inc in incumbents:
+                pools.append(
+                    np.asarray([_scalar_perturb(space, inc, scale, gen) for _ in range(k)])
+                )
+    return np.vstack(pools)
+
+
+SPACES = [
+    pytest.param(HBOSpace(3, r_min=0.1), id="hbo3"),
+    pytest.param(HBOSpace(5, r_min=0.25), id="hbo5"),
+    pytest.param(BoxSpace([(0.1, 1.0), (-2.0, 2.0), (0.0, 0.5)]), id="box"),
+    pytest.param(SimplexSpace(4), id="simplex"),
+]
+
+
+class TestStreamContract:
+    """One batched draw consumes the generator exactly like the scalar
+    per-row formulas and returns bit-identical rows."""
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_perturb_rows_matches_scalar_formulas(self, space):
+        centers = np.vstack([space.sample(make_rng(3), size=3)] * 2)
+        scales = [0.05, 0.05, 0.05, 0.15, 0.0, 2.0]
+        a, b = make_rng(99), make_rng(99)
+        rows = space.perturb_rows(centers, scales, a)
+        expected = np.stack(
+            [_scalar_perturb(space, z, s, b) for z, s in zip(centers, scales)]
+        )
+        np.testing.assert_array_equal(rows, expected)
+        assert a.uniform() == b.uniform()
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_scalar_perturb_is_one_row(self, space):
+        z = space.sample(make_rng(4))[0]
+        a, b = make_rng(7), make_rng(7)
+        np.testing.assert_array_equal(
+            space.perturb(z, 0.1, a), _scalar_perturb(space, z, 0.1, b)
+        )
+        assert a.uniform() == b.uniform()
+
+    @pytest.mark.parametrize(
+        "space",
+        [pytest.param(HBOSpace(3), id="hbo3"), pytest.param(BoxSpace([(0.1, 1.0)] * 4), id="box")],
+    )
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("with_anchors", [False, True], ids=["no-anchors", "anchors"])
+    def test_candidate_pool_matches_scalar_pool(self, space, m, with_anchors):
+        incumbents = space.sample(make_rng(5), size=m)
+        anchors = space.sample(make_rng(6), size=4) if with_anchors else None
+        a, b = make_rng(11), make_rng(11)
+        pool = candidate_pool(space, a, 32, anchors, incumbents, 64)
+        expected = _scalar_pool(space, b, 32, anchors, incumbents, 64)
+        np.testing.assert_array_equal(pool, expected)
+        assert a.uniform() == b.uniform()
+
+    def test_candidate_pool_without_local_rows(self):
+        space = HBOSpace(3)
+        a, b = make_rng(1), make_rng(1)
+        no_incumbents = candidate_pool(space, a, 8, None, np.empty((0, 4)), 64)
+        no_local = candidate_pool(space, b, 8, None, space.sample(make_rng(2)), 0)
+        np.testing.assert_array_equal(no_incumbents, space.sample(make_rng(1), size=8))
+        np.testing.assert_array_equal(no_local, no_incumbents)
+
+    def test_optimizer_scores_the_scalar_pool(self):
+        """A guided ask scores the pool around the three best observations,
+        with the projected anchors, drawn from the optimizer's stream."""
+        space = HBOSpace(3)
+        scored = []
+
+        def first_candidate(gp, x, best_y):
+            scored.append(x)
+            return -np.arange(len(x), dtype=float)
+
+        anchors = space.sample(make_rng(8), 5) * 1.5
+        opt = BayesianOptimizer(space, n_initial=2, anchors=anchors, seed=3)
+        opt.acquisition = first_candidate
+        zs = space.sample(make_rng(9), size=5)
+        for z, cost in zip(zs, [0.4, 0.1, 0.9, 0.3, 0.2]):
+            opt.tell(z, cost)
+        opt.ask()
+        expected = _scalar_pool(
+            space, make_rng(3), opt.n_candidates,
+            np.stack([_scalar_project(space, a) for a in anchors]),
+            zs[[1, 4, 3]], opt.n_local,
+        )
+        np.testing.assert_array_equal(scored[0], expected)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_projections_match_scalar_formulas(self, space):
+        raw = make_rng(12).normal(scale=3.0, size=(9, space.dim))
+        raw[0] *= 1e9  # cancellation in the renormalization
+        raw[1] = 1.0 / space.dim  # ties, on or near the feasible set
+        expected = np.stack([_scalar_project(space, r) for r in raw])
+        np.testing.assert_array_equal(space.project_rows(raw), expected)
+        np.testing.assert_array_equal(np.stack([space.project(r) for r in raw]), expected)
+
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("scale", [-0.1, np.nan, np.inf])
+    def test_bad_scale_raises_search_space_error(self, space, scale):
+        z = space.sample(make_rng(0))[0]
+        with pytest.raises(SearchSpaceError):
+            space.perturb(z, scale, make_rng(0))
+        with pytest.raises(SearchSpaceError):
+            space.perturb_rows(np.stack([z, z]), [0.1, scale], make_rng(0))
+
+    def test_perturb_rows_shape_errors(self):
+        space = HBOSpace(3)
+        with pytest.raises(SearchSpaceError):
+            space.perturb_rows(np.zeros((2, 3)), [0.1, 0.1], make_rng(0))
+        with pytest.raises(SearchSpaceError):
+            space.perturb_rows(np.zeros((2, 4)), [0.1], make_rng(0))

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bo.acquisition import ExpectedImprovement
+from repro.bo.acquisition import ExpectedImprovement, expected_improvement
 from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import RBF, Matern
 from repro.bo.optimizer import BayesianOptimizer
@@ -23,7 +23,6 @@ from repro.fleet import (
     SessionSpec,
     SharedConfigStore,
     SharedOptimizerService,
-    batched_expected_improvement,
     batched_kernel_matrix,
     run_fleet,
 )
@@ -108,7 +107,7 @@ class TestBatchedGPService:
         service = BatchedGPService(kernel=kernel, noise=1e-3)
         mean, std = service.posterior(xs, ys, queries)
         best_y = np.asarray([y.min() for y in ys])
-        scores = batched_expected_improvement(mean, std, best_y, xi=0.01)
+        scores = expected_improvement(mean, std, best_y[:, None], xi=0.01)
         acquisition = ExpectedImprovement(xi=0.01)
         for b in range(2):
             reference = GaussianProcess(kernel=kernel, noise=1e-3).fit(xs[b], ys[b])
@@ -121,7 +120,7 @@ class TestBatchedGPService:
     def test_degenerate_std_falls_back_to_improvement(self):
         mean = np.array([[0.5, 1.5]])
         std = np.array([[0.0, 0.0]])
-        scores = batched_expected_improvement(mean, std, np.array([1.0]), xi=0.0)
+        scores = expected_improvement(mean, std, np.array([[1.0]]), xi=0.0)
         np.testing.assert_allclose(scores, [[0.5, 0.0]])
 
     def test_validation_errors(self, rng):
