@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: reprolint ruff mypy lint test replay-check bench bench-smoke check
+.PHONY: reprolint ruff mypy lint test replay-check perfbench-smoke bench bench-smoke check
 
 reprolint:
 	PYTHONPATH=tools $(PYTHON) -m reprolint src benchmarks examples \
@@ -36,6 +36,11 @@ test:
 replay-check:
 	$(PYTHON) tools/replay_check.py
 
+# The benchmark harness's own smokes: every workload runs once at a tiny
+# size and checks its outputs (perfbench/test_smoke.py).
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
+
 # Time the hot kernels and distill the scalar-vs-batched backend numbers
 # into the committed BENCH_pr4.json (see docs/performance.md).
 bench:
@@ -54,4 +59,4 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbench.py -q \
 		--benchmark-disable
 
-check: lint test replay-check bench-smoke
+check: lint test replay-check perfbench-smoke bench-smoke

@@ -1,23 +1,17 @@
-"""Fleet serving benches: throughput, batched GP, warm-vs-cold.
+"""Fleet serving benches: throughput and warm-vs-cold convergence.
 
-The fleet layer's two performance claims are (1) one batched GP pass per
-tick serves every guided session without per-session Python-loop fits,
-and (2) cross-session warm starting gets late arrivals to the cohort's
-best cost in strictly fewer control periods than cold starts. Both are
-pinned here, alongside a sessions/second throughput figure for the
-default 8-session mixed fleet.
+The fleet layer's headline claim is that cross-session warm starting
+gets late arrivals to the cohort's best cost in strictly fewer control
+periods than cold starts. It is pinned here, alongside a sessions/second
+throughput figure for the default 8-session mixed fleet.
 """
 
 import numpy as np
 from conftest import BENCH_SEED, run_once
 
-from repro.bo.gp import GaussianProcess
-from repro.bo.kernels import Matern
 from repro.core.controller import HBOConfig
 from repro.experiments.fleet import run_fleet_experiment
 from repro.experiments.report import format_kv
-from repro.fleet import BatchedGPService
-from repro.rng import make_rng
 
 
 def test_fleet_throughput(benchmark):
@@ -56,29 +50,6 @@ def test_fleet_throughput(benchmark):
     # Every session drained its full budget and produced a usable best.
     assert all(len(r.costs) == config.total_evaluations for r in result.reports)
     assert all(np.isfinite(r.best_cost) for r in result.reports)
-
-
-def test_batched_gp_vs_per_session_loop(benchmark):
-    """One (B=16, n=12, C=256) batched posterior vs 16 sequential fits."""
-    kernel = Matern(length_scale=1.0, nu=2.5)
-    rng = make_rng(BENCH_SEED)
-    n_batch, n_train, n_query, dim = 16, 12, 256, 4
-    xs = [rng.uniform(0.1, 1.0, size=(n_train, dim)) for _ in range(n_batch)]
-    ys = [rng.normal(0.0, 1.0, size=n_train) for _ in range(n_batch)]
-    queries = rng.uniform(0.1, 1.0, size=(n_batch, n_query, dim))
-    service = BatchedGPService(kernel=kernel, noise=1e-3)
-
-    mean, std = benchmark(service.posterior, xs, ys, queries)
-
-    assert mean.shape == (n_batch, n_query)
-    for b in range(n_batch):  # the batch must reproduce per-session fits
-        post = GaussianProcess(kernel=kernel, noise=1e-3).fit(xs[b], ys[b]).predict(
-            queries[b]
-        )
-        np.testing.assert_allclose(mean[b], post.mean, atol=1e-8)
-        np.testing.assert_allclose(std[b], post.std, atol=1e-8)
-    benchmark.extra_info["batch"] = n_batch
-    benchmark.extra_info["candidates_scored"] = n_batch * n_query
 
 
 def test_warm_vs_cold_convergence(benchmark):

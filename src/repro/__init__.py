@@ -18,7 +18,8 @@ built here too:
 - :mod:`repro.baselines` — SMQ, SML, BNT, AllN.
 - :mod:`repro.sim` — scripted sessions and the §IV-E monitoring loop.
 - :mod:`repro.fleet` — multi-session fleet serving with a shared edge
-  optimizer, batched GP proposals, and cross-session warm starting.
+  optimizer, one guided-proposal call per tick, and cross-session warm
+  starting.
 - :mod:`repro.scenarios` — seeded workload generators and a replayable
   catalog of named fleet scenarios (name + seed → identical trace).
 - :mod:`repro.obs` — observability: deterministic sim-time tracing,

@@ -296,9 +296,9 @@ class BayesianOptimizer:
 
         Exact tier (or sparse tier below n*): every observation. Sparse
         tier above n*: the deterministic support subset — the same
-        subset :meth:`_fit_surrogate` would select, so external GP
-        services (the fleet's batched proposal path) price sparse
-        sessions identically to a per-session fit.
+        subset :meth:`_fit_surrogate` would select. The fleet's
+        :class:`~repro.fleet.batch.SharedOptimizerService` fits an exact
+        GP on it, so sparse sessions are priced on their support set.
         """
         x = np.asarray([o.z for o in self.state.observations])
         y = np.asarray([o.cost for o in self.state.observations])

@@ -131,7 +131,7 @@ class HBOIteration:
         """Execute Lines 2–26 for an externally proposed configuration.
 
         The fleet's shared optimizer service computes proposals for many
-        sessions in one batched GP pass and feeds each session its ``z``
+        sessions in one call and feeds each session its ``z``
         through this entry point; ``run_once`` is the single-session path
         where the session's own optimizer proposes.
         """

@@ -2,15 +2,11 @@
 edge optimizer, cross-session warm starting.
 
 See :mod:`repro.fleet.scheduler` for the run loop, :mod:`repro.fleet.
-store` for the warm-start store, :mod:`repro.fleet.batch` for the batched
-GP service, and ``docs/fleet.md`` for the architecture overview.
+store` for the warm-start store, :mod:`repro.fleet.batch` for the guided
+proposal service, and ``docs/fleet.md`` for the architecture overview.
 """
 
-from repro.fleet.batch import (
-    BatchedGPService,
-    SharedOptimizerService,
-    batched_kernel_matrix,
-)
+from repro.fleet.batch import SharedOptimizerService
 from repro.fleet.export import fleet_report_to_dict, fleet_result_to_dict
 from repro.fleet.scheduler import (
     FleetConfig,
@@ -35,9 +31,7 @@ from repro.fleet.telemetry import (
 )
 
 __all__ = [
-    "BatchedGPService",
     "SharedOptimizerService",
-    "batched_kernel_matrix",
     "FleetConfig",
     "FleetResult",
     "fleet_report_to_dict",

@@ -6,8 +6,8 @@ different times. :class:`FleetScheduler` simulates that: sessions are
 admitted from their specs as the shared :class:`~repro.sim.clock.
 SimClock` passes their arrival time, every active session runs one
 control period per tick, and guided-phase proposals for all sessions come
-out of one batched GP pass (:class:`~repro.fleet.batch.
-SharedOptimizerService`) instead of per-session fits.
+out of one :class:`~repro.fleet.batch.SharedOptimizerService` call per
+tick, each priced by the session's own exact GP.
 
 The tick loop is one coordinator (:class:`FleetScheduler`) over shard
 workers (:mod:`repro.fleet.shard`): the coordinator makes every decision
@@ -166,7 +166,7 @@ def propose_and_begin(
     """Batched ask + apply for every active table row, in row order.
 
     Guided rows are grouped by the ``space_dim`` column (ascending) and
-    each group takes one :class:`SharedOptimizerService` GP pass;
+    each group takes one :meth:`SharedOptimizerService.propose` call;
     initial-phase rows ask their own samplers. Returns the begun
     ``(row, pending)`` pairs, the dims proposed, and the guided count.
     """
@@ -177,8 +177,8 @@ def propose_and_begin(
     dims_used: List[int] = []
     if n_guided:
         # Sessions that fell back to the device run a 3-simplex next to
-        # their 4-simplex peers; the batched GP pass can only mix equal
-        # dimensions, so group by space dim (one group — the identical
+        # their 4-simplex peers; one propose() call takes one space
+        # dimension, so group by space dim (one group — the identical
         # legacy call — when homogeneous).
         guided_idx = np.nonzero(guided_mask)[0]
         dims = table.space_dim[guided_idx]
@@ -692,8 +692,8 @@ class FleetScheduler:
         The coordinator applies drift/outage upkeep, admits arrivals
         (placement + warm lookup), sheds and migrates, and ships the
         decisions down as commands. Each worker applies them, fires its
-        sessions' scene events and link drift, proposes (one batched GP
-        pass per space dim), publishes edge demands, takes the external
+        sessions' scene events and link drift, proposes (one propose() call
+        per space dim), publishes edge demands, takes the external
         demand sums from the barrier, prices every stepped row in one
         :func:`repro.backend.solve`, measures, and retires. The
         coordinator then donates in spec order and releases retiring

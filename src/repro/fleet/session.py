@@ -285,7 +285,7 @@ class FleetSession:
     @property
     def needs_guided_proposal(self) -> bool:
         """True when this tick's proposal should come from the shared
-        batched GP pass instead of the session's own random sampler."""
+        proposal service instead of the session's own random sampler."""
         return (
             self.active
             and self.optimizer is not None

@@ -28,8 +28,9 @@ Each tick runs in lockstep:
    the authoritative topology + warm-start lookup, shipped down as
    directives), shed and migration commands.
 2. **Worker begin** — apply commands, fire scene events and per-session
-   link drift, one batched GP pass per space dim (batch-composition
-   invariant, so per-shard sub-batches equal the global batch bitwise),
+   link drift, one ``SharedOptimizerService.propose`` call per space dim
+   (each session is priced by its own GP fit, so per-shard sub-batches
+   equal the global batch bitwise),
    apply configurations, publish edge demands.
 3. **Demand barrier** (with a topology only) — the coordinator folds worker
    demands into the authoritative servers and returns each tenant's

@@ -222,7 +222,7 @@ class TestBatchedServiceSparse:
         )
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
-        # The padded batch width is capped at the support budget.
+        # Sparse sessions are priced on their support set alone.
         widths = {x.shape[0] for x, _ in (o.surrogate_dataset() for o in opts)}
         assert widths == {6}
 

@@ -1,31 +1,31 @@
-"""Tests for the fleet serving layer: batched GP service, sessions,
+"""Tests for the fleet serving layer: guided proposal service, sessions,
 scheduler determinism, and cross-session warm starting."""
 
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.bo.acquisition import ExpectedImprovement, expected_improvement
+from repro.bo.acquisition import expected_improvement
 from repro.bo.gp import GaussianProcess
-from repro.bo.kernels import RBF, Matern
-from repro.bo.optimizer import BayesianOptimizer
+from repro.bo.kernels import Matern
+from repro.bo.optimizer import BayesianOptimizer, candidate_pool
 from repro.bo.space import HBOSpace
 from repro.core.controller import HBOConfig
 from repro.device.profiles import GALAXY_S22, PIXEL7
 from repro.errors import FleetError, GPFitError
 from repro.fleet import (
-    BatchedGPService,
     FleetConfig,
     FleetScheduler,
     SessionPhase,
     SessionSpec,
     SharedConfigStore,
     SharedOptimizerService,
-    batched_kernel_matrix,
     run_fleet,
 )
+from repro.fleet import batch as batch_module
 from repro.fleet.session import FleetSession
 from repro.fleet.telemetry import (
     FleetSessionReport,
@@ -34,6 +34,7 @@ from repro.fleet.telemetry import (
     fleet_aggregates,
     iterations_to_converge,
 )
+from repro.obs import Tracer, instrumented
 from repro.rng import make_rng, spawn_rngs
 from repro.fleet.export import fleet_result_to_dict
 
@@ -55,89 +56,12 @@ def _fleet_specs(arrivals=(0.0, 0.0)):
     ]
 
 
-def _datasets(rng, sizes, dim=4):
-    xs = [rng.uniform(0.1, 1.0, size=(n, dim)) for n in sizes]
-    ys = [rng.normal(0.0, 1.0, size=n) for n in sizes]
-    return xs, ys
-
-
-class TestBatchedKernel:
-    @pytest.mark.parametrize(
-        "kernel",
-        [Matern(0.8, 2.5), Matern(0.8, 1.5), Matern(0.8, 0.5), RBF(0.8)],
-        ids=["matern25", "matern15", "matern05", "rbf"],
-    )
-    def test_matches_reference_kernel(self, rng, kernel):
-        xa = rng.uniform(0.0, 1.0, size=(3, 5, 4))
-        xb = rng.uniform(0.0, 1.0, size=(3, 6, 4))
-        batched = batched_kernel_matrix(kernel, xa, xb)
-        for b in range(3):
-            np.testing.assert_allclose(
-                batched[b], kernel(xa[b], xb[b]), atol=1e-12
-            )
-
-    def test_rejects_bad_shapes(self, rng):
-        good = rng.uniform(size=(2, 3, 4))
-        with pytest.raises(FleetError):
-            batched_kernel_matrix(Matern(1.0, 2.5), good, rng.uniform(size=(3, 3, 4)))
-        with pytest.raises(FleetError):
-            batched_kernel_matrix(Matern(1.0, 2.5), good[0], good)
-
-
-class TestBatchedGPService:
-    def test_ragged_batch_matches_per_session_gp(self, rng):
-        """Padded ghost rows must leave every posterior bit-comparable to
-        a per-session GaussianProcess fit."""
-        kernel = Matern(length_scale=1.0, nu=2.5)
-        xs, ys = _datasets(rng, sizes=(3, 7, 5))
-        queries = rng.uniform(0.1, 1.0, size=(3, 9, 4))
-        service = BatchedGPService(kernel=kernel, noise=1e-3)
-        mean, std = service.posterior(xs, ys, queries)
-        assert mean.shape == (3, 9) and std.shape == (3, 9)
-        for b in range(3):
-            reference = GaussianProcess(kernel=kernel, noise=1e-3).fit(xs[b], ys[b])
-            post = reference.predict(queries[b])
-            np.testing.assert_allclose(mean[b], post.mean, atol=1e-8)
-            np.testing.assert_allclose(std[b], post.std, atol=1e-8)
-
-    def test_batched_ei_matches_reference(self, rng):
-        kernel = Matern(length_scale=1.0, nu=2.5)
-        xs, ys = _datasets(rng, sizes=(4, 6))
-        queries = rng.uniform(0.1, 1.0, size=(2, 12, 4))
-        service = BatchedGPService(kernel=kernel, noise=1e-3)
-        mean, std = service.posterior(xs, ys, queries)
-        best_y = np.asarray([y.min() for y in ys])
-        scores = expected_improvement(mean, std, best_y[:, None], xi=0.01)
-        acquisition = ExpectedImprovement(xi=0.01)
-        for b in range(2):
-            reference = GaussianProcess(kernel=kernel, noise=1e-3).fit(xs[b], ys[b])
-            np.testing.assert_allclose(
-                scores[b],
-                acquisition(reference, queries[b], float(best_y[b])),
-                atol=1e-8,
-            )
-
+class TestBatchedExpectedImprovement:
     def test_degenerate_std_falls_back_to_improvement(self):
         mean = np.array([[0.5, 1.5]])
         std = np.array([[0.0, 0.0]])
         scores = expected_improvement(mean, std, np.array([[1.0]]), xi=0.0)
         np.testing.assert_allclose(scores, [[0.5, 0.0]])
-
-    def test_validation_errors(self, rng):
-        service = BatchedGPService()
-        with pytest.raises(GPFitError):
-            service.posterior([], [], np.zeros((0, 3, 4)))
-        xs, ys = _datasets(rng, sizes=(3, 3))
-        with pytest.raises(GPFitError):
-            service.posterior(xs, ys[:1], rng.uniform(size=(2, 5, 4)))
-        with pytest.raises(GPFitError):
-            service.posterior([np.zeros((0, 4))], [np.zeros(0)],
-                              rng.uniform(size=(1, 5, 4)))
-        bad_y = [ys[0], np.array([np.nan, 0.0, 0.0])]
-        with pytest.raises(GPFitError):
-            service.posterior(xs, bad_y, rng.uniform(size=(2, 5, 4)))
-        with pytest.raises(GPFitError):
-            BatchedGPService(noise=-1.0)
 
 
 class TestSharedOptimizerService:
@@ -183,6 +107,89 @@ class TestSharedOptimizerService:
             SharedOptimizerService(n_candidates=0)
         with pytest.raises(FleetError):
             SharedOptimizerService(n_local=-1)
+
+    @staticmethod
+    def _tier_mix(length_scale, noise):
+        """Two exact-tier sessions and one sparse session past n* = 6,
+        all carrying the given GP config."""
+        cost = lambda z: float(np.sum((z - 0.3) ** 2))  # noqa: E731
+        optimizers = []
+        for seed, (tier, n_obs) in enumerate(
+            (("exact", 4), ("exact", 7), ("sparse", 12)), start=1
+        ):
+            space = HBOSpace(3, r_min=0.1)
+            optimizer = BayesianOptimizer(
+                space,
+                n_initial=2,
+                kernel=Matern(length_scale=length_scale, nu=2.5),
+                noise=noise,
+                seed=seed,
+                gp_tier=tier,
+                sparse_threshold=6,
+            )
+            for z in space.sample(make_rng(seed + 10), size=n_obs):
+                optimizer.tell(z, cost(z))
+            optimizers.append(optimizer)
+        assert optimizers[2].sparse_active
+        return optimizers
+
+    @staticmethod
+    def _pool(optimizer, rng):
+        """A copy of ``rng`` advanced past the session's pool, and the pool."""
+        rng = copy.deepcopy(rng)
+        pool = candidate_pool(
+            optimizer.space, rng, 256, None, optimizer.best().z[None], 32
+        )
+        return rng, pool
+
+    def _reference(self, optimizer, rng):
+        """The session's own exact GP + EI pick over its pool."""
+        _, pool = self._pool(optimizer, rng)
+        post = (
+            GaussianProcess(optimizer.kernel, optimizer.noise)
+            .fit(*optimizer.surrogate_dataset())
+            .predict(pool)
+        )
+        scores = expected_improvement(
+            post.mean, post.std, optimizer.best().cost, 0.01
+        )
+        return optimizer.space.project(pool[int(np.nanargmax(scores))])
+
+    @pytest.mark.parametrize(
+        "length_scale,noise", [(1.0, 1e-3), (0.3, 1e-2)], ids=["paper", "custom"]
+    )
+    def test_proposals_use_each_sessions_gp_config(self, length_scale, noise):
+        optimizers = self._tier_mix(length_scale, noise)
+        rngs = spawn_rngs(9, len(optimizers))
+        expected = [self._reference(o, r) for o, r in zip(optimizers, rngs)]
+        proposals = SharedOptimizerService().propose(optimizers, rngs)
+        for z, ref in zip(proposals, expected):
+            assert np.array_equal(z, ref)
+
+    def test_degenerate_fit_falls_back_for_that_session_only(self, monkeypatch):
+        optimizers = self._tier_mix(1.0, 1e-3)
+        rngs = spawn_rngs(9, len(optimizers))
+        expected = [self._reference(o, r) for o, r in zip(optimizers, rngs)]
+        after_pool, _ = self._pool(optimizers[1], rngs[1])
+        space = optimizers[1].space
+        expected[1] = space.project(space.sample(after_pool, size=1)[0])
+
+        degenerate_x = optimizers[1].surrogate_dataset()[0]
+        real_fit = GaussianProcess.fit
+
+        def fit(gp, x, y):
+            if np.array_equal(x, degenerate_x):
+                raise GPFitError("forced degenerate fit")
+            return real_fit(gp, x, y)
+
+        monkeypatch.setattr(batch_module.GaussianProcess, "fit", fit)
+        tracer = Tracer()
+        with instrumented(tracer):
+            proposals = SharedOptimizerService().propose(optimizers, rngs)
+        for z, ref in zip(proposals, expected):
+            assert np.array_equal(z, ref)
+        (span,) = [s for s in tracer.spans if s.name == "fleet.batched_gp"]
+        assert dict(span.args)["degenerate_fit"] is True
 
 
 class TestSessionSpecValidation:
