@@ -125,6 +125,15 @@ CASES: Tuple[Case, ...] = (
          "--export", f"{OUT}/low-tier-surge.json"),
         {"low-tier-surge.json": "c3f45a8c10b37a55db79a65e27f1380a76bca07c4ad66d07d072a76c506d8d9a"},
     ),
+    # The most thermal-heavy catalog entry: every hot session's period
+    # runs the throttle recurrence inside `measure_period`.
+    Case(
+        "hot-device",
+        ("scenario", "run", "hot-device", "--seed", "2024",
+         "--initial", "2", "--iterations", "3",
+         "--export", f"{OUT}/hot-device.json"),
+        {"hot-device.json": "81d52a46efa3c69fd6965bd190945d3d364b50f189a4861addfb017e8d55a145"},
+    ),
     # The paper's single-device loop (Alg. 1 via `HBOController.activate`):
     # the exact and sparse GP tiers, device-only and with the edge.
     # Stdout echoes the temporary export path, so only the JSON is pinned.
