@@ -27,26 +27,21 @@ def test_fleet_throughput(benchmark):
         n_sessions=n_sessions,
     )
     result = experiment.result
-    elapsed_s = benchmark.stats.stats.mean
+    n_periods = result.aggregates.n_evaluations
     benchmark.extra_info["sessions"] = n_sessions
-    benchmark.extra_info["control_periods"] = result.aggregates.n_evaluations
-    benchmark.extra_info["sessions_per_s"] = n_sessions / elapsed_s
-    benchmark.extra_info["periods_per_s"] = (
-        result.aggregates.n_evaluations / elapsed_s
-    )
-    print(
-        "\n"
-        + format_kv(
-            "Fleet throughput",
-            [
-                ["sessions", n_sessions],
-                ["control periods", result.aggregates.n_evaluations],
-                ["sessions / s", n_sessions / elapsed_s],
-                ["control periods / s", result.aggregates.n_evaluations / elapsed_s],
-                ["batched GP passes", result.service_stats["batches"]],
-            ],
-        )
-    )
+    benchmark.extra_info["control_periods"] = n_periods
+    rows = [["sessions", n_sessions], ["control periods", n_periods]]
+    # Under --benchmark-disable nothing is timed and there is no rate.
+    if benchmark.stats is not None:
+        elapsed_s = benchmark.stats.stats.mean
+        benchmark.extra_info["sessions_per_s"] = n_sessions / elapsed_s
+        benchmark.extra_info["periods_per_s"] = n_periods / elapsed_s
+        rows += [
+            ["sessions / s", n_sessions / elapsed_s],
+            ["control periods / s", n_periods / elapsed_s],
+        ]
+    rows.append(["batched GP passes", result.service_stats["batches"]])
+    print("\n" + format_kv("Fleet throughput", rows))
     # Every session drained its full budget and produced a usable best.
     assert all(len(r.costs) == config.total_evaluations for r in result.reports)
     assert all(np.isfinite(r.best_cost) for r in result.reports)

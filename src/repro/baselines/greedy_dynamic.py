@@ -63,16 +63,16 @@ class GreedyDynamicBaseline(Baseline):
 
     def _steady_rows(
         self, system: MARSystem, candidates: List[Dict[str, Resource]]
-    ) -> List[Optional[Dict[str, float]]]:
+    ) -> List[Dict[str, float]]:
         """Steady-state latencies for a round's candidates, one solve.
 
         Applying an allocation is deterministic and RNG-free, so each
         candidate is pre-applied to snapshot its (placements, load) row;
-        the probe loop re-applies the one it is measuring. Thermal
-        devices resample locally (their steady state drifts per probe).
+        the probe loop re-applies the one it is measuring. Rows are
+        unthrottled; a thermal device throttles them per sample.
         """
-        if system.device.thermal is not None or not candidates:
-            return [None] * len(candidates)
+        if not candidates:
+            return []
         rows = []
         for candidate in candidates:
             system.apply_uniform_ratio(candidate, 1.0)

@@ -23,7 +23,7 @@ noise draw.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.backend.plan import EvalPlan
 from repro.backend.solve import solve
@@ -77,16 +77,14 @@ class StaticMatchLatencyBaseline(Baseline):
         system: MARSystem,
         allocation: Dict[str, Resource],
         grid: List[float],
-    ) -> List[Optional[Dict[str, float]]]:
+    ) -> List[Dict[str, float]]:
         """Steady-state latencies for every grid step, one backend solve.
 
         Applying a configuration is deterministic and RNG-free, so the
         grid can be pre-applied to snapshot each step's (placements,
         load) row; the scan re-applies the steps it actually visits.
-        Thermal devices resample their drifting steady state locally.
+        Rows are unthrottled; a thermal device throttles them per sample.
         """
-        if system.device.thermal is not None:
-            return [None] * len(grid)
         rows = []
         for ratio in grid:
             system.apply(allocation, ratio)

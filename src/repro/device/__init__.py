@@ -20,7 +20,7 @@ This package replaces the silicon with a parametric simulator:
 """
 
 from repro.device.contention import ContentionModel
-from repro.device.executor import DeviceSimulator, LatencySample
+from repro.device.executor import DeviceSimulator
 from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.resources import (
     ALL_RESOURCES,
@@ -36,7 +36,6 @@ __all__ = [
     "ALL_RESOURCES",
     "ContentionModel",
     "DeviceSimulator",
-    "LatencySample",
     "PowerModel",
     "Processor",
     "ProcessorPower",

@@ -2,9 +2,10 @@
 
 :class:`DeviceSimulator` is the stand-in for the paper's real phones. It
 holds the current per-task allocation and the AR load, and produces noisy
-latency measurements the way the on-device profiler would: each call to
-:meth:`sample_latencies` returns one measurement per task with lognormal
-multiplicative noise on top of the contention model's steady-state value.
+latency measurements the way the on-device profiler would:
+:meth:`~DeviceSimulator.measure_period` averages one control period of
+per-inference measurements, each the contention model's steady-state
+value under lognormal multiplicative noise.
 
 Optionally a :class:`~repro.device.thermal.ThermalModel` inflates
 latencies as sustained load heats the SoC (an extension beyond the paper,
@@ -13,7 +14,6 @@ off by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -28,15 +28,6 @@ from repro.edge.share import EdgeShare, edge_demand
 from repro.errors import DeviceError, IncompatibleDelegateError
 from repro.obs import runtime as obs
 from repro.rng import SeedLike, make_rng
-
-
-@dataclass(frozen=True)
-class LatencySample:
-    """One noisy latency measurement of one task."""
-
-    task_id: str
-    resource: Resource
-    latency_ms: float
 
 
 class DeviceSimulator:
@@ -67,8 +58,10 @@ class DeviceSimulator:
         seed: SeedLike = None,
         edge: Optional[EdgeRuntime] = None,
     ) -> None:
-        if noise_sigma < 0:
-            raise DeviceError(f"noise_sigma must be >= 0, got {noise_sigma}")
+        if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise DeviceError(
+                f"noise_sigma must be finite and >= 0, got {noise_sigma}"
+            )
         self.soc = soc
         self.contention = ContentionModel(soc)
         self.noise_sigma = float(noise_sigma)
@@ -259,25 +252,6 @@ class DeviceSimulator:
             }
         return latencies
 
-    def sample_latencies(self) -> List[LatencySample]:
-        """One noisy measurement per task (a single inference each)."""
-        steady = self.steady_state_latencies()
-        if self.thermal is not None:
-            self.thermal.step(self._busy_fraction())
-        samples = []
-        for tid, lat in steady.items():
-            noisy = lat * float(
-                np.exp(self._rng.normal(0.0, self.noise_sigma))
-            ) if self.noise_sigma > 0 else lat
-            samples.append(
-                LatencySample(
-                    task_id=tid,
-                    resource=self._allocation[tid],
-                    latency_ms=noisy,
-                )
-            )
-        return samples
-
     def measure_period(
         self,
         n_samples: int = 20,
@@ -286,10 +260,11 @@ class DeviceSimulator:
         """Average measured latency per task over a control period.
 
         ``steady_latencies`` lets a batched caller (the fleet tick, a
-        baseline's grid scan) inject steady-state latencies it already
-        computed through one backend solve, skipping the recomputation
-        here. It is ignored when a thermal model is attached — there the
-        steady state drifts within the period and must be resampled.
+        baseline's grid scan) inject the unthrottled steady-state
+        latencies it already computed through one backend solve,
+        skipping the recomputation here. It is accepted for thermal
+        devices too: placement, load and edge share are constant within
+        a period, so only the throttle factor moves between samples.
         """
         if n_samples < 1:
             raise DeviceError(f"n_samples must be >= 1, got {n_samples}")
@@ -299,46 +274,52 @@ class DeviceSimulator:
             n_tasks=len(self._tasks),
             n_samples=n_samples,
         ):
-            if self.thermal is not None:
-                sums = {tid: 0.0 for tid in self._tasks}
-                for _ in range(n_samples):
-                    for sample in self.sample_latencies():
-                        sums[sample.task_id] += sample.latency_ms
-                means = {tid: total / n_samples for tid, total in sums.items()}
-            else:
-                # Thermal-free steady state is constant across the period:
-                # compute it once (or accept a precomputed batch row) and
-                # draw the whole noise matrix in one call. The (sample,
-                # task) draw order matches the per-sample loop, so the RNG
-                # stream — and therefore every downstream number — is
-                # bit-identical to sampling one inference at a time.
-                steady = (
-                    dict(steady_latencies)
-                    if steady_latencies is not None
-                    else self.steady_state_latencies()
+            # One steady state (or a precomputed batch row) and one
+            # (sample, task) noise matrix for the whole period. The draw
+            # order matches sampling one inference at a time, so the RNG
+            # stream — and every downstream number — is bit-identical to
+            # a per-sample loop.
+            steady = (
+                dict(steady_latencies)
+                if steady_latencies is not None
+                else self.contention.latencies(
+                    self.placements(), self._load, self.edge_share()
                 )
-                if set(steady) != set(self._tasks):
-                    raise DeviceError(
-                        "steady_latencies task ids do not match the taskset: "
-                        f"{sorted(set(steady) ^ set(self._tasks))}"
-                    )
-                ids = list(self._tasks)
-                lat = np.array([steady[tid] for tid in ids], dtype=np.float64)
-                if self.noise_sigma > 0:
-                    noise = self._rng.normal(
-                        0.0, self.noise_sigma, size=(n_samples, len(ids))
-                    )
-                    noisy = lat[np.newaxis, :] * np.exp(noise)
-                else:
-                    noisy = np.broadcast_to(lat, (n_samples, len(ids)))
-                # Sequential accumulation (not a pairwise np.sum) to match
-                # the scalar loop's addition order bit-for-bit.
-                totals = np.zeros(len(ids), dtype=np.float64)
-                for row in range(n_samples):
-                    totals = totals + noisy[row]
-                means = {
-                    tid: float(totals[j] / n_samples) for j, tid in enumerate(ids)
-                }
+            )
+            if set(steady) != set(self._tasks):
+                raise DeviceError(
+                    "steady_latencies task ids do not match the taskset: "
+                    f"{sorted(set(steady) ^ set(self._tasks))}"
+                )
+            ids = list(self._tasks)
+            lat = np.array([steady[tid] for tid in ids], dtype=np.float64)
+            rows = np.broadcast_to(lat, (n_samples, len(ids)))
+            if self.thermal is not None:
+                # Each sample reads the throttle factor, then heats the SoC
+                # one step. Throttling scales the SoC's clocks, so EDGE
+                # columns (link + server time) stay unscaled.
+                busy = self._busy_fraction()
+                factors = np.empty((n_samples, 1), dtype=np.float64)
+                for k in range(n_samples):
+                    factors[k] = self.thermal.throttle_factor()
+                    self.thermal.step(busy)
+                on_soc = np.array(
+                    [self._allocation[tid] is not Resource.EDGE for tid in ids]
+                )
+                rows = rows * np.where(on_soc, factors, 1.0)
+            if self.noise_sigma > 0:
+                noise = self._rng.normal(
+                    0.0, self.noise_sigma, size=(n_samples, len(ids))
+                )
+                rows = rows * np.exp(noise)
+            # Sequential accumulation (not a pairwise np.sum) to match the
+            # per-sample loop's addition order bit-for-bit.
+            totals = np.zeros(len(ids), dtype=np.float64)
+            for row in range(n_samples):
+                totals = totals + rows[row]
+            means = {
+                tid: float(totals[j] / n_samples) for j, tid in enumerate(ids)
+            }
         obs.counter("device_measurements").inc()
         latency_hist = obs.histogram("device_task_latency_ms")
         for mean_ms in means.values():

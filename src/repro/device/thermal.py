@@ -11,6 +11,7 @@ throttle threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -40,6 +41,15 @@ class ThermalModel:
         throttle_start_c: float = 45.0,
         throttle_slope: float = 0.02,
     ) -> None:
+        for name, value in (
+            ("ambient_c", ambient_c),
+            ("max_heat_c", max_heat_c),
+            ("time_constant_steps", time_constant_steps),
+            ("throttle_start_c", throttle_start_c),
+            ("throttle_slope", throttle_slope),
+        ):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if max_heat_c < 0:
             raise ConfigurationError(f"max_heat_c must be >= 0, got {max_heat_c}")
         if time_constant_steps <= 0:
@@ -84,8 +94,8 @@ class ThermalSpec:
     of a live :class:`ThermalModel` — model instances hold mutable
     temperature state and must be built fresh per session (and per shard
     worker). Fields mirror the model's constructor; see there for
-    semantics. Validation happens in :meth:`build` via the model's own
-    constructor checks.
+    semantics. Construction validates them by building one model, so the
+    checks live in the model's constructor alone.
     """
 
     ambient_c: float = 30.0
@@ -93,6 +103,9 @@ class ThermalSpec:
     time_constant_steps: float = 40.0
     throttle_start_c: float = 45.0
     throttle_slope: float = 0.02
+
+    def __post_init__(self) -> None:
+        self.build()
 
     def build(self) -> ThermalModel:
         """A fresh, cool model with these parameters."""

@@ -201,33 +201,24 @@ def batched_steady(
     table: SessionTable,
     sessions: Sequence[FleetSession],
     stepped: Sequence[int],
-) -> List[Optional[Dict[str, float]]]:
+) -> List[Dict[str, float]]:
     """Steady-state latencies for all stepped table rows, one solve.
 
     The per-tick pricing columns are refreshed for each stepped row and
     the multi-row :class:`~repro.backend.plan.EvalPlan` is sliced
     straight out of the table (no per-session ``TaskPlacement``
-    dataclass hop). Sessions with a thermal model get ``None`` — their
-    steady state drifts within the period, so the device resamples it
-    locally.
+    dataclass hop). Rows are unthrottled: a thermal device applies its
+    per-sample throttle factor inside ``measure_period``.
     """
-    rows: List[int] = []
+    if not stepped:
+        return []
     for i in stepped:
-        if table.thermal[i]:
-            continue
         session = sessions[i]
         assert session.system is not None
         table.refresh_plan_row(i, session.system.device)
-        rows.append(i)
-    if not rows:
-        return [None] * len(stepped)
-    plan = table.build_plan(rows)
+    plan = table.build_plan(stepped)
     result = solve(plan, exact=True)
-    row_of = {i: r for r, i in enumerate(rows)}
-    return [
-        plan.latency_map(result.latency_ms, row_of[i]) if i in row_of else None
-        for i in stepped
-    ]
+    return [plan.latency_map(result.latency_ms, r) for r in range(len(stepped))]
 
 
 def validate_specs(specs: Sequence[SessionSpec]) -> Tuple[SessionSpec, ...]:

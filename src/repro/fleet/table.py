@@ -149,7 +149,6 @@ class SessionTable:
         self.task_edge_demand = np.zeros((n, 0), dtype=np.float64)
         self._profiles: List[Tuple] = [()] * n
         self.has_edge = np.zeros(n, dtype=bool)
-        self.thermal = np.zeros(n, dtype=bool)
         self.n_objects = np.zeros(n, dtype=np.float64)
         self.submitted_triangles = np.zeros(n, dtype=np.float64)
         self.rendered_triangles = np.zeros(n, dtype=np.float64)
@@ -271,7 +270,6 @@ class SessionTable:
                 arr[i] = getattr(soc.render_cost, name)
             else:
                 arr[i] = getattr(soc, name)
-        self.thermal[i] = device.thermal is not None
         self.has_edge[i] = device.edge is not None
 
     def refresh_plan_row(self, i: int, device: "DeviceSimulator") -> None:

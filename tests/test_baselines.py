@@ -11,6 +11,7 @@ from repro.baselines import (
 from repro.core.controller import HBOConfig
 from repro.device.profiles import PIXEL7
 from repro.device.resources import Resource
+from repro.device.thermal import ThermalModel
 from repro.errors import ConfigurationError
 from repro.models.tasks import build_taskset
 from repro.sim.scenarios import build_system
@@ -56,6 +57,28 @@ class TestSML:
         outcome = StaticMatchLatencyBaseline(target_epsilon=0.0).run(sc1cf1_system)
         assert outcome.triangle_ratio > 0.05  # not the floor
         assert outcome.quality > 0.1
+
+    def test_thermal_scan_takes_the_batched_rows(self, monkeypatch):
+        """On a thermal device the one-solve grid rows give the same bits
+        as letting the device compute each step's steady state."""
+
+        def run():
+            system = build_system(
+                "SC1", "CF1", seed=7,
+                thermal=ThermalModel(ambient_c=44.0, time_constant_steps=2.0),
+            )
+            outcome = StaticMatchLatencyBaseline(target_epsilon=0.0).run(system)
+            return outcome, system.device.thermal.temperature_c
+
+        batched = run()
+        monkeypatch.setattr(
+            StaticMatchLatencyBaseline,
+            "_steady_by_step",
+            lambda self, system, allocation, grid: [None] * len(grid),
+        )
+        local = run()
+        assert batched == local
+        assert batched[1] > 45.0  # throttling was live
 
     def test_static_allocation_kept(self, sc1cf1_system):
         outcome = StaticMatchLatencyBaseline(0.5).run(sc1cf1_system)

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.backend import solve
+from repro.backend.plan import EvalPlan
 from repro.device.contention import SystemLoad
-from repro.device.executor import DeviceSimulator, LatencySample
+from repro.device.executor import DeviceSimulator
 from repro.device.profiles import GALAXY_S22, get_profile
 from repro.device.resources import Resource
 from repro.device.soc import galaxy_s22_soc
-from repro.device.thermal import ThermalModel
+from repro.device.thermal import ThermalModel, ThermalSpec
+from repro.edge import EdgeConfig, build_edge_runtime, extend_profile
 from repro.errors import ConfigurationError, DeviceError, IncompatibleDelegateError
+from repro.rng import make_rng
 
 
 @pytest.fixture
@@ -78,9 +82,8 @@ class TestMeasurement:
     def test_noiseless_samples_equal_steady_state(self, sim, deeplab):
         sim.add_task("t", deeplab)
         steady = sim.steady_state_latencies()["t"]
-        for sample in sim.sample_latencies():
-            assert isinstance(sample, LatencySample)
-            assert sample.latency_ms == pytest.approx(steady)
+        assert sim.measure_period(n_samples=1) == {"t": steady}
+        assert sim.measure_period(n_samples=20)["t"] == pytest.approx(steady)
 
     def test_noise_is_multiplicative_and_centered(self, deeplab):
         sim = DeviceSimulator(galaxy_s22_soc(), noise_sigma=0.05, seed=42)
@@ -111,13 +114,18 @@ class TestMeasurement:
         with pytest.raises(DeviceError):
             DeviceSimulator(galaxy_s22_soc(), noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(DeviceError, match="finite"):
+            DeviceSimulator(galaxy_s22_soc(), noise_sigma=sigma)
+
     def test_seeded_noise_reproducible(self, deeplab):
         def run():
             sim = DeviceSimulator(galaxy_s22_soc(), noise_sigma=0.05, seed=9)
             sim.add_task("t", deeplab)
             return sim.measure_period(5)["t"]
 
-        assert run() == pytest.approx(run())
+        assert run() == run()
 
 
 class TestThermal:
@@ -155,13 +163,112 @@ class TestThermal:
         )
         sim.add_task("t", deeplab)
         cold = sim.steady_state_latencies()["t"]
-        for _ in range(50):
-            sim.sample_latencies()  # heats the SoC
+        period = sim.measure_period(n_samples=50)["t"]  # heats the SoC
         hot = sim.steady_state_latencies()["t"]
-        assert hot > cold
+        assert cold < period < hot
 
     def test_invalid_thermal_params(self):
         with pytest.raises(ConfigurationError):
             ThermalModel(time_constant_steps=0)
         with pytest.raises(ConfigurationError):
             ThermalModel(throttle_slope=-0.1)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["ambient_c", "max_heat_c", "time_constant_steps",
+         "throttle_start_c", "throttle_slope"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_thermal_params(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ThermalModel(**{field: value})
+        with pytest.raises(ConfigurationError, match="finite"):
+            ThermalSpec(**{field: value})
+
+
+#: Parameters that cross the throttle threshold within a few samples.
+HOT = dict(
+    ambient_c=44.0, max_heat_c=30.0, time_constant_steps=2.0,
+    throttle_start_c=45.0, throttle_slope=0.05,
+)
+
+
+def _thermal_device(noise_sigma, seed=5, edge=True):
+    """A hot S22 with an NNAPI task, a GPU task and (optionally) one
+    EDGE-offloaded task."""
+    sim = DeviceSimulator(
+        galaxy_s22_soc(),
+        noise_sigma=noise_sigma,
+        thermal=ThermalModel(**HOT),
+        seed=seed,
+        edge=build_edge_runtime(session_id="hot", seed=4) if edge else None,
+    )
+    sim.add_task("nn", get_profile(GALAXY_S22, "deeplabv3"), Resource.NNAPI)
+    sim.add_task(
+        "gpu", get_profile(GALAXY_S22, "mobilenet-v1"), Resource.GPU_DELEGATE
+    )
+    if edge:
+        profile = extend_profile(
+            get_profile(GALAXY_S22, "mobilenet-v1"), EdgeConfig()
+        )
+        sim.add_task("off", profile, Resource.EDGE)
+    return sim
+
+
+def _per_sample_period(sim, rng, n_samples):
+    """One period the per-sample way: take the throttled steady state,
+    step the thermal model, draw one scalar normal per task, multiply,
+    and add in order."""
+    sums = dict.fromkeys(sim.task_ids, 0.0)
+    for _ in range(n_samples):
+        steady = sim.steady_state_latencies()
+        sim.thermal.step(sim._busy_fraction())
+        for tid, lat in steady.items():
+            if sim.noise_sigma > 0:
+                lat = lat * float(np.exp(rng.normal(0.0, sim.noise_sigma)))
+            sums[tid] += lat
+    return {tid: total / n_samples for tid, total in sums.items()}
+
+
+class TestThermalPeriod:
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    def test_matches_per_sample_reference_bitwise(self, noise_sigma):
+        sim = _thermal_device(noise_sigma)
+        twin = _thermal_device(noise_sigma)
+        rng = make_rng(5)
+        for n_samples in (7, 20, 1):
+            got = sim.measure_period(n_samples=n_samples)
+            want = _per_sample_period(twin, rng, n_samples)
+            twin.edge.advance_period()  # what measure_period does after
+            assert got == want
+            assert sim.thermal.temperature_c == twin.thermal.temperature_c
+        assert sim.allocation["off"] is Resource.EDGE
+        assert sim.thermal.throttle_factor() > 1.0  # throttling was live
+
+    def test_edge_task_is_not_throttled(self):
+        sim = _thermal_device(0.0)
+        sim.thermal.temperature_c = 60.0
+        factor = sim.thermal.throttle_factor()
+        unthrottled = sim.contention.latencies(
+            sim.placements(), sim.load, sim.edge_share()
+        )
+        means = sim.measure_period(n_samples=1)
+        assert factor > 1.0
+        assert means["off"] == unthrottled["off"]
+        assert means["nn"] == unthrottled["nn"] * factor
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    def test_injected_steady_row_matches_local_solve(self, noise_sigma):
+        injected = _thermal_device(noise_sigma, edge=False)
+        local = _thermal_device(noise_sigma, edge=False)
+        for _ in range(3):
+            plan = EvalPlan.from_placement_rows(
+                [(injected.soc, injected.placements(), injected.load)]
+            )
+            row = plan.latency_map(solve(plan, exact=True).latency_ms, 0)
+            assert injected.measure_period(steady_latencies=row) == (
+                local.measure_period()
+            )
+            assert (
+                injected.thermal.temperature_c == local.thermal.temperature_c
+            )

@@ -25,8 +25,11 @@ from repro.fleet import (
     SharedOptimizerService,
     run_fleet,
 )
+from repro.device.thermal import ThermalSpec
 from repro.fleet import batch as batch_module
+from repro.fleet.scheduler import batched_steady
 from repro.fleet.session import FleetSession
+from repro.fleet.table import SessionTable
 from repro.fleet.telemetry import (
     FleetSessionReport,
     convergence_histogram,
@@ -237,6 +240,33 @@ class TestSessionLifecycle:
         assert session.done
         assert len(session.costs()) == FAST.total_evaluations
         assert session.best_cost() == min(session.costs())
+
+
+class TestBatchedSteady:
+    def test_thermal_session_gets_the_batched_row(self):
+        """A thermal session is priced in the tick's one solve like every
+        other stepped row, and its row is the unthrottled steady state."""
+        specs = _fleet_specs()
+        specs[0] = dataclasses.replace(specs[0], thermal=True)
+        table = SessionTable(specs, FAST)
+        sessions = [
+            FleetSession(
+                spec, FAST, make_rng(i), table=table, index=i,
+                thermal=ThermalSpec(ambient_c=60.0),
+            )
+            for i, spec in enumerate(specs)
+        ]
+        for session in sessions:
+            session.admit(0, ("device",))
+            session.begin_initial()
+        devices = [session.system.device for session in sessions]
+        assert devices[0].thermal.throttle_factor() > 1.0
+        assert devices[1].thermal is None
+        rows = batched_steady(table, sessions, [0, 1])
+        for device, row in zip(devices, rows):
+            assert row == device.contention.latencies(
+                device.placements(), device.load, device.edge_share()
+            )
 
 
 class TestFleetScheduler:

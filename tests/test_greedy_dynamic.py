@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import GreedyDynamicBaseline
 from repro.core.controller import HBOConfig, HBOController
 from repro.device.resources import Resource
+from repro.device.thermal import ThermalModel
 from repro.errors import ConfigurationError
 from repro.sim.scenarios import build_system
 
@@ -20,6 +21,28 @@ class TestGreedyDynamic:
         baseline = GreedyDynamicBaseline(max_rounds=3, samples_per_probe=1)
         outcome = baseline.run(build_system("SC1", "CF1", seed=7, noise_sigma=0.0))
         assert outcome.epsilon < static_eps
+
+    def test_thermal_probes_take_the_batched_rows(self, monkeypatch):
+        """On a thermal device the one-solve candidate rows give the same
+        bits as letting the device compute each probe's steady state."""
+
+        def run():
+            system = build_system(
+                "SC1", "CF1", seed=7,
+                thermal=ThermalModel(ambient_c=44.0, time_constant_steps=2.0),
+            )
+            baseline = GreedyDynamicBaseline(max_rounds=2, samples_per_probe=3)
+            return baseline.run(system), system.device.thermal.temperature_c
+
+        batched = run()
+        monkeypatch.setattr(
+            GreedyDynamicBaseline,
+            "_steady_rows",
+            lambda self, system, candidates: [None] * len(candidates),
+        )
+        local = run()
+        assert batched == local
+        assert batched[1] > 45.0  # throttling was live
 
     def test_keeps_full_quality(self):
         system = build_system("SC1", "CF1", seed=7, noise_sigma=0.0)

@@ -5,6 +5,7 @@ the thermal/event/drift fleet hooks the catalog drives."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -34,6 +35,7 @@ from repro.scenarios import (
     run_scenario,
     ScenarioRun,
     scenario_names,
+    ThermalEpisodeSpec,
     thermal_flags,
     user_positions,
     with_serving_mode,
@@ -343,6 +345,23 @@ class TestThermalWiring:
         assert first.throttle_start_c == 40.0
         with pytest.raises(ConfigurationError):
             ThermalSpec(max_heat_c=-1.0).build()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"time_constant_steps": 0.0}, {"throttle_slope": math.nan},
+         {"ambient_c": math.inf}],
+    )
+    def test_bad_thermal_params_fail_at_construction(self, bad) -> None:
+        """Both configs that carry a ThermalSpec reject bad parameters
+        when built, not when the first hot session is admitted."""
+        with pytest.raises(ConfigurationError):
+            FleetConfig(thermal=ThermalSpec(**bad))
+        with pytest.raises(ConfigurationError):
+            ThermalEpisodeSpec(model=ThermalSpec(**bad))
+        payload = json.loads(dump_spec(get_scenario("hot-device")))
+        payload["thermal"]["model"].update(bad)
+        with pytest.raises(ConfigurationError):
+            load_spec(json.dumps(payload))
 
     def test_throttle_exempts_edge_tasks(self) -> None:
         from repro.device.resources import Resource
