@@ -11,6 +11,9 @@ offline". This module provides:
 
 - :class:`DegradationParams` — a validated parameter set.
 - :class:`DegradationModel` — evaluation of Eq. 1 with clamping to [0, 1].
+- :func:`eq1_columns` / :func:`eq1_errors` — the same Eq. 1 over
+  per-object columns and a vector of ratios, bit-identical to the scalar
+  model row by row (TD's sensitivity weights, the frontier's plan).
 - :func:`fit_degradation_params` — the offline training: least-squares fit
   of (a, b, c) and a grid search over d, from (R, D, error) samples. The
   fit enforces the physical anchor error(R=1) ≈ 0 by construction.
@@ -22,7 +25,7 @@ offline". This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -74,27 +77,56 @@ class DegradationModel:
         numerator = p.a * ratio**2 + p.b * ratio + p.c
         return float(np.clip(numerator / distance**p.d, 0.0, 1.0))
 
-    def error_batch(self, ratios: np.ndarray, distances: np.ndarray) -> np.ndarray:
-        """Vectorized Eq. 1 over parallel arrays of ratios/distances."""
-        r = np.asarray(ratios, dtype=float)
-        d = np.asarray(distances, dtype=float)
-        if np.any((r <= 0) | (r > 1)):
-            raise ConfigurationError("all ratios must be in (0, 1]")
-        if np.any(d <= 0):
-            raise ConfigurationError("all distances must be > 0")
-        p = self.params
-        return np.clip((p.a * r**2 + p.b * r + p.c) / d**p.d, 0.0, 1.0)
-
     def quality(self, ratio: float, distance: float) -> float:
         """Per-object quality 1 - D_error (the summand of Eq. 2)."""
         return 1.0 - self.error(ratio, distance)
 
-    def sensitivity(self, ratio: float, distance: float, reference_ratio: float) -> float:
-        """The TD heuristic's weight: degradation gap between the current
-        ratio and a common reference ratio (§IV-D, Line 23 discussion).
-        Positive when the object is currently *worse* than the reference,
-        i.e. it benefits most from extra triangles."""
-        return self.error(ratio, distance) - self.error(reference_ratio, distance)
+
+class Eq1Columns(NamedTuple):
+    """Eq. 1 parameters of L objects as ``(L,)`` columns, ``D^d`` precomputed."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    denom: np.ndarray
+
+
+def eq1_columns(
+    params: Sequence[DegradationParams], distances: Sequence[float]
+) -> Eq1Columns:
+    """Gather per-object ``(a, b, c, D^d)`` columns for :func:`eq1_errors`.
+
+    ``D^d`` is taken once per object with Python-float ``pow``, exactly as
+    :meth:`DegradationModel.error` takes it (NumPy's vectorized ``pow``
+    can differ from libm by 1 ulp).
+    """
+    return Eq1Columns(
+        a=np.array([p.a for p in params], dtype=np.float64),
+        b=np.array([p.b for p in params], dtype=np.float64),
+        c=np.array([p.c for p in params], dtype=np.float64),
+        denom=np.array(
+            [dist**p.d for p, dist in zip(params, distances)], dtype=np.float64
+        ),
+    )
+
+
+def eq1_errors(columns: Eq1Columns, ratios: np.ndarray) -> np.ndarray:
+    """Clamped Eq. 1 of every object at every ratio: shape ``(rows, L)``.
+
+    Row ``k`` is bit-identical to ``[model.error(ratios[k], D) for each
+    object]``: each ratio is squared with Python-float ``pow`` like the
+    scalar path, because NumPy's ``r**2`` (a plain ``r*r``) differs from
+    libm ``pow`` in the last bit on some inputs. Ratios are not
+    range-checked here; callers validate them.
+    """
+    r = np.asarray(ratios, dtype=np.float64).ravel()
+    squared = np.array([v**2 for v in r.tolist()], dtype=np.float64)
+    numerator = (
+        columns.a * squared[:, np.newaxis]
+        + columns.b * r[:, np.newaxis]
+        + columns.c
+    )
+    return np.clip(numerator / columns.denom, 0.0, 1.0)
 
 
 def synthesize_training_samples(

@@ -14,6 +14,11 @@ maximum triangle count, so weights are re-normalized over the uncapped
 objects until the budget is exhausted (a water-filling loop that
 terminates in ≤ L rounds).
 
+There is one TD body, :func:`distribute_triangles_batch`, which runs a
+whole vector of total ratios at once; :func:`distribute_triangles` is its
+one-row call. Both are bit-identical to evaluating Eq. 1 object by object
+with :meth:`~repro.ar.degradation.DegradationModel.error`.
+
 Two reference allocators are included for the ablation bench:
 :func:`uniform_distribution` (every object at ratio x) and
 :func:`greedy_optimal_distribution` (marginal-gain chunks, near-optimal
@@ -22,10 +27,12 @@ for concave quality curves).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.ar.degradation import eq1_columns, eq1_errors
 from repro.ar.objects import VirtualObject
 from repro.errors import ConfigurationError
 
@@ -49,8 +56,10 @@ def _validate_inputs(
             f"triangle_ratio must be in (0, 1], got {triangle_ratio}"
         )
     for iid, dist in distances.items():
-        if dist <= 0:
-            raise ConfigurationError(f"{iid!r}: distance must be > 0, got {dist}")
+        if not (math.isfinite(dist) and dist > 0):
+            raise ConfigurationError(
+                f"{iid!r}: distance must be finite and > 0, got {dist}"
+            )
 
 
 def uniform_distribution(
@@ -69,11 +78,13 @@ def distribute_triangles(
     triangle_ratio: float,
     reference_ratio: Optional[float] = None,
 ) -> Dict[str, float]:
-    """The paper's TD heuristic: sensitivity-weighted capped allocation.
+    """The paper's TD heuristic for one total ratio ``x``.
 
     Returns per-instance decimation ratios whose triangle-weighted total
     matches ``triangle_ratio · T^max`` (up to the MIN_OBJECT_RATIO floor
-    and per-object caps).
+    and per-object caps). This is the one-row call of
+    :func:`distribute_triangles_batch`, so a ratio gets the same bits
+    here as in any batch.
 
     ``reference_ratio`` is the common comparison point of the sensitivity
     weight (§IV-D). By default it sits halfway below the current uniform
@@ -81,66 +92,10 @@ def distribute_triangles(
     the stretch of the curve the allocation actually moves on (a reference
     equal to the current ratio would make every sensitivity zero).
     """
-    _validate_inputs(objects, distances, triangle_ratio)
-    if reference_ratio is None:
-        reference_ratio = max(MIN_OBJECT_RATIO, triangle_ratio / 2.0)
-    if not 0.0 < reference_ratio <= 1.0:
-        raise ConfigurationError(
-            f"reference_ratio must be in (0, 1], got {reference_ratio}"
-        )
-    if not objects:
-        return {}
-
-    ids: List[str] = sorted(objects)
-    max_tris = np.asarray([objects[i].max_triangles for i in ids], dtype=float)
-    total_max = float(max_tris.sum())
-    budget = triangle_ratio * total_max
-
-    # Sensitivity at the uniform starting point: how much worse (or
-    # better) each object is at the common reference ratio than at the
-    # current uniform ratio x — a measure of curve steepness around x,
-    # scaled by distance through Eq. 1.
-    current_ratio = max(MIN_OBJECT_RATIO, triangle_ratio)
-    sensitivities = np.asarray(
-        [
-            abs(
-                objects[i].degradation.sensitivity(
-                    current_ratio, distances[i], reference_ratio
-                )
-            )
-            for i in ids
-        ]
+    ids, ratios = distribute_triangles_batch(
+        objects, distances, np.array([triangle_ratio], dtype=float), reference_ratio
     )
-    # A flat-curve object still needs *some* weight or it would starve.
-    weights = sensitivities + 1e-6
-    weights = weights / weights.sum()
-
-    floors = MIN_OBJECT_RATIO * max_tris
-    caps = max_tris.copy()
-    allocation = floors.copy()
-    remaining = budget - float(allocation.sum())
-    if remaining < 0:
-        # Budget below the aggregate floor: scale floors down proportionally.
-        allocation *= budget / float(allocation.sum())
-        remaining = 0.0
-
-    active = np.ones(len(ids), dtype=bool)
-    for _ in range(len(ids)):
-        if remaining <= 1e-9 or not np.any(active):
-            break
-        w = weights * active
-        if w.sum() <= 0:
-            break
-        w = w / w.sum()
-        grant = remaining * w
-        new_alloc = np.minimum(allocation + grant, caps)
-        consumed = float((new_alloc - allocation).sum())
-        allocation = new_alloc
-        remaining -= consumed
-        active = allocation < caps - 1e-9
-
-    ratios = allocation / max_tris
-    return {iid: float(np.clip(r, MIN_OBJECT_RATIO, 1.0)) for iid, r in zip(ids, ratios)}
+    return dict(zip(ids, ratios[0].tolist()))
 
 
 def distribute_triangles_batch(
@@ -149,26 +104,25 @@ def distribute_triangles_batch(
     triangle_ratios: np.ndarray,
     reference_ratio: Optional[float] = None,
 ) -> Tuple[List[str], np.ndarray]:
-    """Vectorized TD over a batch of total triangle ratios.
+    """TD over a batch of total triangle ratios, one row per ratio.
 
-    Runs :func:`distribute_triangles` for every entry of
-    ``triangle_ratios`` in one pass of array arithmetic: the sensitivity
-    weights, the floor handling and the ≤ L water-filling rounds are all
-    evaluated for the whole batch at once. Rows whose budget is exhausted
-    simply receive zero grants in later rounds, which is exactly where
-    the scalar loop breaks.
+    The sensitivity weights, the floor handling and the ≤ L water-filling
+    rounds are evaluated for the whole batch at once. A row whose budget
+    is exhausted receives zero grants in later rounds, which leaves its
+    allocation exactly as it was. Every operation is elementwise or a
+    per-row reduction, so each row is bit-identical to the same ratio
+    evaluated alone.
 
     Returns ``(ids, ratios)`` where ``ids`` is the sorted instance-id
     order and ``ratios[k, j]`` is the decimation ratio of object
-    ``ids[j]`` under total ratio ``triangle_ratios[k]``. Agrees with the
-    scalar allocator to ~1e-15 relative (reduction order differs).
+    ``ids[j]`` under total ratio ``triangle_ratios[k]``.
     """
     x = np.asarray(triangle_ratios, dtype=float).ravel()
     if x.size == 0:
         raise ConfigurationError("triangle_ratios must be non-empty")
-    if np.any((x <= 0.0) | (x > 1.0)):
+    if not np.all((x > 0.0) & (x <= 1.0)):
         raise ConfigurationError(
-            f"triangle_ratios must be in (0, 1], got {x.tolist()}"
+            f"triangle_ratio must be in (0, 1], got {x.tolist()}"
         )
     _validate_inputs(objects, distances, float(x[0]))
     if reference_ratio is not None and not 0.0 < reference_ratio <= 1.0:
@@ -184,20 +138,20 @@ def distribute_triangles_batch(
     total_max = float(max_tris.sum())
     budget = x * total_max  # (n_rows,)
 
+    # Sensitivity at the uniform starting point: how much worse (or
+    # better) each object is at the common reference ratio than at the
+    # current uniform ratio x — a measure of curve steepness around x,
+    # scaled by distance through Eq. 1.
     current = np.maximum(MIN_OBJECT_RATIO, x)  # (n_rows,)
     if reference_ratio is None:
         reference = np.maximum(MIN_OBJECT_RATIO, x / 2.0)
     else:
         reference = np.full(n_rows, float(reference_ratio))
-    # Per-object Eq. 1 over the whole ratio batch: L small vectorized
-    # calls instead of n_rows × L scalar ones.
-    sensitivities = np.empty((n_rows, n_obj), dtype=float)
-    for j, iid in enumerate(ids):
-        model = objects[iid].degradation
-        dist = np.full(n_rows, distances[iid])
-        sensitivities[:, j] = np.abs(
-            model.error_batch(current, dist) - model.error_batch(reference, dist)
-        )
+    eq1 = eq1_columns(
+        [objects[i].degradation.params for i in ids], [distances[i] for i in ids]
+    )
+    sensitivities = np.abs(eq1_errors(eq1, current) - eq1_errors(eq1, reference))
+    # A flat-curve object still needs *some* weight or it would starve.
     weights = sensitivities + 1e-6
     weights = weights / weights.sum(axis=1, keepdims=True)
 
@@ -208,6 +162,7 @@ def distribute_triangles_batch(
     remaining = budget - floor_total
     below = remaining < 0
     if np.any(below):
+        # Budget below the aggregate floor: scale floors down proportionally.
         scale = np.where(below, budget / floor_total, 1.0)
         allocation *= scale[:, np.newaxis]
         remaining = np.maximum(remaining, 0.0)

@@ -11,16 +11,19 @@ pipeline Algorithm 1 uses:
 1. ``c`` → integer counts (:func:`~repro.core.allocation.
    proportions_to_counts_batch`) → per-task allocations (memoized queue
    drains, :func:`~repro.core.allocation.allocations_for_counts`);
-2. ``x`` → per-object triangle ratios via the batched TD heuristic
-   (:func:`~repro.ar.distribution.distribute_triangles_batch`);
+2. ``x`` → per-object triangle ratios via the TD heuristic
+   (:func:`~repro.ar.distribution.distribute_triangles_batch`, the one TD
+   body — each row's object ratios are bit-identical to what
+   :meth:`MARSystem.apply` draws for the same ``x``);
 3. allocations + ratios → one :class:`~repro.backend.plan.EvalPlan`
    solved in a single :func:`repro.backend.solve` pass → ε, Q and φ per
    candidate.
 
 Scores are the *steady-state* (noise-free) values: what a measurement
-with ``noise_sigma = 0`` would return. They agree with the scalar
-apply/measure path to ≤ 1e-9 (the grid path uses the solver's fast
-mode, whose powers may differ from libm by 1 ulp).
+with ``noise_sigma = 0`` would return. Object ratios are bit-identical
+to the scalar apply path; the scores agree with the scalar measure path
+to ≤ 1e-9, because the grid path uses the solver's fast mode, whose
+powers may differ from libm by 1 ulp (its only approximation).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro.backend.plan import EvalPlan, resource_kind
 from repro.backend.solve import SolveResult, solve
+from repro.ar.degradation import eq1_columns
 from repro.ar.distribution import distribute_triangles_batch
 from repro.core.allocation import allocations_for_counts, proportions_to_counts_batch
 from repro.core.system import MARSystem
@@ -160,14 +164,9 @@ class FrontierEvaluator:
             ],
             dtype=np.float64,
         )
-        params = [self._objects[i].degradation.params for i in ids]
-        self._obj_a = np.array([p.a for p in params], dtype=np.float64)
-        self._obj_b = np.array([p.b for p in params], dtype=np.float64)
-        self._obj_c = np.array([p.c for p in params], dtype=np.float64)
-        # D^{d_i} with Python-float pow, matching DegradationModel.error.
-        self._obj_denom = np.array(
-            [self._distances[i] ** p.d for i, p in zip(ids, params)],
-            dtype=np.float64,
+        self._eq1 = eq1_columns(
+            [self._objects[i].degradation.params for i in ids],
+            [self._distances[i] for i in ids],
         )
         # Per-allocation task rows, memoized by count vector.
         self._alloc_rows: Dict[
@@ -220,10 +219,10 @@ class FrontierEvaluator:
             shape = (n, len(ids))
             quality_block = {
                 "obj_ratio": obj_ratios,
-                "obj_a": np.broadcast_to(self._obj_a, shape),
-                "obj_b": np.broadcast_to(self._obj_b, shape),
-                "obj_c": np.broadcast_to(self._obj_c, shape),
-                "obj_denom": np.broadcast_to(self._obj_denom, shape),
+                "obj_a": np.broadcast_to(self._eq1.a, shape),
+                "obj_b": np.broadcast_to(self._eq1.b, shape),
+                "obj_c": np.broadcast_to(self._eq1.c, shape),
+                "obj_denom": np.broadcast_to(self._eq1.denom, shape),
             }
 
         edge_block: Dict[str, np.ndarray] = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.ar.distribution import distribute_triangles
+from repro.ar.distribution import MIN_OBJECT_RATIO, distribute_triangles
 from repro.ar.objects import VirtualObject
 from repro.ar.renderer import RenderLoadModel
 from repro.ar.scene import Scene
@@ -139,7 +139,7 @@ class MARSystem:
         """Like :meth:`apply` but with a uniform per-object ratio (used by
         baselines that do not run TD)."""
         self.device.apply_allocation(dict(allocation))
-        ratios = {iid: max(0.05, triangle_ratio) for iid in self.scene.instance_ids}
+        ratios = {iid: max(MIN_OBJECT_RATIO, triangle_ratio) for iid in self.scene.instance_ids}
         self.scene.apply_ratios(ratios)
         self.refresh_load()
         return ratios

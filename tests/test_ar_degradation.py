@@ -6,6 +6,8 @@ import pytest
 from repro.ar.degradation import (
     DegradationModel,
     DegradationParams,
+    eq1_columns,
+    eq1_errors,
     fit_degradation_params,
     synthesize_training_samples,
 )
@@ -56,12 +58,26 @@ class TestDegradationModel:
         assert 0.0 <= model.error(0.9, 10.0) <= 1.0
 
     def test_batch_matches_scalar(self, rng):
-        model = DegradationModel(_typical_params())
-        ratios = rng.uniform(0.1, 1.0, 20)
-        distances = rng.uniform(0.5, 3.0, 20)
-        batch = model.error_batch(ratios, distances)
-        scalar = [model.error(r, d) for r, d in zip(ratios, distances)]
-        assert np.allclose(batch, scalar)
+        """The column form of Eq. 1 is bit-identical to the scalar model
+        for every (ratio row, object column) pair."""
+        params = [
+            _typical_params(),
+            DegradationParams(a=0.9, b=-2.1, c=1.2, d=0.7),
+            DegradationParams(a=2.0, b=-6.0, c=4.0, d=1.3),
+        ] * 7
+        models = [DegradationModel(p) for p in params]
+        distances = rng.uniform(0.3, 3.0, len(params)).tolist()
+        # Include ratios whose libm square differs from r*r.
+        draws = rng.uniform(0.05, 1.0, 20_000)
+        ratios = np.concatenate(
+            [draws[:30], [v for v in draws.tolist() if v**2 != v * v]]
+        )
+        batch = eq1_errors(eq1_columns(params, distances), ratios)
+        scalar = [
+            [m.error(r, dist) for m, dist in zip(models, distances)]
+            for r in ratios.tolist()
+        ]
+        assert batch.tolist() == scalar
 
     def test_invalid_inputs_rejected(self):
         model = DegradationModel(_typical_params())
@@ -71,13 +87,6 @@ class TestDegradationModel:
             model.error(1.2, 1.0)
         with pytest.raises(ConfigurationError):
             model.error(0.5, 0.0)
-
-    def test_sensitivity_sign(self):
-        """At a current ratio above the reference, sensitivity is negative
-        (the object is *better* than the reference); below, positive."""
-        model = DegradationModel(_typical_params())
-        assert model.sensitivity(0.9, 1.0, reference_ratio=0.5) < 0
-        assert model.sensitivity(0.2, 1.0, reference_ratio=0.5) > 0
 
 
 class TestOfflineFitting:

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from repro.ar.cache import DecimationServer, LODCache, quantize_ratio
+from repro.ar.degradation import DegradationParams
 from repro.ar.distribution import (
     MIN_OBJECT_RATIO,
     achieved_ratio,
     distribute_triangles,
+    distribute_triangles_batch,
     greedy_optimal_distribution,
     uniform_distribution,
 )
-from repro.ar.objects import catalog_sc1, expand_instances, object_by_name
+from repro.ar.objects import (
+    VirtualObject,
+    catalog_sc1,
+    expand_instances,
+    object_by_name,
+)
 from repro.ar.quality import average_quality
 from repro.errors import ConfigurationError
 
@@ -83,6 +90,127 @@ class TestTD:
         bad_distances[next(iter(bad_distances))] = -1.0
         with pytest.raises(ConfigurationError):
             distribute_triangles(sc1_objects, bad_distances, 0.5)
+
+
+def _scalar_td(objects, distances, triangle_ratio, reference_ratio=None):
+    """The object-by-object TD loop, written out as the reference the
+    column form must reproduce bit for bit."""
+    if reference_ratio is None:
+        reference_ratio = max(MIN_OBJECT_RATIO, triangle_ratio / 2.0)
+    ids = sorted(objects)
+    max_tris = np.asarray([objects[i].max_triangles for i in ids], dtype=float)
+    budget = triangle_ratio * float(max_tris.sum())
+    current_ratio = max(MIN_OBJECT_RATIO, triangle_ratio)
+    sensitivities = np.asarray(
+        [
+            abs(
+                objects[i].degradation.error(current_ratio, distances[i])
+                - objects[i].degradation.error(reference_ratio, distances[i])
+            )
+            for i in ids
+        ]
+    )
+    weights = sensitivities + 1e-6
+    weights = weights / weights.sum()
+
+    caps = max_tris.copy()
+    allocation = MIN_OBJECT_RATIO * max_tris
+    remaining = budget - float(allocation.sum())
+    if remaining < 0:
+        allocation *= budget / float(allocation.sum())
+        remaining = 0.0
+    active = np.ones(len(ids), dtype=bool)
+    for _ in range(len(ids)):
+        if remaining <= 1e-9 or not np.any(active):
+            break
+        w = weights * active
+        if w.sum() <= 0:
+            break
+        w = w / w.sum()
+        new_alloc = np.minimum(allocation + remaining * w, caps)
+        consumed = float((new_alloc - allocation).sum())
+        allocation = new_alloc
+        remaining -= consumed
+        active = allocation < caps - 1e-9
+    ratios = allocation / max_tris
+    return {i: float(np.clip(r, MIN_OBJECT_RATIO, 1.0)) for i, r in zip(ids, ratios)}
+
+
+def _random_scene(rng, n_objects):
+    objects, distances = {}, {}
+    for j in range(n_objects):
+        a = float(rng.uniform(0.2, 2.5))
+        b = float(rng.uniform(-3.0 * a, -a))
+        params = DegradationParams(a=a, b=b, c=-(a + b), d=float(rng.uniform(0.2, 2.0)))
+        iid = f"obj{j:02d}"
+        objects[iid] = VirtualObject(iid, int(rng.integers(8, 200_000)), params)
+        distances[iid] = float(rng.uniform(0.3, 4.0))
+    return objects, distances
+
+
+class TestTDColumnForm:
+    def test_bitwise_equal_to_scalar_loop(self):
+        """One TD body, same bits as the object-by-object loop: random
+        scenes of 1-20 objects, budgets above and below the aggregate
+        floor, default and explicit reference ratios. Each scene's first
+        ratio and every explicit reference are values whose libm square
+        ``x**2`` differs from ``x*x``, so squaring the wrong way cannot
+        pass."""
+        rng = np.random.default_rng(2024)
+        draws = rng.uniform(0.05, 1.0, 100_000).tolist()
+        libm_squares = [v for v in draws if v**2 != v * v] or [0.5]
+        for scene in range(500):
+            objects, distances = _random_scene(rng, 1 + scene % 20)
+            hard = libm_squares[scene % len(libm_squares)]
+            xs = [hard, float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.001, 0.05)), 1.0]
+            for x in xs:
+                for ref in (None, libm_squares[(7 * scene + 3) % len(libm_squares)]):
+                    got = distribute_triangles(objects, distances, x, ref)
+                    assert got == _scalar_td(objects, distances, x, ref)
+
+    def test_rows_are_independent(self, sc1_objects, sc1_distances, rng):
+        xs = np.concatenate([rng.uniform(0.001, 1.0, 64), [1.0, 0.02]])
+        ids, batch = distribute_triangles_batch(sc1_objects, sc1_distances, xs)
+        assert ids == sorted(sc1_objects)
+        for k, x in enumerate(xs.tolist()):
+            _, alone = distribute_triangles_batch(sc1_objects, sc1_distances, [x])
+            assert alone[0].tolist() == batch[k].tolist()
+        _, reversed_batch = distribute_triangles_batch(
+            sc1_objects, sc1_distances, xs[::-1]
+        )
+        assert reversed_batch[::-1].tolist() == batch.tolist()
+
+    def test_batch_validation(self, sc1_objects, sc1_distances):
+        with pytest.raises(ConfigurationError):
+            distribute_triangles_batch(sc1_objects, sc1_distances, [])
+        for bad in ([0.5, 0.0], [1.2], [0.5, float("nan")], [-0.1]):
+            with pytest.raises(ConfigurationError):
+                distribute_triangles_batch(sc1_objects, sc1_distances, bad)
+        with pytest.raises(ConfigurationError):
+            distribute_triangles_batch(sc1_objects, {}, [0.5])
+        with pytest.raises(ConfigurationError):
+            distribute_triangles_batch(
+                sc1_objects, sc1_distances, [0.5], reference_ratio=1.5
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "allocator",
+        [
+            distribute_triangles,
+            lambda o, d, x: distribute_triangles_batch(o, d, [x]),
+            uniform_distribution,
+            greedy_optimal_distribution,
+        ],
+        ids=["td", "td_batch", "uniform", "greedy"],
+    )
+    def test_non_finite_distance_rejected(
+        self, sc1_objects, sc1_distances, allocator, bad
+    ):
+        distances = dict(sc1_distances)
+        distances[next(iter(distances))] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            allocator(sc1_objects, distances, 0.5)
 
 
 class TestGreedyOptimal:

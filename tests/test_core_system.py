@@ -1,7 +1,9 @@
 """Unit tests for repro.core.system (the MAR system facade)."""
 
+import numpy as np
 import pytest
 
+from repro.core.frontier import FrontierEvaluator
 from repro.core.system import MARSystem
 from repro.device.resources import Resource
 from repro.errors import ConfigurationError, DeviceError
@@ -34,6 +36,23 @@ class TestApply:
     def test_apply_incomplete_allocation_rejected(self, sc1cf1_system):
         with pytest.raises(DeviceError):
             sc1cf1_system.apply({"mnist": Resource.CPU}, 0.5)
+
+    @pytest.mark.parametrize("scenario", ["sc1cf1_system", "sc2cf2_system"])
+    def test_frontier_draws_the_same_object_ratios(self, scenario, request):
+        """One TD: a frontier row's object ratios are the bits apply draws."""
+        system = request.getfixturevalue(scenario)
+        frontier = FrontierEvaluator(system, w=1.0)
+        n_res = system.n_resources
+        draws = np.random.default_rng(3).uniform(0.05, 1.0, 20_000).tolist()
+        # Ratios whose libm square differs from x*x, plus plain draws.
+        xs = [v for v in draws if v**2 != v * v][:40] + draws[:10]
+        for x in xs:
+            z = np.concatenate([np.full(n_res, 1.0 / n_res), [x]])
+            result = frontier.evaluate(z)
+            drawn = system.apply(result.allocations[0], x)
+            assert result.object_ratios[0].tolist() == [
+                drawn[i] for i in result.object_ids
+            ]
 
 
 class TestMeasure:

@@ -378,6 +378,16 @@ class TestParitySingleSourceRule:
         )
         assert violations == []
 
+    def test_eq1_column_helper_outside_quality_leaves_fires(self):
+        source = """\
+            def eq1_errors(columns, ratios):
+                return (columns.a * ratios**2 + columns.b * ratios + columns.c) / columns.denom
+            """
+        violations = lint_parity(source, Path("src/repro/core/fixture.py"))
+        assert [v.rule_id for v in violations] == ["RL008"]
+        assert "eq1_errors" in violations[0].message
+        assert lint_parity(source, Path("src/repro/ar/degradation.py")) == []
+
     def test_out_of_scope_paths_ignored(self):
         violations = lint_parity(
             """\

@@ -4,10 +4,12 @@ The scalar↔backend bitwise-parity contract (PR 4/5) holds because every
 float formula that both paths evaluate is written exactly once, in a
 declared leaf module, and called from both sides: edge pricing in
 ``repro.edge.share``, contention/processor-sharing slowdown in the same
-leaf plus ``repro.device.soc``, and the Eq. 2/4/5 cost terms in
-``repro.core.cost`` / ``repro.ar``. A second hand-written copy of any of
-these formulas can drift by a single association or rounding and break
-bitwise parity without failing any behavioral test.
+leaf plus ``repro.device.soc``, the Eq. 2/4/5 cost terms in
+``repro.core.cost`` / ``repro.ar``, and the Eq. 1 column form
+(``eq1_columns`` / ``eq1_errors``) in ``repro.ar.degradation``. A
+second hand-written copy of any of these formulas can drift by a single
+association or rounding and break bitwise parity without failing any
+behavioral test.
 
 This rule flags three shapes of duplication outside the allowed modules:
 
@@ -61,7 +63,7 @@ for _name in ("normalized_average_latency", "reward", "cost", "latency_cost"):
 _QUALITY_ALLOWED = frozenset(
     {"repro.ar.quality", "repro.ar.degradation", "repro.backend.solve"}
 )
-for _name in ("object_quality", "average_quality"):
+for _name in ("object_quality", "average_quality", "eq1_columns", "eq1_errors"):
     _DEF_FAMILIES[_name] = _QUALITY_ALLOWED
 
 # Assignment targets that name registered cost quantities.
