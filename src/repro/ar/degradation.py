@@ -12,8 +12,9 @@ offline". This module provides:
 - :class:`DegradationParams` — a validated parameter set.
 - :class:`DegradationModel` — evaluation of Eq. 1 with clamping to [0, 1].
 - :func:`eq1_columns` / :func:`eq1_errors` — the same Eq. 1 over
-  per-object columns and a vector of ratios, bit-identical to the scalar
-  model row by row (TD's sensitivity weights, the frontier's plan).
+  per-object columns and a vector of ratios (or one ratio per object),
+  bit-identical to the scalar model row by row (TD's sensitivity
+  weights, the frontier's plan, Eq. 2 over a scene).
 - :func:`fit_degradation_params` — the offline training: least-squares fit
   of (a, b, c) and a grid search over d, from (R, D, error) samples. The
   fit enforces the physical anchor error(R=1) ≈ 0 by construction.
@@ -83,7 +84,8 @@ class DegradationModel:
 
 
 class Eq1Columns(NamedTuple):
-    """Eq. 1 parameters of L objects as ``(L,)`` columns, ``D^d`` precomputed."""
+    """Eq. 1 parameters of L objects as ``(L,)`` columns, ``D^d`` precomputed
+    (``(rows, L)`` blocks when the objects differ per row)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -113,19 +115,18 @@ def eq1_columns(
 def eq1_errors(columns: Eq1Columns, ratios: np.ndarray) -> np.ndarray:
     """Clamped Eq. 1 of every object at every ratio: shape ``(rows, L)``.
 
-    Row ``k`` is bit-identical to ``[model.error(ratios[k], D) for each
-    object]``: each ratio is squared with Python-float ``pow`` like the
-    scalar path, because NumPy's ``r**2`` (a plain ``r*r``) differs from
-    libm ``pow`` in the last bit on some inputs. Ratios are not
-    range-checked here; callers validate them.
+    ``ratios`` is either ``(rows,)``, one ratio shared by every object of
+    a row (TD's sensitivity weights), or ``(rows, L)``, one ratio per
+    object (Eq. 2 over a drawn scene). Entry ``[k, j]`` is bit-identical
+    to ``model_j.error(ratio, D_j)``: each ratio is squared with
+    Python-float ``pow`` like the scalar path, because NumPy's ``r**2``
+    (a plain ``r*r``) differs from libm ``pow`` in the last bit on some
+    inputs. Ratios are not range-checked here; callers validate them.
     """
-    r = np.asarray(ratios, dtype=np.float64).ravel()
-    squared = np.array([v**2 for v in r.tolist()], dtype=np.float64)
-    numerator = (
-        columns.a * squared[:, np.newaxis]
-        + columns.b * r[:, np.newaxis]
-        + columns.c
-    )
+    r = np.asarray(ratios, dtype=np.float64)
+    r = r if r.ndim == 2 else r.reshape(-1, 1)
+    squared = np.array([v**2 for v in r.ravel().tolist()], dtype=np.float64)
+    numerator = columns.a * squared.reshape(r.shape) + columns.b * r + columns.c
     return np.clip(numerator / columns.denom, 0.0, 1.0)
 
 

@@ -129,9 +129,6 @@ def distribute_triangles_batch(
         raise ConfigurationError(
             f"reference_ratio must be in (0, 1], got {reference_ratio}"
         )
-    if not objects:
-        return [], np.zeros((x.size, 0), dtype=float)
-
     ids: List[str] = sorted(objects)
     n_rows, n_obj = x.size, len(ids)
     max_tris = np.asarray([objects[i].max_triangles for i in ids], dtype=float)

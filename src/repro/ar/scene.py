@@ -1,21 +1,23 @@
 """The augmented scene: placed object instances and the user's position.
 
-A :class:`Scene` tracks, per object instance, the asset, its world
-position, and the decimation ratio it is currently *drawn* at. It exposes
-the quantities the rest of the system consumes: per-object user distance,
-the total maximum triangle count T^max, the currently drawn triangle
-count, and the Eq. 2 average quality of what's on screen.
+A :class:`Scene` holds per-object columns in insertion order
+(:class:`SceneColumns`): ids, assets, ``(L, 3)`` positions, drawn ratios
+and max triangles. User distances and the Eq. 1 columns taken at them are
+recomputed only in ``add``, ``remove`` and ``move_user``; a ratio change
+replaces the ratio column alone. T^max, the drawn triangle count and the
+Eq. 2 average quality are column expressions over that state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.ar.degradation import Eq1Columns, eq1_columns
 from repro.ar.objects import VirtualObject
-from repro.ar.quality import average_quality
+from repro.ar.quality import eq2_quality
 from repro.errors import SceneError
 
 #: Objects closer than this are clamped — the quality model diverges at
@@ -23,9 +25,27 @@ from repro.errors import SceneError
 MIN_DISTANCE_M = 0.3
 
 
+def _checked_position(position: Sequence[float], what: str) -> np.ndarray:
+    pos = np.array(position, dtype=float).ravel()  # a copy: distances are cached
+    if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+        raise SceneError(f"{what} must be a finite 3-vector, got {position!r}")
+    return pos
+
+
+def _check_ratio(instance_id: str, ratio: float) -> None:
+    if not 0.0 < ratio <= 1.0:
+        raise SceneError(f"{instance_id!r}: ratio must be in (0, 1], got {ratio}")
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum of a per-object column (0.0 if empty), bit-identical
+    to accumulating object by object; ``np.sum`` is pairwise from 8 terms."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 @dataclass(frozen=True)
 class PlacedObject:
-    """One object instance in the scene."""
+    """Read-only view of one object instance in the scene."""
 
     instance_id: str
     obj: VirtualObject
@@ -33,17 +53,8 @@ class PlacedObject:
     ratio: float = 1.0  # decimation ratio currently drawn
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float).ravel()
-        if pos.shape != (3,):
-            raise SceneError(
-                f"{self.instance_id!r}: position must be a 3-vector, got {pos.shape}"
-            )
-        if not np.all(np.isfinite(pos)):
-            raise SceneError(f"{self.instance_id!r}: non-finite position")
-        if not 0.0 < self.ratio <= 1.0:
-            raise SceneError(
-                f"{self.instance_id!r}: ratio must be in (0, 1], got {self.ratio}"
-            )
+        pos = _checked_position(self.position, f"{self.instance_id!r}: position")
+        _check_ratio(self.instance_id, self.ratio)
         object.__setattr__(self, "position", pos)
 
     @property
@@ -51,34 +62,73 @@ class PlacedObject:
         return self.ratio * self.obj.max_triangles
 
 
+class SceneColumns(NamedTuple):
+    """Per-object state in insertion order; read-only arrays, replaced whole."""
+
+    ids: Tuple[str, ...]
+    objects: Tuple[VirtualObject, ...]
+    positions: np.ndarray  # (L, 3) world coordinates, meters
+    ratios: np.ndarray  # (L,) decimation ratio currently drawn
+    max_triangles: np.ndarray  # (L,)
+    distances: np.ndarray  # (L,) user distance, clamped to MIN_DISTANCE_M
+    eq1: Eq1Columns  # Eq. 1 (a, b, c, D^d) at those distances
+
+
 class Scene:
-    """Mutable scene state: placed objects + user position."""
+    """Mutable scene state: per-object columns + user position."""
 
     def __init__(self, user_position: Sequence[float] = (0.0, 0.0, 0.0)) -> None:
-        self._objects: Dict[str, PlacedObject] = {}
-        self._user = np.asarray(user_position, dtype=float).ravel()
-        if self._user.shape != (3,):
-            raise SceneError(f"user position must be a 3-vector, got {self._user.shape}")
+        self._user = _checked_position(user_position, "user position")
+        self._set_geometry((), (), np.zeros((0, 3)), np.zeros(0))
+
+    def _set_geometry(
+        self,
+        ids: Tuple[str, ...],
+        objects: Tuple[VirtualObject, ...],
+        positions: np.ndarray,
+        ratios: np.ndarray,
+    ) -> None:
+        """Install object columns — the one place distances are computed.
+        A per-row ``(1, 3) @ (3, 1)`` is the 1-D ``np.linalg.norm``'s dot
+        product; ``norm(axis=1)`` and ``(d*d).sum(1)`` differ in the last bit."""
+        delta = positions - self._user
+        norms = np.sqrt((delta[:, np.newaxis, :] @ delta[:, :, np.newaxis]).reshape(-1))
+        distances = np.maximum(MIN_DISTANCE_M, norms)
+        max_tris = np.array([o.max_triangles for o in objects], dtype=np.float64)
+        eq1 = eq1_columns([o.params for o in objects], distances.tolist())
+        for column in (positions, ratios, max_tris, distances, *eq1):
+            column.flags.writeable = False
+        self._cols = SceneColumns(ids, objects, positions, ratios, max_tris, distances, eq1)
+        self._index = {iid: j for j, iid in enumerate(ids)}
 
     # -------------------------------------------------------------- objects
 
+    @property
+    def columns(self) -> SceneColumns:
+        """The per-object columns (read-only, insertion order)."""
+        return self._cols
+
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._cols.ids)
 
     def __contains__(self, instance_id: str) -> bool:
-        return instance_id in self._objects
+        return instance_id in self._index
 
     def __iter__(self) -> Iterator[PlacedObject]:
-        return iter(self._objects.values())
+        return iter(self.snapshot())
 
     @property
     def instance_ids(self) -> Tuple[str, ...]:
-        return tuple(self._objects)
+        return self._cols.ids
+
+    def _position_of(self, instance_id: str) -> int:
+        if instance_id not in self._index:
+            raise SceneError(f"no object instance {instance_id!r} in scene")
+        return self._index[instance_id]
 
     def get(self, instance_id: str) -> PlacedObject:
-        if instance_id not in self._objects:
-            raise SceneError(f"no object instance {instance_id!r} in scene")
-        return self._objects[instance_id]
+        j, cols = self._position_of(instance_id), self._cols
+        return PlacedObject(instance_id, cols.objects[j], cols.positions[j], float(cols.ratios[j]))
 
     def add(
         self,
@@ -87,19 +137,23 @@ class Scene:
         position: Sequence[float],
         ratio: float = 1.0,
     ) -> None:
-        if instance_id in self._objects:
+        if instance_id in self._index:
             raise SceneError(f"instance id {instance_id!r} already placed")
-        self._objects[instance_id] = PlacedObject(
-            instance_id=instance_id,
-            obj=obj,
-            position=np.asarray(position, dtype=float),
-            ratio=ratio,
+        pos = _checked_position(position, f"{instance_id!r}: position")
+        _check_ratio(instance_id, ratio)
+        ids, objects, positions, ratios = self._cols[:4]
+        self._set_geometry(
+            ids + (instance_id,), objects + (obj,),
+            np.vstack([positions, pos]), np.append(ratios, ratio),
         )
 
     def remove(self, instance_id: str) -> None:
-        if instance_id not in self._objects:
-            raise SceneError(f"no object instance {instance_id!r} in scene")
-        del self._objects[instance_id]
+        j = self._position_of(instance_id)
+        ids, objects, positions, ratios = self._cols[:4]
+        self._set_geometry(
+            ids[:j] + ids[j + 1 :], objects[:j] + objects[j + 1 :],
+            np.delete(positions, j, axis=0), np.delete(ratios, j),
+        )
 
     # ----------------------------------------------------------------- user
 
@@ -108,46 +162,48 @@ class Scene:
         return self._user.copy()
 
     def move_user(self, position: Sequence[float]) -> None:
-        pos = np.asarray(position, dtype=float).ravel()
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise SceneError(f"invalid user position {position!r}")
-        self._user = pos
+        self._user = _checked_position(position, "user position")
+        self._set_geometry(*self._cols[:4])
 
     def distance(self, instance_id: str) -> float:
         """User-object distance D_{t,i}, clamped to MIN_DISTANCE_M."""
-        placed = self.get(instance_id)
-        return max(MIN_DISTANCE_M, float(np.linalg.norm(placed.position - self._user)))
+        return float(self._cols.distances[self._position_of(instance_id)])
 
     def distances(self) -> Dict[str, float]:
-        return {iid: self.distance(iid) for iid in self._objects}
+        return dict(zip(self._cols.ids, self._cols.distances.tolist()))
 
     # ---------------------------------------------------------------- ratios
 
     def set_ratio(self, instance_id: str, ratio: float) -> None:
-        placed = self.get(instance_id)
-        self._objects[instance_id] = replace(placed, ratio=ratio)
+        self.apply_ratios({instance_id: ratio})
 
     def apply_ratios(self, ratios: Mapping[str, float]) -> None:
-        unknown = set(ratios) - set(self._objects)
+        """Redraw the given objects at new ratios; all or nothing — every
+        id and ratio is validated before the ratio column changes."""
+        unknown = set(ratios) - set(self._index)
         if unknown:
             raise SceneError(f"unknown instance ids in ratio map: {sorted(unknown)}")
         for instance_id, ratio in ratios.items():
-            self.set_ratio(instance_id, ratio)
+            _check_ratio(instance_id, ratio)
+        column = self._cols.ratios.copy()
+        column[[self._index[iid] for iid in ratios]] = list(ratios.values())
+        column.flags.writeable = False
+        self._cols = self._cols._replace(ratios=column)
 
     def ratios(self) -> Dict[str, float]:
-        return {iid: p.ratio for iid, p in self._objects.items()}
+        return dict(zip(self._cols.ids, self._cols.ratios.tolist()))
 
     # ------------------------------------------------------------ aggregates
 
     @property
     def total_max_triangles(self) -> float:
         """T^max: full-quality triangle count across placed objects."""
-        return float(sum(p.obj.max_triangles for p in self._objects.values()))
+        return ordered_sum(self._cols.max_triangles)
 
     @property
     def drawn_triangles(self) -> float:
         """Triangles currently submitted for rendering (before culling)."""
-        return float(sum(p.drawn_triangles for p in self._objects.values()))
+        return ordered_sum(self._cols.ratios * self._cols.max_triangles)
 
     @property
     def triangle_ratio(self) -> float:
@@ -157,13 +213,8 @@ class Scene:
 
     def average_quality(self) -> float:
         """Eq. 2 over the on-screen objects at their drawn ratios."""
-        placed = list(self._objects.values())
-        return average_quality(
-            [p.obj.degradation for p in placed],
-            [p.ratio for p in placed],
-            [self.distance(p.instance_id) for p in placed],
-        )
+        return float(eq2_quality(self._cols.eq1, self._cols.ratios[np.newaxis])[0])
 
     def snapshot(self) -> List[PlacedObject]:
         """Immutable copy of the current placement list."""
-        return list(self._objects.values())
+        return [self.get(iid) for iid in self._cols.ids]

@@ -2,8 +2,9 @@
 
 The math is a transcription of the scalar reference path —
 :meth:`repro.device.contention.ContentionModel.latencies` composed with
-:func:`repro.core.cost.normalized_average_latency`, Eq. 1/2 quality and
-Eq. 5's φ — with every configuration a row. Two properties are load-bearing
+:func:`repro.core.cost.normalized_average_latency` and Eq. 5's φ — with
+every configuration a row; Eq. 1/2 quality is the AR layer's one column
+body, :func:`repro.ar.quality.eq2_quality`. Two properties are load-bearing
 and tested:
 
 **Row independence.** Every operation is elementwise over rows, so a
@@ -28,6 +29,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.ar.degradation import Eq1Columns
+from repro.ar.quality import eq2_quality
 from repro.backend.plan import (
     KIND_CPU,
     KIND_EDGE,
@@ -203,26 +206,13 @@ def _solve_rows(plan: EvalPlan, exact: bool) -> SolveResult:
             )
         epsilon = total / np.maximum(counts, 1)
 
-    # --- Eq. 2 quality (scalar ref: DegradationModel.error / average_quality).
+    # --- Eq. 2 quality (the one body: repro.ar.quality.eq2_quality).
     quality: Optional[np.ndarray] = None
     if plan.obj_ratio is not None:
         assert plan.obj_a is not None and plan.obj_b is not None
         assert plan.obj_c is not None and plan.obj_denom is not None
-        n_objects = plan.obj_ratio.shape[1]
-        if n_objects == 0:
-            quality = np.ones(n, dtype=np.float64)
-        else:
-            total_q = np.zeros(n, dtype=np.float64)
-            for k in range(n_objects):
-                ratio = plan.obj_ratio[:, k]
-                numerator = (
-                    plan.obj_a[:, k] * _pow(ratio, 2.0, exact)
-                    + plan.obj_b[:, k] * ratio
-                    + plan.obj_c[:, k]
-                )
-                error = np.clip(numerator / plan.obj_denom[:, k], 0.0, 1.0)
-                total_q = total_q + (1.0 - error)
-            quality = total_q / n_objects
+        columns = Eq1Columns(plan.obj_a, plan.obj_b, plan.obj_c, plan.obj_denom)
+        quality = eq2_quality(columns, plan.obj_ratio)
 
     # --- Eq. 5 φ (scalar ref: core.cost.cost / the BNT latency-only variant).
     phi: Optional[np.ndarray] = None

@@ -29,13 +29,13 @@ powers may differ from libm by 1 ulp (its only approximation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend.plan import EvalPlan, resource_kind
 from repro.backend.solve import SolveResult, solve
-from repro.ar.degradation import eq1_columns
+from repro.ar.degradation import Eq1Columns
 from repro.ar.distribution import distribute_triangles_batch
 from repro.core.allocation import allocations_for_counts, proportions_to_counts_batch
 from repro.core.system import MARSystem
@@ -149,25 +149,14 @@ class FrontierEvaluator:
             [expected[tid] for tid in self._task_ids], dtype=np.float64
         )
 
-        # Scene snapshot in TD (sorted-id) order.
+        # Scene snapshot: its columns permuted into TD (sorted-id) order.
+        cols = system.scene.columns
         self._objects = system.objects_map()
         self._distances = system.scene.distances()
-        ids = sorted(self._objects)
-        self._object_ids: Tuple[str, ...] = tuple(ids)
-        self._max_tris = np.array(
-            [self._objects[i].max_triangles for i in ids], dtype=np.float64
-        )
-        self._cull = np.array(
-            [
-                system.render_model.culled_fraction(self._distances[i])
-                for i in ids
-            ],
-            dtype=np.float64,
-        )
-        self._eq1 = eq1_columns(
-            [self._objects[i].degradation.params for i in ids],
-            [self._distances[i] for i in ids],
-        )
+        order = sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
+        self._max_tris = cols.max_triangles[order]
+        self._cull = system.render_model.culled_fractions(cols.distances)[order]
+        self._eq1 = Eq1Columns(*(column[order] for column in cols.eq1))
         # Per-allocation task rows, memoized by count vector.
         self._alloc_rows: Dict[
             Tuple[int, ...], Tuple[np.ndarray, np.ndarray]
@@ -205,25 +194,16 @@ class FrontierEvaluator:
             reference_ratio=self.system.td_reference_ratio,
         )
         drawn = obj_ratios * self._max_tris
-        submitted = drawn.sum(axis=1) if ids else np.zeros(n)
-        rendered = (drawn * self._cull).sum(axis=1) if ids else np.zeros(n)
+        submitted = drawn.sum(axis=1)
+        rendered = (drawn * self._cull).sum(axis=1)
 
-        quality_block: Dict[str, Optional[np.ndarray]] = {
-            "obj_ratio": None,
-            "obj_a": None,
-            "obj_b": None,
-            "obj_c": None,
-            "obj_denom": None,
-        }
+        quality_block: Dict[str, np.ndarray] = {}
         if not self.latency_only:
-            shape = (n, len(ids))
             quality_block = {
-                "obj_ratio": obj_ratios,
-                "obj_a": np.broadcast_to(self._eq1.a, shape),
-                "obj_b": np.broadcast_to(self._eq1.b, shape),
-                "obj_c": np.broadcast_to(self._eq1.c, shape),
-                "obj_denom": np.broadcast_to(self._eq1.denom, shape),
+                f"obj_{name}": np.broadcast_to(column, obj_ratios.shape)
+                for name, column in self._eq1._asdict().items()
             }
+            quality_block["obj_ratio"] = obj_ratios
 
         edge_block: Dict[str, np.ndarray] = {}
         if self._edge_share is not None:

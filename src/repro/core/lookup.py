@@ -63,11 +63,11 @@ class EnvironmentSignature:
     @classmethod
     def of(cls, system: MARSystem) -> "EnvironmentSignature":
         """Extract the current environment signature from a live system."""
-        distances = list(system.scene.distances().values())
+        distances = system.scene.columns.distances
         return cls(
             total_max_triangles=system.scene.total_max_triangles,
             n_objects=len(system.scene),
-            mean_distance_m=float(np.mean(distances)) if distances else 0.0,
+            mean_distance_m=float(np.mean(distances)) if distances.size else 0.0,
             taskset_key=tuple(sorted(t.model for t in system.taskset)),
         )
 

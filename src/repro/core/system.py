@@ -104,7 +104,8 @@ class MARSystem:
         return self.device.edge_share()
 
     def objects_map(self) -> Dict[str, VirtualObject]:
-        return {p.instance_id: p.obj for p in self.scene}
+        cols = self.scene.columns
+        return dict(zip(cols.ids, cols.objects))
 
     def refresh_load(self) -> None:
         """Recompute device load from the current scene (call after any
@@ -119,17 +120,13 @@ class MARSystem:
         """Enforce a configuration: reallocate tasks, redistribute
         triangles via TD, redraw. Returns the per-object ratios chosen."""
         self.device.apply_allocation(dict(allocation))
-        objects = self.objects_map()
-        if objects:
-            ratios = distribute_triangles(
-                objects,
-                self.scene.distances(),
-                triangle_ratio,
-                reference_ratio=self.td_reference_ratio,
-            )
-            self.scene.apply_ratios(ratios)
-        else:
-            ratios = {}
+        ratios = distribute_triangles(
+            self.objects_map(),
+            self.scene.distances(),
+            triangle_ratio,
+            reference_ratio=self.td_reference_ratio,
+        )
+        self.scene.apply_ratios(ratios)
         self.refresh_load()
         return ratios
 

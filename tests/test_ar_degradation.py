@@ -12,7 +12,7 @@ from repro.ar.degradation import (
     synthesize_training_samples,
 )
 from repro.ar.mesh import make_procedural
-from repro.ar.quality import average_quality, average_quality_from_map, object_quality
+from repro.ar.quality import average_quality, object_quality
 from repro.errors import ConfigurationError
 
 
@@ -151,19 +151,6 @@ class TestAverageQuality:
         model = DegradationModel(_typical_params())
         with pytest.raises(ConfigurationError):
             average_quality([model], [0.5, 0.6], [1.0])
-
-    def test_map_variant_matches_positional(self):
-        model = DegradationModel(_typical_params())
-        by_map = average_quality_from_map(
-            {"a": model, "b": model}, {"a": 0.5, "b": 0.9}, {"a": 1.0, "b": 2.0}
-        )
-        positional = average_quality([model, model], [0.5, 0.9], [1.0, 2.0])
-        assert by_map == pytest.approx(positional)
-
-    def test_map_variant_key_mismatch_rejected(self):
-        model = DegradationModel(_typical_params())
-        with pytest.raises(ConfigurationError):
-            average_quality_from_map({"a": model}, {"b": 0.5}, {"a": 1.0})
 
     def test_object_quality_complement(self):
         model = DegradationModel(_typical_params())

@@ -136,6 +136,127 @@ class TestScene:
         with pytest.raises(SceneError):
             scene.move_user((np.nan, 0, 0))
 
+    @pytest.mark.parametrize(
+        "position", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf), (1.0, 2.0)]
+    )
+    def test_invalid_user_position_rejected_at_construction(self, position):
+        with pytest.raises(SceneError, match="user position"):
+            Scene(user_position=position)
+
+    def test_apply_ratios_is_atomic(self, scene):
+        scene.apply_ratios({"bike": 0.7, "apricot": 0.6})
+        with pytest.raises(SceneError, match="ratio must be in"):
+            scene.apply_ratios({"apricot": 0.5, "bike": 1.5})
+        assert scene.ratios() == {"bike": 0.7, "apricot": 0.6}
+        with pytest.raises(SceneError, match="unknown instance"):
+            scene.apply_ratios({"apricot": 0.5, "ghost": 0.5})
+        assert scene.ratios() == {"bike": 0.7, "apricot": 0.6}
+
+    def test_positions_are_copied_on_the_way_in(self, scene):
+        user = np.array([0.0, 0.0, 1.0])
+        scene.move_user(user)
+        user[2] = 5.0  # the scene caches distances; a caller's array must not alias
+        assert scene.distance("bike") == 1.0
+        assert scene.user_position.tolist() == [0.0, 0.0, 1.0]
+
+    def test_columns_are_read_only_snapshots(self, scene):
+        cols = scene.columns
+        assert cols.ids == ("bike", "apricot")
+        with pytest.raises(ValueError):
+            cols.ratios[0] = 0.5
+        scene.set_ratio("bike", 0.5)
+        assert cols.ratios.tolist() == [1.0, 1.0]
+        assert scene.columns.ratios.tolist() == [0.5, 1.0]
+
+    def test_remove_keeps_insertion_order(self, scene):
+        scene.add("cabin", object_by_name("cabin"), position=(0, 1.0, 0), ratio=0.4)
+        scene.remove("bike")
+        assert scene.instance_ids == ("apricot", "cabin")
+        assert [p.instance_id for p in scene] == ["apricot", "cabin"]
+        assert scene.ratios() == {"apricot": 1.0, "cabin": 0.4}
+        assert scene.distances() == {"apricot": 1.0, "cabin": 1.0}
+
+
+def _per_object_reference(scene, model):
+    """The per-object loops the scene columns replaced: every quantity
+    accumulated object by object, in insertion order, with Python floats."""
+    placed = scene.snapshot()
+    user = scene.user_position
+    distances = [
+        max(MIN_DISTANCE_M, float(np.linalg.norm(p.position - user))) for p in placed
+    ]
+    drawn = total_max = rendered = quality = 0.0
+    for p, dist in zip(placed, distances):
+        drawn += p.drawn_triangles
+        total_max += p.obj.max_triangles
+        rendered += p.drawn_triangles * model.culled_fraction(dist)
+        quality += p.obj.degradation.quality(p.ratio, dist)
+    return {
+        "distances": dict(zip([p.instance_id for p in placed], distances)),
+        "drawn_triangles": drawn,
+        "triangle_ratio": drawn / total_max if total_max > 0 else 1.0,
+        "average_quality": quality / len(placed) if placed else 1.0,
+        "rendered_triangles": rendered,
+    }
+
+
+class TestSceneColumnParity:
+    """The column expressions are bit-identical (``==``) to the per-object
+    loops, through add / remove / move_user / apply_ratios sequences."""
+
+    ASSETS = [obj for obj, _count in catalog_sc1() + catalog_sc2()]
+
+    def _observed(self, scene, model):
+        return {
+            "distances": scene.distances(),
+            "drawn_triangles": scene.drawn_triangles,
+            "triangle_ratio": scene.triangle_ratio,
+            "average_quality": scene.average_quality(),
+            "rendered_triangles": model.rendered_triangles(scene),
+        }
+
+    def _random_position(self, rng):
+        if rng.random() < 0.1:  # inside the near-plane clamp
+            return rng.uniform(-0.1, 0.1, 3)
+        return rng.uniform(-3.0, 3.0, 3)
+
+    @pytest.mark.parametrize("n_objects", range(1, 21))
+    def test_columns_match_per_object_loops(self, n_objects):
+        rng = np.random.default_rng(1000 + n_objects)
+        model = RenderLoadModel(falloff=float(rng.uniform(0.2, 1.5)))
+        scene = Scene(user_position=rng.uniform(-1.0, 1.0, 3))
+        serial = 0
+
+        def add_one():
+            nonlocal serial
+            asset = self.ASSETS[int(rng.integers(len(self.ASSETS)))]
+            scene.add(
+                f"obj{serial}",
+                asset,
+                self._random_position(rng),
+                ratio=float(rng.uniform(0.05, 1.0)),
+            )
+            serial += 1
+
+        for _ in range(n_objects):
+            add_one()
+        assert self._observed(scene, model) == _per_object_reference(scene, model)
+        for step in range(24):
+            op = step % 4
+            ids = scene.instance_ids
+            if op == 0:
+                picked = rng.permutation(len(ids))[: int(rng.integers(1, len(ids) + 1))]
+                scene.apply_ratios(
+                    {ids[j]: float(rng.uniform(0.05, 1.0)) for j in picked}
+                )
+            elif op == 1:
+                scene.move_user(self._random_position(rng))
+            elif op == 2 and len(ids) > 1:
+                scene.remove(ids[int(rng.integers(len(ids)))])
+            else:
+                add_one()
+            assert self._observed(scene, model) == _per_object_reference(scene, model)
+
 
 class TestRenderLoadModel:
     def test_culled_fraction_decreases_with_distance(self):

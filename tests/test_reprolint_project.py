@@ -388,6 +388,27 @@ class TestParitySingleSourceRule:
         assert "eq1_errors" in violations[0].message
         assert lint_parity(source, Path("src/repro/ar/degradation.py")) == []
 
+    def test_eq2_column_helper_outside_quality_leaves_fires(self):
+        source = """\
+            def eq2_quality(columns, ratios):
+                return (1.0 - eq1_errors(columns, ratios)).mean()
+            """
+        violations = lint_parity(source, Path("src/repro/ar/scene.py"))
+        assert [v.rule_id for v in violations] == ["RL008"]
+        assert "eq2_quality" in violations[0].message
+        assert lint_parity(source, Path("src/repro/ar/quality.py")) == []
+
+    def test_culling_formula_outside_renderer_fires(self):
+        source = """\
+            def culled_fraction(model, distance_m):
+                factor = min(1.0, (model.reference_distance_m / distance_m) ** model.falloff)
+                return model.backface_fraction * max(model.min_fraction, factor)
+            """
+        violations = lint_parity(source, Path("src/repro/core/frontier.py"))
+        assert [v.rule_id for v in violations] == ["RL008"]
+        assert "culled_fraction" in violations[0].message
+        assert lint_parity(source, Path("src/repro/ar/renderer.py")) == []
+
     def test_out_of_scope_paths_ignored(self):
         violations = lint_parity(
             """\

@@ -5,8 +5,10 @@ float formula that both paths evaluate is written exactly once, in a
 declared leaf module, and called from both sides: edge pricing in
 ``repro.edge.share``, contention/processor-sharing slowdown in the same
 leaf plus ``repro.device.soc``, the Eq. 2/4/5 cost terms in
-``repro.core.cost`` / ``repro.ar``, and the Eq. 1 column form
-(``eq1_columns`` / ``eq1_errors``) in ``repro.ar.degradation``. A
+``repro.core.cost`` / ``repro.ar``, the Eq. 1 column form
+(``eq1_columns`` / ``eq1_errors``) in ``repro.ar.degradation``, its
+Eq. 2 column body (``eq2_quality``) in ``repro.ar.quality``, and the
+render-load culling term (``culled_fraction``) in ``repro.ar.renderer``. A
 second hand-written copy of any of these formulas can drift by a single
 association or rounding and break bitwise parity without failing any
 behavioral test.
@@ -63,8 +65,16 @@ for _name in ("normalized_average_latency", "reward", "cost", "latency_cost"):
 _QUALITY_ALLOWED = frozenset(
     {"repro.ar.quality", "repro.ar.degradation", "repro.backend.solve"}
 )
-for _name in ("object_quality", "average_quality", "eq1_columns", "eq1_errors"):
+for _name in (
+    "object_quality",
+    "average_quality",
+    "eq2_quality",
+    "eq1_columns",
+    "eq1_errors",
+):
     _DEF_FAMILIES[_name] = _QUALITY_ALLOWED
+for _name in ("culled_fraction", "culled_fractions"):
+    _DEF_FAMILIES[_name] = frozenset({"repro.ar.renderer"})
 
 # Assignment targets that name registered cost quantities.
 _TARGET_FAMILIES: Dict[str, FrozenSet[str]] = {
