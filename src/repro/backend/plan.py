@@ -17,6 +17,7 @@ exact ``0.0`` terms, which leaves IEEE-754 sums unchanged).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,12 +214,14 @@ class EvalPlan:
     ) -> "EvalPlan":
         """Build a plan from ``(soc, placements, load[, edge_share])`` rows.
 
-        This is the adapter constructor the scalar entry points use: one
-        row per device/configuration, heterogeneous SoCs and task counts
-        allowed (short rows are padded). The optional fourth element is
-        an :class:`~repro.edge.share.EdgeShare` (or ``None``); the plan
-        carries an edge block only if at least one row supplies one, so
-        device-only batches stay byte-identical to pre-edge plans.
+        The one builder from live device state: the device, the
+        contention model, the baselines and the fleet tick all price
+        through it — one row per device/configuration, heterogeneous SoCs
+        and task counts allowed (short rows are padded). The optional
+        fourth element is an :class:`~repro.edge.share.EdgeShare` (or
+        ``None``); the plan carries an edge block only if at least one
+        row supplies one, so device-only batches stay byte-identical to
+        pre-edge plans.
         """
         if not rows:
             raise DeviceError("EvalPlan needs at least one row")
@@ -237,16 +240,16 @@ class EvalPlan:
         n = len(parsed)
         m = max(len(placements) for _, placements, _, _ in parsed)
         any_edge = any(share is not None for _, _, _, share in parsed)
-        iso = np.zeros((n, m), dtype=np.float64)
-        kind = np.full((n, m), KIND_PAD, dtype=np.int64)
-        cpu_demand = np.zeros((n, m), dtype=np.float64)
-        gpu_demand = np.zeros((n, m), dtype=np.float64)
-        coverage = np.zeros((n, m), dtype=np.float64)
-        edge_tx = np.zeros((n, m), dtype=np.float64) if any_edge else None
-        edge_dem = np.zeros((n, m), dtype=np.float64) if any_edge else None
         edge_cap = np.ones(n, dtype=np.float64) if any_edge else None
         edge_exp = np.ones(n, dtype=np.float64) if any_edge else None
         edge_ext = np.zeros(n, dtype=np.float64) if any_edge else None
+        # One (iso, kind, cpu, gpu, coverage, edge tx, edge demand) tuple
+        # per slot, padding included, converted in one array call. An
+        # on-device slot depends only on its (profile, resource) pair,
+        # which fleet rows share, so each pair is priced once per call.
+        pad = (0.0, KIND_PAD, 0.0, 0.0, 0.0, 0.0, 0.0)
+        slots: List[Tuple[float, ...]] = []
+        on_device: Dict[Tuple[int, int], Tuple[float, ...]] = {}
         task_ids: List[Tuple[str, ...]] = []
         for i, (_, placements, _, share) in enumerate(parsed):
             if share is not None:
@@ -255,35 +258,57 @@ class EvalPlan:
                 edge_cap[i] = share.capacity_streams
                 edge_exp[i] = share.queue_exponent
                 edge_ext[i] = share.extern_streams
-            ids: List[str] = []
-            for j, placement in enumerate(placements):
+            for placement in placements:
                 profile = placement.profile
-                if placement.resource is Resource.EDGE:
-                    if share is None:
-                        raise EdgeError(
-                            f"{placement.task_id!r} is placed on EDGE but its "
-                            "row carries no EdgeShare"
+                resource = placement.resource
+                if resource is not Resource.EDGE:
+                    key = (id(profile), id(resource))
+                    slot = on_device.get(key)
+                    if slot is None:
+                        slot = on_device[key] = (
+                            profile.latency(resource),
+                            _RESOURCE_KIND[resource],
+                            profile.cpu_demand,
+                            profile.gpu_demand,
+                            profile.npu_coverage,
+                            0.0,
+                            0.0,
                         )
-                    assert edge_tx is not None and edge_dem is not None
-                    # iso carries the *server compute* part; the transfer
-                    # rides in task_edge_tx_ms (same decomposition as the
-                    # scalar ContentionModel.task_latency).
-                    iso[i, j] = edge_compute_ms(profile, share)
-                    edge_tx[i, j] = edge_tx_ms(profile, share)
-                    edge_dem[i, j] = edge_demand(profile)
-                else:
-                    iso[i, j] = profile.latency(placement.resource)
-                kind[i, j] = _RESOURCE_KIND[placement.resource]
-                cpu_demand[i, j] = profile.cpu_demand
-                gpu_demand[i, j] = profile.gpu_demand
-                coverage[i, j] = profile.npu_coverage
-                ids.append(placement.task_id)
-            task_ids.append(tuple(ids))
+                    slots.append(slot)
+                    continue
+                if share is None:
+                    raise EdgeError(
+                        f"{placement.task_id!r} is placed on EDGE but its "
+                        "row carries no EdgeShare"
+                    )
+                # iso carries the *server compute* part; the transfer rides
+                # in task_edge_tx_ms (same decomposition as the scalar
+                # ContentionModel.task_latency).
+                slots.append(
+                    (
+                        edge_compute_ms(profile, share),
+                        KIND_EDGE,
+                        profile.cpu_demand,
+                        profile.gpu_demand,
+                        profile.npu_coverage,
+                        edge_tx_ms(profile, share),
+                        edge_demand(profile),
+                    )
+                )
+            task_ids.append(tuple(p.task_id for p in placements))
+            slots.extend([pad] * (m - len(placements)))
+        flat = np.fromiter(
+            chain.from_iterable(slots), dtype=np.float64, count=len(slots) * len(pad)
+        )
+        # Slot-major to field-major in one copy: each field is then a
+        # contiguous (n, m) block.
+        fields = flat.reshape(n * m, len(pad)).T.copy().reshape(len(pad), n, m)
+        iso, kind, cpu_demand, gpu_demand, coverage, edge_tx, edge_dem = fields
         socs = [soc for soc, _, _, _ in parsed]
         loads = [load for _, _, load, _ in parsed]
         return cls(
             task_iso_ms=iso,
-            task_kind=kind,
+            task_kind=kind.astype(np.int64),
             task_cpu_demand=cpu_demand,
             task_gpu_demand=gpu_demand,
             task_npu_coverage=coverage,
@@ -295,133 +320,13 @@ class EvalPlan:
                 [float(ld.rendered_triangles) for ld in loads]
             ),
             base_gpu_streams=np.array([float(ld.base_gpu_streams) for ld in loads]),
-            task_edge_tx_ms=edge_tx,
-            task_edge_demand=edge_dem,
+            task_edge_tx_ms=edge_tx if any_edge else None,
+            task_edge_demand=edge_dem if any_edge else None,
             edge_capacity=edge_cap,
             edge_queue_exponent=edge_exp,
             edge_extern_streams=edge_ext,
             row_task_ids=tuple(task_ids),
             **_soc_fields(socs),
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        task_iso_ms: np.ndarray,
-        task_kind: np.ndarray,
-        task_cpu_demand: np.ndarray,
-        task_gpu_demand: np.ndarray,
-        task_npu_coverage: np.ndarray,
-        n_objects: np.ndarray,
-        submitted_triangles: np.ndarray,
-        rendered_triangles: np.ndarray,
-        base_gpu_streams: np.ndarray,
-        capacity: np.ndarray,
-        queue_exponent: np.ndarray,
-        nnapi_comm_ms: np.ndarray,
-        nnapi_comm_gpu_factor: np.ndarray,
-        gpu_render_saturation: np.ndarray,
-        gpu_render_exponent: np.ndarray,
-        gpu_render_rho_max: np.ndarray,
-        cpu_objects_per_stream: np.ndarray,
-        cpu_triangles_per_stream: np.ndarray,
-        gpu_objects_per_stream: np.ndarray,
-        gpu_triangles_per_stream: np.ndarray,
-        task_edge_tx_ms: Optional[np.ndarray] = None,
-        task_edge_demand: Optional[np.ndarray] = None,
-        edge_capacity: Optional[np.ndarray] = None,
-        edge_queue_exponent: Optional[np.ndarray] = None,
-        edge_extern_streams: Optional[np.ndarray] = None,
-        row_task_ids: Tuple[Tuple[str, ...], ...] = (),
-    ) -> "EvalPlan":
-        """Column-ingest constructor: heterogeneous rows, zero adapters.
-
-        The fleet's :class:`~repro.fleet.table.SessionTable` keeps these
-        exact columns preassembled and slices the stepped rows straight
-        in — no per-session ``TaskPlacement`` list, no per-call SoC
-        tabulation. Inputs are row slices of caller-owned arrays; they
-        are copied (``np.ascontiguousarray`` on an existing float64 slice
-        made by fancy indexing is already a fresh array) so the plan
-        stays immutable while the table keeps mutating.
-        """
-        return cls(
-            task_iso_ms=np.ascontiguousarray(task_iso_ms, dtype=np.float64),
-            task_kind=np.ascontiguousarray(task_kind, dtype=np.int64),
-            task_cpu_demand=np.ascontiguousarray(
-                task_cpu_demand, dtype=np.float64
-            ),
-            task_gpu_demand=np.ascontiguousarray(
-                task_gpu_demand, dtype=np.float64
-            ),
-            task_npu_coverage=np.ascontiguousarray(
-                task_npu_coverage, dtype=np.float64
-            ),
-            n_objects=np.ascontiguousarray(n_objects, dtype=np.float64),
-            submitted_triangles=np.ascontiguousarray(
-                submitted_triangles, dtype=np.float64
-            ),
-            rendered_triangles=np.ascontiguousarray(
-                rendered_triangles, dtype=np.float64
-            ),
-            base_gpu_streams=np.ascontiguousarray(
-                base_gpu_streams, dtype=np.float64
-            ),
-            capacity=np.ascontiguousarray(capacity, dtype=np.float64),
-            queue_exponent=np.ascontiguousarray(
-                queue_exponent, dtype=np.float64
-            ),
-            nnapi_comm_ms=np.ascontiguousarray(nnapi_comm_ms, dtype=np.float64),
-            nnapi_comm_gpu_factor=np.ascontiguousarray(
-                nnapi_comm_gpu_factor, dtype=np.float64
-            ),
-            gpu_render_saturation=np.ascontiguousarray(
-                gpu_render_saturation, dtype=np.float64
-            ),
-            gpu_render_exponent=np.ascontiguousarray(
-                gpu_render_exponent, dtype=np.float64
-            ),
-            gpu_render_rho_max=np.ascontiguousarray(
-                gpu_render_rho_max, dtype=np.float64
-            ),
-            cpu_objects_per_stream=np.ascontiguousarray(
-                cpu_objects_per_stream, dtype=np.float64
-            ),
-            cpu_triangles_per_stream=np.ascontiguousarray(
-                cpu_triangles_per_stream, dtype=np.float64
-            ),
-            gpu_objects_per_stream=np.ascontiguousarray(
-                gpu_objects_per_stream, dtype=np.float64
-            ),
-            gpu_triangles_per_stream=np.ascontiguousarray(
-                gpu_triangles_per_stream, dtype=np.float64
-            ),
-            task_edge_tx_ms=(
-                np.ascontiguousarray(task_edge_tx_ms, dtype=np.float64)
-                if task_edge_tx_ms is not None
-                else None
-            ),
-            task_edge_demand=(
-                np.ascontiguousarray(task_edge_demand, dtype=np.float64)
-                if task_edge_demand is not None
-                else None
-            ),
-            edge_capacity=(
-                np.ascontiguousarray(edge_capacity, dtype=np.float64)
-                if edge_capacity is not None
-                else None
-            ),
-            edge_queue_exponent=(
-                np.ascontiguousarray(edge_queue_exponent, dtype=np.float64)
-                if edge_queue_exponent is not None
-                else None
-            ),
-            edge_extern_streams=(
-                np.ascontiguousarray(edge_extern_streams, dtype=np.float64)
-                if edge_extern_streams is not None
-                else None
-            ),
-            row_task_ids=row_task_ids,
         )
 
     @classmethod

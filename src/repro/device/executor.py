@@ -14,7 +14,7 @@ off by default).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -118,14 +118,6 @@ class DeviceSimulator:
     def allocation(self) -> Dict[str, Resource]:
         """Current task → resource map (copy)."""
         return dict(self._allocation)
-
-    def placement_items(self) -> Iterable[Tuple[str, Resource]]:
-        """Live ``(task_id, resource)`` pairs in allocation order, no copy.
-
-        The fleet's :class:`~repro.fleet.table.SessionTable` reads this on
-        every tick to refresh its plan columns; treat it as read-only.
-        """
-        return self._allocation.items()
 
     def set_allocation(self, task_id: str, resource: Resource) -> None:
         """Move one task to another allocation choice (live reallocation).

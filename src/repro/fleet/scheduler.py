@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend.plan import EvalPlan
 from repro.backend.solve import solve
 from repro.core.algorithm import PendingEvaluation
 from repro.core.controller import HBOConfig
@@ -110,8 +112,12 @@ class FleetConfig:
     link_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
 
     def __post_init__(self) -> None:
-        if self.tick_s <= 0:
-            raise FleetError(f"tick_s must be > 0, got {self.tick_s}")
+        if not (math.isfinite(self.tick_s) and self.tick_s > 0):
+            raise FleetError(f"tick_s must be finite and > 0, got {self.tick_s}")
+        if isinstance(self.shards, bool) or not isinstance(
+            self.shards, numbers.Integral
+        ):
+            raise FleetError(f"shards must be an integer, got {self.shards!r}")
         if self.shards < 1:
             raise FleetError(f"shards must be >= 1, got {self.shards}")
         resolve_policy(self.placement)
@@ -204,19 +210,25 @@ def batched_steady(
 ) -> List[Dict[str, float]]:
     """Steady-state latencies for all stepped table rows, one solve.
 
-    The per-tick pricing columns are refreshed for each stepped row and
-    the multi-row :class:`~repro.backend.plan.EvalPlan` is sliced
-    straight out of the table (no per-session ``TaskPlacement``
-    dataclass hop). Rows are unthrottled: a thermal device applies its
-    per-sample throttle factor inside ``measure_period``.
+    Each stepped session contributes its live device's ``(soc,
+    placements, load, edge_share)`` row to one multi-row
+    :meth:`~repro.backend.plan.EvalPlan.from_placement_rows` plan — the
+    builder the device and the baselines price through — and the plan
+    takes one exact solve. Rows are unthrottled: a thermal device applies
+    its per-sample throttle factor inside ``measure_period``. ``table``
+    is unused; it keeps the call shape the shard workers share.
     """
     if not stepped:
         return []
+    rows = []
     for i in stepped:
-        session = sessions[i]
-        assert session.system is not None
-        table.refresh_plan_row(i, session.system.device)
-    plan = table.build_plan(stepped)
+        system = sessions[i].system
+        assert system is not None
+        device = system.device
+        rows.append(
+            (device.soc, device.placements(), device.load, device.edge_share())
+        )
+    plan = EvalPlan.from_placement_rows(rows)
     result = solve(plan, exact=True)
     return [plan.latency_map(result.latency_ms, r) for r in range(len(stepped))]
 

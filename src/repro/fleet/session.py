@@ -20,6 +20,7 @@ phase is skipped (see
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -98,9 +99,10 @@ class SessionSpec:
     def __post_init__(self) -> None:
         if not self.session_id:
             raise FleetError("session_id must be non-empty")
-        if self.arrival_s < 0:
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
             raise FleetError(
-                f"{self.session_id}: arrival_s must be >= 0, got {self.arrival_s}"
+                f"{self.session_id}: arrival_s must be finite and >= 0, "
+                f"got {self.arrival_s}"
             )
         if self.n_evaluations is not None and self.n_evaluations < 1:
             raise FleetError(
@@ -405,7 +407,6 @@ class FleetSession:
             self.warm_entry.source_session if self.warm_entry else ""
         )
         table.obs_count[i] = len(self.optimizer.state.observations)
-        table.init_plan_row(i, self.system.device)
 
     admit_directed = admit  # perfbench/layers.py resolves this name
 

@@ -15,6 +15,8 @@ from repro.bo.optimizer import BayesianOptimizer, candidate_pool
 from repro.bo.space import HBOSpace
 from repro.core.controller import HBOConfig
 from repro.device.profiles import GALAXY_S22, PIXEL7
+from repro.device.resources import Resource
+from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 from repro.errors import FleetError, GPFitError
 from repro.fleet import (
     FleetConfig,
@@ -204,6 +206,11 @@ class TestSessionSpecValidation:
         with pytest.raises(FleetError):
             SessionSpec(session_id="s", arrival_s=-1.0)
 
+    @pytest.mark.parametrize("arrival_s", [float("nan"), float("inf")])
+    def test_non_finite_arrival(self, arrival_s):
+        with pytest.raises(FleetError):
+            SessionSpec(session_id="s", arrival_s=arrival_s)
+
     def test_bad_budget(self):
         with pytest.raises(FleetError):
             SessionSpec(session_id="s", n_evaluations=0)
@@ -268,6 +275,65 @@ class TestBatchedSteady:
                 device.placements(), device.load, device.edge_share()
             )
 
+    def test_mixed_batch_matches_each_device(self):
+        """One batch mixing two SoCs, padded task counts, a live EDGE slot
+        and a row shed back to its device: every row equals that device's
+        own steady state, exactly."""
+        specs = [
+            SessionSpec(
+                session_id=f"s{i}", device=device, scenario=scenario,
+                taskset=taskset, placement_seed=7,
+            )
+            for i, (device, scenario, taskset) in enumerate(
+                [
+                    (PIXEL7, "SC1", "CF1"),
+                    (GALAXY_S22, "SC2", "CF2"),
+                    (PIXEL7, "SC2", "CF2"),
+                    (GALAXY_S22, "SC1", "CF1"),
+                ]
+            )
+        ]
+        topology = EdgeTopology(EdgeTopologyConfig.single())
+        node = topology.nodes[0].name
+        table = SessionTable(specs, FAST)
+        sessions = [
+            FleetSession(spec, FAST, make_rng(i), topology=topology,
+                         table=table, index=i)
+            for i, spec in enumerate(specs)
+        ]
+        directives = [("device",), ("device",), ("node", node), ("node", node)]
+        for session, directive in zip(sessions, directives):
+            session.admit(0, directive)
+
+        def offload_one(session):
+            device = session.system.device
+            tid = next(
+                t.task_id for t in session.system.taskset
+                if t.profile.supports(Resource.EDGE)
+            )
+            device.set_allocation(tid, Resource.EDGE)
+
+        # s3 is priced on the edge once, then shed back to its device.
+        sessions[3].begin_initial()
+        offload_one(sessions[3])
+        batched_steady(table, sessions, [3])
+        topology.detach("s3")
+        sessions[3].fallback_to_device("shed")
+
+        for session in sessions:
+            session.begin_initial()
+        offload_one(sessions[2])
+        devices = [session.system.device for session in sessions]
+        assert devices[2].edge_share() is not None
+        assert devices[3].edge_share() is None
+        assert Resource.EDGE in devices[2].allocation.values()
+        assert len({len(d.task_ids) for d in devices}) > 1
+        rows = batched_steady(table, sessions, [0, 1, 2, 3])
+        for device, row in zip(devices, rows):
+            assert row == device.contention.latencies(
+                device.placements(), device.load, device.edge_share()
+            )
+
 
 class TestFleetScheduler:
     def test_empty_specs_rejected(self):
@@ -282,6 +348,16 @@ class TestFleetScheduler:
     def test_tick_validation(self):
         with pytest.raises(FleetError):
             FleetConfig(tick_s=0.0)
+
+    @pytest.mark.parametrize("tick_s", [float("nan"), float("inf")])
+    def test_non_finite_tick_rejected(self, tick_s):
+        with pytest.raises(FleetError):
+            FleetConfig(tick_s=tick_s)
+
+    @pytest.mark.parametrize("shards", [2.5, 2.0, True])
+    def test_non_integer_shards_rejected(self, shards):
+        with pytest.raises(FleetError):
+            FleetConfig(shards=shards)
 
     def test_warm_start_transfers_from_donor(self):
         """The donor runs cold at t = 0; the follower arrives after the

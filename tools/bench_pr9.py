@@ -5,14 +5,16 @@ Usage: PYTHONPATH=src python tools/bench_pr9.py <output-json>
 
 Three claims from the structure-of-arrays refactor, each gated:
 
-1. **Columnar throughput at N=1024** — one tick's pricing pass over a
-   live 1024-session fleet, done the new way (ONE ``EvalPlan`` built
-   straight from ``SessionTable`` columns + one batched solve) versus
-   the object-per-session way (a 1-row plan + solve per session, the
-   pre-refactor granularity). The columnar pass must clear ≥10×
-   sessions/s or the script exits non-zero.
-2. **Interactive tick rates at 10k+ sessions** — the same columnar pass
-   over a 10240-session table must finish well inside one 1 s control
+1. **Batched throughput at N=1024** — one tick's pricing pass over a
+   live 1024-session fleet, done the way the tick does it (ONE
+   ``batched_steady`` call: a multi-row ``EvalPlan`` built from every
+   session's live device + one batched solve) versus the
+   object-per-session way (one ``batched_steady`` call per session, so a
+   1-row plan + solve each, the pre-refactor granularity). Both sides
+   include plan assembly. The batched pass must clear ≥10× sessions/s
+   or the script exits non-zero.
+2. **Interactive tick rates at 10k+ sessions** — the same batched pass
+   over a 10240-session fleet must finish well inside one 1 s control
    period (gate: <1000 ms), and the script runs the 10240-session fleet
    END TO END to prove the scale point is real, not extrapolated.
 3. **Determinism unchanged** — the legacy 16-session seed-2024
@@ -32,7 +34,6 @@ import sys
 import time
 from typing import Any, Dict, List
 
-from repro.backend import solve
 from repro.core.controller import HBOConfig
 from repro.device.profiles import GALAXY_S22, PIXEL7
 from repro.fleet import (
@@ -41,6 +42,7 @@ from repro.fleet import (
     SessionSpec,
     SharedConfigStore,
 )
+from repro.fleet.scheduler import batched_steady
 
 SMALL_N = 1024
 BIG_N = 10240
@@ -70,10 +72,9 @@ def _specs(n: int) -> List[SessionSpec]:
 
 def _live_scheduler(n: int) -> FleetScheduler:
     """A fleet with every session admitted and one tick stepped, so each
-    table row carries real plan columns (device rates, scene loads).
+    session's device carries a real placement and scene load.
 
-    At one shard the sessions and their plan columns live in the
-    in-process worker's table; the coordinator's table has none."""
+    At one shard the sessions live in the in-process worker."""
     scheduler = FleetScheduler(
         _specs(n),
         seed=2024,
@@ -86,16 +87,12 @@ def _live_scheduler(n: int) -> FleetScheduler:
 
 def _time_pricing_passes(scheduler: FleetScheduler) -> Dict[str, float]:
     """Time one tick's steady-state pricing, both ways, same rows."""
-    table = scheduler._worker.table
-    rows = list(table.active_indices())
-    columnar = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        solve(table.build_plan(rows), exact=True)
-        columnar = min(columnar, time.perf_counter() - start)
+    worker = scheduler._worker
+    rows = [int(i) for i in worker.table.active_indices()]
+    columnar = _time_batched(scheduler, rows)
     start = time.perf_counter()
     for row in rows:
-        solve(table.build_plan([row]), exact=True)
+        batched_steady(worker.table, worker.sessions, [row])
     object_per_session = time.perf_counter() - start
     return {
         "n_sessions": len(rows),
@@ -105,6 +102,17 @@ def _time_pricing_passes(scheduler: FleetScheduler) -> Dict[str, float]:
         "object_sessions_per_s": round(len(rows) / object_per_session, 1),
         "speedup": round(object_per_session / columnar, 1),
     }
+
+
+def _time_batched(scheduler: FleetScheduler, rows: List[int]) -> float:
+    """Best-of-``REPEATS`` seconds for one tick's batched pricing pass."""
+    worker = scheduler._worker
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        batched_steady(worker.table, worker.sessions, rows)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _fleet_cli(*extra: str) -> bytes:
@@ -122,13 +130,8 @@ def run() -> Dict[str, Any]:
     small = _time_pricing_passes(_live_scheduler(SMALL_N))
 
     big_scheduler = _live_scheduler(BIG_N)
-    table = big_scheduler._worker.table
-    rows = list(table.active_indices())
-    tick = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        solve(table.build_plan(rows), exact=True)
-        tick = min(tick, time.perf_counter() - start)
+    rows = [int(i) for i in big_scheduler._worker.table.active_indices()]
+    tick = _time_batched(big_scheduler, rows)
     start = time.perf_counter()
     result = big_scheduler.run()  # finish the whole 10240-session fleet
     end_to_end_s = time.perf_counter() - start
@@ -182,7 +185,7 @@ def main() -> None:
     headline = report["headline"]
     if headline["speedup_vs_object_per_session"] < MIN_SPEEDUP:
         raise SystemExit(
-            f"bench_pr9: columnar pass is only "
+            f"bench_pr9: batched pass is only "
             f"{headline['speedup_vs_object_per_session']}x the "
             f"object-per-session pass at N={SMALL_N} "
             f"(need >= {MIN_SPEEDUP}x) — the SoA core regressed"
