@@ -53,10 +53,10 @@ bench:
 	PYTHONPATH=src $(PYTHON) tools/bench_pr9.py BENCH_pr9.json
 	PYTHONPATH=src $(PYTHON) tools/bench_pr10.py BENCH_pr10.json
 
-# Run every microbench body once, untimed: catches API drift in the bench
-# suite without paying for calibration rounds.
+# Run every benchmark once, untimed: the paper-shape assertions (Fig. 2-9,
+# Tables 1-4, ablations, fleet) gate, and the microbench bodies catch API
+# drift without paying for calibration rounds.
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbench.py -q \
-		--benchmark-disable
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 
 check: lint test replay-check perfbench-smoke bench-smoke

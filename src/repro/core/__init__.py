@@ -17,7 +17,7 @@
 """
 
 from repro.core.activation import EventBasedPolicy, PeriodicPolicy
-from repro.core.algorithm import HBOIteration, IterationResult, run_hbo_iteration
+from repro.core.algorithm import HBOIteration, IterationResult
 from repro.core.allocation import allocate_tasks, proportions_to_counts
 from repro.core.controller import HBOConfig, HBOController, HBORunResult
 from repro.core.cost import cost_from_measurement, normalized_average_latency, reward
@@ -45,5 +45,4 @@ __all__ = [
     "normalized_average_latency",
     "proportions_to_counts",
     "reward",
-    "run_hbo_iteration",
 ]

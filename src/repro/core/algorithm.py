@@ -204,13 +204,3 @@ class HBOIteration:
             measurement=measurement,
             cost=phi,
         )
-
-
-def run_hbo_iteration(
-    system: MARSystem,
-    optimizer: BayesianOptimizer,
-    w: float,
-    latency_only: bool = False,
-) -> IterationResult:
-    """Functional shorthand for a single Algorithm 1 pass."""
-    return HBOIteration(system, optimizer, w, latency_only=latency_only).run_once()

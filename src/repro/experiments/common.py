@@ -73,10 +73,3 @@ def run_hbo(
         controller=controller,
         result=result,
     )
-
-
-def allocation_string(allocation: Mapping[str, Resource]) -> str:
-    """Compact 'task→RES' rendering for report rows."""
-    return ", ".join(
-        f"{task}:{res.short}" for task, res in sorted(allocation.items())
-    )

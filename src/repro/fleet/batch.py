@@ -54,10 +54,6 @@ class SharedOptimizerService:
         self.xi = float(xi)
         self.n_candidates = int(n_candidates)
         self.n_local = int(n_local)
-        #: propose() calls that priced at least one session (telemetry).
-        self.batches = 0
-        #: Session-proposals served through those calls.
-        self.proposals_served = 0
 
     def _candidates(
         self, optimizer: BayesianOptimizer, rng: np.random.Generator
@@ -122,8 +118,6 @@ class SharedOptimizerService:
                 else:
                     z = pool[int(np.nanargmax(scores))]
                 proposals.append(opt.space.project(z))
-        self.batches += 1
-        self.proposals_served += len(optimizers)
         obs.counter("fleet_gp_batches").inc()
         obs.histogram("fleet_gp_batch_size", edges=(1, 2, 4, 8, 16, 32, 64)).observe(
             len(optimizers)

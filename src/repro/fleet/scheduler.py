@@ -153,9 +153,18 @@ class FleetConfig:
                 )
         # network_drift_scale takes the last *listed* breakpoint at or
         # before now, so an unsorted schedule silently applies a stale
-        # scale.
+        # scale; a NaN time never comes due, and a NaN scale only fails
+        # mid-run when the link applies it.
         for field_name in ("edge_drift", "link_drift"):
             for key, schedule in (getattr(self, field_name) or {}).items():
+                if not all(
+                    math.isfinite(time_s) and math.isfinite(scale)
+                    for time_s, scale in schedule
+                ):
+                    raise FleetError(
+                        f"{field_name}[{key!r}] breakpoints must be finite, "
+                        f"got {tuple(schedule)}"
+                    )
                 times = [time_s for time_s, _ in schedule]
                 if not times or times != sorted(times):
                     raise FleetError(
@@ -171,52 +180,52 @@ def propose_and_begin(
 ) -> Tuple[List[Tuple[int, PendingEvaluation]], List[int], int]:
     """Batched ask + apply for every active table row, in row order.
 
-    Guided rows are grouped by the ``space_dim`` column (ascending) and
-    each group takes one :meth:`SharedOptimizerService.propose` call;
-    initial-phase rows ask their own samplers. Returns the begun
-    ``(row, pending)`` pairs, the dims proposed, and the guided count.
+    Rows whose live optimizer is past its random phase are grouped by
+    that optimizer's space dimension (ascending) and each group takes one
+    :meth:`SharedOptimizerService.propose` call; initial-phase rows ask
+    their own samplers. Returns the begun ``(row, pending)`` pairs, the
+    dims proposed, and the guided count.
     """
-    active_idx = table.active_indices()
-    guided_mask = table.guided_mask()
-    n_guided = int(np.count_nonzero(guided_mask))
+    # Sessions that fell back to the device run a 3-simplex next to their
+    # 4-simplex peers; one propose() call takes one space dimension, so
+    # group by space dim (one group — the identical legacy call — when
+    # homogeneous).
+    groups: Dict[int, List[int]] = {}
+    initial: List[int] = []
+    for i in table.active_indices():
+        session = sessions[i]
+        if session.needs_guided_proposal:
+            assert session.optimizer is not None
+            groups.setdefault(session.optimizer.space.dim, []).append(int(i))
+        else:
+            initial.append(int(i))
     stepped: List[Tuple[int, PendingEvaluation]] = []
-    dims_used: List[int] = []
-    if n_guided:
-        # Sessions that fell back to the device run a 3-simplex next to
-        # their 4-simplex peers; one propose() call takes one space
-        # dimension, so group by space dim (one group — the identical
-        # legacy call — when homogeneous).
-        guided_idx = np.nonzero(guided_mask)[0]
-        dims = table.space_dim[guided_idx]
-        for dim in np.unique(dims):
-            group = guided_idx[dims == dim]
-            dims_used.append(int(dim))
-            proposals = service.propose(
-                [sessions[i].optimizer for i in group],
-                [sessions[i].rng for i in group],
-            )
-            for i, z in zip(group, proposals):
-                stepped.append((int(i), sessions[i].begin_guided(z)))
-    for i in active_idx:
-        if not guided_mask[i]:
-            stepped.append((int(i), sessions[i].begin_initial()))
-    return stepped, dims_used, n_guided
+    for dim in sorted(groups):
+        group = groups[dim]
+        proposals = service.propose(
+            [sessions[i].optimizer for i in group],
+            [sessions[i].rng for i in group],
+        )
+        for i, z in zip(group, proposals):
+            stepped.append((i, sessions[i].begin_guided(z)))
+    n_guided = len(stepped)
+    for i in initial:
+        stepped.append((i, sessions[i].begin_initial()))
+    return stepped, sorted(groups), n_guided
 
 
 def batched_steady(
-    table: SessionTable,
     sessions: Sequence[FleetSession],
     stepped: Sequence[int],
 ) -> List[Dict[str, float]]:
-    """Steady-state latencies for all stepped table rows, one solve.
+    """Steady-state latencies for all stepped session rows, one solve.
 
     Each stepped session contributes its live device's ``(soc,
     placements, load, edge_share)`` row to one multi-row
     :meth:`~repro.backend.plan.EvalPlan.from_placement_rows` plan — the
     builder the device and the baselines price through — and the plan
     takes one exact solve. Rows are unthrottled: a thermal device applies
-    its per-sample throttle factor inside ``measure_period``. ``table``
-    is unused; it keeps the call shape the shard workers share.
+    its per-sample throttle factor inside ``measure_period``.
     """
     if not stepped:
         return []
@@ -478,6 +487,7 @@ class FleetScheduler:
     def _note_fallback(self, row: int, reason: str) -> None:
         self.table.edge_node[row] = ""
         self.table.attached_tick[row] = -1
+        self.table.fallback_reason[row] = reason
         obs.counter("edge_fallbacks", reason=reason).inc()
 
     def _signature_of(self, spec: SessionSpec) -> EnvironmentSignature:
@@ -622,11 +632,12 @@ class FleetScheduler:
             # runtime migrate, so same-tick utilization reads on the
             # authoritative servers match the workers'.
             target_node.server.set_demand(session_id, demand)
+            ordinal = int(table.migrations[row])
             table.edge_node[row] = target
             table.attached_tick[row] = tick
-            table.migrations[row] += 1
+            table.migrations[row] = ordinal + 1
             shard, local = self._shard_local(row)
-            commands[shard]["migrate"].append((local, target))
+            commands[shard]["migrate"].append((local, target, ordinal))
             obs.counter("edge_migrations", src=previous, dst=target).inc()
 
     # -------------------------------------------------------------- workers
@@ -674,7 +685,7 @@ class FleetScheduler:
             demands = worker.tick_begin({"tick": tick, **commands[0]})
             if self.topology is not None:
                 worker.inject_externs(self._externs(demands))
-            return [worker.tick_finish(tick)]
+            return [worker.tick_finish()]
         stage = f"tick {tick}"
         for conn, command in zip(self._conns, commands):
             conn.send({"op": "tick", "tick": tick, **command})

@@ -15,6 +15,15 @@ similar environment was already solved on the same device model, the
 donor's observations seed the optimizer and the random initialization
 phase is skipped (see
 :meth:`~repro.bo.optimizer.BayesianOptimizer.warm_start`).
+
+Every per-session fact has one writer. The coordinator's
+:class:`~repro.fleet.table.SessionTable` records lifecycle ticks and
+edge decisions (serving node, migrations, fallback reason); the session
+writes its worker table row's phase, measurements and warm-start report
+fields; its live optimizer alone knows whether the next proposal is
+guided and over which space dimension. The session itself holds only
+live objects (system, optimizer, link seed) plus ``best``, the result
+``finish`` locks in.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -179,10 +188,8 @@ class FleetSession:
         # spec opts this session in — either alone leaves the device
         # athermal, so legacy configs are byte-identical.
         self._thermal_spec = thermal if spec.thermal else None
-        # The session is a row view: lifecycle scalars (phase, ticks,
-        # budget cursor, best cost, trajectories) live in SessionTable
-        # columns. A standalone session owns a private 1-row table so
-        # the per-session API works without a scheduler.
+        # A standalone session owns a private 1-row table so the
+        # per-session API works without a scheduler.
         if table is None:
             table = SessionTable((spec,), config)
             index = 0
@@ -198,10 +205,11 @@ class FleetSession:
         self.optimizer: Optional[BayesianOptimizer] = None
         self.iteration: Optional[HBOIteration] = None
         self.signature: Optional[EnvironmentSignature] = None
-        self.results: List[IterationResult] = []
+        #: First lowest-cost result so far (what ``finish`` locks in).
+        self.best: Optional[IterationResult] = None
         self.warm_entry: Optional[WarmStartEntry] = None
 
-    # ------------------------------------------------------------ row views
+    # --------------------------------------------------------------- states
 
     @property
     def phase(self) -> SessionPhase:
@@ -212,77 +220,12 @@ class FleetSession:
         self.table.phase[self.index] = _PHASE_CODE[value]
 
     @property
-    def start_tick(self) -> Optional[int]:
-        tick = int(self.table.start_tick[self.index])
-        return None if tick < 0 else tick
-
-    @start_tick.setter
-    def start_tick(self, value: Optional[int]) -> None:
-        self.table.start_tick[self.index] = -1 if value is None else value
-
-    @property
-    def end_tick(self) -> Optional[int]:
-        tick = int(self.table.end_tick[self.index])
-        return None if tick < 0 else tick
-
-    @end_tick.setter
-    def end_tick(self, value: Optional[int]) -> None:
-        self.table.end_tick[self.index] = -1 if value is None else value
-
-    @property
-    def attached_tick(self) -> Optional[int]:
-        """Tick of the most recent attach (admission or migration); the
-        scheduler's migration dwell guard counts from here."""
-        tick = int(self.table.attached_tick[self.index])
-        return None if tick < 0 else tick
-
-    @attached_tick.setter
-    def attached_tick(self, value: Optional[int]) -> None:
-        self.table.attached_tick[self.index] = -1 if value is None else value
-
-    @property
-    def migrations(self) -> int:
-        return int(self.table.migrations[self.index])
-
-    @migrations.setter
-    def migrations(self, value: int) -> None:
-        self.table.migrations[self.index] = value
-
-    @property
-    def edge_node(self) -> str:
-        """Name of the node currently serving the session ("" when none)."""
-        return self.table.edge_node[self.index]
-
-    @edge_node.setter
-    def edge_node(self, value: str) -> None:
-        self.table.edge_node[self.index] = value
-
-    @property
-    def fallback_reason(self) -> str:
-        """Why the session fell back to device-only mid-run ("" if never)."""
-        return self.table.fallback_reason[self.index]
-
-    @fallback_reason.setter
-    def fallback_reason(self, value: str) -> None:
-        self.table.fallback_reason[self.index] = value
-
-    @property
-    def budget(self) -> int:
-        return int(self.table.budget[self.index])
-
-    # --------------------------------------------------------------- states
-
-    @property
     def active(self) -> bool:
         return self.phase is SessionPhase.ACTIVE
 
     @property
     def done(self) -> bool:
         return self.phase is SessionPhase.DONE
-
-    @property
-    def warm_started(self) -> bool:
-        return self.optimizer is not None and self.optimizer.warm_started
 
     @property
     def needs_guided_proposal(self) -> bool:
@@ -296,7 +239,7 @@ class FleetSession:
 
     # ------------------------------------------------------------ lifecycle
 
-    def _attach(self, node_name: str, tick: int) -> EdgeRuntime:
+    def _attach(self, node_name: str) -> EdgeRuntime:
         """Draw the link seed and bind this session's tenancy on a node."""
         spec = self.spec
         if self._topology is None:
@@ -306,8 +249,6 @@ class FleetSession:
         node = self._topology.node(node_name)
         link = WirelessLink(node.config.link, link_seed)
         self._topology.attach(spec.session_id, node_name, link)
-        self.edge_node = node_name
-        self.attached_tick = tick
         return EdgeRuntime(
             EdgeConfig(server=node.config.server, link=node.config.link),
             node.server,
@@ -318,7 +259,6 @@ class FleetSession:
 
     def admit(
         self,
-        tick: int,
         directive: Tuple,
         warm_entry: Optional[WarmStartEntry] = None,
     ) -> None:
@@ -348,7 +288,7 @@ class FleetSession:
         # noise stream comes from the session's own decorrelated rng.
         session_seed = int(self.rng.integers(0, 2**31))
         edge_runtime = (
-            self._attach(directive[1], tick) if directive[0] == "node" else None
+            self._attach(directive[1]) if directive[0] == "node" else None
         )
         self.system = build_system(
             spec.scenario,
@@ -398,19 +338,16 @@ class FleetSession:
             self.system, self.optimizer, w=cfg.w, latency_only=cfg.latency_only
         )
         self.phase = SessionPhase.ACTIVE
-        self.start_tick = tick
         table, i = self.table, self.index
-        table.space_dim[i] = space.dim
         table.n_warm[i] = self.optimizer.n_warm
         table.warm_started[i] = self.optimizer.warm_started
         table.warm_source[i] = (
             self.warm_entry.source_session if self.warm_entry else ""
         )
-        table.obs_count[i] = len(self.optimizer.state.observations)
 
     admit_directed = admit  # perfbench/layers.py resolves this name
 
-    def fallback_to_device(self, reason: str) -> None:
+    def fallback_to_device(self) -> None:
         """Collapse the session from the 4-simplex to the device 3-simplex
         mid-run — shed by a saturated server or orphaned by an outage.
 
@@ -454,23 +391,19 @@ class FleetSession:
         self.iteration = HBOIteration(
             self.system, self.optimizer, w=cfg.w, latency_only=cfg.latency_only
         )
-        self.edge_node = ""
-        self.attached_tick = None
-        self.fallback_reason = reason
-        # The rebuilt optimizer starts cold over the 3-simplex: mirror
-        # that in the table's guided-selection and warm columns.
+        # The rebuilt optimizer starts cold over the 3-simplex, and the
+        # session's report says so.
         table, i = self.table, self.index
-        table.space_dim[i] = space.dim
         table.n_warm[i] = 0
         table.warm_started[i] = False
-        table.obs_count[i] = 0
 
-    def migrate_edge(self, node_name: str, tick: int) -> None:
+    def migrate_edge(self, node_name: str, ordinal: int) -> None:
         """Move this session's tenancy to ``node_name`` mid-run.
 
         The new link's drift trace is seeded from the admission link seed
-        and the migration ordinal, so migration timing — not hidden
-        state — is the only input to the new trace.
+        and ``ordinal``, the coordinator's count of this session's earlier
+        migrations, so migration timing — not hidden state — is the only
+        input to the new trace.
         """
         if self._topology is None:
             raise FleetError(
@@ -488,7 +421,7 @@ class FleetSession:
         assert self._link_seed is not None
         link = WirelessLink(
             node.config.link,
-            derive_seed(self._link_seed, "migrate", str(self.migrations)),
+            derive_seed(self._link_seed, "migrate", str(ordinal)),
         )
         self._topology.attach(session_id, node_name, link)
         runtime.migrate(
@@ -497,18 +430,6 @@ class FleetSession:
             link,
         )
         runtime.set_demand_streams(demand)
-        self.migrations += 1
-        self.edge_node = node_name
-        self.attached_tick = tick
-
-    def step_initial(self) -> IterationResult:
-        """One control period with the session's own (random-phase) ask."""
-        return self.finish_step(self.begin_initial())
-
-    def step_guided(self, z: np.ndarray) -> IterationResult:
-        """One control period evaluating a proposal computed by the shared
-        batched optimizer service."""
-        return self.finish_step(self.begin_guided(z))
 
     def begin_initial(self) -> PendingEvaluation:
         """Ask the session's own optimizer and apply the configuration."""
@@ -538,7 +459,9 @@ class FleetSession:
         if not self.active or self.iteration is None:
             raise FleetError(f"{self.spec.session_id}: stepped while not active")
         result = self.iteration.finish(pending, steady_latencies=steady_latencies)
-        self.results.append(result)
+        # Strict < keeps the earliest of equal-cost results.
+        if self.best is None or result.cost < self.best.cost:
+            self.best = result
         self.table.record_result(
             self.index,
             result.cost,
@@ -548,11 +471,7 @@ class FleetSession:
         )
         return result
 
-    @property
-    def budget_exhausted(self) -> bool:
-        return len(self.results) >= self.budget
-
-    def finish(self, tick: int) -> Optional[Dict[str, Any]]:
+    def finish(self) -> Optional[Dict[str, Any]]:
         """Lock in the best configuration and return the donation.
 
         The payload is the exact ``store.donate`` kwargs; the coordinator
@@ -561,11 +480,11 @@ class FleetSession:
         """
         if not self.active:
             raise FleetError(f"{self.spec.session_id}: finished while not active")
-        if not self.results or self.system is None or self.optimizer is None:
+        best = self.best
+        if best is None or self.system is None or self.optimizer is None:
             raise FleetError(
                 f"{self.spec.session_id}: finished with no evaluations"
             )
-        best = min(self.results, key=lambda r: r.cost)
         allocation = dict(best.allocation)
         if self.system.device.edge is None:
             # A fallen-back session may still prefer a pre-fallback result
@@ -598,24 +517,11 @@ class FleetSession:
                 session_id=self.spec.session_id,
             )
         # Leave the edge node: a finished session's offloaded demand must
-        # stop slowing the tenants still running. edge_node is kept for
-        # reporting: it names the node that served the session through
-        # its final control period.
+        # stop slowing the tenants still running. The coordinator's table
+        # still names the node that served the final control period.
         if self.system.device.edge is not None:
             assert self._topology is not None
             self._topology.detach(self.spec.session_id)
             self.system.device.edge.abandon()
         self.phase = SessionPhase.DONE
-        self.end_tick = tick
         return donation
-
-    # ------------------------------------------------------------ reporting
-
-    def costs(self) -> List[float]:
-        """Measured cost per control period, in evaluation order."""
-        return [r.cost for r in self.results]
-
-    def best_cost(self) -> float:
-        if not self.results:
-            raise FleetError(f"{self.spec.session_id}: no evaluations yet")
-        return min(r.cost for r in self.results)

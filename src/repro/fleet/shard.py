@@ -26,7 +26,10 @@ Each tick runs in lockstep:
 
 1. **Coordinator phase** — drift/outage upkeep, admissions (placement on
    the authoritative topology + warm-start lookup, shipped down as
-   directives), shed and migration commands.
+   directives), shed and migration commands. Each decision is written
+   once, into the coordinator's table; a migration command carries the
+   session's migration ordinal from that table, which seeds the new
+   link, so workers keep no count of their own.
 2. **Worker begin** — apply commands, fire scene events and per-session
    link drift, one ``SharedOptimizerService.propose`` call per space dim
    (each session is priced by its own GP fit, so per-shard sub-batches
@@ -44,7 +47,8 @@ Each tick runs in lockstep:
 5. **Coordinator close** — donations applied in global spec order,
    retiring tenancies released, phases advanced.
 
-The final merge is columnar: each forked worker's
+The final merge is columnar and ships only what workers own —
+measurements and warm-start report fields: each forked worker's
 :meth:`~repro.fleet.table.SessionTable.shard_payload` (the in-process
 worker's own columns, read in place) is
 :meth:`~repro.fleet.table.SessionTable.absorb`-ed into the coordinator's
@@ -159,23 +163,22 @@ class _ShardWorker:
 
     def tick_begin(self, msg: Dict[str, Any]) -> Dict[str, float]:
         """Apply coordinator commands, propose, begin; return demands."""
-        tick = int(msg["tick"])
         if self.topology is not None:
             # Outage fallbacks touch only this shard's own tenants, so the
             # cross-shard detach order is irrelevant.
             for session_id in maintain_topology(
                 self.topology, self.config, self.clock.now_s
             ):
-                self._session_of[session_id].fallback_to_device("outage")
+                self._session_of[session_id].fallback_to_device()
         for local_idx, directive, entry in msg["admit"]:
-            self.sessions[local_idx].admit(tick, directive, warm_entry=entry)
+            self.sessions[local_idx].admit(directive, warm_entry=entry)
         for local_idx in msg["shed"]:
             session = self.sessions[local_idx]
             assert self.topology is not None
             self.topology.detach(session.spec.session_id)
-            session.fallback_to_device("shed")
-        for local_idx, node_name in msg["migrate"]:
-            self.sessions[local_idx].migrate_edge(node_name, tick)
+            session.fallback_to_device()
+        for local_idx, node_name, ordinal in msg["migrate"]:
+            self.sessions[local_idx].migrate_edge(node_name, ordinal)
         if self.config.session_events or self.config.link_drift:
             self._apply_scenario_hooks()
         self._stepped, self._dims, self._n_guided = propose_and_begin(
@@ -226,18 +229,17 @@ class _ShardWorker:
         for node in self.topology.nodes:
             node.server.extern_override = externs
 
-    def tick_finish(self, tick: int) -> Dict[str, Any]:
+    def tick_finish(self) -> Dict[str, Any]:
         """Solve, measure, retire; ship worker-truth events up."""
         stepped = self._stepped
         for (i, pending), steady in zip(
-            stepped,
-            batched_steady(self.table, self.sessions, [i for i, _ in stepped]),
+            stepped, batched_steady(self.sessions, [i for i, _ in stepped])
         ):
             self.sessions[i].finish_step(pending, steady_latencies=steady)
         retired: List[int] = []
         donations: List[Tuple[int, Optional[Dict[str, Any]]]] = []
         for i in self.table.exhausted_indices():
-            donation = self.sessions[int(i)].finish(tick)
+            donation = self.sessions[int(i)].finish()
             retired.append(int(i))
             donations.append((int(i), donation))
         self.clock.advance(self.config.tick_s)
@@ -266,7 +268,7 @@ def _shard_worker_main(
                 if worker.topology is not None:
                     conn.send({"demands": demands})
                     worker.inject_externs(conn.recv()["externs"])
-                conn.send(worker.tick_finish(int(msg["tick"])))
+                conn.send(worker.tick_finish())
             elif op == "collect":
                 conn.send(worker.table.shard_payload())
             elif op == "stop":

@@ -4,22 +4,31 @@ The scheduler's source of truth for session lifecycle and trajectories
 is a structure-of-arrays table — the move
 :class:`~repro.backend.plan.EvalPlan` makes for per-config pricing,
 applied to the fleet itself (exemplar: habitat-lab's ``batched_env.py``
-vectorized stepping). :class:`~repro.fleet.session.FleetSession` stays
-the per-session API, but its lifecycle scalars are row views into this
-table, so:
+vectorized stepping). Every column has one writer:
 
-- the scheduler selects due / active / guided / retiring sessions with
-  column masks instead of Python attribute scans;
+- the coordinator's table owns lifecycle (phase, start/end/attach
+  ticks) and edge decisions (serving node, migrations, fallback
+  reason);
+- each shard worker's table owns its rows' measurements and warm-start
+  report fields, written by :class:`~repro.fleet.session.FleetSession`
+  (which also moves its worker row's phase);
+- whether a session's next proposal is guided, and over which space
+  dimension, is read off its live optimizer and has no column.
+
+So:
+
+- the scheduler selects due / active / retiring sessions with column
+  masks instead of Python attribute scans;
 - fleet aggregates, convergence, and reports come from column math
   (:func:`repro.fleet.telemetry.aggregates_from_columns`), not from
   re-walking per-session Python lists;
-- a shard worker's sub-table merges back into the coordinator's table
-  by contiguous row block, which is what makes the sharded run's output
-  byte-identical to ``shards=1``.
+- a shard worker's measurement and warm columns merge back into the
+  coordinator's table by contiguous row block, which is what makes the
+  sharded run's output byte-identical to ``shards=1``.
 
-Numeric column values are bit-identical to what the per-session objects
-held: they are written from the same floats at the same points in the
-lifecycle, never recomputed through a different formula.
+Numeric columns are written from the measured floats themselves, at the
+point in the lifecycle they happen, never recomputed through a different
+formula.
 """
 
 from __future__ import annotations
@@ -47,9 +56,9 @@ PHASE_WAITING, PHASE_ACTIVE, PHASE_DONE = 0, 1, 2
 class SessionTable:
     """Structure-of-arrays state for ``n`` fleet sessions.
 
-    Lifecycle and trajectory columns live here; heavyweight per-session
-    objects (system, optimizer, RNG stream) stay on the
-    :class:`~repro.fleet.session.FleetSession` row views. Each tick's
+    Lifecycle, edge and trajectory columns live here; heavyweight
+    per-session objects (system, optimizer, RNG stream) stay on the
+    :class:`~repro.fleet.session.FleetSession` objects. Each tick's
     pricing plan is built from those live devices, not from columns
     (see :func:`repro.fleet.scheduler.batched_steady`).
     """
@@ -64,7 +73,6 @@ class SessionTable:
         self.n = n
         self.specs = specs
         self.session_ids: Tuple[str, ...] = tuple(s.session_id for s in specs)
-        self.n_initial = int(hbo.n_initial)
 
         # ------------------------------------------------------ static spec
         self.arrival_s = np.array([s.arrival_s for s in specs], dtype=np.float64)
@@ -96,10 +104,6 @@ class SessionTable:
         self.start_tick = np.full(n, -1, dtype=np.int64)
         self.end_tick = np.full(n, -1, dtype=np.int64)
         self.n_results = np.zeros(n, dtype=np.int64)
-        #: Observation count of the session's *current* optimizer — reset
-        #: to zero on device fallback, exactly like the rebuilt optimizer.
-        self.obs_count = np.zeros(n, dtype=np.int64)
-        self.space_dim = np.zeros(n, dtype=np.int64)
         self.n_warm = np.zeros(n, dtype=np.int64)
         self.warm_started = np.zeros(n, dtype=bool)
         self.migrations = np.zeros(n, dtype=np.int64)
@@ -127,14 +131,6 @@ class SessionTable:
 
     def active_indices(self) -> np.ndarray:
         return np.nonzero(self.phase == PHASE_ACTIVE)[0]
-
-    def guided_mask(self) -> np.ndarray:
-        """Active rows past their optimizer's random-initialization phase.
-
-        Mirrors ``BayesianOptimizer.in_initial_phase`` (``n_observations <
-        n_initial``) through the ``obs_count`` column.
-        """
-        return (self.phase == PHASE_ACTIVE) & (self.obs_count >= self.n_initial)
 
     def exhausted_indices(self) -> np.ndarray:
         """Active rows whose evaluation budget is spent (retire this tick)."""
@@ -168,7 +164,6 @@ class SessionTable:
         if cost < self.best_cost[i]:
             self.best_cost[i] = cost
         self.n_results[i] = n + 1
-        self.obs_count[i] += 1
 
     # ------------------------------------------------------------ reporting
 
@@ -262,9 +257,9 @@ class SessionTable:
     def absorb(self, start: int, payload: Dict[str, np.ndarray]) -> None:
         """Merge a shard worker's contiguous row block back, in order.
 
-        ``payload`` carries the worker-truth columns for rows
-        ``start:start+k``; the coordinator's own bookkeeping columns
-        (phase, ticks, placement) are left alone.
+        ``payload`` carries the worker-owned columns (measurements and
+        warm-start report fields) for rows ``start:start+k``; the
+        coordinator's own lifecycle and edge columns are left alone.
         """
         k = int(payload["n_results"].shape[0])
         sl = slice(start, start + k)
@@ -277,16 +272,10 @@ class SessionTable:
         self.best_cost[sl] = payload["best_cost"]
         self.n_warm[sl] = payload["n_warm"]
         self.warm_started[sl] = payload["warm_started"]
-        self.migrations[sl] = payload["migrations"]
-        for offset, source in enumerate(payload["warm_source"]):
-            self.warm_source[start + offset] = source
-        for offset, node in enumerate(payload["edge_node"]):
-            self.edge_node[start + offset] = node
-        for offset, reason in enumerate(payload["fallback_reason"]):
-            self.fallback_reason[start + offset] = reason
+        self.warm_source[start : start + k] = payload["warm_source"]
 
     def shard_payload(self) -> Dict[str, np.ndarray]:
-        """The worker-truth columns :meth:`absorb` consumes."""
+        """The worker-owned columns :meth:`absorb` consumes."""
         return {
             "costs": self.costs,
             "latencies_ms": self.latencies_ms,
@@ -296,8 +285,5 @@ class SessionTable:
             "best_cost": self.best_cost,
             "n_warm": self.n_warm,
             "warm_started": self.warm_started,
-            "migrations": self.migrations,
             "warm_source": list(self.warm_source),
-            "edge_node": list(self.edge_node),
-            "fallback_reason": list(self.fallback_reason),
         }

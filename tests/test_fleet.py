@@ -85,13 +85,10 @@ class TestSharedOptimizerService:
         assert len(proposals) == 3
         for optimizer, z in zip(optimizers, proposals):
             assert optimizer.space.contains(z)
-        assert service.batches == 1
-        assert service.proposals_served == 3
 
     def test_empty_batch_is_noop(self):
         service = SharedOptimizerService()
         assert service.propose([], []) == []
-        assert service.batches == 0
 
     def test_rng_count_mismatch(self):
         service = SharedOptimizerService()
@@ -220,33 +217,40 @@ class TestSessionLifecycle:
     def test_step_before_admit(self):
         session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
         with pytest.raises(FleetError):
-            session.step_initial()
+            session.begin_initial()
         with pytest.raises(FleetError):
-            session.finish(0)
+            session.begin_guided(np.full(4, 0.25))
         with pytest.raises(FleetError):
-            session.best_cost()
+            session.finish()
+        assert session.best is None
 
     def test_double_admission(self):
         session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
-        session.admit(0, ("device",))
+        session.admit(("device",))
         with pytest.raises(FleetError):
-            session.admit(1, ("device",))
+            session.admit(("device",))
 
     def test_phases_progress(self):
         session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
+        table, i = session.table, session.index
         assert session.phase is SessionPhase.WAITING
-        session.admit(0, ("device",))
-        assert session.active and not session.warm_started
-        while not session.budget_exhausted:
+        session.admit(("device",))
+        assert session.active and not session.optimizer.warm_started
+        assert not table.warm_started[i]
+        costs = []
+        while len(table.exhausted_indices()) == 0:
             if session.needs_guided_proposal:
                 z = session.optimizer.space.sample(session.rng, size=1)[0]
-                session.step_guided(z)
+                pending = session.begin_guided(z)
             else:
-                session.step_initial()
-        session.finish(len(session.results))
+                pending = session.begin_initial()
+            costs.append(session.finish_step(pending).cost)
+        session.finish()
         assert session.done
-        assert len(session.costs()) == FAST.total_evaluations
-        assert session.best_cost() == min(session.costs())
+        n = int(table.n_results[i])
+        assert n == FAST.total_evaluations
+        assert list(table.costs[i, :n]) == costs
+        assert table.best_cost[i] == min(costs) == session.best.cost
 
 
 class TestBatchedSteady:
@@ -264,12 +268,12 @@ class TestBatchedSteady:
             for i, spec in enumerate(specs)
         ]
         for session in sessions:
-            session.admit(0, ("device",))
+            session.admit(("device",))
             session.begin_initial()
         devices = [session.system.device for session in sessions]
         assert devices[0].thermal.throttle_factor() > 1.0
         assert devices[1].thermal is None
-        rows = batched_steady(table, sessions, [0, 1])
+        rows = batched_steady(sessions, [0, 1])
         for device, row in zip(devices, rows):
             assert row == device.contention.latencies(
                 device.placements(), device.load, device.edge_share()
@@ -303,7 +307,7 @@ class TestBatchedSteady:
         ]
         directives = [("device",), ("device",), ("node", node), ("node", node)]
         for session, directive in zip(sessions, directives):
-            session.admit(0, directive)
+            session.admit(directive)
 
         def offload_one(session):
             device = session.system.device
@@ -316,9 +320,9 @@ class TestBatchedSteady:
         # s3 is priced on the edge once, then shed back to its device.
         sessions[3].begin_initial()
         offload_one(sessions[3])
-        batched_steady(table, sessions, [3])
+        batched_steady(sessions, [3])
         topology.detach("s3")
-        sessions[3].fallback_to_device("shed")
+        sessions[3].fallback_to_device()
 
         for session in sessions:
             session.begin_initial()
@@ -328,7 +332,7 @@ class TestBatchedSteady:
         assert devices[3].edge_share() is None
         assert Resource.EDGE in devices[2].allocation.values()
         assert len({len(d.task_ids) for d in devices}) > 1
-        rows = batched_steady(table, sessions, [0, 1, 2, 3])
+        rows = batched_steady(sessions, [0, 1, 2, 3])
         for device, row in zip(devices, rows):
             assert row == device.contention.latencies(
                 device.placements(), device.load, device.edge_share()

@@ -6,8 +6,9 @@ bit-for-bit at ANY shard count — `shards=k` output is byte-identical to
 and the multi-server topology with admission, shedding, outages, and
 migrations all live mid-run). Alongside it, the building blocks:
 `spawn_shard_rngs` stream partitioning, batched search-space ops,
-SessionTable <-> FleetSession row-view parity, and the columnar
-telemetry path's value-identity with the per-report legacy path.
+the coordinator table as the one live record of edge decisions, and the
+columnar telemetry path's value-identity with the per-report legacy
+path.
 """
 
 import dataclasses
@@ -37,7 +38,6 @@ from repro.fleet import (
 )
 from repro.fleet.export import fleet_result_to_dict
 from repro.fleet.shard import _ShardWorker, shard_sizes
-from repro.fleet.table import PHASE_DONE
 from repro.fleet.telemetry import (
     convergence_from_columns,
     convergence_histogram,
@@ -160,26 +160,52 @@ def device_run():
     return scheduler, result
 
 
-class TestRowViewParity:
-    """FleetSession is a thin row-view: every lifecycle attribute it
-    exposes must be the table column, not a shadow copy. At one shard
-    the sessions live in the in-process worker, over its own table."""
+class TestOneWriterColumns:
+    """The coordinator's table is the live record of every edge decision;
+    workers never write it and the final merge never overwrites it."""
 
-    def test_session_views_mirror_table_columns(self, device_run):
-        scheduler, _ = device_run
-        table = scheduler._worker.table
-        for i, session in enumerate(scheduler._worker.sessions):
-            assert session.index == i
-            assert session.done and int(table.phase[i]) == PHASE_DONE
-            assert session.start_tick == int(table.start_tick[i])
-            assert session.end_tick == int(table.end_tick[i])
-            assert session.migrations == int(table.migrations[i])
-            assert session.warm_started == bool(table.warm_started[i])
-            assert session.budget == int(table.budget[i])
-            assert session.best_cost() == float(table.best_cost[i])
-            n = int(table.n_results[i])
-            assert len(session.results) == n
-            np.testing.assert_array_equal(session.costs(), table.costs[i, :n])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_shed_reason_lands_on_the_tick_of_the_shed(self, shards):
+        topology = default_topology(
+            2,
+            migration=MigrationConfig(enabled=False),
+            admission=AdmissionConfig(
+                admit_utilization=0.4, shed_utilization=0.5
+            ),
+        )
+        scheduler = FleetScheduler(
+            _specs(12),
+            seed=2024,
+            config=FleetConfig(hbo=FAST, topology=topology, shards=shards),
+        )
+        shed_now = []
+        candidates = scheduler.topology.shed_candidates
+
+        def spy(node_name):
+            ids = list(candidates(node_name))
+            shed_now.extend(ids)
+            return ids
+
+        scheduler.topology.shed_candidates = spy
+        table = scheduler.table
+        shed = []
+        try:
+            tick = 0
+            while not table.all_done():
+                shed_now.clear()
+                scheduler.step(tick)
+                for session_id in shed_now:
+                    row = table.session_ids.index(session_id)
+                    assert table.fallback_reason[row] == "shed"
+                    assert table.edge_node[row] == ""
+                    shed.append(row)
+                tick += 1
+        finally:
+            scheduler._shutdown()
+        assert shed
+        assert sorted(
+            i for i, reason in enumerate(table.fallback_reason) if reason
+        ) == sorted(shed)
 
     def test_reports_are_built_from_columns(self, device_run):
         scheduler, result = device_run

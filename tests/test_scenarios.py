@@ -424,6 +424,23 @@ class TestSchedulerHookValidation:
                 **{field_name: {key: schedule}},
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("slot", ["time", "scale"])
+    @pytest.mark.parametrize("field_name", ["edge_drift", "link_drift"])
+    def test_drift_breakpoints_must_be_finite(
+        self, field_name: str, slot: str, value: float
+    ) -> None:
+        """A NaN time never comes due and a NaN/inf scale only fails once
+        the link applies it mid-run: both are rejected at construction."""
+        bad = (value, 0.3) if slot == "time" else (3.0, value)
+        key = "edge-0" if field_name == "edge_drift" else "s00"
+        with pytest.raises(FleetError, match="must be finite"):
+            FleetConfig(
+                hbo=TINY,
+                topology=default_topology(2),
+                **{field_name: {key: ((0.0, 0.5), bad)}},
+            )
+
     def test_link_drift_requires_an_edge(self) -> None:
         with pytest.raises(FleetError, match="link_drift needs an edge"):
             FleetConfig(hbo=TINY, link_drift={"s00": ((0.0, 1.0),)})

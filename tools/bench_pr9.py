@@ -92,7 +92,7 @@ def _time_pricing_passes(scheduler: FleetScheduler) -> Dict[str, float]:
     columnar = _time_batched(scheduler, rows)
     start = time.perf_counter()
     for row in rows:
-        batched_steady(worker.table, worker.sessions, [row])
+        batched_steady(worker.sessions, [row])
     object_per_session = time.perf_counter() - start
     return {
         "n_sessions": len(rows),
@@ -110,7 +110,7 @@ def _time_batched(scheduler: FleetScheduler, rows: List[int]) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        batched_steady(worker.table, worker.sessions, rows)
+        batched_steady(worker.sessions, rows)
         best = min(best, time.perf_counter() - start)
     return best
 
