@@ -31,8 +31,9 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 # The CLI's byte-reproducibility contract: every fleet/edge/topology/GP/
-# shard/scenario/trace invocation in tools/replay_check.py runs twice (or
-# at two shard counts), byte-compares, and checks its pinned sha256.
+# shard/scenario/tune/experiment/trace invocation in tools/replay_check.py
+# runs twice (or at two shard counts), byte-compares, and checks its pinned
+# sha256.
 replay-check:
 	$(PYTHON) tools/replay_check.py
 

@@ -66,8 +66,8 @@ class ExpectedImprovement(AcquisitionFunction):
     name = "ei"
 
     def __init__(self, xi: float = 0.01) -> None:
-        if xi < 0:
-            raise ConfigurationError(f"xi must be >= 0, got {xi}")
+        if not (np.isfinite(xi) and xi >= 0):
+            raise ConfigurationError(f"xi must be finite and >= 0, got {xi}")
         self.xi = float(xi)
 
     def __call__(
@@ -83,8 +83,8 @@ class ProbabilityOfImprovement(AcquisitionFunction):
     name = "pi"
 
     def __init__(self, xi: float = 0.01) -> None:
-        if xi < 0:
-            raise ConfigurationError(f"xi must be >= 0, got {xi}")
+        if not (np.isfinite(xi) and xi >= 0):
+            raise ConfigurationError(f"xi must be finite and >= 0, got {xi}")
         self.xi = float(xi)
 
     def __call__(
@@ -107,8 +107,8 @@ class LowerConfidenceBound(AcquisitionFunction):
     name = "lcb"
 
     def __init__(self, kappa: float = 2.0) -> None:
-        if kappa < 0:
-            raise ConfigurationError(f"kappa must be >= 0, got {kappa}")
+        if not (np.isfinite(kappa) and kappa >= 0):
+            raise ConfigurationError(f"kappa must be finite and >= 0, got {kappa}")
         self.kappa = float(kappa)
 
     def __call__(

@@ -80,7 +80,7 @@ class GaussianProcess:
         noise: float = 1e-4,
         normalize_y: bool = True,
     ) -> None:
-        if noise < 0:
+        if not noise >= 0:
             raise GPFitError(f"noise must be >= 0, got {noise}")
         self.kernel = kernel if kernel is not None else Matern(length_scale=1.0, nu=2.5)
         self.noise = float(noise)

@@ -82,7 +82,7 @@ class Matern(Kernel):
         nu: float = 2.5,
         variance: float = 1.0,
     ) -> None:
-        if length_scale <= 0:
+        if not length_scale > 0:
             raise ConfigurationError(f"length_scale must be > 0, got {length_scale}")
         if variance <= 0:
             raise ConfigurationError(f"variance must be > 0, got {variance}")
@@ -122,7 +122,7 @@ class RBF(Kernel):
     """Squared-exponential kernel (the ν → ∞ limit of Matérn)."""
 
     def __init__(self, length_scale: float = 1.0, variance: float = 1.0) -> None:
-        if length_scale <= 0:
+        if not length_scale > 0:
             raise ConfigurationError(f"length_scale must be > 0, got {length_scale}")
         if variance <= 0:
             raise ConfigurationError(f"variance must be > 0, got {variance}")

@@ -36,29 +36,37 @@ GP_TIERS = ("exact", "sparse")
 
 def candidate_pool(
     space: SpaceLike,
-    rng: np.random.Generator,
+    rngs: Union[np.random.Generator, Sequence[np.random.Generator]],
     n_uniform: int,
     anchors: Optional[np.ndarray],
     incumbents: np.ndarray,
     n_local: int,
 ) -> np.ndarray:
-    """The acquisition maximizer's pool: ``[uniform; anchors; local]``.
-
-    Local rows: ``k = max(1, n_local // (2m))`` perturbations of each of
-    the ``m`` incumbent rows per scale — scale outer, incumbent inner —
-    from one ``perturb_rows`` draw, which consumes ``rng`` exactly like
-    making them one at a time in that order.
+    """``(B, C, d)`` pools ``[uniform; anchors; local]`` for B streams and
+    ``(B, m, d)`` incumbents; one generator and ``(m, d)`` incumbents give
+    that one session's ``(C, d)`` pool. Local rows: ``k = max(1, n_local
+    // (2m))`` jitters per incumbent and scale, scale outer. Each session
+    draws its uniform rows, then its jitter normals, from its own stream,
+    in session order; one row-wise ``project_rows`` call projects them all.
     """
-    pools = [space.sample(rng, size=n_uniform)]
+    if isinstance(rngs, np.random.Generator):
+        return candidate_pool(space, [rngs], n_uniform, anchors, incumbents[None], n_local)[0]
+    if len(rngs) != len(incumbents) or not len(rngs):
+        raise ConfigurationError(f"{len(incumbents)} sessions, {len(rngs)} streams")
+    m = incumbents.shape[1]
+    k = max(1, n_local // (2 * m)) if n_local > 0 and m > 0 else 0
+    centers = np.tile(np.repeat(incumbents, k, axis=1), (1, 2, 1))
+    scales = np.repeat((0.05, 0.15), m * k)
+    n_fixed = n_uniform + (0 if anchors is None else len(anchors))
+    pools = np.empty((len(rngs), n_fixed + centers.shape[1], space.dim))
+    jitter = []
+    for pool, rng, rows in zip(pools, rngs, centers):
+        pool[:n_uniform] = space.sample(rng, size=n_uniform)
+        jitter.append(space.jitter_rows(rows, scales, rng))
     if anchors is not None:
-        pools.append(anchors)
-    m = len(incumbents)
-    if n_local > 0 and m > 0:
-        k = max(1, n_local // (2 * m))
-        scales = (0.05, 0.15)
-        centers = np.tile(np.repeat(incumbents, k, axis=0), (len(scales), 1))
-        pools.append(space.perturb_rows(centers, np.repeat(scales, m * k), rng))
-    return np.vstack(pools)
+        pools[:, n_uniform:n_fixed] = anchors
+    pools[:, n_fixed:] = space.project_rows(np.vstack(jitter)).reshape(centers.shape)
+    return pools
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,8 @@ class BayesianOptimizer:
             raise ConfigurationError(f"n_candidates must be >= 1, got {n_candidates}")
         if n_local < 0:
             raise ConfigurationError(f"n_local must be >= 0, got {n_local}")
+        if not (np.isfinite(noise) and noise >= 0):
+            raise ConfigurationError(f"noise must be finite and >= 0, got {noise}")
         if gp_tier not in GP_TIERS:
             raise ConfigurationError(
                 f"gp_tier must be one of {GP_TIERS}, got {gp_tier!r}"

@@ -50,13 +50,16 @@ class _RowSpace:
     def perturb_rows(
         self, centers: np.ndarray, scales: Sequence[float], rng: SeedLike
     ) -> np.ndarray:
-        """Row ``i`` is ``centers[i]`` jittered at ``scales[i]``, projected.
+        """Row ``i`` is ``centers[i]`` jittered at ``scales[i]``, projected."""
+        return self.project_rows(self.jitter_rows(centers, scales, rng))
 
-        Stream contract: one ``(m, d)`` normal draw with per-row ×
-        per-column scales consumes the generator row-major, exactly like
-        ``m`` single-row draws in order, so every row is bit-identical to
-        perturbing it alone.
-        """
+    def jitter_rows(
+        self, centers: np.ndarray, scales: Sequence[float], rng: SeedLike
+    ) -> np.ndarray:
+        """Row ``i`` is ``centers[i]`` jittered at ``scales[i]``, unprojected:
+        one ``(m, d)`` normal draw with per-row × per-column scales, which
+        consumes the generator row-major exactly like ``m`` single-row
+        draws in order (the stream contract)."""
         z = np.asarray(centers, dtype=float)
         s = np.asarray(scales, dtype=float).ravel()
         if z.ndim != 2 or z.shape[1] != len(self._noise) or len(s) != len(z):
@@ -66,7 +69,7 @@ class _RowSpace:
             )
         if not np.all(np.isfinite(s)) or np.any(s < 0):
             raise SearchSpaceError(f"scales must be finite and >= 0, got {s.tolist()}")
-        return self.project_rows(z + make_rng(rng).normal(0.0, s[:, None] * self._noise))
+        return z + make_rng(rng).normal(0.0, s[:, None] * self._noise)
 
 
 class SimplexSpace(_RowSpace):

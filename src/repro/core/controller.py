@@ -57,8 +57,13 @@ class HBOConfig:
     gp_sparse_threshold: int = 64
 
     def __post_init__(self) -> None:
-        if self.w < 0:
-            raise ConfigurationError(f"w must be >= 0, got {self.w}")
+        for name in ("w", "w_power", "noise"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        length = self.kernel_length_scale
+        if not (np.isfinite(length) and length > 0):
+            raise ConfigurationError(f"kernel_length_scale must be finite and > 0, got {length}")
         if self.n_initial < 1:
             raise ConfigurationError(f"n_initial must be >= 1, got {self.n_initial}")
         if self.n_iterations < 0:
@@ -67,8 +72,6 @@ class HBOConfig:
             )
         if not 0.0 <= self.r_min < 1.0:
             raise ConfigurationError(f"r_min must be in [0, 1), got {self.r_min}")
-        if self.w_power < 0:
-            raise ConfigurationError(f"w_power must be >= 0, got {self.w_power}")
         if self.gp_tier not in ("exact", "sparse"):
             raise ConfigurationError(
                 f"gp_tier must be 'exact' or 'sparse', got {self.gp_tier!r}"

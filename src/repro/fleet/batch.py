@@ -1,23 +1,20 @@
 """Guided proposals for a fleet tick, priced with the one exact GP.
 
-A fleet tick needs one guided proposal per active session.
-:class:`SharedOptimizerService` packages this as "give me B optimizers,
-get B proposals", which is what :class:`~repro.fleet.scheduler.
-FleetScheduler` calls once per tick. Each session is priced exactly as
-the paper's single-device loop prices it:
-
-- its pool comes from :func:`~repro.bo.optimizer.candidate_pool` around
-  its best observation, drawn from its own stream (every pool is drawn
-  first, in session order);
-- a :class:`~repro.bo.gp.GaussianProcess` with the session's own kernel
-  and noise is fit on :meth:`~repro.bo.optimizer.BayesianOptimizer.
-  surrogate_dataset` and queried on that pool;
-- :func:`~repro.bo.acquisition.expected_improvement` scores the pool and
-  the best row, projected into the space, is the proposal.
-
-A fleet tick averages a handful of guided sessions with n ≤ 30
-observations each, where one small Cholesky per session is as fast as any
-padded batch, so the fleet keeps no second copy of the GP math.
+:class:`SharedOptimizerService` turns the B guided optimizers of one
+space into B proposals, once per fleet tick and space dimension. Only
+each session's fit and predict (its own :class:`~repro.bo.gp.
+GaussianProcess` on :meth:`~repro.bo.optimizer.BayesianOptimizer.
+surrogate_dataset`) run per session; the rest are column passes. One
+:func:`~repro.bo.optimizer.candidate_pool` call draws the ``(B, C, d)``
+pools around each session's best observation from each session's own
+stream, in session order, and projects all jittered rows at once; one
+:func:`~repro.bo.acquisition.expected_improvement` call scores the
+``(B, C)`` means and stds (NaN rows for degenerate fits); a per-row
+``nanargmax`` picks (a row with no finite score draws a uniform fallback
+from its own stream); one ``project_rows`` call projects the picks.
+Every pass is row-wise, so each proposal is bitwise the one the session
+would get alone. At n ≤ 30, one small Cholesky per session is as fast
+as a padded batch.
 """
 
 from __future__ import annotations
@@ -35,11 +32,7 @@ from repro.obs import runtime as obs
 
 
 class SharedOptimizerService:
-    """One-tick proposal engine: B guided optimizers in, B proposals out.
-
-    Pools come from :func:`~repro.bo.optimizer.candidate_pool` around each
-    session's best observation, without anchors.
-    """
+    """One-tick proposal engine: B guided optimizers in, B proposals out."""
 
     def __init__(
         self,
@@ -47,6 +40,8 @@ class SharedOptimizerService:
         n_candidates: int = 256,
         n_local: int = 32,
     ) -> None:
+        if not (np.isfinite(xi) and xi >= 0):
+            raise FleetError(f"xi must be finite and >= 0, got {xi}")
         if n_candidates < 1:
             raise FleetError(f"n_candidates must be >= 1, got {n_candidates}")
         if n_local < 0:
@@ -54,20 +49,6 @@ class SharedOptimizerService:
         self.xi = float(xi)
         self.n_candidates = int(n_candidates)
         self.n_local = int(n_local)
-
-    def _candidates(
-        self, optimizer: BayesianOptimizer, rng: np.random.Generator
-    ) -> np.ndarray:
-        space = optimizer.space
-        if not isinstance(space, HBOSpace):
-            raise FleetError(
-                "batched proposals need HBOSpace optimizers, got "
-                f"{type(space).__name__}"
-            )
-        incumbent = optimizer.best().z[None]
-        return candidate_pool(
-            space, rng, self.n_candidates, None, incumbent, self.n_local
-        )
 
     def propose(
         self,
@@ -77,11 +58,11 @@ class SharedOptimizerService:
         """Guided proposals for every optimizer, one exact GP fit each.
 
         All optimizers must search an :class:`~repro.bo.space.HBOSpace`
-        of one shared dimension and have at least one observation. A
-        session whose fit is degenerate, or whose scores are all
-        non-finite, falls back to uniform exploration on its own stream
-        (as the single-session optimizer does); the other sessions keep
-        their guided pick.
+        of one shared dimension and ``r_min``, and have at least one
+        observation. A session whose fit is degenerate, or whose scores
+        are all non-finite, falls back to uniform exploration on its own
+        stream (as the single-session optimizer does); the other sessions
+        keep their guided pick.
         """
         if not optimizers:
             return []
@@ -89,35 +70,38 @@ class SharedOptimizerService:
             raise FleetError(
                 f"{len(optimizers)} optimizers but {len(rngs)} rng streams"
             )
-        dims = {opt.space.dim for opt in optimizers}
-        if len(dims) != 1:
+        space = optimizers[0].space
+        shapes = {(opt.space.dim, getattr(opt.space, "r_min", None)) for opt in optimizers}
+        if len(shapes) != 1 or not isinstance(space, HBOSpace):
             raise FleetError(
-                f"cannot batch optimizers over mixed space dimensions: {sorted(dims)}"
+                "batched proposals need HBOSpace optimizers of one (dim, r_min), "
+                f"got {type(space).__name__} and {sorted(shapes, key=str)}"
             )
-        pools = [self._candidates(opt, rng) for opt, rng in zip(optimizers, rngs)]
-        proposals: List[np.ndarray] = []
+        best = [opt.best() for opt in optimizers]
+        incumbents = np.stack([b.z for b in best])[:, None]
+        pools = candidate_pool(space, rngs, self.n_candidates, None, incumbents, self.n_local)
+        mean, std = np.full((2,) + pools.shape[:2], np.nan)
         with obs.span(
             "fleet.batched_gp", category="fleet", n_sessions=len(optimizers)
         ) as span:
-            for opt, rng, pool in zip(optimizers, rngs, pools):
+            for row, opt in enumerate(optimizers):
                 try:
                     # surrogate_dataset() is the support subset on the
                     # sparse tier, so sparse sessions are priced as their
                     # own per-session fit would price them.
                     gp = GaussianProcess(kernel=opt.kernel, noise=opt.noise)
-                    post = gp.fit(*opt.surrogate_dataset()).predict(pool)
+                    post = gp.fit(*opt.surrogate_dataset()).predict(pools[row])
                 except GPFitError:
                     span.set(degenerate_fit=True)
-                    scores = None
                 else:
-                    scores = expected_improvement(
-                        post.mean, post.std, opt.best().cost, self.xi
-                    )
-                if scores is None or not np.any(np.isfinite(scores)):
-                    z = opt.space.sample(rng, size=1)[0]
-                else:
-                    z = pool[int(np.nanargmax(scores))]
-                proposals.append(opt.space.project(z))
+                    mean[row], std[row] = post.mean, post.std
+            scores = expected_improvement(mean, std, np.array([[b.cost] for b in best]), self.xi)
+            guided = np.isfinite(scores).any(axis=1)
+            picks = np.nanargmax(np.where(guided[:, None], scores, 0.0), axis=1)
+            z = pools[np.arange(len(pools)), picks]
+            for row in np.flatnonzero(~guided):
+                z[row] = space.sample(rngs[row], size=1)[0]
+            proposals = list(space.project_rows(z))
         obs.counter("fleet_gp_batches").inc()
         obs.histogram("fleet_gp_batch_size", edges=(1, 2, 4, 8, 16, 32, 64)).observe(
             len(optimizers)

@@ -63,6 +63,12 @@ class TestExpectedImprovement:
         with pytest.raises(ConfigurationError):
             ExpectedImprovement(xi=-0.1)
 
+    @pytest.mark.parametrize("cls", [ExpectedImprovement, ProbabilityOfImprovement])
+    @pytest.mark.parametrize("xi", [np.nan, np.inf])
+    def test_non_finite_xi_raises(self, cls, xi):
+        with pytest.raises(ConfigurationError):
+            cls(xi=xi)
+
 
 class TestProbabilityOfImprovement:
     def test_bounded_in_unit_interval(self, fitted_gp, rng):
@@ -102,6 +108,11 @@ class TestLowerConfidenceBound:
     def test_negative_kappa_raises(self):
         with pytest.raises(ConfigurationError):
             LowerConfidenceBound(kappa=-1.0)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_non_finite_kappa_raises(self, kappa):
+        with pytest.raises(ConfigurationError):
+            LowerConfidenceBound(kappa=kappa)
 
 
 class TestMakeAcquisition:

@@ -48,6 +48,10 @@ class TestFit:
         with pytest.raises(GPFitError):
             GaussianProcess(noise=-1.0)
 
+    def test_nan_noise_raises(self):
+        with pytest.raises(GPFitError):
+            GaussianProcess(noise=float("nan"))
+
 
 class TestPredict:
     def test_predict_before_fit_raises(self):

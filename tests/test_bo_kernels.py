@@ -101,6 +101,7 @@ class TestMatern:
         [
             {"length_scale": 0.0},
             {"length_scale": -1.0},
+            {"length_scale": float("nan")},
             {"variance": 0.0},
             {"nu": 2.0},
             {"nu": 3.5},
@@ -127,6 +128,8 @@ class TestRBF:
     def test_invalid_parameters_raise(self):
         with pytest.raises(ConfigurationError):
             RBF(length_scale=-0.1)
+        with pytest.raises(ConfigurationError):
+            RBF(length_scale=float("nan"))
 
 
 class TestWhiteNoise:

@@ -31,6 +31,13 @@ class TestObservation:
             Observation(z=np.array([0.0, 1.0]), cost=float("inf"))
 
 
+class TestNoiseValidation:
+    @pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_rejected_at_construction(self, noise):
+        with pytest.raises(ConfigurationError, match="noise"):
+            BayesianOptimizer(HBOSpace(3), noise=noise)
+
+
 class TestOptimizerState:
     def test_best_and_trajectory(self):
         state = OptimizerState()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bo.optimizer import BayesianOptimizer, candidate_pool
 from repro.bo.space import BoxSpace, HBOSpace, SimplexSpace
-from repro.errors import SearchSpaceError
+from repro.errors import ConfigurationError, SearchSpaceError
 from repro.rng import make_rng
 
 
@@ -298,3 +298,44 @@ class TestStreamContract:
             space.perturb_rows(np.zeros((2, 3)), [0.1, 0.1], make_rng(0))
         with pytest.raises(SearchSpaceError):
             space.perturb_rows(np.zeros((2, 4)), [0.1], make_rng(0))
+
+
+class TestStackedCandidatePool:
+    """One B-session ``candidate_pool`` call equals B one-session calls,
+    bit for bit, and leaves every stream where its own call leaves it."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [pytest.param(HBOSpace(3), id="hbo3"), pytest.param(BoxSpace([(0.1, 1.0)] * 4), id="box")],
+    )
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n_local", [0, 64])
+    @pytest.mark.parametrize("with_anchors", [False, True], ids=["no-anchors", "anchors"])
+    def test_matches_one_session_calls(self, space, m, n_local, with_anchors):
+        incumbents = space.sample(make_rng(5), size=4 * m).reshape(4, m, space.dim)
+        anchors = space.sample(make_rng(6), size=4) if with_anchors else None
+        rngs = [make_rng(seed) for seed in (11, 12, 13, 14)]
+        alone = [make_rng(seed) for seed in (11, 12, 13, 14)]
+        pools = candidate_pool(space, rngs, 32, anchors, incumbents, n_local)
+        assert pools.shape[0] == 4
+        for pool, inc, rng, own in zip(pools, incumbents, rngs, alone):
+            expected = candidate_pool(space, own, 32, anchors, inc, n_local)
+            assert pool.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == own.bit_generator.state
+
+    def test_one_stream_per_session_and_at_least_one(self):
+        space = HBOSpace(3)
+        incumbents = space.sample(make_rng(5), size=2)[:, None]
+        with pytest.raises(ConfigurationError):
+            candidate_pool(space, [make_rng(1)], 8, None, incumbents, 4)
+        with pytest.raises(ConfigurationError):
+            candidate_pool(space, [], 8, None, incumbents[:0], 4)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_perturb_rows_projects_jitter_rows(self, space):
+        centers = space.sample(make_rng(3), size=4)
+        a, b = make_rng(21), make_rng(21)
+        jittered = space.jitter_rows(centers, [0.05, 0.15, 0.0, 1.0], a)
+        projected = space.perturb_rows(centers, [0.05, 0.15, 0.0, 1.0], b)
+        np.testing.assert_array_equal(space.project_rows(jittered), projected)
+        assert a.bit_generator.state == b.bit_generator.state

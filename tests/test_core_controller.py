@@ -64,6 +64,21 @@ class TestHBOConfig:
         with pytest.raises(ConfigurationError):
             HBOConfig(r_min=1.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("noise", -1.0), ("noise", np.nan), ("noise", np.inf),
+            ("w", np.nan), ("w", np.inf), ("w_power", np.nan), ("w_power", np.inf),
+            ("kernel_length_scale", np.nan), ("kernel_length_scale", 0.0),
+            ("kernel_length_scale", -1.0), ("kernel_length_scale", np.inf),
+        ],
+    )
+    def test_rejects_bad_gp_and_cost_weights(self, field, value):
+        """A bad GP noise used to fail every fit inside the degenerate-fit
+        fallback, silently turning every guided ask into uniform sampling."""
+        with pytest.raises(ConfigurationError, match=field):
+            HBOConfig(**{field: value})
+
 
 class TestHBORunResult:
     def test_best_and_trajectory_empty_raises(self):

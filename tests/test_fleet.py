@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bo.acquisition import expected_improvement
-from repro.bo.gp import GaussianProcess
+from repro.bo.gp import GaussianProcess, GPPosterior
 from repro.bo.kernels import Matern
 from repro.bo.optimizer import BayesianOptimizer, candidate_pool
 from repro.bo.space import HBOSpace
@@ -110,6 +110,12 @@ class TestSharedOptimizerService:
         with pytest.raises(FleetError):
             SharedOptimizerService(n_local=-1)
 
+    @pytest.mark.parametrize("xi", [-0.1, float("nan"), float("inf")])
+    def test_bad_xi_rejected(self, xi):
+        """A NaN xi made every score NaN, so every guided pick fell back."""
+        with pytest.raises(FleetError, match="xi"):
+            SharedOptimizerService(xi=xi)
+
     @staticmethod
     def _tier_mix(length_scale, noise):
         """Two exact-tier sessions and one sparse session past n* = 6,
@@ -192,6 +198,83 @@ class TestSharedOptimizerService:
             assert np.array_equal(z, ref)
         (span,) = [s for s in tracer.spans if s.name == "fleet.batched_gp"]
         assert dict(span.args)["degenerate_fit"] is True
+
+
+class TestStackedProposals:
+    """One B-session ``propose`` equals B one-session calls on deep copies
+    of the optimizers and streams, bit for bit, and leaves every stream
+    where the one-session call leaves it."""
+
+    @staticmethod
+    def _sessions():
+        """Mixed observation counts, and a sparse session past n* = 6."""
+        cost = lambda z: float(np.sum((z - 0.3) ** 2))  # noqa: E731
+        optimizers = []
+        for seed, (tier, n_obs) in enumerate(
+            (("exact", 2), ("exact", 5), ("sparse", 11), ("exact", 9), ("exact", 3)),
+            start=1,
+        ):
+            space = HBOSpace(3, r_min=0.1)
+            optimizer = BayesianOptimizer(
+                space, n_initial=2, seed=seed, gp_tier=tier, sparse_threshold=6
+            )
+            for z in space.sample(make_rng(seed + 20), size=n_obs):
+                optimizer.tell(z, cost(z))
+            optimizers.append(optimizer)
+        assert optimizers[2].sparse_active
+        return optimizers
+
+    @staticmethod
+    def _assert_stacked_matches_alone(service, optimizers):
+        rngs = spawn_rngs(11, len(optimizers))
+        alone = []
+        for optimizer, rng in zip(optimizers, rngs):
+            own = copy.deepcopy(rng)
+            (z,) = service.propose([copy.deepcopy(optimizer)], [own])
+            alone.append((z, own.bit_generator.state))
+        stacked = service.propose(optimizers, rngs)
+        assert len(stacked) == len(optimizers)
+        for z, rng, (z_alone, state) in zip(stacked, rngs, alone):
+            assert z.tobytes() == z_alone.tobytes()
+            assert rng.bit_generator.state == state
+        return stacked
+
+    @pytest.mark.parametrize("n_local", [32, 0])
+    def test_mixed_sessions(self, n_local):
+        service = SharedOptimizerService(n_candidates=64, n_local=n_local)
+        self._assert_stacked_matches_alone(service, self._sessions())
+
+    def test_forced_degenerate_fit(self, monkeypatch):
+        optimizers = self._sessions()
+        degenerate_x = optimizers[1].surrogate_dataset()[0]
+        real_fit = GaussianProcess.fit
+
+        def fit(gp, x, y):
+            if np.array_equal(x, degenerate_x):
+                raise GPFitError("forced degenerate fit")
+            return real_fit(gp, x, y)
+
+        monkeypatch.setattr(batch_module.GaussianProcess, "fit", fit)
+        self._assert_stacked_matches_alone(SharedOptimizerService(), optimizers)
+
+    def test_all_nan_scores(self, monkeypatch):
+        optimizers = self._sessions()
+        nan_x = optimizers[3].surrogate_dataset()[0]
+        real_predict = GaussianProcess.predict
+
+        def predict(gp, x):
+            post = real_predict(gp, x)
+            if np.array_equal(gp.x_train, nan_x):
+                return GPPosterior(np.full_like(post.mean, np.nan), post.std)
+            return post
+
+        monkeypatch.setattr(batch_module.GaussianProcess, "predict", predict)
+        stacked = self._assert_stacked_matches_alone(SharedOptimizerService(), optimizers)
+        # That session took the uniform fallback from its own stream.
+        stream = spawn_rngs(11, len(optimizers))[3]
+        space = optimizers[3].space
+        candidate_pool(space, stream, 256, None, optimizers[3].best().z[None], 32)
+        assert np.array_equal(stacked[3], space.project(space.sample(stream, size=1)[0]))
 
 
 class TestSessionSpecValidation:

@@ -156,6 +156,19 @@ CASES: Tuple[Case, ...] = (
          "--export", f"{OUT}/tune-sparse.json"),
         {"tune-sparse.json": "23ae8554df1582523970fc8adef8d3cbaf17fe027f458f77da9ed8e35b1e2185"},
     ),
+    # The paper's own figures: Fig. 5's policy comparison and Fig. 6's
+    # per-iteration BO trajectory (consecutive proposal distances), both
+    # from the single-device loop's candidate pool.
+    Case(
+        "fig5",
+        ("experiment", "fig5", "--seed", "2024"),
+        {"stdout": "9791f0dd9e19e4e33f14463d9098f2976bf4972e4aac77da4f90427d429127f1"},
+    ),
+    Case(
+        "fig6",
+        ("experiment", "fig6", "--seed", "2024"),
+        {"stdout": "da8c2fdacec4f4a9382c5950c216f17073527b881ede798572add41c89b55f42"},
+    ),
     Case(
         # `repro trace` also exits non-zero unless the trace is a
         # non-empty, schema-valid Chrome trace that round-trips.
