@@ -14,10 +14,14 @@ maximum triangle count, so weights are re-normalized over the uncapped
 objects until the budget is exhausted (a water-filling loop that
 terminates in ≤ L rounds).
 
-There is one TD body, :func:`distribute_triangles_batch`, which runs a
-whole vector of total ratios at once; :func:`distribute_triangles` is its
-one-row call. Both are bit-identical to evaluating Eq. 1 object by object
-with :meth:`~repro.ar.degradation.DegradationModel.error`.
+There is one TD body, :func:`distribute_triangles_columns`, over
+per-object columns in sorted-id order: one scene's ``(L,)`` columns for a
+vector of total ratios, or ``(R, L)`` blocks with one scene per row.
+:func:`distribute_triangles_grouped` runs it once per object count for
+many scenes (the fleet tick); the mapping :func:`distribute_triangles`
+and :func:`distribute_triangles_batch` are thin wrappers. Every row is
+bit-identical to evaluating Eq. 1 object by object with
+:meth:`~repro.ar.degradation.DegradationModel.error`.
 
 Two reference allocators are included for the ablation bench:
 :func:`uniform_distribution` (every object at ratio x) and
@@ -28,12 +32,13 @@ for concave quality curves).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ar.degradation import eq1_columns, eq1_errors
+from repro.ar.degradation import Eq1Columns, eq1_columns, eq1_errors
 from repro.ar.objects import VirtualObject
+from repro.ar.scene import SceneColumns
 from repro.errors import ConfigurationError
 
 #: Never draw an object below this ratio — a 2% mesh is unrecognizable and
@@ -44,17 +49,18 @@ MIN_OBJECT_RATIO = 0.05
 def _validate_inputs(
     objects: Mapping[str, VirtualObject],
     distances: Mapping[str, float],
-    triangle_ratio: float,
+    *triangle_ratios: float,
 ) -> None:
     if set(objects) != set(distances):
         raise ConfigurationError(
             "object and distance key sets differ: "
             f"{sorted(set(objects) ^ set(distances))}"
         )
-    if not 0.0 < triangle_ratio <= 1.0:
-        raise ConfigurationError(
-            f"triangle_ratio must be in (0, 1], got {triangle_ratio}"
-        )
+    for triangle_ratio in triangle_ratios:
+        if not 0.0 < triangle_ratio <= 1.0:
+            raise ConfigurationError(
+                f"triangle_ratio must be in (0, 1], got {triangle_ratio}"
+            )
     for iid, dist in distances.items():
         if not (math.isfinite(dist) and dist > 0):
             raise ConfigurationError(
@@ -83,7 +89,7 @@ def distribute_triangles(
     Returns per-instance decimation ratios whose triangle-weighted total
     matches ``triangle_ratio · T^max`` (up to the MIN_OBJECT_RATIO floor
     and per-object caps). This is the one-row call of
-    :func:`distribute_triangles_batch`, so a ratio gets the same bits
+    :func:`distribute_triangles_columns`, so a ratio gets the same bits
     here as in any batch.
 
     ``reference_ratio`` is the common comparison point of the sensitivity
@@ -104,70 +110,93 @@ def distribute_triangles_batch(
     triangle_ratios: np.ndarray,
     reference_ratio: Optional[float] = None,
 ) -> Tuple[List[str], np.ndarray]:
-    """TD over a batch of total triangle ratios, one row per ratio.
+    """TD over a batch of total triangle ratios, one row per ratio, for a
+    scene given as id → object and id → distance maps.
+
+    Returns ``(ids, ratios)`` where ``ids`` is the sorted instance-id
+    order and ``ratios[k, j]`` is the decimation ratio of object
+    ``ids[j]`` under total ratio ``triangle_ratios[k]``.
+    """
+    _validate_inputs(objects, distances)
+    ids: List[str] = sorted(objects)
+    max_tris = np.asarray([objects[i].max_triangles for i in ids], dtype=float)
+    eq1 = eq1_columns([objects[i].params for i in ids], [distances[i] for i in ids])
+    return ids, distribute_triangles_columns(
+        max_tris, eq1, triangle_ratios, reference_ratio
+    )
+
+
+def distribute_triangles_columns(
+    max_triangles: np.ndarray,
+    eq1: Eq1Columns,
+    triangle_ratios: np.ndarray,
+    reference_ratios: Union[None, float, np.ndarray] = None,
+) -> np.ndarray:
+    """The TD body: §IV-D over per-object columns in sorted-id order.
+
+    ``max_triangles`` and the ``eq1`` fields are ``(L,)`` columns of one
+    scene that every row shares, or ``(R, L)`` blocks whose row ``k`` is
+    the scene of total ratio ``triangle_ratios[k]``. ``reference_ratios``
+    (the sensitivity weight's comparison point) is ``None`` (halfway
+    below each row's x), one ratio, or one per row.
 
     The sensitivity weights, the floor handling and the ≤ L water-filling
     rounds are evaluated for the whole batch at once. A row whose budget
     is exhausted receives zero grants in later rounds, which leaves its
     allocation exactly as it was. Every operation is elementwise or a
     per-row reduction, so each row is bit-identical to the same ratio
-    evaluated alone.
+    evaluated alone. Rows of different L must not be padded into one
+    call: NumPy sums 8 or more terms pairwise, so padding would change a
+    row's reduction order.
 
-    Returns ``(ids, ratios)`` where ``ids`` is the sorted instance-id
-    order and ``ratios[k, j]`` is the decimation ratio of object
-    ``ids[j]`` under total ratio ``triangle_ratios[k]``.
+    Returns the ``(R, L)`` decimation ratios.
     """
     x = np.asarray(triangle_ratios, dtype=float).ravel()
     if x.size == 0:
         raise ConfigurationError("triangle_ratios must be non-empty")
-    if not np.all((x > 0.0) & (x <= 1.0)):
+    if not ((x > 0.0) & (x <= 1.0)).all():
         raise ConfigurationError(
             f"triangle_ratio must be in (0, 1], got {x.tolist()}"
         )
-    _validate_inputs(objects, distances, float(x[0]))
-    if reference_ratio is not None and not 0.0 < reference_ratio <= 1.0:
+    reference = (
+        np.maximum(MIN_OBJECT_RATIO, x / 2.0)
+        if reference_ratios is None
+        else np.full(x.shape, reference_ratios, dtype=float)
+    )
+    if not ((reference > 0.0) & (reference <= 1.0)).all():
         raise ConfigurationError(
-            f"reference_ratio must be in (0, 1], got {reference_ratio}"
+            f"reference_ratio must be in (0, 1], got {reference.tolist()}"
         )
-    ids: List[str] = sorted(objects)
-    n_rows, n_obj = x.size, len(ids)
-    max_tris = np.asarray([objects[i].max_triangles for i in ids], dtype=float)
-    total_max = float(max_tris.sum())
-    budget = x * total_max  # (n_rows,)
+    n_rows, n_obj = x.size, max_triangles.shape[-1]
+    budget = x * max_triangles.sum(axis=-1)  # (n_rows,)
 
     # Sensitivity at the uniform starting point: how much worse (or
     # better) each object is at the common reference ratio than at the
     # current uniform ratio x — a measure of curve steepness around x,
     # scaled by distance through Eq. 1.
     current = np.maximum(MIN_OBJECT_RATIO, x)  # (n_rows,)
-    if reference_ratio is None:
-        reference = np.maximum(MIN_OBJECT_RATIO, x / 2.0)
-    else:
-        reference = np.full(n_rows, float(reference_ratio))
-    eq1 = eq1_columns(
-        [objects[i].degradation.params for i in ids], [distances[i] for i in ids]
-    )
     sensitivities = np.abs(eq1_errors(eq1, current) - eq1_errors(eq1, reference))
     # A flat-curve object still needs *some* weight or it would starve.
     weights = sensitivities + 1e-6
     weights = weights / weights.sum(axis=1, keepdims=True)
 
-    floors = MIN_OBJECT_RATIO * max_tris
-    caps = max_tris
-    allocation = np.broadcast_to(floors, (n_rows, n_obj)).copy()
+    caps = max_triangles
+    floors = MIN_OBJECT_RATIO * max_triangles
+    allocation = np.zeros((n_rows, n_obj)) + floors  # a (rows, L) copy
     floor_total = allocation.sum(axis=1)
     remaining = budget - floor_total
     below = remaining < 0
-    if np.any(below):
+    if below.any():
         # Budget below the aggregate floor: scale floors down proportionally.
         scale = np.where(below, budget / floor_total, 1.0)
         allocation *= scale[:, np.newaxis]
         remaining = np.maximum(remaining, 0.0)
 
     active = np.ones((n_rows, n_obj), dtype=bool)
+    below_caps = caps - 1e-9
     for _ in range(n_obj):
-        live = (remaining > 1e-9) & np.any(active, axis=1)
-        if not np.any(live):
+        live = (remaining > 1e-9) & active.any(axis=1)
+        if not live.any():
             break
         w = weights * active
         w_sum = w.sum(axis=1)
@@ -180,10 +209,35 @@ def distribute_triangles_batch(
         consumed = (new_alloc - allocation).sum(axis=1)
         allocation = new_alloc
         remaining = remaining - consumed
-        active = allocation < caps - 1e-9
+        active = allocation < below_caps
 
-    ratios = np.clip(allocation / max_tris, MIN_OBJECT_RATIO, 1.0)
-    return ids, ratios
+    # np.clip's bits, without its per-call dispatch cost.
+    return np.minimum(np.maximum(allocation / max_triangles, MIN_OBJECT_RATIO), 1.0)
+
+
+def distribute_triangles_grouped(
+    scenes: Sequence[SceneColumns],
+    triangle_ratios: Sequence[float],
+    reference_ratios: Sequence[float],
+) -> List[np.ndarray]:
+    """TD for many scenes: entry ``k`` is scene ``k``'s sorted-id ratio
+    row under ``triangle_ratios[k]`` and ``reference_ratios[k]``. Scenes
+    of equal L share one :func:`distribute_triangles_columns` call on
+    stacked ``(R, L)`` blocks; scenes of different L never do."""
+    x, reference = np.asarray(triangle_ratios), np.asarray(reference_ratios)
+    groups: Dict[int, List[int]] = {}
+    for k, cols in enumerate(scenes):
+        groups.setdefault(len(cols.ids), []).append(k)
+    rows: List[np.ndarray] = [np.empty(0)] * len(scenes)
+    for members in groups.values():
+        max_tris, eq1 = zip(*(scenes[k].td_columns() for k in members))
+        stacked = Eq1Columns(*map(np.stack, zip(*eq1)))
+        block = distribute_triangles_columns(
+            np.stack(max_tris), stacked, x[members], reference[members]
+        )
+        for k, row in zip(members, block):
+            rows[k] = row
+    return rows
 
 
 def greedy_optimal_distribution(

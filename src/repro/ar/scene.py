@@ -2,9 +2,10 @@
 
 A :class:`Scene` holds per-object columns in insertion order
 (:class:`SceneColumns`): ids, assets, ``(L, 3)`` positions, drawn ratios
-and max triangles. User distances and the Eq. 1 columns taken at them are
-recomputed only in ``add``, ``remove`` and ``move_user``; a ratio change
-replaces the ratio column alone. T^max, the drawn triangle count and the
+and max triangles. User distances, the Eq. 1 columns taken at them and
+the sorted-id permutation TD reads its columns through are recomputed
+only in ``add``, ``remove`` and ``move_user``; a ratio change replaces
+the ratio column alone. T^max, the drawn triangle count and the
 Eq. 2 average quality are column expressions over that state.
 """
 
@@ -72,6 +73,14 @@ class SceneColumns(NamedTuple):
     max_triangles: np.ndarray  # (L,)
     distances: np.ndarray  # (L,) user distance, clamped to MIN_DISTANCE_M
     eq1: Eq1Columns  # Eq. 1 (a, b, c, D^d) at those distances
+    order: np.ndarray  # (L,) insertion positions in sorted-id (TD) order
+
+    def td_columns(self) -> Tuple[np.ndarray, Eq1Columns]:
+        """Max triangles and Eq. 1 columns in sorted-id order, as TD
+        (:func:`~repro.ar.distribution.distribute_triangles_columns`)
+        takes them."""
+        order = self.order
+        return self.max_triangles[order], Eq1Columns(*(c[order] for c in self.eq1))
 
 
 class Scene:
@@ -96,9 +105,12 @@ class Scene:
         distances = np.maximum(MIN_DISTANCE_M, norms)
         max_tris = np.array([o.max_triangles for o in objects], dtype=np.float64)
         eq1 = eq1_columns([o.params for o in objects], distances.tolist())
-        for column in (positions, ratios, max_tris, distances, *eq1):
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        for column in (positions, ratios, max_tris, distances, *eq1, order):
             column.flags.writeable = False
-        self._cols = SceneColumns(ids, objects, positions, ratios, max_tris, distances, eq1)
+        self._cols = SceneColumns(
+            ids, objects, positions, ratios, max_tris, distances, eq1, order
+        )
         self._index = {iid: j for j, iid in enumerate(ids)}
 
     # -------------------------------------------------------------- objects
@@ -189,6 +201,19 @@ class Scene:
         column[[self._index[iid] for iid in ratios]] = list(ratios.values())
         column.flags.writeable = False
         self._cols = self._cols._replace(ratios=column)
+
+    def apply_sorted_ratios(self, ratios: np.ndarray) -> Dict[str, float]:
+        """Redraw every object from a ratio row in sorted-id (TD) order;
+        returns it as an id → ratio map in that order. All or nothing."""
+        ratios = np.asarray(ratios, dtype=np.float64)
+        order = self._cols.order
+        if ratios.shape != order.shape or not ((ratios > 0.0) & (ratios <= 1.0)).all():
+            raise SceneError(f"need {order.size} ratios in (0, 1], got {ratios.tolist()}")
+        column = np.empty_like(ratios)
+        column[order] = ratios
+        column.flags.writeable = False
+        self._cols = self._cols._replace(ratios=column)
+        return dict(zip([self._cols.ids[j] for j in order.tolist()], ratios.tolist()))
 
     def ratios(self) -> Dict[str, float]:
         return dict(zip(self._cols.ids, self._cols.ratios.tolist()))

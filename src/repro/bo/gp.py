@@ -15,12 +15,23 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from repro.bo.kernels import Kernel, Matern, _as_2d
 from repro.errors import GPFitError
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``K⁻¹ b`` from the lower Cholesky factor of ``K``: LAPACK ``dpotrs``
+    called directly (``scipy.linalg.cho_solve`` gives the same bits but
+    costs more per call than the solve itself at these sizes)."""
+    solution, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise GPFitError(f"dpotrs rejected argument {-info}")
+    return solution
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,8 @@ class GaussianProcess:
         self._y_mean = 0.0
         self._y_std = 1.0
         self._alpha: Optional[np.ndarray] = None
-        self._cho = None
+        #: Lower Cholesky factor of the covariance (upper triangle unused).
+        self._cho: Optional[np.ndarray] = None
 
     @property
     def is_fit(self) -> bool:
@@ -136,23 +148,21 @@ class GaussianProcess:
 
         k = self.kernel(x, x)
         k[np.diag_indices_from(k)] += self.noise
-        cho = None
-        last_error: Optional[Exception] = None
         for jitter in _JITTERS:
-            try:
-                cho = cho_factor(
-                    k + jitter * np.eye(k.shape[0]), lower=True, check_finite=False
-                )
+            # dpotrf: info > 0 is a leading minor that is not positive
+            # definite (try the next jitter), info < 0 a bad argument.
+            factor, info = dpotrf(k + jitter * np.eye(k.shape[0]), lower=1, clean=0)
+            if info < 0:
+                raise GPFitError(f"dpotrf rejected argument {-info}")
+            if info == 0:
                 break
-            except LinAlgError as exc:  # singular even with jitter
-                last_error = exc
-        if cho is None:
+        else:
             raise GPFitError(
                 f"covariance matrix not positive definite after jitter "
-                f"escalation up to {_JITTERS[-1]}: {last_error}"
+                f"escalation up to {_JITTERS[-1]}: {info}-th leading minor"
             )
-        self._cho = cho
-        self._alpha = cho_solve(cho, y_n, check_finite=False)
+        self._cho = factor
+        self._alpha = _cho_solve(factor, y_n)
         self._y_train_normalized = y_n
         self._x_train = x
         self._y_raw = y.copy()
@@ -193,7 +203,7 @@ class GaussianProcess:
         x_all = np.vstack([self._x_train, row])
         y_all = np.append(self._y_raw, y_val)
         n = self.n_observations
-        l_mat = self._cho[0]  # lower triangle holds L; upper is unused
+        l_mat = self._cho
         k_vec = self.kernel(row, self._x_train).ravel()
         kappa = float(self.kernel.diag(row)[0]) + self.noise + self._jitter
         l12 = solve_triangular(l_mat, k_vec, lower=True, check_finite=False)
@@ -212,8 +222,8 @@ class GaussianProcess:
             spread = float(np.std(y_all))
             self._y_std = spread if spread > 1e-12 else 1.0
         y_n = (y_all - self._y_mean) / self._y_std
-        self._cho = (c_new, True)
-        self._alpha = cho_solve(self._cho, y_n, check_finite=False)
+        self._cho = c_new
+        self._alpha = _cho_solve(c_new, y_n)
         self._y_train_normalized = y_n
         self._x_train = x_all
         self._y_raw = y_all
@@ -227,7 +237,7 @@ class GaussianProcess:
         k_star = self.kernel(x, self._x_train)  # (m, n)
         mean_n = k_star @ self._alpha
         # var = k(x,x) - k* K^{-1} k*^T, diagonal only.
-        v = cho_solve(self._cho, k_star.T, check_finite=False)  # (n, m)
+        v = _cho_solve(self._cho, k_star.T)  # (n, m)
         var_n = self.kernel.diag(x) - np.sum(k_star.T * v, axis=0)
         var_n = np.clip(var_n, 1e-12, None)
         mean = mean_n * self._y_std + self._y_mean
@@ -239,7 +249,7 @@ class GaussianProcess:
         if not self.is_fit:
             raise GPFitError("log_marginal_likelihood() called before fit()")
         n = self.n_observations
-        l_mat = self._cho[0]
+        l_mat = self._cho
         data_fit = float(self._y_train_normalized @ self._alpha)
         log_det = 2.0 * float(np.sum(np.log(np.diag(l_mat))))
         return -0.5 * data_fit - 0.5 * log_det - 0.5 * n * np.log(2.0 * np.pi)
@@ -301,7 +311,7 @@ class GaussianProcess:
         x = _as_2d(x)
         k_star = self.kernel(x, self._x_train)
         mean_n = k_star @ self._alpha
-        v = cho_solve(self._cho, k_star.T, check_finite=False)
+        v = _cho_solve(self._cho, k_star.T)
         cov_n = self.kernel(x, x) - k_star @ v
         cov_n += 1e-10 * np.eye(cov_n.shape[0])
         draws = rng.multivariate_normal(mean_n, cov_n, size=n_samples, method="cholesky")

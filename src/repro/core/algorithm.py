@@ -11,7 +11,7 @@ cost), and the benches all drive the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
 from repro.core.allocation import allocate_tasks, proportions_to_counts
 from repro.core.cost import cost_from_measurement, latency_cost
-from repro.core.frontier import FrontierEvaluator, FrontierResult
 from repro.core.system import MARSystem, Measurement
 from repro.device.resources import Resource
 from repro.errors import ConfigurationError
@@ -39,7 +38,22 @@ class IterationResult:
 
 
 @dataclass(frozen=True)
-class PendingEvaluation:
+class DecodedPoint:
+    """A BO point decoded by Lines 2–22 and not yet applied.
+
+    :meth:`HBOIteration.decode` is pure, so a batched driver (the fleet
+    tick) can decode many sessions' points, run TD for all of them in one
+    call per object count, and then apply each one.
+    """
+
+    z: np.ndarray
+    proportions: np.ndarray
+    triangle_ratio: float
+    allocation: Mapping[str, Resource]
+
+
+@dataclass(frozen=True)
+class PendingEvaluation(DecodedPoint):
     """An iteration that has been applied but not yet measured.
 
     :meth:`HBOIteration.begin` applies the configuration and returns
@@ -49,10 +63,6 @@ class PendingEvaluation:
     one backend solve, and only then run each measurement.
     """
 
-    z: np.ndarray
-    proportions: np.ndarray
-    triangle_ratio: float
-    allocation: Mapping[str, Resource]
     object_ratios: Mapping[str, float]
 
 
@@ -111,18 +121,6 @@ class HBOIteration:
 
             self._power_model = PowerModel()
 
-    def score_candidates(self, zs: np.ndarray) -> FrontierResult:
-        """Score a batch of candidate configurations without running them.
-
-        One :func:`repro.backend.solve` pass prices every row of ``zs``
-        (steady-state, noise-free): the live system, its RNG streams and
-        the BO dataset are untouched. Grid scans and acquisition
-        frontiers use this instead of ``evaluate`` in a loop.
-        """
-        return FrontierEvaluator(
-            self.system, self.w, latency_only=self.latency_only
-        ).evaluate(zs)
-
     def run_once(self) -> IterationResult:
         """Execute Algorithm 1 for one control period."""
         return self.evaluate(self.optimizer.ask())  # Line 1
@@ -145,21 +143,31 @@ class HBOIteration:
         steady states in one :func:`repro.backend.solve` call, and feed
         each row back through ``finish(pending, steady_latencies=...)``.
         """
+        return self.apply(self.decode(z))
+
+    def decode(self, z: np.ndarray) -> DecodedPoint:
+        """Lines 2–22: ``z`` → proportions, task counts, allocation and
+        the triangle ratio to apply. Touches nothing."""
         space: HBOSpace = self.optimizer.space  # type: ignore[assignment]
         point = space.split(z)
         triangle_ratio = 1.0 if self.latency_only else point.triangle_ratio
-
         counts = proportions_to_counts(point.proportions, len(self.system.taskset))
-        allocation = allocate_tasks(
-            self.system.taskset, counts, self.system.resources
-        )  # Lines 2–22
-        object_ratios = self.system.apply(allocation, triangle_ratio)  # Line 23
+        allocation = allocate_tasks(self.system.taskset, counts, self.system.resources)
+        return DecodedPoint(z, point.proportions, triangle_ratio, allocation)
+
+    def apply(
+        self, point: DecodedPoint, td_ratios: Optional[np.ndarray] = None
+    ) -> PendingEvaluation:
+        """Line 23: enforce a decoded point on the system.
+
+        TD runs on the system's own scene, unless ``td_ratios`` is the
+        sorted-id row a grouped call
+        (:func:`~repro.ar.distribution.distribute_triangles_grouped`)
+        already chose for ``point.triangle_ratio``.
+        """
+        ratios = self.system.apply(point.allocation, point.triangle_ratio, td_ratios)
         return PendingEvaluation(
-            z=z,
-            proportions=point.proportions,
-            triangle_ratio=triangle_ratio,
-            allocation=allocation,
-            object_ratios=object_ratios,
+            point.z, point.proportions, point.triangle_ratio, point.allocation, ratios
         )
 
     def finish(

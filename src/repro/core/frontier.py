@@ -12,9 +12,10 @@ pipeline Algorithm 1 uses:
    proportions_to_counts_batch`) → per-task allocations (memoized queue
    drains, :func:`~repro.core.allocation.allocations_for_counts`);
 2. ``x`` → per-object triangle ratios via the TD heuristic
-   (:func:`~repro.ar.distribution.distribute_triangles_batch`, the one TD
-   body — each row's object ratios are bit-identical to what
-   :meth:`MARSystem.apply` draws for the same ``x``);
+   (:func:`~repro.ar.distribution.distribute_triangles_columns`, the one
+   TD body, on the scene's sorted-id columns — each row's object ratios
+   are bit-identical to what :meth:`MARSystem.apply` draws for the same
+   ``x``);
 3. allocations + ratios → one :class:`~repro.backend.plan.EvalPlan`
    solved in a single :func:`repro.backend.solve` pass → ε, Q and φ per
    candidate.
@@ -35,8 +36,7 @@ import numpy as np
 
 from repro.backend.plan import EvalPlan, resource_kind
 from repro.backend.solve import SolveResult, solve
-from repro.ar.degradation import Eq1Columns
-from repro.ar.distribution import distribute_triangles_batch
+from repro.ar.distribution import distribute_triangles_columns
 from repro.core.allocation import allocations_for_counts, proportions_to_counts_batch
 from repro.core.system import MARSystem
 from repro.device.resources import Resource
@@ -151,12 +151,9 @@ class FrontierEvaluator:
 
         # Scene snapshot: its columns permuted into TD (sorted-id) order.
         cols = system.scene.columns
-        self._objects = system.objects_map()
-        self._distances = system.scene.distances()
-        order = sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
-        self._max_tris = cols.max_triangles[order]
-        self._cull = system.render_model.culled_fractions(cols.distances)[order]
-        self._eq1 = Eq1Columns(*(column[order] for column in cols.eq1))
+        self._object_ids = tuple(cols.ids[j] for j in cols.order.tolist())
+        self._max_tris, self._eq1 = cols.td_columns()
+        self._cull = system.render_model.culled_fractions(cols.distances)[cols.order]
         # Per-allocation task rows, memoized by count vector.
         self._alloc_rows: Dict[
             Tuple[int, ...], Tuple[np.ndarray, np.ndarray]
@@ -187,11 +184,8 @@ class FrontierEvaluator:
         )
         kind, iso = self._task_rows(counts, allocations)
 
-        ids, obj_ratios = distribute_triangles_batch(
-            self._objects,
-            self._distances,
-            ratios,
-            reference_ratio=self.system.td_reference_ratio,
+        obj_ratios = distribute_triangles_columns(
+            self._max_tris, self._eq1, ratios, self.system.td_reference_ratio
         )
         drawn = obj_ratios * self._max_tris
         submitted = drawn.sum(axis=1)
@@ -223,7 +217,7 @@ class FrontierEvaluator:
             task_cpu_demand=np.broadcast_to(self._cpu_demand, iso.shape),
             task_gpu_demand=np.broadcast_to(self._gpu_demand, iso.shape),
             task_npu_coverage=np.broadcast_to(self._npu_coverage, iso.shape),
-            n_objects=np.full(n, float(len(ids))),
+            n_objects=np.full(n, float(len(self._object_ids))),
             submitted_triangles=submitted,
             rendered_triangles=rendered,
             base_gpu_streams=np.full(
@@ -247,7 +241,7 @@ class FrontierEvaluator:
             triangle_ratio=ratios,
             counts=counts,
             allocations=tuple(allocations),
-            object_ids=tuple(ids),
+            object_ids=self._object_ids,
             object_ratios=obj_ratios,
             latency_ms=result.latency_ms,
             epsilon=result.epsilon,

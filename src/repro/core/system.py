@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.ar.distribution import MIN_OBJECT_RATIO, distribute_triangles
+import numpy as np
+
+from repro.ar.distribution import MIN_OBJECT_RATIO, distribute_triangles_columns
 from repro.ar.objects import VirtualObject
 from repro.ar.renderer import RenderLoadModel
 from repro.ar.scene import Scene
@@ -115,18 +117,23 @@ class MARSystem:
     # ------------------------------------------------------------- control
 
     def apply(
-        self, allocation: Mapping[str, Resource], triangle_ratio: float
+        self,
+        allocation: Mapping[str, Resource],
+        triangle_ratio: float,
+        td_ratios: Optional[np.ndarray] = None,
     ) -> Dict[str, float]:
         """Enforce a configuration: reallocate tasks, redistribute
-        triangles via TD, redraw. Returns the per-object ratios chosen."""
+        triangles via TD, redraw. Returns the per-object ratios chosen
+        (sorted ids). ``td_ratios`` is the sorted-id row a grouped TD call
+        already chose for ``triangle_ratio``; ``None`` runs TD on the
+        scene's own columns."""
+        if td_ratios is None:
+            max_tris, eq1 = self.scene.columns.td_columns()
+            (td_ratios,) = distribute_triangles_columns(
+                max_tris, eq1, [triangle_ratio], self.td_reference_ratio
+            )
         self.device.apply_allocation(dict(allocation))
-        ratios = distribute_triangles(
-            self.objects_map(),
-            self.scene.distances(),
-            triangle_ratio,
-            reference_ratio=self.td_reference_ratio,
-        )
-        self.scene.apply_ratios(ratios)
+        ratios = self.scene.apply_sorted_ratios(td_ratios)
         self.refresh_load()
         return ratios
 
@@ -135,11 +142,8 @@ class MARSystem:
     ) -> Dict[str, float]:
         """Like :meth:`apply` but with a uniform per-object ratio (used by
         baselines that do not run TD)."""
-        self.device.apply_allocation(dict(allocation))
-        ratios = {iid: max(MIN_OBJECT_RATIO, triangle_ratio) for iid in self.scene.instance_ids}
-        self.scene.apply_ratios(ratios)
-        self.refresh_load()
-        return ratios
+        uniform = np.full(len(self.scene), max(MIN_OBJECT_RATIO, triangle_ratio))
+        return self.apply(allocation, triangle_ratio, uniform)
 
     def measure(
         self,

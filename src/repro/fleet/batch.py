@@ -10,8 +10,9 @@ pools around each session's best observation from each session's own
 stream, in session order, and projects all jittered rows at once; one
 :func:`~repro.bo.acquisition.expected_improvement` call scores the
 ``(B, C)`` means and stds (NaN rows for degenerate fits); a per-row
-``nanargmax`` picks (a row with no finite score draws a uniform fallback
-from its own stream); one ``project_rows`` call projects the picks.
+``nanargmax`` picks (a fitted row with no finite score takes its first
+pool row, a degenerate fit draws a uniform fallback from its own
+stream); one ``project_rows`` call projects the picks.
 Every pass is row-wise, so each proposal is bitwise the one the session
 would get alone. At n ≤ 30, one small Cholesky per session is as fast
 as a padded batch.
@@ -59,10 +60,10 @@ class SharedOptimizerService:
 
         All optimizers must search an :class:`~repro.bo.space.HBOSpace`
         of one shared dimension and ``r_min``, and have at least one
-        observation. A session whose fit is degenerate, or whose scores
-        are all non-finite, falls back to uniform exploration on its own
-        stream (as the single-session optimizer does); the other sessions
-        keep their guided pick.
+        observation. As in the single-session optimizer, a session whose
+        fit is degenerate falls back to uniform exploration on its own
+        stream, and one whose scores are all non-finite takes its first
+        candidate; the other sessions keep their guided pick.
         """
         if not optimizers:
             return []
@@ -81,6 +82,7 @@ class SharedOptimizerService:
         incumbents = np.stack([b.z for b in best])[:, None]
         pools = candidate_pool(space, rngs, self.n_candidates, None, incumbents, self.n_local)
         mean, std = np.full((2,) + pools.shape[:2], np.nan)
+        fitted = np.zeros(len(optimizers), dtype=bool)
         with obs.span(
             "fleet.batched_gp", category="fleet", n_sessions=len(optimizers)
         ) as span:
@@ -95,11 +97,13 @@ class SharedOptimizerService:
                     span.set(degenerate_fit=True)
                 else:
                     mean[row], std[row] = post.mean, post.std
+                    fitted[row] = True
             scores = expected_improvement(mean, std, np.array([[b.cost] for b in best]), self.xi)
+            # A row with no finite score picks its first pool row.
             guided = np.isfinite(scores).any(axis=1)
             picks = np.nanargmax(np.where(guided[:, None], scores, 0.0), axis=1)
             z = pools[np.arange(len(pools)), picks]
-            for row in np.flatnonzero(~guided):
+            for row in np.flatnonzero(~fitted):
                 z[row] = space.sample(rngs[row], size=1)[0]
             proposals = list(space.project_rows(z))
         obs.counter("fleet_gp_batches").inc()

@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.backend.plan import EvalPlan
 from repro.backend.solve import solve
-from repro.core.algorithm import PendingEvaluation
+from repro.ar.distribution import distribute_triangles_grouped
+from repro.core.algorithm import DecodedPoint, PendingEvaluation
 from repro.core.controller import HBOConfig
 from repro.core.lookup import EnvironmentSignature
 from repro.edge.link import WirelessLink
@@ -183,8 +184,13 @@ def propose_and_begin(
     Rows whose live optimizer is past its random phase are grouped by
     that optimizer's space dimension (ascending) and each group takes one
     :meth:`SharedOptimizerService.propose` call; initial-phase rows ask
-    their own samplers. Returns the begun ``(row, pending)`` pairs, the
-    dims proposed, and the guided count.
+    their own samplers. Every row's point is decoded, TD runs once per
+    object count over all rows
+    (:func:`~repro.ar.distribution.distribute_triangles_grouped`), and
+    then each session applies its row, in row order, so edge demand
+    accumulates as if the sessions had begun one by one. Returns the
+    begun ``(row, pending)`` pairs, the dims proposed, and the guided
+    count.
     """
     # Sessions that fell back to the device run a 3-simplex next to their
     # 4-simplex peers; one propose() call takes one space dimension, so
@@ -199,7 +205,7 @@ def propose_and_begin(
             groups.setdefault(session.optimizer.space.dim, []).append(int(i))
         else:
             initial.append(int(i))
-    stepped: List[Tuple[int, PendingEvaluation]] = []
+    decoded: List[Tuple[int, DecodedPoint]] = []
     for dim in sorted(groups):
         group = groups[dim]
         proposals = service.propose(
@@ -207,10 +213,20 @@ def propose_and_begin(
             [sessions[i].rng for i in group],
         )
         for i, z in zip(group, proposals):
-            stepped.append((i, sessions[i].begin_guided(z)))
-    n_guided = len(stepped)
+            decoded.append((i, sessions[i].decode(z)))
+    n_guided = len(decoded)
     for i in initial:
-        stepped.append((i, sessions[i].begin_initial()))
+        decoded.append((i, sessions[i].decode()))
+    systems = [sessions[i].system for i, _ in decoded]
+    td_rows = distribute_triangles_grouped(
+        [system.scene.columns for system in systems],  # type: ignore[union-attr]
+        [point.triangle_ratio for _, point in decoded],
+        [system.td_reference_ratio for system in systems],  # type: ignore[union-attr]
+    )
+    stepped = [
+        (i, sessions[i].begin(point, row))
+        for (i, point), row in zip(decoded, td_rows)
+    ]
     return stepped, sorted(groups), n_guided
 
 

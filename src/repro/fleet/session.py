@@ -38,7 +38,12 @@ import numpy as np
 from repro.bo.kernels import Matern
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
-from repro.core.algorithm import HBOIteration, IterationResult, PendingEvaluation
+from repro.core.algorithm import (
+    DecodedPoint,
+    HBOIteration,
+    IterationResult,
+    PendingEvaluation,
+)
 from repro.core.controller import HBOConfig
 from repro.core.lookup import EnvironmentSignature
 from repro.core.system import MARSystem
@@ -312,17 +317,7 @@ class FleetSession:
         )
         self.signature = EnvironmentSignature.of(self.system)
 
-        cfg = self.config
-        space = HBOSpace(self.system.n_resources, r_min=cfg.r_min)
-        self.optimizer = BayesianOptimizer(
-            space=space,
-            n_initial=cfg.n_initial,
-            kernel=Matern(length_scale=cfg.kernel_length_scale, nu=2.5),
-            noise=cfg.noise,
-            seed=self.rng,
-            gp_tier=cfg.gp_tier,
-            sparse_threshold=cfg.gp_sparse_threshold,
-        )
+        optimizer = self._start_optimizer()
         # A donor whose observations live in a different-dimensional
         # space (a device-fallback session donating 3-simplex points
         # into a 4-simplex fleet, or vice versa) cannot seed this
@@ -330,22 +325,38 @@ class FleetSession:
         if (
             warm_entry is not None
             and warm_entry.observations
-            and len(warm_entry.observations[0][0]) == space.dim
+            and len(warm_entry.observations[0][0]) == optimizer.space.dim
         ):
-            self.optimizer.warm_start(warm_entry.to_observations())
+            optimizer.warm_start(warm_entry.to_observations())
             self.warm_entry = warm_entry
-        self.iteration = HBOIteration(
-            self.system, self.optimizer, w=cfg.w, latency_only=cfg.latency_only
-        )
         self.phase = SessionPhase.ACTIVE
         table, i = self.table, self.index
-        table.n_warm[i] = self.optimizer.n_warm
-        table.warm_started[i] = self.optimizer.warm_started
+        table.n_warm[i] = optimizer.n_warm
+        table.warm_started[i] = optimizer.warm_started
         table.warm_source[i] = (
             self.warm_entry.source_session if self.warm_entry else ""
         )
 
     admit_directed = admit  # perfbench/layers.py resolves this name
+
+    def _start_optimizer(self) -> BayesianOptimizer:
+        """A cold optimizer over the system's current space, continuing
+        this session's own stream, and the iteration that drives it."""
+        assert self.system is not None
+        cfg = self.config
+        self.optimizer = BayesianOptimizer(
+            space=HBOSpace(self.system.n_resources, r_min=cfg.r_min),
+            n_initial=cfg.n_initial,
+            kernel=Matern(length_scale=cfg.kernel_length_scale, nu=2.5),
+            noise=cfg.noise,
+            seed=self.rng,
+            gp_tier=cfg.gp_tier,
+            sparse_threshold=cfg.gp_sparse_threshold,
+        )
+        self.iteration = HBOIteration(
+            self.system, self.optimizer, w=cfg.w, latency_only=cfg.latency_only
+        )
+        return self.optimizer
 
     def fallback_to_device(self) -> None:
         """Collapse the session from the 4-simplex to the device 3-simplex
@@ -377,20 +388,7 @@ class FleetSession:
                 device.set_allocation(
                     task_id, _device_fallback_resource(profile_of[task_id])
                 )
-        cfg = self.config
-        space = HBOSpace(self.system.n_resources, r_min=cfg.r_min)
-        self.optimizer = BayesianOptimizer(
-            space=space,
-            n_initial=cfg.n_initial,
-            kernel=Matern(length_scale=cfg.kernel_length_scale, nu=2.5),
-            noise=cfg.noise,
-            seed=self.rng,
-            gp_tier=cfg.gp_tier,
-            sparse_threshold=cfg.gp_sparse_threshold,
-        )
-        self.iteration = HBOIteration(
-            self.system, self.optimizer, w=cfg.w, latency_only=cfg.latency_only
-        )
+        self._start_optimizer()
         # The rebuilt optimizer starts cold over the 3-simplex, and the
         # session's report says so.
         table, i = self.table, self.index
@@ -431,19 +429,27 @@ class FleetSession:
         )
         runtime.set_demand_streams(demand)
 
-    def begin_initial(self) -> PendingEvaluation:
-        """Ask the session's own optimizer and apply the configuration."""
-        if not self.active or self.iteration is None or self.optimizer is None:
+    def _live_iteration(self) -> HBOIteration:
+        if not self.active or self.iteration is None:
             raise FleetError(f"{self.spec.session_id}: stepped while not active")
-        return self.iteration.begin(self.optimizer.ask())
+        return self.iteration
 
-    def begin_guided(self, z: np.ndarray) -> PendingEvaluation:
-        """Record and apply a proposal from the shared batched service."""
-        if not self.active or self.iteration is None or self.optimizer is None:
-            raise FleetError(f"{self.spec.session_id}: stepped while not active")
+    def decode(self, z: Optional[np.ndarray] = None) -> DecodedPoint:
+        """Record and decode a proposal from the shared batched service,
+        or (``None``) ask the session's own optimizer for one."""
+        iteration = self._live_iteration()
+        if z is None:
+            return iteration.decode(iteration.optimizer.ask())
         z = np.asarray(z, dtype=float).ravel()
-        self.optimizer.state.proposals.append(z.copy())
-        return self.iteration.begin(z)
+        iteration.optimizer.state.proposals.append(z.copy())
+        return iteration.decode(z)
+
+    def begin(
+        self, point: DecodedPoint, td_ratios: Optional[np.ndarray] = None
+    ) -> PendingEvaluation:
+        """Apply a decoded point: with the TD row the fleet tick chose for
+        it, or (``None``) by running TD on this session's own scene."""
+        return self._live_iteration().apply(point, td_ratios)
 
     def finish_step(
         self,

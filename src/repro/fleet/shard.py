@@ -33,8 +33,9 @@ Each tick runs in lockstep:
 2. **Worker begin** — apply commands, fire scene events and per-session
    link drift, one ``SharedOptimizerService.propose`` call per space dim
    (each session is priced by its own GP fit, so per-shard sub-batches
-   equal the global batch bitwise),
-   apply configurations, publish edge demands.
+   equal the global batch bitwise), decode every stepped point, one TD
+   call per object count, then each session's allocation, ratio write
+   and load refresh in row order; publish edge demands.
 3. **Demand barrier** (with a topology only) — the coordinator folds worker
    demands into the authoritative servers and returns each tenant's
    external-stream sum, computed in global registration order; demand is

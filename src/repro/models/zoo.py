@@ -58,11 +58,6 @@ class ModelZoo:
         _, latency = self.profile(model).best_resource()
         return latency
 
-    def io_bytes(self, model: str) -> Tuple[int, int]:
-        """(input, output) wire bytes of one offloaded inference."""
-        profile = self.profile(model)
-        return profile.input_bytes, profile.output_bytes
-
     def payload_bytes(self, model: str) -> int:
         """Round-trip wire bytes of one offloaded inference (in + out)."""
         profile = self.profile(model)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.ar.cache import DecimationServer, LODCache, quantize_ratio
-from repro.ar.degradation import DegradationParams
+from repro.ar import distribution as distribution_module
+from repro.ar.degradation import DegradationParams, Eq1Columns
 from repro.ar.distribution import (
     MIN_OBJECT_RATIO,
     achieved_ratio,
     distribute_triangles,
     distribute_triangles_batch,
+    distribute_triangles_columns,
+    distribute_triangles_grouped,
     greedy_optimal_distribution,
     uniform_distribution,
 )
@@ -20,6 +23,7 @@ from repro.ar.objects import (
     object_by_name,
 )
 from repro.ar.quality import average_quality
+from repro.ar.scene import Scene
 from repro.errors import ConfigurationError
 
 
@@ -211,6 +215,78 @@ class TestTDColumnForm:
         distances[next(iter(distances))] = bad
         with pytest.raises(ConfigurationError, match="finite"):
             allocator(sc1_objects, distances, 0.5)
+
+
+class TestGroupedTD:
+    """TD over R scenes' columns in one call gives every scene, bit for
+    bit, the row it gets alone from the mapping ``distribute_triangles``."""
+
+    @staticmethod
+    def _scene(rng, n_objects):
+        objects, _ = _random_scene(rng, n_objects)
+        scene = Scene(user_position=rng.uniform(-1.0, 1.0, 3))
+        # Insertion order differs from the sorted-id order TD reads.
+        for iid in rng.permutation(sorted(objects)).tolist():
+            scene.add(iid, objects[iid], rng.uniform(-3.0, 3.0, 3))
+        return scene, objects
+
+    @staticmethod
+    def _alone(scene, objects, x, reference=None):
+        ratios = distribute_triangles(objects, scene.distances(), x, reference)
+        assert list(ratios) == [scene.instance_ids[j] for j in scene.columns.order]
+        return list(ratios.values())
+
+    @pytest.mark.parametrize("n_objects", [1, 7, 9, 12])
+    def test_equal_counts_match_alone(self, n_objects):
+        rng = np.random.default_rng(300 + n_objects)
+        # Below the aggregate floor, mid-range, near-full (caps bind),
+        # full, and one row with its own explicit reference ratio.
+        xs = [0.01, float(rng.uniform(0.2, 0.6)), 0.97, 1.0, float(rng.uniform(0.05, 1.0))]
+        refs = [0.5, 0.5, 0.5, 0.5, 0.3]
+        scenes = [self._scene(rng, n_objects) for _ in xs]
+        rows = distribute_triangles_grouped([s.columns for s, _ in scenes], xs, refs)
+        capped = False
+        for (scene, objects), x, ref, row in zip(scenes, xs, refs, rows):
+            alone = self._alone(scene, objects, x, ref)
+            assert row.tolist() == alone
+            capped |= x < 1.0 and 1.0 in alone
+        assert capped or n_objects == 1
+        # The body on stacked (R, L) blocks, default reference per row.
+        blocks = [scene.columns.td_columns() for scene, _ in scenes]
+        stacked = distribute_triangles_columns(
+            np.stack([max_tris for max_tris, _ in blocks]),
+            Eq1Columns(*(np.stack(f) for f in zip(*(eq1 for _, eq1 in blocks)))),
+            xs,
+        )
+        for (scene, objects), x, row in zip(scenes, xs, stacked):
+            assert row.tolist() == self._alone(scene, objects, x)
+
+    def test_one_call_per_object_count(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        counts = [9, 7, 12, 9, 1, 7, 12, 9]
+        scenes = [self._scene(rng, n) for n in counts]
+        xs = rng.uniform(0.01, 1.0, len(counts)).tolist()
+        calls = []
+        real = distribution_module.distribute_triangles_columns
+
+        def counted(max_tris, eq1, x, reference=None):
+            calls.append(max_tris.shape)
+            return real(max_tris, eq1, x, reference)
+
+        monkeypatch.setattr(distribution_module, "distribute_triangles_columns", counted)
+        rows = distribute_triangles_grouped(
+            [s.columns for s, _ in scenes], xs, [0.5] * len(counts)
+        )
+        assert sorted(calls) == [(1, 1), (2, 7), (2, 12), (3, 9)]
+        for (scene, objects), x, row in zip(scenes, xs, rows):
+            assert row.tolist() == self._alone(scene, objects, x, 0.5)
+
+    def test_validation(self):
+        scene, _ = self._scene(np.random.default_rng(3), 4)
+        max_tris, eq1 = scene.columns.td_columns()
+        for bad_x, bad_ref in (([0.0], 0.5), ([0.5], 0.0), ([0.5], float("nan")), ([], 0.5)):
+            with pytest.raises(ConfigurationError):
+                distribute_triangles_columns(max_tris, eq1, bad_x, bad_ref)
 
 
 class TestGreedyOptimal:

@@ -258,6 +258,40 @@ class TestSceneColumnParity:
             assert self._observed(scene, model) == _per_object_reference(scene, model)
 
 
+class TestSortedIdColumns:
+    """TD reads the scene through its sorted-id permutation and writes
+    its ratio row back through it."""
+
+    def _scene(self):
+        scene = Scene(user_position=(0.2, -0.1, 0.0))
+        for j, (iid, obj) in enumerate(expand_instances(catalog_sc1())[::-1]):
+            scene.add(iid, obj, position=(0.3 * j - 1.0, 0.5, 1.2))
+        assert list(scene.instance_ids) != sorted(scene.instance_ids)
+        return scene
+
+    def test_td_columns_follow_sorted_ids(self):
+        scene = self._scene()
+        max_tris, eq1 = scene.columns.td_columns()
+        ids = sorted(scene.instance_ids)
+        assert max_tris.tolist() == [scene.get(i).obj.max_triangles for i in ids]
+        assert eq1.denom.tolist() == [
+            scene.distance(i) ** scene.get(i).obj.params.d for i in ids
+        ]
+
+    def test_apply_sorted_ratios(self):
+        scene = self._scene()
+        ids = sorted(scene.instance_ids)
+        row = np.linspace(0.1, 0.9, len(ids))
+        drawn = scene.apply_sorted_ratios(row)
+        assert list(drawn) == ids
+        assert drawn == scene.ratios() == dict(zip(ids, row.tolist()))
+        before = scene.ratios()
+        for bad in (row[:-1], np.append(row[:-1], 1.5), np.append(row[:-1], 0.0)):
+            with pytest.raises(SceneError):
+                scene.apply_sorted_ratios(bad)
+        assert scene.ratios() == before
+
+
 class TestRenderLoadModel:
     def test_culled_fraction_decreases_with_distance(self):
         model = RenderLoadModel()

@@ -29,7 +29,7 @@ from repro.fleet import (
 )
 from repro.device.thermal import ThermalSpec
 from repro.fleet import batch as batch_module
-from repro.fleet.scheduler import batched_steady
+from repro.fleet.scheduler import batched_steady, propose_and_begin
 from repro.fleet.session import FleetSession
 from repro.fleet.table import SessionTable
 from repro.fleet.telemetry import (
@@ -270,11 +270,12 @@ class TestStackedProposals:
 
         monkeypatch.setattr(batch_module.GaussianProcess, "predict", predict)
         stacked = self._assert_stacked_matches_alone(SharedOptimizerService(), optimizers)
-        # That session took the uniform fallback from its own stream.
+        # That session fitted, so like the single-session optimizer it
+        # takes its first pool row and draws nothing more.
         stream = spawn_rngs(11, len(optimizers))[3]
         space = optimizers[3].space
-        candidate_pool(space, stream, 256, None, optimizers[3].best().z[None], 32)
-        assert np.array_equal(stacked[3], space.project(space.sample(stream, size=1)[0]))
+        pool = candidate_pool(space, stream, 256, None, optimizers[3].best().z[None], 32)
+        assert np.array_equal(stacked[3], space.project_rows(pool[:1])[0])
 
 
 class TestSessionSpecValidation:
@@ -300,9 +301,9 @@ class TestSessionLifecycle:
     def test_step_before_admit(self):
         session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
         with pytest.raises(FleetError):
-            session.begin_initial()
+            session.decode()
         with pytest.raises(FleetError):
-            session.begin_guided(np.full(4, 0.25))
+            session.decode(np.full(4, 0.25))
         with pytest.raises(FleetError):
             session.finish()
         assert session.best is None
@@ -324,9 +325,9 @@ class TestSessionLifecycle:
         while len(table.exhausted_indices()) == 0:
             if session.needs_guided_proposal:
                 z = session.optimizer.space.sample(session.rng, size=1)[0]
-                pending = session.begin_guided(z)
+                pending = session.begin(session.decode(z))
             else:
-                pending = session.begin_initial()
+                pending = session.begin(session.decode())
             costs.append(session.finish_step(pending).cost)
         session.finish()
         assert session.done
@@ -352,7 +353,7 @@ class TestBatchedSteady:
         ]
         for session in sessions:
             session.admit(("device",))
-            session.begin_initial()
+            session.begin(session.decode())
         devices = [session.system.device for session in sessions]
         assert devices[0].thermal.throttle_factor() > 1.0
         assert devices[1].thermal is None
@@ -401,14 +402,14 @@ class TestBatchedSteady:
             device.set_allocation(tid, Resource.EDGE)
 
         # s3 is priced on the edge once, then shed back to its device.
-        sessions[3].begin_initial()
+        sessions[3].begin(sessions[3].decode())
         offload_one(sessions[3])
         batched_steady(sessions, [3])
         topology.detach("s3")
         sessions[3].fallback_to_device()
 
         for session in sessions:
-            session.begin_initial()
+            session.begin(session.decode())
         offload_one(sessions[2])
         devices = [session.system.device for session in sessions]
         assert devices[2].edge_share() is not None
@@ -420,6 +421,57 @@ class TestBatchedSteady:
             assert row == device.contention.latencies(
                 device.placements(), device.load, device.edge_share()
             )
+
+
+class TestGroupedTick:
+    def test_grouped_td_matches_per_session_begin(self):
+        """After one tick whose TD runs once per object count, every
+        stepped session holds what its own ``HBOIteration.begin`` gives
+        on a deep copy: object ratios, scene ratio column, device load,
+        and the edge node's demand (applied in the same row order)."""
+        specs = [
+            SessionSpec(
+                session_id=f"s{i}", scenario=("SC1", "SC2")[i % 2],
+                taskset="CF1", placement_seed=7 + i,
+            )
+            for i in range(6)
+        ]
+        topology = EdgeTopology(EdgeTopologyConfig.single())
+        node = topology.nodes[0].name
+        table = SessionTable(specs, FAST)
+        sessions = [
+            FleetSession(spec, FAST, make_rng(i), topology=topology,
+                         table=table, index=i)
+            for i, spec in enumerate(specs)
+        ]
+        service = SharedOptimizerService()
+
+        def admit(batch):
+            for session in batch:
+                session.admit(("node", node) if session.index % 3 else ("device",))
+
+        admit(sessions[:4])
+        for _ in range(FAST.n_initial):
+            for i, pending in propose_and_begin(service, table, sessions)[0]:
+                sessions[i].finish_step(pending)
+        admit(sessions[4:])
+        copies = copy.deepcopy(sessions)
+        stepped, _, n_guided = propose_and_begin(service, table, sessions)
+        assert 0 < n_guided < len(stepped) == len(sessions)
+        assert sorted({len(s.system.scene) for s in sessions}) == [7, 9]
+        for i, pending in stepped:
+            alone = copies[i].iteration.begin(pending.z)
+            assert list(pending.object_ratios.items()) == list(alone.object_ratios.items())
+            grouped_system, own_system = sessions[i].system, copies[i].system
+            assert (
+                grouped_system.scene.columns.ratios.tobytes()
+                == own_system.scene.columns.ratios.tobytes()
+            )
+            assert grouped_system.device.load == own_system.device.load
+        assert (
+            topology.nodes[0].server.snapshot()
+            == copies[0]._topology.nodes[0].server.snapshot()
+        )
 
 
 class TestFleetScheduler:

@@ -156,9 +156,15 @@ CASES: Tuple[Case, ...] = (
          "--export", f"{OUT}/tune-sparse.json"),
         {"tune-sparse.json": "23ae8554df1582523970fc8adef8d3cbaf17fe027f458f77da9ed8e35b1e2185"},
     ),
-    # The paper's own figures: Fig. 5's policy comparison and Fig. 6's
-    # per-iteration BO trajectory (consecutive proposal distances), both
-    # from the single-device loop's candidate pool.
+    # The paper's own figures: Fig. 4's Table III allocations and
+    # convergence, Fig. 5's policy comparison, Fig. 6's per-iteration BO
+    # trajectory (consecutive proposal distances) and Fig. 7's run-to-run
+    # spread. All run the single-device loop, so these pin its TD path.
+    Case(
+        "fig4",
+        ("experiment", "fig4", "--seed", "2024"),
+        {"stdout": "6c354d478b8142ed40848de41ca7e292033108fefc4daf54e717542e4988bc6c"},
+    ),
     Case(
         "fig5",
         ("experiment", "fig5", "--seed", "2024"),
@@ -168,6 +174,11 @@ CASES: Tuple[Case, ...] = (
         "fig6",
         ("experiment", "fig6", "--seed", "2024"),
         {"stdout": "da8c2fdacec4f4a9382c5950c216f17073527b881ede798572add41c89b55f42"},
+    ),
+    Case(
+        "fig7",
+        ("experiment", "fig7", "--seed", "2024"),
+        {"stdout": "92b7af89c55e9999559abe7026cd0d85a99273aa8999218b1432fcf404a90b73"},
     ),
     Case(
         # `repro trace` also exits non-zero unless the trace is a
