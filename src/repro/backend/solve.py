@@ -89,44 +89,46 @@ def _pow(base: np.ndarray, exponent: np.ndarray, exact: bool) -> np.ndarray:
     return exact_pow(base, exponent) if exact else base**exponent
 
 
+def _running_sum(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``start + terms[:, 0] + terms[:, 1] + …`` per row, strictly left to
+    right: a cumsum, never NumPy's pairwise reduction, so each row sees
+    the scalar path's running-sum additions in its order."""
+    return np.cumsum(np.column_stack([start, terms]), axis=1)[:, -1]
+
+
 def _solve_rows(plan: EvalPlan, exact: bool) -> SolveResult:
-    n, m = plan.n_rows, plan.n_task_slots
+    n = plan.n_rows
+    kind = plan.task_kind
+    is_cpu, is_gpu = kind == KIND_CPU, kind == KIND_GPU
+    is_nnapi, is_edge = kind == KIND_NNAPI, kind == KIND_EDGE
+    coverage = plan.task_npu_coverage
 
     # --- demand streams per processor (scalar ref: ContentionModel.ai_streams).
-    # Task contributions are accumulated slot-by-slot in task order; masked-out
-    # rows add exact 0.0, which leaves the IEEE-754 running sum unchanged, so
-    # each row's sum sees the same additions in the same order as the scalar
-    # dict accumulation.
-    cpu = (
+    # Task contributions are accumulated slot by slot in task order; a slot
+    # of another kind (or padding) adds exact 0.0, which leaves the IEEE-754
+    # running sum unchanged, so each row's sum sees the same additions in
+    # the same order as the scalar dict accumulation.
+    cpu = _running_sum(
         plan.n_objects / plan.cpu_objects_per_stream
-        + plan.submitted_triangles / plan.cpu_triangles_per_stream
+        + plan.submitted_triangles / plan.cpu_triangles_per_stream,
+        np.where(is_cpu, plan.task_cpu_demand, 0.0),
     )
-    gpu = plan.base_gpu_streams + plan.n_objects / plan.gpu_objects_per_stream
-    npu = np.zeros(n, dtype=np.float64)
+    nnapi_gpu = np.where(is_nnapi, (1.0 - coverage) * plan.task_gpu_demand, 0.0)
+    gpu = _running_sum(
+        plan.base_gpu_streams + plan.n_objects / plan.gpu_objects_per_stream,
+        np.where(is_gpu, plan.task_gpu_demand, nnapi_gpu),
+    )
+    npu = _running_sum(np.zeros(n), np.where(is_nnapi, coverage, 0.0))
     # Edge slots put no streams on the SoC; their server-side demand
     # accumulates separately (scalar ref: ContentionModel.edge_streams,
     # which starts from the snapshot's external streams).
-    has_edge = plan.task_edge_tx_ms is not None
     edge: Optional[np.ndarray] = None
-    if has_edge:
-        assert plan.edge_extern_streams is not None
-        edge = plan.edge_extern_streams.astype(np.float64)
-    for j in range(m):
-        kind = plan.task_kind[:, j]
-        coverage = plan.task_npu_coverage[:, j]
-        cpu = cpu + np.where(kind == KIND_CPU, plan.task_cpu_demand[:, j], 0.0)
-        gpu = gpu + np.where(kind == KIND_GPU, plan.task_gpu_demand[:, j], 0.0)
-        npu = npu + np.where(kind == KIND_NNAPI, coverage, 0.0)
-        gpu = gpu + np.where(
-            kind == KIND_NNAPI,
-            (1.0 - coverage) * plan.task_gpu_demand[:, j],
-            0.0,
+    if plan.task_edge_tx_ms is not None:
+        assert plan.edge_extern_streams is not None and plan.task_edge_demand is not None
+        edge = _running_sum(
+            plan.edge_extern_streams.astype(np.float64),
+            np.where(is_edge, plan.task_edge_demand, 0.0),
         )
-        if edge is not None:
-            assert plan.task_edge_demand is not None
-            edge = edge + np.where(
-                kind == KIND_EDGE, plan.task_edge_demand[:, j], 0.0
-            )
 
     # --- slowdowns (scalar ref: SoCSpec.slowdown / render_penalty).
     def processor_slowdown(streams: np.ndarray, proc: int) -> np.ndarray:
@@ -155,56 +157,46 @@ def _solve_rows(plan: EvalPlan, exact: bool) -> SolveResult:
         edge_raw = _pow(edge / edge_cap, plan.edge_queue_exponent, exact)
         slow_edge = np.where(edge <= edge_cap, 1.0, edge_raw)
 
-    # --- per-task latencies (scalar ref: ContentionModel.task_latency).
-    latency = np.zeros((n, m), dtype=np.float64)
-    for j in range(m):
-        kind = plan.task_kind[:, j]
-        iso = plan.task_iso_ms[:, j]
-        coverage = plan.task_npu_coverage[:, j]
-        base_comm = np.minimum(plan.nnapi_comm_ms, 0.5 * iso)
-        work = iso - base_comm
-        comm = base_comm * (
-            1.0 + plan.nnapi_comm_gpu_factor * np.maximum(0.0, slow_gpu - 1.0)
+    # --- per-task latencies (scalar ref: ContentionModel.task_latency), one
+    # (n, m) pass with each row's slowdowns broadcast over its slots.
+    iso = plan.task_iso_ms
+    base_comm = np.minimum(plan.nnapi_comm_ms[:, None], 0.5 * iso)
+    work = iso - base_comm
+    comm = base_comm * (
+        1.0 + plan.nnapi_comm_gpu_factor * np.maximum(0.0, slow_gpu - 1.0)
+    )[:, None]
+    npu_part = coverage * work * slow_npu[:, None]
+    gpu_part = (1.0 - coverage) * work * slow_gpu[:, None]
+    # Offloaded slots: transfer + server compute under sharing. For edge
+    # slots, task_iso_ms holds the *compute* part (see the plan builder);
+    # the transfer rides in task_edge_tx_ms. The tail term stays a scalar
+    # 0.0 when no edge block is present — identical bits to the pre-edge
+    # expression.
+    tail: Union[np.ndarray, float] = 0.0
+    if slow_edge is not None:
+        assert plan.task_edge_tx_ms is not None
+        tail = np.where(
+            is_edge, plan.task_edge_tx_ms + iso * slow_edge[:, None], 0.0
         )
-        npu_part = coverage * work * slow_npu
-        gpu_part = (1.0 - coverage) * work * slow_gpu
-        # Offloaded slots: transfer + server compute under sharing. For
-        # edge slots, task_iso_ms holds the *compute* part (see the plan
-        # builder); the transfer rides in task_edge_tx_ms. The tail term
-        # stays a scalar 0.0 when no edge block is present — identical
-        # bits to the pre-edge expression.
-        tail: Union[np.ndarray, float]
-        if slow_edge is not None:
-            assert plan.task_edge_tx_ms is not None
-            tail = np.where(
-                kind == KIND_EDGE,
-                plan.task_edge_tx_ms[:, j] + iso * slow_edge,
-                0.0,
-            )
-        else:
-            tail = 0.0
-        latency[:, j] = np.where(
-            kind == KIND_CPU,
-            iso * slow_cpu,
-            np.where(
-                kind == KIND_GPU,
-                iso * slow_gpu,
-                np.where(kind == KIND_NNAPI, comm + npu_part + gpu_part, tail),
-            ),
-        )
+    latency = np.where(
+        is_cpu,
+        iso * slow_cpu[:, None],
+        np.where(
+            is_gpu,
+            iso * slow_gpu[:, None],
+            np.where(is_nnapi, comm + npu_part + gpu_part, tail),
+        ),
+    )
 
     # --- Eq. 4 ε (scalar ref: core.cost.normalized_average_latency).
     epsilon: Optional[np.ndarray] = None
     if plan.task_expected_ms is not None:
         active = plan.task_active
-        counts = active.sum(axis=1)
-        total = np.zeros(n, dtype=np.float64)
-        for j in range(m):
-            expected = np.where(active[:, j], plan.task_expected_ms[:, j], 1.0)
-            total = total + np.where(
-                active[:, j], (latency[:, j] - expected) / expected, 0.0
-            )
-        epsilon = total / np.maximum(counts, 1)
+        expected = np.where(active, plan.task_expected_ms, 1.0)
+        total = _running_sum(
+            np.zeros(n), np.where(active, (latency - expected) / expected, 0.0)
+        )
+        epsilon = total / np.maximum(active.sum(axis=1), 1)
 
     # --- Eq. 2 quality (the one body: repro.ar.quality.eq2_quality).
     quality: Optional[np.ndarray] = None

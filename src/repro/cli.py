@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sparse-tier switch point n* and support budget")
     fleet.add_argument("--shards", type=int, metavar="N", default=1,
                        help="step the fleet in N parallel worker processes "
-                            "(contiguous spec cohorts; output is "
+                            "(strided spec cohorts; output is "
                             "byte-identical to --shards 1 at the same seed)")
     fleet.add_argument("--export", metavar="PATH", default=None,
                        help="write the fleet trace as JSON")

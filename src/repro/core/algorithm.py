@@ -11,13 +11,13 @@ cost), and the benches all drive the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
-from repro.core.allocation import allocate_tasks, proportions_to_counts
+from repro.core.allocation import build_priority_queue, drain_priority_queue, proportions_to_counts
 from repro.core.cost import cost_from_measurement, latency_cost
 from repro.core.system import MARSystem, Measurement
 from repro.device.resources import Resource
@@ -116,6 +116,8 @@ class HBOIteration:
         self.latency_only = bool(latency_only)
         self.w_power = float(w_power)
         self._power_model = None
+        #: (taskset, resources, Algorithm 1's queue P built from just them).
+        self._queue: Tuple[Any, ...] = ()
         if self.w_power > 0:
             from repro.device.power import PowerModel
 
@@ -151,8 +153,11 @@ class HBOIteration:
         space: HBOSpace = self.optimizer.space  # type: ignore[assignment]
         point = space.split(z)
         triangle_ratio = 1.0 if self.latency_only else point.triangle_ratio
-        counts = proportions_to_counts(point.proportions, len(self.system.taskset))
-        allocation = allocate_tasks(self.system.taskset, counts, self.system.resources)
+        taskset, resources = self.system.taskset, self.system.resources
+        counts = proportions_to_counts(point.proportions, len(taskset))
+        if self._queue[:2] != (taskset, resources):
+            self._queue = (taskset, resources, build_priority_queue(taskset, resources))
+        allocation = drain_priority_queue(taskset, counts, resources, self._queue[2])
         return DecodedPoint(z, point.proportions, triangle_ratio, allocation)
 
     def apply(

@@ -155,6 +155,19 @@ def allocate_tasks(
     resource set is the on-device trio; edge-enabled systems pass
     :data:`~repro.device.resources.EDGE_RESOURCES` (N=4).
     """
+    return drain_priority_queue(
+        taskset, counts, resources, build_priority_queue(taskset, resources)
+    )
+
+
+def drain_priority_queue(
+    taskset: TaskSet,
+    counts: Sequence[int],
+    resources: Tuple[Resource, ...],
+    queue: Sequence[Tuple[float, str, int, Resource]],
+) -> Dict[str, Resource]:
+    """:func:`allocate_tasks` over ``queue = build_priority_queue(taskset,
+    resources)``, drained from a copy so callers can build it once."""
     counts = list(counts)
     if len(counts) != len(resources):
         raise AllocationError(
@@ -168,7 +181,7 @@ def allocate_tasks(
         )
 
     remaining = {res: counts[i] for i, res in enumerate(resources)}
-    queue = build_priority_queue(taskset, resources)
+    queue = list(queue)
     assigned: Dict[str, Resource] = {}
     closed_resources: set = set()
 

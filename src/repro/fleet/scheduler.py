@@ -86,8 +86,9 @@ class FleetConfig:
     edge_drift: Optional[Mapping[str, Tuple[Tuple[float, float], ...]]] = None
     #: Scheduled server outages (topology mode only).
     edge_outages: Tuple[ServerOutage, ...] = ()
-    #: Worker count of the tick loop: the spec list splits into this many
-    #: contiguous blocks, one worker each (see :mod:`repro.fleet.shard`).
+    #: Worker count of the tick loop: the spec list is dealt out by
+    #: stride into this many cohorts (shard k owns rows k, k+S, …), one
+    #: worker each (see :mod:`repro.fleet.shard`).
     #: ``1`` steps its one worker in-process; more fork one process per
     #: worker. Any value reproduces the ``shards=1`` output byte-for-byte
     #: at the same seed.
@@ -420,7 +421,7 @@ class FleetScheduler:
     ) -> None:
         # Imported here: repro.fleet.shard builds on this module's
         # row-pass helpers, so a module-level import would be a cycle.
-        from repro.fleet.shard import _shard_worker_main, _ShardWorker, shard_sizes
+        from repro.fleet.shard import _shard_worker_main, _ShardWorker, shard_rows
 
         specs = validate_specs(specs)
         self.specs = specs
@@ -453,31 +454,28 @@ class FleetScheduler:
         self._batches = 0
         self._proposals = 0
 
-        sizes = shard_sizes(len(specs), self.config.shards)
-        self._starts: List[int] = []
-        start = 0
-        for size in sizes:
-            self._starts.append(start)
-            start += size
-        shard_rngs = spawn_shard_rngs(seed, sizes)
+        #: Shard k's global rows (strided: k, k+S, …); local row j of
+        #: shard k is global row ``self._rows[k][j]``.
+        self._rows = shard_rows(len(specs), self.config.shards)
+        shard_rngs = spawn_shard_rngs(seed, self._rows)
         self._conns: List[Any] = []
         self._procs: List[Any] = []
         #: The one worker, stepped in this process, at a single shard.
         self._worker: Optional[_ShardWorker] = None
-        if len(sizes) == 1:
+        if len(self._rows) == 1:
             self._worker = _ShardWorker(specs, self.config, shard_rngs[0])
             return
         method = (
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
         ctx = mp.get_context(method)
-        for k, (block_start, size) in enumerate(zip(self._starts, sizes)):
+        for k, rows in enumerate(self._rows):
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker_main,
                 args=(
                     child,
-                    specs[block_start : block_start + size],
+                    [specs[r] for r in rows],
                     self.config,
                     shard_rngs[k],
                 ),
@@ -493,10 +491,8 @@ class FleetScheduler:
 
     def _shard_local(self, row: int) -> Tuple[int, int]:
         """(shard index, local row) of a global table row."""
-        for k in range(len(self._starts) - 1, -1, -1):
-            if row >= self._starts[k]:
-                return k, row - self._starts[k]
-        raise FleetError(f"row {row} outside every shard")  # pragma: no cover
+        local, shard = divmod(row, len(self._rows))
+        return shard, local
 
     # ----------------------------------------------------- coordinator phase
 
@@ -731,7 +727,7 @@ class FleetScheduler:
         """
         with obs.span("fleet.tick", category="fleet", tick=tick) as span:
             commands: List[Dict[str, Any]] = [
-                {"admit": [], "shed": [], "migrate": []} for _ in self._starts
+                {"admit": [], "shed": [], "migrate": []} for _ in self._rows
             ]
             if self.topology is not None:
                 for session_id in maintain_topology(
@@ -749,14 +745,14 @@ class FleetScheduler:
             n_guided = 0
             reported_retired: List[int] = []
             donations: List[Tuple[int, Optional[Dict[str, Any]]]] = []
-            for start, answer in zip(self._starts, answers):
+            for rows, answer in zip(self._rows, answers):
                 n_guided += int(answer["n_guided"])
                 dims_union.update(answer["dims"])
                 reported_retired.extend(
-                    start + local for local in answer["retired"]
+                    int(rows[local]) for local in answer["retired"]
                 )
                 donations.extend(
-                    (start + local, payload)
+                    (int(rows[local]), payload)
                     for local, payload in answer["donations"]
                 )
             self._batches += len(dims_union)
@@ -805,12 +801,12 @@ class FleetScheduler:
             if self._worker is not None:
                 # No transport in-process: the payload keys are the
                 # worker table's own column names, read in place.
-                table.absorb(0, vars(self._worker.table))
+                table.absorb(self._rows[0], vars(self._worker.table))
             else:
                 for conn in self._conns:
                     conn.send({"op": "collect"})
-                for k, start in enumerate(self._starts):
-                    table.absorb(start, self._recv(k, "the final collect"))
+                for k, rows in enumerate(self._rows):
+                    table.absorb(rows, self._recv(k, "the final collect"))
         finally:
             self._shutdown()
         # Reports, aggregates, and the convergence histogram all come

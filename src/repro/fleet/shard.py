@@ -1,8 +1,10 @@
 """Shard workers: the session side of the fleet's one tick loop.
 
 :class:`~repro.fleet.scheduler.FleetScheduler` is the coordinator. It
-splits the spec list into contiguous cohorts, one :class:`_ShardWorker`
-each, and owns every piece of state sessions share across cohorts:
+deals the spec list out by stride into cohorts (:func:`shard_rows`: shard
+``k`` owns global rows ``k, k+S, k+2S, …``), one :class:`_ShardWorker`
+each, so every worker carries an even share of each tick's arrivals. It
+owns every piece of state sessions share across cohorts:
 
 - the :class:`~repro.fleet.store.SharedConfigStore` (warm lookups at
   admission, donations at retirement),
@@ -14,10 +16,10 @@ each, and owns every piece of state sessions share across cohorts:
 
 Workers own what never crosses a cohort boundary: the heavyweight session
 objects (system, optimizer, GP service) and — crucially — the per-session
-RNG streams. :func:`repro.rng.spawn_shard_rngs` hands shard ``k`` exactly
-the contiguous block of ``spawn_rngs(seed, n)`` children its specs would
-have received unsharded, so every session consumes bit-identical
-randomness at any shard count. ``FleetConfig.shards`` picks only the
+RNG streams. :func:`repro.rng.spawn_shard_rngs` hands shard ``k``'s
+``j``-th session exactly the ``spawn_rngs(seed, n)`` child of its global
+row, the one it would have received unsharded, so every session consumes
+bit-identical randomness at any shard count. ``FleetConfig.shards`` picks only the
 transport: one shard is one worker the coordinator calls in-process,
 more are forked worker processes driven over pipes with the same
 messages.
@@ -84,11 +86,8 @@ from repro.sim.scenarios import apply_network_drift
 
 
 def shard_sizes(n_specs: int, shards: int) -> List[int]:
-    """Contiguous near-equal split: earlier shards take the remainder.
-
-    Pure function of its arguments, shared by the coordinator and the
-    RNG-stream partition so both always agree on the block boundaries.
-    """
+    """Near-equal split: earlier shards take the remainder (the sizes of
+    :func:`shard_rows`' cohorts)."""
     if n_specs < 1:
         raise FleetError(f"need at least one spec, got {n_specs}")
     if shards < 1:
@@ -96,6 +95,15 @@ def shard_sizes(n_specs: int, shards: int) -> List[int]:
     shards = min(shards, n_specs)
     base, extra = divmod(n_specs, shards)
     return [base + (1 if k < extra else 0) for k in range(shards)]
+
+
+def shard_rows(n_specs: int, shards: int) -> List[np.ndarray]:
+    """Strided cohorts: shard ``k`` of ``S`` owns global rows ``k, k+S, …``
+    (``shard_sizes`` of them), so global row ``r`` is local row ``r // S``
+    of shard ``r % S``. Specs are sorted by arrival, so every shard gets
+    an even share of each tick's sessions."""
+    stride = len(shard_sizes(n_specs, shards))
+    return [np.arange(k, n_specs, stride) for k in range(stride)]
 
 
 class _MirrorEdgeServer(EdgeServer):

@@ -23,8 +23,9 @@ So:
   (:func:`repro.fleet.telemetry.aggregates_from_columns`), not from
   re-walking per-session Python lists;
 - a shard worker's measurement and warm columns merge back into the
-  coordinator's table by contiguous row block, which is what makes the
-  sharded run's output byte-identical to ``shards=1``.
+  coordinator's table through the worker's global-row array (the fleet
+  deals rows out by stride), which is what makes the sharded run's
+  output byte-identical to ``shards=1``.
 
 Numeric columns are written from the measured floats themselves, at the
 point in the lifecycle they happen, never recomputed through a different
@@ -254,25 +255,25 @@ class SessionTable:
 
     # ------------------------------------------------------------- sharding
 
-    def absorb(self, start: int, payload: Dict[str, np.ndarray]) -> None:
-        """Merge a shard worker's contiguous row block back, in order.
+    def absorb(self, rows: np.ndarray, payload: Dict[str, np.ndarray]) -> None:
+        """Merge a shard worker's rows back: its local row ``j`` is
+        global row ``rows[j]``.
 
         ``payload`` carries the worker-owned columns (measurements and
-        warm-start report fields) for rows ``start:start+k``; the
-        coordinator's own lifecycle and edge columns are left alone.
+        warm-start report fields); the coordinator's own lifecycle and
+        edge columns are left alone.
         """
-        k = int(payload["n_results"].shape[0])
-        sl = slice(start, start + k)
         width = payload["costs"].shape[1]
-        self.costs[sl, :width] = payload["costs"]
-        self.latencies_ms[sl, :width] = payload["latencies_ms"]
-        self.qualities[sl, :width] = payload["qualities"]
-        self.epsilons[sl, :width] = payload["epsilons"]
-        self.n_results[sl] = payload["n_results"]
-        self.best_cost[sl] = payload["best_cost"]
-        self.n_warm[sl] = payload["n_warm"]
-        self.warm_started[sl] = payload["warm_started"]
-        self.warm_source[start : start + k] = payload["warm_source"]
+        self.costs[rows, :width] = payload["costs"]
+        self.latencies_ms[rows, :width] = payload["latencies_ms"]
+        self.qualities[rows, :width] = payload["qualities"]
+        self.epsilons[rows, :width] = payload["epsilons"]
+        self.n_results[rows] = payload["n_results"]
+        self.best_cost[rows] = payload["best_cost"]
+        self.n_warm[rows] = payload["n_warm"]
+        self.warm_started[rows] = payload["warm_started"]
+        for row, source in zip(rows.tolist(), payload["warm_source"]):
+            self.warm_source[row] = source
 
     def shard_payload(self) -> Dict[str, np.ndarray]:
         """The worker-owned columns :meth:`absorb` consumes."""

@@ -4,8 +4,9 @@ The paper uses pre-trained TensorFlow Lite models [16]; only their latency
 profiles and delegate compatibility matter to the scheduler (§III-A leaves
 accuracy out of scope). :class:`ModelZoo` wraps the Table I profile data
 for one device and adds convenience queries the rest of the library uses:
-affinity (best resource in isolation), the expected latency τ^e of Eq. 4,
-and the (task, resource) priority entries that feed Algorithm 1's queue.
+affinity (best resource in isolation) and the expected latency τ^e of
+Eq. 4. Algorithm 1's queue is built by
+:func:`repro.core.allocation.build_priority_queue`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from repro.device.profiles import (
     GALAXY_S22,
     PIXEL7,
     StaticProfile,
-    canonical_model_name,
     device_names,
     get_profile,
     model_names,
@@ -68,25 +68,6 @@ class ModelZoo:
         return {
             name: dict(self.profile(name).latency_ms) for name in self.names()
         }
-
-    def priority_entries(
-        self, models: List[str]
-    ) -> List[Tuple[float, str, Resource]]:
-        """(latency, model, resource) entries for Algorithm 1's queue ``P``.
-
-        One entry per compatible (model, resource) pair, for the given
-        *instance list* ``models`` (duplicates allowed — each instance gets
-        its own entries). Sorted by the caller via heap push.
-        """
-        entries = []
-        for model in models:
-            profile = self.profile(model)
-            for resource in ALL_RESOURCES:
-                if profile.supports(resource):
-                    entries.append(
-                        (profile.latency(resource), canonical_model_name(model), resource)
-                    )
-        return entries
 
 
 __all__ = ["ModelZoo", "GALAXY_S22", "PIXEL7"]

@@ -44,31 +44,27 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
 
 
 def spawn_shard_rngs(
-    seed: SeedLike, shard_sizes: Sequence[int]
+    seed: SeedLike, shard_rows: Sequence[Sequence[int]]
 ) -> List[List[np.random.Generator]]:
-    """Split ``seed`` into contiguous per-shard generator cohorts.
+    """Split ``seed`` into per-shard generator cohorts by global row.
 
-    Spawns ``sum(shard_sizes)`` children exactly as :func:`spawn_rngs` would
-    and partitions them into contiguous slices, so concatenating the shards
-    in order reproduces the unsharded stream list bit-for-bit:
+    ``shard_rows`` partitions ``range(n)`` (``n`` the total row count);
+    shard ``k``'s ``j``-th generator is the one :func:`spawn_rngs` gives
+    global row ``shard_rows[k][j]``:
 
-        ``spawn_shard_rngs(s, [a, b]) == [spawn_rngs(s, a+b)[:a],
-        spawn_rngs(s, a+b)[a:]]``
+        ``spawn_shard_rngs(s, rows)[k][j] == spawn_rngs(s, n)[rows[k][j]]``
 
-    This is what lets a sharded fleet run byte-identical to ``shards=1``:
-    shard k's sessions draw from the very same generators they would have
-    owned in a single-process run.
+    This is what lets a sharded fleet run byte-identical to ``shards=1``
+    under any row layout (the fleet deals rows out by stride): every
+    session draws from the very same generator it would have owned in a
+    single-process run.
     """
-    sizes = [int(s) for s in shard_sizes]
-    if any(s < 0 for s in sizes):
-        raise ValueError(f"shard sizes must be >= 0, got {sizes}")
-    flat = spawn_rngs(seed, sum(sizes))
-    shards: List[List[np.random.Generator]] = []
-    start = 0
-    for size in sizes:
-        shards.append(flat[start : start + size])
-        start += size
-    return shards
+    rows = [[int(r) for r in shard] for shard in shard_rows]
+    n = sum(len(shard) for shard in rows)
+    if sorted(r for shard in rows for r in shard) != list(range(n)):
+        raise ValueError(f"shard rows must partition range({n})")
+    flat = spawn_rngs(seed, n)
+    return [[flat[r] for r in shard] for shard in rows]
 
 
 def stream(seed: SeedLike) -> Iterator[np.random.Generator]:

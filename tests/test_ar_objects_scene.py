@@ -310,6 +310,32 @@ class TestRenderLoadModel:
         scene.set_ratio("bike", 0.5)
         assert model.rendered_triangles(scene) == pytest.approx(0.5 * full)
 
+    def test_culling_recomputed_only_on_scene_change(self, monkeypatch):
+        """Ratio changes reuse the culling column; geometry changes
+        (user move, object add) recompute it."""
+        calls = []
+        original = RenderLoadModel.culled_fractions
+
+        def culled_fractions(model, distances_m):
+            calls.append(len(distances_m))
+            return original(model, distances_m)
+
+        monkeypatch.setattr(RenderLoadModel, "culled_fractions", culled_fractions)
+        scene = Scene()
+        scene.add("bike", object_by_name("bike"), position=(0, 0, 1.0))
+        model = RenderLoadModel()
+        model.rendered_triangles(scene)
+        scene.set_ratio("bike", 0.5)
+        model.rendered_triangles(scene)
+        assert calls == [1]
+        scene.move_user((0.0, 0.0, -1.0))
+        moved = model.rendered_triangles(scene)
+        assert calls == [1, 1]
+        assert moved == RenderLoadModel().rendered_triangles(scene)
+        scene.add("bike2", object_by_name("bike"), position=(0, 1.0, 1.0))
+        model.rendered_triangles(scene)
+        assert calls == [1, 1, 1, 2]
+
     def test_system_load_fields(self):
         scene = Scene()
         scene.add("bike", object_by_name("bike"), position=(0, 0, 1.0))

@@ -11,6 +11,8 @@ These tests hammer both over random placements, render loads, triangle
 budgets and degradation parameters on both Table I device profiles.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -340,3 +342,76 @@ class TestCostParity:
         np.testing.assert_allclose(
             fast.phi[0], scalar_phi, rtol=1e-9, atol=1e-9
         )
+
+
+wide_task_specs = st.lists(
+    st.tuples(st.sampled_from(_MODELS), st.integers(0, 5)),
+    min_size=8,
+    max_size=16,
+)
+
+
+class TestWideTaskSetParity:
+    """8–16 task slots: past the 8-term point where NumPy's pairwise
+    reductions would regroup a sum, the running sums stay sequential."""
+
+    @given(
+        device=devices,
+        rows=st.lists(
+            st.tuples(wide_task_specs, loads, st.booleans()),
+            min_size=2,
+            max_size=4,
+        ),
+        share=edge_shares,
+        expected_scale=st.floats(min_value=0.5, max_value=2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_mode_is_bitwise_with_edge_padding_and_epsilon(
+        self, device, rows, share, expected_scale
+    ):
+        """Padded edge and device-only rows in one exact batch: every
+        slowdown, per-task latency and ε equals the scalar path's bits."""
+        soc = _SOC_OF[device]()
+        model = ContentionModel(soc)
+        built = [
+            (
+                soc,
+                _placements(device, specs, edge=has_edge),
+                load,
+                share if has_edge else None,
+            )
+            for specs, load, has_edge in rows
+        ]
+        plan = EvalPlan.from_placement_rows(built)
+        m = plan.n_task_slots
+        expected = np.ones((len(built), m))
+        for i, (_, placements, _, _) in enumerate(built):
+            for j, p in enumerate(placements):
+                expected[i, j] = expected_scale * p.profile.latency(p.resource)
+        plan = dataclasses.replace(plan, task_expected_ms=expected)
+        result = solve(plan, exact=True)
+        assert result.epsilon is not None
+
+        for i, (_, placements, load, row_share) in enumerate(built):
+            state = model.processor_state(placements, load, row_share)
+            scalar_lat = {
+                p.task_id: model.task_latency(p, state, row_share)
+                for p in placements
+            }
+            assert result.slowdown[i, 0] == state.slowdown[Processor.CPU]
+            assert result.slowdown[i, 1] == state.slowdown[Processor.GPU]
+            assert result.slowdown[i, 2] == state.slowdown[Processor.NPU]
+            if row_share is not None:
+                assert result.edge_slowdown is not None
+                assert result.edge_slowdown[i] == state.edge_slowdown
+            batched = plan.latency_map(result.latency_ms, i)
+            assert batched == scalar_lat
+            assert np.all(result.latency_ms[i, len(placements):] == 0.0)
+            scalar_eps = normalized_average_latency(
+                scalar_lat,
+                {
+                    p.task_id: float(expected[i, j])
+                    for j, p in enumerate(placements)
+                },
+            )
+            assert result.epsilon[i] == scalar_eps

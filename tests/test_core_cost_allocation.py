@@ -8,6 +8,7 @@ from repro.core.allocation import (
     allocate_tasks,
     allocation_counts,
     build_priority_queue,
+    drain_priority_queue,
     proportions_to_counts,
 )
 from repro.core.cost import cost, normalized_average_latency, reward
@@ -109,6 +110,11 @@ class TestPriorityQueue:
         queue = build_priority_queue(taskset_cf2(PIXEL7))
         assert len(queue) == 9
 
+    def test_entry_count_skips_unsupported_pairs(self):
+        ts = build_taskset("seg", [("mnist", 1), ("deeplabv3", 1)], device=PIXEL7)
+        # mnist: 3 resources; deeplabv3 on Pixel 7: 2 (no NNAPI).
+        assert len(build_priority_queue(ts)) == 5
+
 
 class TestAllocateTasks:
     def test_counts_respected(self):
@@ -156,6 +162,18 @@ class TestAllocateTasks:
             assert all(
                 t.profile.supports(allocation[t.task_id]) for t in cf1
             )
+
+    def test_one_queue_serves_every_count_vector(self):
+        """A prebuilt queue is drained from a copy: reusing it for every
+        count vector gives allocate_tasks' allocations, unchanged queue."""
+        ts = build_taskset("seg", [("deeplabv3", 1), ("mnist", 2)], device=PIXEL7)
+        queue = build_priority_queue(ts)
+        before = list(queue)
+        for counts in ([3, 0, 0], [0, 0, 3], [1, 1, 1], [0, 2, 1], [2, 0, 1]):
+            assert drain_priority_queue(ts, counts, ALL_RESOURCES, queue) == (
+                allocate_tasks(ts, counts)
+            )
+        assert queue == before
 
     def test_count_validation(self):
         cf2 = taskset_cf2(PIXEL7)

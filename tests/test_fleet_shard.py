@@ -5,7 +5,7 @@ bit-for-bit at ANY shard count — `shards=k` output is byte-identical to
 `shards=1` in every mode (device-only, the one-node `--edge` topology,
 and the multi-server topology with admission, shedding, outages, and
 migrations all live mid-run). Alongside it, the building blocks:
-`spawn_shard_rngs` stream partitioning, batched search-space ops,
+strided shard rows, `spawn_shard_rngs` stream partitioning, batched search-space ops,
 the coordinator table as the one live record of edge decisions, and the
 columnar telemetry path's value-identity with the per-report legacy
 path.
@@ -37,7 +37,7 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.export import fleet_result_to_dict
-from repro.fleet.shard import _ShardWorker, shard_sizes
+from repro.fleet.shard import _ShardWorker, shard_rows, shard_sizes
 from repro.fleet.telemetry import (
     convergence_from_columns,
     convergence_histogram,
@@ -106,37 +106,80 @@ class TestShardSizes:
             shard_sizes(4, 0)
 
 
+class TestShardRows:
+    def test_rows_are_strided_and_sized_by_shard_sizes(self):
+        for n in range(1, 40):
+            for k in range(1, 9):
+                rows = shard_rows(n, k)
+                stride = len(rows)
+                assert [len(r) for r in rows] == shard_sizes(n, k)
+                for shard, shard_rows_k in enumerate(rows):
+                    assert shard_rows_k.tolist() == list(range(shard, n, stride))
+
+    def test_clamps_shards_to_spec_count(self):
+        assert [r.tolist() for r in shard_rows(3, 8)] == [[0], [1], [2]]
+
+
+class TestShardBalance:
+    def test_surge_steps_evenly_across_two_shards(self, monkeypatch):
+        """Catalog specs are sorted by arrival, so a surge lands on
+        consecutive rows; strided cohorts give both workers the same
+        number of stepped rows (±1) on every tick, where contiguous
+        blocks put the surge on one shard first."""
+        compiled = compile_scenario(
+            get_scenario("low-tier-surge"), hbo=FAST, n_sessions=96
+        )
+        per_tick = []
+        original = FleetScheduler._tick_workers
+
+        def tick_workers(scheduler, tick, commands):
+            # Every active row steps exactly once this tick.
+            shards = [
+                scheduler._shard_local(int(row))[0]
+                for row in scheduler.table.active_indices()
+            ]
+            per_tick.append(np.bincount(shards, minlength=2))
+            return original(scheduler, tick, commands)
+
+        monkeypatch.setattr(FleetScheduler, "_tick_workers", tick_workers)
+        config = dataclasses.replace(compiled.fleet_config, shards=2)
+        run_fleet(compiled.session_specs, seed=compiled.fleet_seed, config=config)
+        counts = np.stack(per_tick)
+        assert counts.sum() == 96 * FAST.total_evaluations
+        assert np.abs(counts[:, 0] - counts[:, 1]).max() <= 1
+
+
 class TestSpawnShardRngs:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        sizes=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
+        n=st.integers(min_value=1, max_value=12),
+        shards=st.integers(min_value=1, max_value=5),
     )
     @settings(max_examples=25, deadline=None)
-    def test_concatenation_reproduces_unsharded_order(self, seed, sizes):
-        """Shard k's streams ARE the contiguous slice of the flat spawn:
-        concatenating every shard's draws reproduces `spawn_rngs(seed, n)`
-        bit-for-bit — the invariant sharded fleets lean on."""
-        total = sum(sizes)
-        flat_draws = [rng.uniform(size=3) for rng in spawn_rngs(seed, total)]
-        shards = spawn_shard_rngs(seed, sizes)
-        assert [len(s) for s in shards] == sizes
-        shard_draws = [rng.uniform(size=3) for shard in shards for rng in shard]
-        assert len(shard_draws) == total
-        for a, b in zip(flat_draws, shard_draws):
-            np.testing.assert_array_equal(a, b)
+    def test_strided_rows_reproduce_unsharded_streams(self, seed, n, shards):
+        """Shard k's j-th stream IS the flat spawn's stream of global row
+        ``rows_k[j]``, bit for bit — the invariant sharded fleets lean on."""
+        flat_draws = [rng.uniform(size=3) for rng in spawn_rngs(seed, n)]
+        rows = shard_rows(n, shards)
+        streams = spawn_shard_rngs(seed, rows)
+        assert [len(s) for s in streams] == [len(r) for r in rows]
+        for shard, shard_streams in zip(rows, streams):
+            for row, rng in zip(shard.tolist(), shard_streams):
+                np.testing.assert_array_equal(rng.uniform(size=3), flat_draws[row])
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_cross_shard_streams_are_decorrelated(self, seed):
         """No two streams — within or across shards — repeat a draw:
         SeedSequence spawning keys every child off a distinct path."""
-        shards = spawn_shard_rngs(seed, [3, 2, 3])
+        shards = spawn_shard_rngs(seed, shard_rows(8, 3))
         first = [float(rng.uniform()) for shard in shards for rng in shard]
         assert len(set(first)) == len(first)
 
-    def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError):
-            spawn_shard_rngs(7, [2, -1])
+    def test_rejects_rows_that_do_not_partition(self):
+        for rows in ([[0, 2], [-1]], [[0, 1], [1]], [[0], [2]]):
+            with pytest.raises(ValueError):
+                spawn_shard_rngs(7, rows)
 
 
 class TestBatchedSpaceOps:
@@ -393,7 +436,7 @@ class TestShardFailure:
         original = _ShardWorker.tick_begin
 
         def tick_begin(worker, msg):
-            if msg["tick"] == 2 and worker.table.session_ids[0] == "s03":
+            if msg["tick"] == 2 and worker.table.session_ids[0] == "s01":
                 raise RuntimeError("injected worker failure")
             return original(worker, msg)
 

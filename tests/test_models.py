@@ -34,12 +34,6 @@ class TestModelZoo:
         for row in table.values():
             assert set(row) == set(ALL_RESOURCES)
 
-    def test_priority_entries_one_per_compatible_pair(self):
-        zoo = ModelZoo(PIXEL7)
-        entries = zoo.priority_entries(["mnist", "deeplabv3"])
-        # mnist: 3 resources; deeplabv3 on Pixel 7: 2 (no NNAPI).
-        assert len(entries) == 5
-
     def test_unknown_device_raises(self):
         with pytest.raises(UnknownModelError):
             ModelZoo("Nokia 3310")

@@ -180,6 +180,40 @@ CASES: Tuple[Case, ...] = (
         ("experiment", "fig7", "--seed", "2024"),
         {"stdout": "92b7af89c55e9999559abe7026cd0d85a99273aa8999218b1432fcf404a90b73"},
     ),
+    # The remaining paper experiments: Table I's profiles, Fig. 2's
+    # motivation sweep, Fig. 8's baselines, Fig. 9's event-based
+    # activation, the w sweep and the device tiers. They run the
+    # single-device steady-state solve.
+    Case(
+        "table1",
+        ("experiment", "table1", "--seed", "2024"),
+        {"stdout": "346046bbe9d1604279aeb741bb975f58bf6b810141658e363ab47b34c0dd6d7f"},
+    ),
+    Case(
+        "fig2",
+        ("experiment", "fig2", "--seed", "2024"),
+        {"stdout": "1d613549cd0c08af856a8461615261fe446b494fa18bcaa109c646596efcb5d0"},
+    ),
+    Case(
+        "fig8",
+        ("experiment", "fig8", "--seed", "2024"),
+        {"stdout": "d11092317fdb5503e0b451f02e1ddeaad91ba317ebd785457667745d4e5513e9"},
+    ),
+    Case(
+        "fig9",
+        ("experiment", "fig9", "--seed", "2024"),
+        {"stdout": "53bb9d72bc95e590f489074a7242bc0634bd7a36b3b95c7eee3aa750f9a06d2b"},
+    ),
+    Case(
+        "wsweep",
+        ("experiment", "wsweep", "--seed", "2024"),
+        {"stdout": "0789767f8b70c7ad0eba2edd3bafefd779d327072f053d6cc2ddd1336012fdcb"},
+    ),
+    Case(
+        "devices",
+        ("experiment", "devices", "--seed", "2024"),
+        {"stdout": "85a6c643d4becb8a9ef2cda24aaf8515d93bf077b8d1afa0f0ab448082092202"},
+    ),
     Case(
         # `repro trace` also exits non-zero unless the trace is a
         # non-empty, schema-valid Chrome trace that round-trips.
