@@ -80,7 +80,7 @@ from repro.scenarios import (
 from repro.obs import MetricsRegistry, Tracer, instrumented
 from repro.sim import MonitoringEngine
 from repro.sim.scenarios import build_system, fig8_event_script
-from repro.units import Ms, Seconds, ms_to_s, s_to_ms
+from repro.units import Ms, Seconds
 from repro.userstudy import RaterPanel
 
 __version__ = "1.0.0"
@@ -133,11 +133,9 @@ __all__ = [
     "galaxy_s22_soc",
     "get_scenario",
     "instrumented",
-    "ms_to_s",
     "pixel7_soc",
     "run_fleet",
     "run_scenario",
-    "s_to_ms",
     "scenario_names",
     "taskset_cf1",
     "taskset_cf2",

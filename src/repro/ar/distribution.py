@@ -309,16 +309,3 @@ def greedy_optimal_distribution(
     return {
         i: float(np.clip(alloc[i] / max_tris[i], MIN_OBJECT_RATIO, 1.0)) for i in ids
     }
-
-
-def achieved_ratio(
-    objects: Mapping[str, VirtualObject], ratios: Mapping[str, float]
-) -> float:
-    """Overall triangle ratio implied by a per-object ratio map."""
-    if set(objects) != set(ratios):
-        raise ConfigurationError("object/ratio key sets differ")
-    if not objects:
-        return 1.0
-    total_max = sum(o.max_triangles for o in objects.values())
-    drawn = sum(objects[i].max_triangles * ratios[i] for i in objects)
-    return drawn / total_max

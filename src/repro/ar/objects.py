@@ -20,9 +20,9 @@ heavy decimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.ar.degradation import (
     DegradationModel,

@@ -129,10 +129,6 @@ class Scene:
     def __iter__(self) -> Iterator[PlacedObject]:
         return iter(self.snapshot())
 
-    @property
-    def instance_ids(self) -> Tuple[str, ...]:
-        return self._cols.ids
-
     def _position_of(self, instance_id: str) -> int:
         if instance_id not in self._index:
             raise SceneError(f"no object instance {instance_id!r} in scene")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from repro.bo.kernels import Kernel, Matern, _as_2d
@@ -66,8 +65,7 @@ class GaussianProcess:
     """Exact GP regression: fit on (X, y), predict N(μ, σ²) pointwise.
 
     This is the **exact tier**: every :meth:`fit` factorizes the full
-    (n, n) covariance in O(n³) (with an O(n²) rank-1 :meth:`update` for
-    the append-one case). For datasets past the scaling wall, use the
+    (n, n) covariance in O(n³). For datasets past the scaling wall, use the
     **sparse tier** — :class:`~repro.bo.sparse.SparseGaussianProcess`
     conditions on a budgeted support subset and keeps fit cost flat in
     n. Both satisfy :class:`Surrogate`; `docs/optimizer.md` documents
@@ -111,20 +109,6 @@ class GaussianProcess:
     def n_observations(self) -> int:
         return 0 if self._x_train is None else int(self._x_train.shape[0])
 
-    @property
-    def x_train(self) -> np.ndarray:
-        """The (n, d) inputs the posterior currently conditions on."""
-        if self._x_train is None:
-            raise GPFitError("x_train read before fit()")
-        return self._x_train.copy()
-
-    @property
-    def y_train(self) -> np.ndarray:
-        """The raw (un-standardized) targets of the current fit."""
-        if self._x_train is None:
-            raise GPFitError("y_train read before fit()")
-        return self._y_raw.copy()
-
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Condition the GP on observations ``x`` (n, d) and ``y`` (n,)."""
         x = _as_2d(x)
@@ -166,27 +150,11 @@ class GaussianProcess:
         self._y_train_normalized = y_n
         self._x_train = x
         self._y_raw = y.copy()
-        self._jitter = jitter
         return self
 
     def update(self, x_new: np.ndarray, y_new: float) -> "GaussianProcess":
-        """Condition on one more observation via a rank-1 Cholesky extension.
-
-        BO adds exactly one observation per ``tell``; refitting from
-        scratch repeats an O(n³) factorization every iteration. The
-        Cholesky factor of the bordered covariance matrix extends in
-        O(n²): with ``K_new = [[K, k], [kᵀ, κ]]`` and ``K = L Lᵀ``,
-
-            L_new = [[L, 0], [l₁₂ᵀ, l₂₂]],  L l₁₂ = k,
-            l₂₂ = √(κ − l₁₂ᵀ l₁₂).
-
-        Target standardization and α are recomputed over the full
-        dataset (both are O(n²) given the factor). When the new point is
-        (numerically) a duplicate, l₂₂² degenerates and the method falls
-        back to a full :meth:`fit` with jitter escalation. The posterior
-        matches a full refit to floating-point accuracy (not bitwise —
-        the factor is assembled in a different operation order).
-        """
+        """Condition on one more observation: append it and :meth:`fit`
+        the whole dataset again, so there is one exact-fit path."""
         if not self.is_fit:
             raise GPFitError("update() called before fit()")
         assert self._x_train is not None
@@ -199,35 +167,8 @@ class GaussianProcess:
             )
         if not np.all(np.isfinite(row)) or not np.isfinite(y_val):
             raise GPFitError("GP update data contains NaN or inf")
-
         x_all = np.vstack([self._x_train, row])
-        y_all = np.append(self._y_raw, y_val)
-        n = self.n_observations
-        l_mat = self._cho
-        k_vec = self.kernel(row, self._x_train).ravel()
-        kappa = float(self.kernel.diag(row)[0]) + self.noise + self._jitter
-        l12 = solve_triangular(l_mat, k_vec, lower=True, check_finite=False)
-        l22_sq = kappa - float(l12 @ l12)
-        if l22_sq <= 1e-12:
-            # Numerically dependent point: the extension would lose
-            # positive definiteness. Refit with jitter escalation.
-            return self.fit(x_all, y_all)
-        c_new = np.zeros((n + 1, n + 1))
-        c_new[:n, :n] = l_mat
-        c_new[n, :n] = l12
-        c_new[n, n] = np.sqrt(l22_sq)
-
-        if self.normalize_y:
-            self._y_mean = float(np.mean(y_all))
-            spread = float(np.std(y_all))
-            self._y_std = spread if spread > 1e-12 else 1.0
-        y_n = (y_all - self._y_mean) / self._y_std
-        self._cho = c_new
-        self._alpha = _cho_solve(c_new, y_n)
-        self._y_train_normalized = y_n
-        self._x_train = x_all
-        self._y_raw = y_all
-        return self
+        return self.fit(x_all, np.append(self._y_raw, y_val))
 
     def predict(self, x: np.ndarray) -> GPPosterior:
         """Posterior N(μ(x), σ²(x)) at each row of ``x``."""

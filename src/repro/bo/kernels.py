@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional
 
 import numpy as np
 

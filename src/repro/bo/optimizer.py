@@ -117,7 +117,7 @@ class BayesianOptimizer:
     ----------
     space:
         Search space providing ``sample`` / ``project[_rows]`` /
-        ``perturb_rows`` / ``contains`` (e.g. :class:`~repro.bo.space.HBOSpace`).
+        ``jitter_rows`` / ``contains`` (e.g. :class:`~repro.bo.space.HBOSpace`).
     n_initial:
         Number of random configurations used to seed the dataset before
         the GP-guided phase starts (the paper uses 5).
@@ -195,11 +195,6 @@ class BayesianOptimizer:
         self._rng = make_rng(seed)
         self.state = OptimizerState()
         self._pending: Optional[np.ndarray] = None
-        # Cached surrogate for incremental (rank-1) refits: observations
-        # are append-only, so a fit that is exactly one observation
-        # behind extends in O(n²) instead of refactorizing in O(n³).
-        self._surrogate: Optional[GaussianProcess] = None
-        self._surrogate_n = 0
         #: Number of observations injected by :meth:`warm_start` (they sit
         #: at the front of ``state.observations``).
         self.n_warm = 0
@@ -324,19 +319,9 @@ class BayesianOptimizer:
         if self.sparse_active:
             return self._fit_sparse_surrogate()
         with obs.span("bo.gp_fit", category="bo", n_obs=len(observations)):
-            if (
-                self._surrogate is not None
-                and len(observations) == self._surrogate_n + 1
-            ):
-                latest = observations[-1]
-                fitted = self._surrogate.update(latest.z, latest.cost)
-            else:
-                x = np.asarray([o.z for o in observations])
-                y = np.asarray([o.cost for o in observations])
-                gp = GaussianProcess(kernel=self.kernel, noise=self.noise)
-                fitted = gp.fit(x, y)
-        self._surrogate = fitted
-        self._surrogate_n = len(observations)
+            x = np.asarray([o.z for o in observations])
+            y = np.asarray([o.cost for o in observations])
+            fitted = GaussianProcess(kernel=self.kernel, noise=self.noise).fit(x, y)
         obs.counter("bo_gp_fits").inc()
         return fitted
 
@@ -345,8 +330,7 @@ class BayesianOptimizer:
 
         Every probe here fires only past the n* switch, so tier-off runs
         (and sparse runs still below n*) emit byte-identical traces and
-        snapshots. The rank-1 cache is dropped: it extends a factor over
-        the *full* dataset, which the sparse tier no longer conditions on.
+        snapshots.
         """
         observations = self.state.observations
         x = np.asarray([o.z for o in observations])
@@ -360,8 +344,6 @@ class BayesianOptimizer:
                 max_support=self.sparse_threshold,
                 seed=0,
             ).fit(x, y)
-        self._surrogate = None
-        self._surrogate_n = 0
         obs.counter("bo_gp_fits").inc()
         obs.counter("bo_gp_sparse_fits").inc()
         obs.histogram("bo_sparse_support_size").observe(float(sgp.n_support))

@@ -180,9 +180,6 @@ class HBOPoint:
     proportions: np.ndarray  # c, on the simplex
     triangle_ratio: float  # x, in [r_min, 1]
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.proportions, [self.triangle_ratio]])
-
 
 class HBOSpace(_RowSpace):
     """Joint space ``z = [c (simplex over N resources); x (triangle ratio)]``.

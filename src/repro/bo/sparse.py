@@ -167,7 +167,3 @@ class SparseGaussianProcess:
     def predict(self, x: np.ndarray) -> GPPosterior:
         """Posterior N(μ(x), σ²(x)) of the support-set GP at rows of ``x``."""
         return self._gp.predict(x)
-
-    def log_marginal_likelihood(self) -> float:
-        """Log p(y_support | X_support) of the fitted support-set model."""
-        return self._gp.log_marginal_likelihood()

@@ -32,7 +32,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.controller import HBOConfig, HBOController
-from repro.device.profiles import GALAXY_S22, PIXEL7, device_names, model_names
+from repro.device.profiles import PIXEL7, device_names, model_names
 from repro.errors import ReproError
 from repro.experiments import (
     edge as edge_exp,

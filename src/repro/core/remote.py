@@ -169,11 +169,3 @@ class RemoteOptimizerProxy:
 
     def best(self) -> Observation:
         return self._optimizer.best()
-
-    # ------------------------------------------------------------ reporting
-
-    def mean_exchange_ms(self) -> float:
-        """Average network cost per ask/tell — the §VI overhead figure."""
-        if self.stats.exchanges == 0:
-            return 0.0
-        return self.stats.network_ms / self.stats.exchanges

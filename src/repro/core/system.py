@@ -18,7 +18,7 @@ Eq. 4 normalized latency ε, Eq. 2 quality Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np

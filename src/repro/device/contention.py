@@ -36,14 +36,11 @@ inflated by the slowdown of the processor that executes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.backend.plan import EvalPlan
 from repro.backend.solve import solve
 
-# TaskPlacement and SystemLoad moved to repro.device.load (layer leaf);
-# re-exported here so existing `from repro.device.contention import ...`
-# call sites keep working.
 from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.resources import Processor, Resource
 from repro.device.soc import SoCSpec

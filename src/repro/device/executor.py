@@ -18,7 +18,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.device.contention import ContentionModel, SystemLoad, TaskPlacement
+from repro.device.contention import ContentionModel
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.profiles import StaticProfile
 from repro.device.resources import Processor, Resource
 from repro.device.soc import SoCSpec
@@ -328,10 +329,6 @@ class DeviceSimulator:
             self.edge.record_period(offloaded)
             self.edge.advance_period()
         return means
-
-    def isolation_latency(self, task_id: str, resource: Resource) -> float:
-        """Table I lookup for a registered task."""
-        return self.profile_of(task_id).latency(resource)
 
     # ------------------------------------------------------------- internals
 

@@ -7,8 +7,7 @@ puts on the SoC for one control period. They used to live in
 *produces* a ``SystemLoad``) and the vectorized backend (which type-hints
 against both) sit below the dynamic contention model in the layer DAG —
 importing them from there was an upward edge. They now live in this
-leaf so every consumer points downward; ``repro.device.contention``
-re-exports them for compatibility.
+leaf so every consumer points downward.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
-from repro.device.contention import ContentionModel, SystemLoad, TaskPlacement
+from repro.device.contention import ContentionModel
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.resources import Processor, Resource
 from repro.device.soc import SoCSpec
 from repro.edge.share import (

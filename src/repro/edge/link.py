@@ -78,12 +78,6 @@ class LinkConfig:
                 f"got [{self.min_scale}, {self.max_scale}]"
             )
 
-    def nominal(self) -> NetworkLink:
-        """The jitter-free per-exchange view of this link at scale 1."""
-        return NetworkLink(
-            rtt_ms=self.rtt_ms, jitter_ms=0.0, bytes_per_ms=self.bytes_per_ms
-        )
-
 
 class WirelessLink:
     """A wireless link whose bandwidth follows a deterministic drift trace.

@@ -297,11 +297,6 @@ class EdgeTopology:
             )
         return self._nodes[name]
 
-    @property
-    def assignments(self) -> Dict[str, str]:
-        """session id → node name, a copy."""
-        return dict(self._assignment)
-
     def assignment_of(self, session_id: str) -> Optional[str]:
         return self._assignment.get(session_id)
 

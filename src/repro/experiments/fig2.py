@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.device.contention import SystemLoad
+from repro.device.load import SystemLoad
 from repro.device.executor import DeviceSimulator
 from repro.device.profiles import GALAXY_S22, get_profile
 from repro.device.resources import Resource

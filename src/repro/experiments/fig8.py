@@ -12,7 +12,6 @@ distance change) while the periodic policy re-optimizes on schedule —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.core.activation import EventBasedPolicy, PeriodicPolicy
 from repro.core.controller import HBOConfig, HBOController

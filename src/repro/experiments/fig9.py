@@ -16,9 +16,7 @@ collect panel ratings per condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro.ar.objects import catalog_sc1, catalog_sc2, expand_instances
 from repro.ar.scene import Scene

@@ -22,15 +22,10 @@ from repro.experiments.report import format_kv, format_series, format_table
 from repro.fleet.scheduler import FleetConfig, FleetResult, run_fleet
 from repro.fleet.store import SharedConfigStore
 from repro.rng import derive_seed
-
-# The hand-written staggered schedule moved to the scenario generator (it
-# is the catalog's `legacy-fleet` entry now); re-exported here because
-# this was its public home.
 from repro.scenarios.generator import default_fleet_specs
 
 __all__ = [
     "FleetExperimentResult",
-    "default_fleet_specs",
     "render",
     "run_fleet_experiment",
 ]

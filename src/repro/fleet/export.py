@@ -1,11 +1,9 @@
 """JSON export of fleet runs.
 
-These helpers lived in :mod:`repro.sim.export` until the layering
-analyzer (RL006) flagged the edge: ``repro.sim`` sits below
-``repro.fleet`` in the layer DAG, so even a ``TYPE_CHECKING`` import of
-the fleet result types was an upward dependency. The fleet serializers
-now live with the fleet; :mod:`repro.sim.export` keeps thin lazy
-wrappers for existing call sites (an allowlisted backward-compat seam).
+The fleet serializers live with the fleet rather than in
+:mod:`repro.sim.export`: ``repro.sim`` sits below ``repro.fleet`` in the
+layer DAG (RL006), so even a ``TYPE_CHECKING`` import of the fleet
+result types from there would be an upward dependency.
 
 The schema is shard-agnostic: a ``shards > 1`` run feeds the exact same
 `FleetResult` through here and serializes byte-identically to

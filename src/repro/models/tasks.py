@@ -15,7 +15,7 @@ the two tasksets of Table II:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.device.profiles import PIXEL7, StaticProfile
@@ -83,12 +83,6 @@ class TaskSet:
     def affinity_allocation(self) -> Dict[str, Resource]:
         """Each task on its isolation-best resource (the SMQ/SML policy)."""
         return {t.task_id: t.affinity for t in self._tasks}
-
-    def count_by_model(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for task in self._tasks:
-            counts[task.model] = counts.get(task.model, 0) + 1
-        return counts
 
 
 def build_taskset(

@@ -11,7 +11,7 @@ Eq. 4. Algorithm 1's queue is built by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.device.profiles import (
     GALAXY_S22,
@@ -21,7 +21,7 @@ from repro.device.profiles import (
     get_profile,
     model_names,
 )
-from repro.device.resources import ALL_RESOURCES, Resource
+from repro.device.resources import Resource
 from repro.errors import UnknownModelError
 
 
@@ -43,10 +43,6 @@ class ModelZoo:
 
     def supports(self, model: str, resource: Resource) -> bool:
         return self.profile(model).supports(resource)
-
-    def compatible_resources(self, model: str) -> List[Resource]:
-        profile = self.profile(model)
-        return [res for res in ALL_RESOURCES if profile.supports(res)]
 
     def affinity(self, model: str) -> Resource:
         """The resource where the model is fastest in isolation."""

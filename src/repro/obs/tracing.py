@@ -284,10 +284,6 @@ class Tracer:
         """Closed spans in open order (pre-order over the span tree)."""
         return sorted(self.spans, key=lambda s: s.seq_open)
 
-    def children_of(self, span_id: Optional[int]) -> List[SpanRecord]:
-        """Direct children of ``span_id`` (``None`` for root spans)."""
-        return [s for s in self.spans_by_start() if s.parent_id == span_id]
-
     def reset(self) -> None:
         """Drop all recorded spans (open spans must be closed first)."""
         if self._stack:

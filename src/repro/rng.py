@@ -9,7 +9,7 @@ subsystems get decorrelated streams via ``spawn``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -65,16 +65,6 @@ def spawn_shard_rngs(
         raise ValueError(f"shard rows must partition range({n})")
     flat = spawn_rngs(seed, n)
     return [[flat[r] for r in shard] for shard in rows]
-
-
-def stream(seed: SeedLike) -> Iterator[np.random.Generator]:
-    """Yield an endless sequence of independent generators from ``seed``."""
-    if isinstance(seed, np.random.Generator):
-        root = np.random.SeedSequence(int(seed.integers(0, 2**63)))
-    else:
-        root = np.random.SeedSequence(seed)
-    while True:
-        yield np.random.default_rng(root.spawn(1)[0])
 
 
 def derive_seed(seed: SeedLike, *labels: object) -> int:

@@ -32,7 +32,7 @@ The axes:
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

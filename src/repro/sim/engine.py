@@ -11,7 +11,7 @@ post-activation reward becomes the policy's new reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from repro.core.activation import EventBasedPolicy, PeriodicPolicy
 from repro.core.controller import HBOController

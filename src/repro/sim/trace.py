@@ -71,10 +71,6 @@ class SessionTrace:
         rewards = np.asarray([s.reward for s in self.samples])
         return times, rewards
 
-    def activation_windows(self) -> List[Tuple[float, float]]:
-        """(start, end) time spans of activations (Fig. 8's boxes)."""
-        return [(a.start_time_s, a.end_time_s) for a in self.activations]
-
     def events(self) -> List[Tuple[float, str]]:
         """Scene events observed during the session."""
         return [(s.time_s, s.event) for s in self.samples if s.event]

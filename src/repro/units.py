@@ -12,8 +12,8 @@ temporal value carries its unit, either in the name (``latency_ms``,
 The aliases are plain ``float`` at runtime — they exist for reader and
 type-checker consumption, not dimensional analysis — so no call-site
 changes when a signature migrates to them. Convert explicitly at the
-boundary with :func:`ms_to_s` / :func:`s_to_ms` so the factor of 1000 is
-greppable instead of inlined.
+boundary with :data:`MS_PER_S` so the factor of 1000 is greppable instead
+of inlined.
 """
 
 from __future__ import annotations
@@ -27,14 +27,4 @@ Seconds = float
 MS_PER_S: float = 1000.0
 
 
-def ms_to_s(value_ms: Ms) -> Seconds:
-    """Convert milliseconds to seconds."""
-    return value_ms / MS_PER_S
-
-
-def s_to_ms(value_s: Seconds) -> Ms:
-    """Convert seconds to milliseconds."""
-    return value_s * MS_PER_S
-
-
-__all__ = ["MS_PER_S", "Ms", "Seconds", "ms_to_s", "s_to_ms"]
+__all__ = ["MS_PER_S", "Ms", "Seconds"]

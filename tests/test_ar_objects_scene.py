@@ -171,7 +171,7 @@ class TestScene:
     def test_remove_keeps_insertion_order(self, scene):
         scene.add("cabin", object_by_name("cabin"), position=(0, 1.0, 0), ratio=0.4)
         scene.remove("bike")
-        assert scene.instance_ids == ("apricot", "cabin")
+        assert scene.columns.ids == ("apricot", "cabin")
         assert [p.instance_id for p in scene] == ["apricot", "cabin"]
         assert scene.ratios() == {"apricot": 1.0, "cabin": 0.4}
         assert scene.distances() == {"apricot": 1.0, "cabin": 1.0}
@@ -243,7 +243,7 @@ class TestSceneColumnParity:
         assert self._observed(scene, model) == _per_object_reference(scene, model)
         for step in range(24):
             op = step % 4
-            ids = scene.instance_ids
+            ids = scene.columns.ids
             if op == 0:
                 picked = rng.permutation(len(ids))[: int(rng.integers(1, len(ids) + 1))]
                 scene.apply_ratios(
@@ -266,13 +266,13 @@ class TestSortedIdColumns:
         scene = Scene(user_position=(0.2, -0.1, 0.0))
         for j, (iid, obj) in enumerate(expand_instances(catalog_sc1())[::-1]):
             scene.add(iid, obj, position=(0.3 * j - 1.0, 0.5, 1.2))
-        assert list(scene.instance_ids) != sorted(scene.instance_ids)
+        assert list(scene.columns.ids) != sorted(scene.columns.ids)
         return scene
 
     def test_td_columns_follow_sorted_ids(self):
         scene = self._scene()
         max_tris, eq1 = scene.columns.td_columns()
-        ids = sorted(scene.instance_ids)
+        ids = sorted(scene.columns.ids)
         assert max_tris.tolist() == [scene.get(i).obj.max_triangles for i in ids]
         assert eq1.denom.tolist() == [
             scene.distance(i) ** scene.get(i).obj.params.d for i in ids
@@ -280,7 +280,7 @@ class TestSortedIdColumns:
 
     def test_apply_sorted_ratios(self):
         scene = self._scene()
-        ids = sorted(scene.instance_ids)
+        ids = sorted(scene.columns.ids)
         row = np.linspace(0.1, 0.9, len(ids))
         drawn = scene.apply_sorted_ratios(row)
         assert list(drawn) == ids
@@ -307,7 +307,7 @@ class TestRenderLoadModel:
         scene.add("bike", object_by_name("bike"), position=(0, 0, 1.0))
         model = RenderLoadModel()
         full = model.rendered_triangles(scene)
-        scene.set_ratio("bike", 0.5)
+        scene.apply_sorted_ratios(np.array([0.5]))
         assert model.rendered_triangles(scene) == pytest.approx(0.5 * full)
 
     def test_culling_recomputed_only_on_scene_change(self, monkeypatch):

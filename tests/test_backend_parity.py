@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.backend.plan import EvalPlan, resource_kind
 from repro.backend.solve import solve
 from repro.core.cost import cost, normalized_average_latency
-from repro.device.contention import ContentionModel, SystemLoad, TaskPlacement
+from repro.device.contention import ContentionModel
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.profiles import GALAXY_S22, PIXEL7, get_profile
 from repro.device.resources import ALL_RESOURCES, EDGE_RESOURCES, Processor
 from repro.device.soc import galaxy_s22_soc, pixel7_soc

@@ -156,7 +156,8 @@ class TestSamplePosterior:
 
 
 class TestUpdate:
-    """Rank-1 Cholesky extension: update() must agree with a full refit."""
+    """update() appends one observation and refits: it must agree with a
+    full fit on the whole dataset."""
 
     def _data(self, rng, n=12):
         x = rng.uniform(0, 1, size=(n, 2))
@@ -189,8 +190,8 @@ class TestUpdate:
         assert gp.n_observations == 6
 
     def test_duplicate_point_falls_back_to_full_fit(self, rng):
-        """A repeated row degenerates the extension (l22² ≈ 0); update()
-        must survive via the jitter-escalating refit."""
+        """A repeated row makes the covariance singular; update() must
+        survive via fit's jitter escalation."""
         x, y = self._data(rng, n=5)
         gp = GaussianProcess(noise=0.0).fit(x, y)
         gp.update(x[0], y[0])  # must not raise

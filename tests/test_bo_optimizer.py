@@ -241,9 +241,8 @@ class TestDegenerateAcquisition:
 
 
 class TestIncrementalSurrogate:
-    """tell() appends exactly one observation, so _fit_surrogate reuses
-    the cached GP via a rank-1 update; the posterior must match a fresh
-    full fit on the same dataset."""
+    """_fit_surrogate fits the exact GP on every observation told so far;
+    the posterior must match a fresh full fit on the same dataset."""
 
     def test_cached_surrogate_matches_fresh_fit(self):
         from repro.bo.gp import GaussianProcess
@@ -251,7 +250,7 @@ class TestIncrementalSurrogate:
         space = HBOSpace(3)
         opt = BayesianOptimizer(space, n_initial=3, seed=5)
         opt.minimize(_quadratic(space), 10)
-        gp = opt._fit_surrogate()  # exercises the incremental path
+        gp = opt._fit_surrogate()
         assert gp.n_observations == opt.n_observations
 
         x = np.asarray([o.z for o in opt.state.observations])

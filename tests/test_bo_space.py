@@ -97,7 +97,7 @@ class TestHBOSpace:
         assert np.allclose(point.proportions, [0.2, 0.3, 0.5])
         assert point.triangle_ratio == pytest.approx(0.7)
         assert np.allclose(space.join(point.proportions, point.triangle_ratio), z)
-        assert np.allclose(point.as_vector(), z)
+        assert np.allclose(np.append(point.proportions, point.triangle_ratio), z)
 
     def test_samples_satisfy_constraints_8_to_10(self, rng):
         space = HBOSpace(3, r_min=0.25)

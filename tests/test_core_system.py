@@ -17,7 +17,7 @@ class TestApply:
         ratios = system.apply(allocation, 0.6)
         assert system.device.allocation["mobilenet-v1"] is Resource.NNAPI
         assert system.scene.triangle_ratio == pytest.approx(0.6, abs=0.02)
-        assert set(ratios) == set(system.scene.instance_ids)
+        assert set(ratios) == set(system.scene.columns.ids)
 
     def test_apply_uniform_ratio(self, sc1cf1_system):
         system = sc1cf1_system

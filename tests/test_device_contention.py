@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.device.contention import ContentionModel, SystemLoad, TaskPlacement
+from repro.device.contention import ContentionModel
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.profiles import GALAXY_S22, PIXEL7, get_profile
 from repro.device.resources import Processor, Resource
 from repro.device.soc import galaxy_s22_soc, pixel7_soc

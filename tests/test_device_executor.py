@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend import solve
 from repro.backend.plan import EvalPlan
-from repro.device.contention import SystemLoad
+from repro.device.load import SystemLoad
 from repro.device.executor import DeviceSimulator
 from repro.device.profiles import GALAXY_S22, get_profile
 from repro.device.resources import Resource
@@ -108,7 +108,7 @@ class TestMeasurement:
 
     def test_isolation_latency_lookup(self, sim, deeplab):
         sim.add_task("t", deeplab)
-        assert sim.isolation_latency("t", Resource.NNAPI) == pytest.approx(27.0)
+        assert sim.profile_of("t").latency(Resource.NNAPI) == pytest.approx(27.0)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(DeviceError):

@@ -56,7 +56,8 @@ class TestRenderCostModel:
         )
         assert model.gpu_triangle_streams(250_000) == pytest.approx(2.5)
         assert model.gpu_object_streams(5) == pytest.approx(0.5)
-        assert model.gpu_streams(250_000, 5) == pytest.approx(3.0)
+        total = model.gpu_triangle_streams(250_000) + model.gpu_object_streams(5)
+        assert total == pytest.approx(3.0)
 
     def test_cpu_streams(self):
         model = RenderCostModel(

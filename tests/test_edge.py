@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.frontier import FrontierEvaluator
-from repro.device.contention import ContentionModel, SystemLoad, TaskPlacement
+from repro.device.contention import ContentionModel
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.executor import DeviceSimulator
 from repro.device.power import PowerModel, RadioPower
 from repro.device.profiles import GALAXY_S22, PIXEL7, get_profile

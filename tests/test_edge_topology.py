@@ -24,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.backend.plan import EvalPlan
 from repro.backend.solve import solve
 from repro.core.controller import HBOConfig
-from repro.device.contention import ContentionModel, SystemLoad, TaskPlacement
+from repro.device.contention import ContentionModel
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.profiles import GALAXY_S22, get_profile
 from repro.device.resources import Resource
 from repro.device.soc import galaxy_s22_soc

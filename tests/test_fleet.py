@@ -264,7 +264,7 @@ class TestStackedProposals:
 
         def predict(gp, x):
             post = real_predict(gp, x)
-            if np.array_equal(gp.x_train, nan_x):
+            if np.array_equal(gp._x_train, nan_x):
                 return GPPosterior(np.full_like(post.mean, np.nan), post.std)
             return post
 

@@ -1,5 +1,7 @@
 """Unit tests for repro.models (zoo, op graphs, tasksets)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.device.profiles import GALAXY_S22, PIXEL7, get_profile, model_names
@@ -25,8 +27,8 @@ class TestModelZoo:
 
     def test_compatible_resources_excludes_na(self):
         zoo = ModelZoo(PIXEL7)
-        assert Resource.NNAPI not in zoo.compatible_resources("deeplabv3")
-        assert set(zoo.compatible_resources("mnist")) == set(ALL_RESOURCES)
+        assert not zoo.supports("deeplabv3", Resource.NNAPI)
+        assert all(zoo.supports("mnist", res) for res in ALL_RESOURCES)
 
     def test_isolation_table_shape(self):
         table = ModelZoo(GALAXY_S22).isolation_table()
@@ -77,7 +79,7 @@ class TestTaskSets:
     def test_cf1_composition_matches_table2(self):
         cf1 = taskset_cf1(PIXEL7)
         assert len(cf1) == 6
-        counts = cf1.count_by_model()
+        counts = Counter(task.model for task in cf1)
         assert counts == {
             "mnist": 1,
             "mobilenetDetv1": 1,
@@ -89,7 +91,7 @@ class TestTaskSets:
     def test_cf2_composition_matches_table2(self):
         cf2 = taskset_cf2(PIXEL7)
         assert len(cf2) == 3
-        assert cf2.count_by_model() == {
+        assert Counter(task.model for task in cf2) == {
             "mnist": 1,
             "mobilenetDetv1": 1,
             "efficientclass-lite0": 1,

@@ -7,7 +7,7 @@ from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
 from repro.core.controller import HBOConfig, HBOController
 from repro.core.remote import NetworkLink, OffloadStats, RemoteOptimizerProxy
-from repro.device.contention import SystemLoad, TaskPlacement
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.power import PowerModel, ProcessorPower, energy_aware_cost
 from repro.device.profiles import GALAXY_S22, get_profile
 from repro.device.resources import Processor, Resource
@@ -145,10 +145,11 @@ class TestRemoteOptimizerProxy:
             link=NetworkLink(rtt_ms=8.0, jitter_ms=0.0),
             seed=0,
         )
-        assert proxy.mean_exchange_ms() == 0.0
+        assert proxy.stats.exchanges == 0
         z = proxy.ask()
         proxy.tell(z, 0.5)
-        assert proxy.mean_exchange_ms() == pytest.approx(8.0, abs=0.5)
+        mean_ms = proxy.stats.network_ms / proxy.stats.exchanges
+        assert mean_ms == pytest.approx(8.0, abs=0.5)
 
 
 class TestOffloadedController:

@@ -16,7 +16,6 @@ from hypothesis.extra import numpy as hnp
 from repro.ar.degradation import DegradationModel, DegradationParams
 from repro.ar.distribution import (
     MIN_OBJECT_RATIO,
-    achieved_ratio,
     distribute_triangles,
 )
 from repro.ar.objects import object_by_name
@@ -26,7 +25,8 @@ from repro.core.allocation import allocate_tasks, proportions_to_counts
 from repro.core.controller import HBOConfig
 from repro.core.lookup import EnvironmentSignature
 from repro.core.cost import normalized_average_latency
-from repro.device.contention import ContentionModel, SystemLoad, TaskPlacement
+from repro.device.contention import ContentionModel
+from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.profiles import GALAXY_S22, PIXEL7, get_profile
 from repro.device.resources import Resource
 from repro.device.soc import galaxy_s22_soc
@@ -61,7 +61,8 @@ class TestSimplexProperties:
     def test_perturb_closed(self, v, scale, seed):
         space = SimplexSpace(v.shape[0])
         start = space.project(v)
-        out = space.perturb(start, scale, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        out = space.project_rows(space.jitter_rows(start[None], [scale], rng))[0]
         assert space.contains(out)
 
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 6))
@@ -125,9 +126,9 @@ class TestTDProperties:
         assert set(ratios) == set(objects)
         for r in ratios.values():
             assert MIN_OBJECT_RATIO - 1e-9 <= r <= 1.0 + 1e-9
-        assert achieved_ratio(objects, ratios) == pytest.approx(
-            max(x, MIN_OBJECT_RATIO), abs=0.05
-        )
+        total = sum(o.max_triangles for o in objects.values())
+        drawn = sum(objects[i].max_triangles * ratios[i] for i in objects)
+        assert drawn / total == pytest.approx(max(x, MIN_OBJECT_RATIO), abs=0.05)
 
 
 class TestDegradationProperties:
@@ -270,10 +271,9 @@ class TestSceneProperties:
                  "apricot", "splane"]
         for i, pos in enumerate(positions):
             scene.add(f"o{i}", object_by_name(names[i % len(names)]), pos)
-        ratios = {iid: x for iid in scene.instance_ids}
-        scene.apply_ratios(ratios)
+        scene.apply_sorted_ratios(np.full(len(scene), x))
         expected_drawn = sum(
-            x * scene.get(iid).obj.max_triangles for iid in scene.instance_ids
+            x * scene.get(iid).obj.max_triangles for iid in scene.columns.ids
         )
         assert scene.drawn_triangles == pytest.approx(expected_drawn)
         assert scene.triangle_ratio == pytest.approx(x)

@@ -7,6 +7,9 @@ suite covers the multi-pass analyzer introduced with reprolint 2.0:
   TYPE_CHECKING-gated edges, the documented allowlist);
 - RL007 RNG-stream discipline and RL008 parity single-source on scoped
   fixture sources;
+- RL010 unreferenced public ``src/`` definitions over fixture trees
+  with ``perfbench/``, ``benchmarks/`` and ``tests/`` siblings, and its
+  documented allowlist;
 - RL009 stale/unknown suppression auditing, including the rules for when
   a directive is auditable at all;
 - the content-hash incremental cache (warm runs reanalyze only changed
@@ -45,6 +48,7 @@ from reprolint.baseline import (  # noqa: E402
 from reprolint.cli import main as reprolint_main  # noqa: E402
 from reprolint.engine import Violation, parse_suppressions  # noqa: E402
 from reprolint.project import collect_imports, module_name  # noqa: E402
+from reprolint.rules import dead_code  # noqa: E402
 from reprolint.rules.layering import ALLOWLIST, band_of  # noqa: E402
 from reprolint.sarif import to_sarif  # noqa: E402
 
@@ -418,6 +422,175 @@ class TestParitySingleSourceRule:
             Path("scripts/fixture.py"),
         )
         assert violations == []
+
+
+# --------------------------------------------------------------- RL010
+
+
+def rl010(root: Path, cache_dir: "Path | None" = None):
+    """Lint ``root/src`` with RL010 only; the rule finds the sibling
+    reference roots (``benchmarks/``, ``perfbench/``, ...) itself."""
+    return analyze_paths(
+        [root / "src"], [rules_by_id()["RL010"]], cache_dir=cache_dir
+    )
+
+
+def rl010_names(report):
+    return sorted(v.message.split("`")[1] for v in by_rule(report.violations, "RL010"))
+
+
+class TestUnreferencedDefinitionRule:
+    def test_unreferenced_public_def_fires(self, tmp_path):
+        write_package(
+            tmp_path / "src",
+            {
+                "repro/mod.py": """\
+                    def used():
+                        return 1
+
+
+                    def unused():
+                        return unused_helper()
+
+
+                    def unused_helper():
+                        return used()
+
+
+                    class Box:
+                        def lonely(self):
+                            return self.lonely()
+
+                        def _private(self):
+                            return 0
+                    """,
+            },
+        )
+        report = rl010(tmp_path)
+        # `unused_helper` is called from `unused`; `lonely` only calls
+        # itself, and `Box` is named nowhere.
+        assert rl010_names(report) == [
+            "repro.mod.Box", "repro.mod.Box.lonely", "repro.mod.unused",
+        ]
+        assert by_rule(report.violations, "RL010")[0].path.name == "mod.py"
+
+    def test_use_from_perfbench_or_benchmarks_is_clean(self, tmp_path):
+        write_package(
+            tmp_path / "src",
+            {
+                "repro/mod.py": """\
+                    class Scheduler:
+                        def step(self):
+                            return 0
+
+
+                    def solve():
+                        return 0
+
+
+                    def patched():
+                        return 0
+                    """,
+            },
+        )
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "layers.py").write_text(
+            "from repro.mod import Scheduler\n"
+            "PATCHES = [(Scheduler, 'step')]\n"
+            "TARGET = 'patched'\n"
+        )
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "test_bench.py").write_text(
+            "import repro.mod\n\n\ndef test_solve():\n    repro.mod.solve()\n"
+        )
+        assert rl010_names(rl010(tmp_path)) == []
+
+    def test_use_only_from_tests_fires(self, tmp_path):
+        write_package(
+            tmp_path / "src", {"repro/mod.py": "def helper():\n    return 0\n"}
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from repro.mod import helper\n\n\n"
+            "def test_helper():\n    assert helper() == 0\n"
+        )
+        assert rl010_names(rl010(tmp_path)) == ["repro.mod.helper"]
+
+    def test_reexport_all_entry_and_docstring_are_not_uses(self, tmp_path):
+        write_package(
+            tmp_path / "src",
+            {
+                "repro/__init__.py": """\
+                    \"\"\"Facade; see :func:`exported`.\"\"\"
+
+                    from repro.mod import exported
+
+                    __all__ = ["exported"]
+                    """,
+                "repro/mod.py": """\
+                    __all__ = ["exported"]
+
+
+                    def exported():
+                        \"\"\"exported\"\"\"
+                        return 0
+                    """,
+            },
+        )
+        assert rl010_names(rl010(tmp_path)) == ["repro.mod.exported"]
+
+    def test_allowlisted_def_passes(self, tmp_path):
+        allowlisted = "repro.fleet.telemetry.fleet_aggregates"
+        assert allowlisted in dead_code.ALLOWLIST
+        write_package(
+            tmp_path / "src",
+            {
+                "repro/fleet/telemetry.py": """\
+                    def fleet_aggregates(reports):
+                        return len(reports)
+
+
+                    def fleet_totals(reports):
+                        return len(reports)
+                    """,
+            },
+        )
+        assert rl010_names(rl010(tmp_path)) == ["repro.fleet.telemetry.fleet_totals"]
+
+    def test_allowlist_entries_are_documented(self):
+        for name, reason in dead_code.ALLOWLIST.items():
+            assert reason.strip(), f"RL010 allowlist entry {name} needs a reason"
+        # Every entry still names a definition, so a stale one is noticed.
+        report = analyze_paths(
+            [REPO_ROOT / "src"], [rules_by_id()["RL010"]]
+        )
+        assert report.violations == []
+        saved = dict(dead_code.ALLOWLIST)
+        try:
+            dead_code.ALLOWLIST.clear()
+            unlisted = analyze_paths([REPO_ROOT / "src"], [rules_by_id()["RL010"]])
+        finally:
+            dead_code.ALLOWLIST.update(saved)
+        assert rl010_names(unlisted) == sorted(saved)
+
+    def test_warm_run_reparses_nothing(self, tmp_path):
+        write_package(
+            tmp_path / "src", {"repro/mod.py": "def solve():\n    return 0\n"}
+        )
+        (tmp_path / "tools").mkdir()
+        caller = tmp_path / "tools" / "run.py"
+        caller.write_text("import repro.mod\n\nrepro.mod.solve()\n")
+        cache_dir = tmp_path / "cache"
+        cold = rl010(tmp_path, cache_dir)
+        assert cold.names_reparsed == [caller]
+        warm = rl010(tmp_path, cache_dir)
+        assert warm.names_reparsed == [] and warm.files_reanalyzed == []
+        assert rl010_names(warm) == []
+        # Dropping the only use surfaces the finding on the next run.
+        caller.write_text("print('no use')\n")
+        edited = rl010(tmp_path, cache_dir)
+        assert edited.names_reparsed == [caller]
+        assert rl010_names(edited) == ["repro.mod.solve"]
 
 
 # --------------------------------------------------------------- RL009

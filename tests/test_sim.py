@@ -124,7 +124,8 @@ class TestTrace:
         )
         times, rewards = trace.reward_series()
         assert np.allclose(times, [0, 2, 4])
-        assert trace.activation_windows() == [(2.0, 6.0)]
+        windows = [(a.start_time_s, a.end_time_s) for a in trace.activations]
+        assert windows == [(2.0, 6.0)]
         assert trace.events() == [(2.0, "placed")]
         assert trace.n_activations == 1
 
@@ -150,7 +151,7 @@ class TestScenarios:
     def test_same_seed_same_placement(self):
         a = build_system("SC1", "CF1", seed=3)
         b = build_system("SC1", "CF1", seed=3)
-        for iid in a.scene.instance_ids:
+        for iid in a.scene.columns.ids:
             assert np.allclose(a.scene.get(iid).position, b.scene.get(iid).position)
 
     def test_place_catalog_distances_reasonable(self):

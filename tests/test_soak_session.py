@@ -95,7 +95,7 @@ class TestSoakSession:
 
     def test_activation_windows_are_disjoint_and_ordered(self, soak_report):
         _system, report = soak_report
-        windows = report.trace.activation_windows()
+        windows = [(a.start_time_s, a.end_time_s) for a in report.trace.activations]
         for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
             assert e1 <= s2
             assert s1 < e1

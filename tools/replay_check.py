@@ -214,6 +214,35 @@ CASES: Tuple[Case, ...] = (
         ("experiment", "devices", "--seed", "2024"),
         {"stdout": "85a6c643d4becb8a9ef2cda24aaf8515d93bf077b8d1afa0f0ab448082092202"},
     ),
+    # The repo's own experiments beyond the paper: the noise-free
+    # lattice optimum, the edge and saturation sweeps, the scenario
+    # catalog summary and the fleet report (the same bytes as
+    # `fleet-16`, reached through `repro experiment`).
+    Case(
+        "frontier",
+        ("experiment", "frontier", "--seed", "2024"),
+        {"stdout": "d642a651407e681595caa14a47a322d3f1977ee3d87e0b500f05a656dedc110f"},
+    ),
+    Case(
+        "edge",
+        ("experiment", "edge", "--seed", "2024"),
+        {"stdout": "1df8b53cfef0c58ec95bf023832076b9a9b2071a24f727b31c5e298b8a3c8448"},
+    ),
+    Case(
+        "saturation",
+        ("experiment", "saturation", "--seed", "2024"),
+        {"stdout": "d71752e729c8ebbb5b40296f639ed235282d23186873e90181afbfef18e8806d"},
+    ),
+    Case(
+        "scenarios",
+        ("experiment", "scenarios", "--seed", "2024"),
+        {"stdout": "bfa448dc2d75cfb8600ee44a84450efedacf7fd7582b9fc0b4ee937471a456b7"},
+    ),
+    Case(
+        "fleet",
+        ("experiment", "fleet", "--seed", "2024"),
+        {"stdout": "6aeef4b7c645f4e14c63f843ff28ad50b959b2e3cc6c6588ab19b5395b320631"},
+    ),
     Case(
         # `repro trace` also exits non-zero unless the trace is a
         # non-empty, schema-valid Chrome trace that round-trips.

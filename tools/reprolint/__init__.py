@@ -22,6 +22,9 @@ Project pass (over the repo import graph):
 
 - RL006 layering conformance: imports must respect the declared layer
   DAG; upward edges — even ``TYPE_CHECKING``-gated — are violations.
+- RL010 unreferenced definitions: a public function, method or class
+  under ``src/`` needs a use in ``src/``, ``benchmarks/``, ``examples/``,
+  ``tools/`` or ``perfbench/`` (tests do not count).
 
 Audit pass:
 

@@ -10,14 +10,18 @@ the CLI:
 2. **Project pass.** Module registrations and import records from *all*
    files (cached or fresh) are assembled into a
    :class:`reprolint.project.ProjectContext`; project-scoped rules run
-   over it. Their violations respect the same suppression directives,
-   and consumed directives feed the audit.
+   over it. When RL010 runs, the context also gets the ``src/``
+   definitions and the identifier counts of every reference-root file,
+   linted or not (the latter are parsed for names only, and cached).
+   Project violations respect the same suppression directives, and
+   consumed directives feed the audit.
 3. **Audit pass (RL009).** With per-file and project suppression usage
    merged, any directive that silenced nothing is reported.
 """
 
 from __future__ import annotations
 
+import ast
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +36,14 @@ from reprolint.engine import (
     file_rules,
     iter_python_files,
 )
-from reprolint.project import ProjectContext, ProjectRule, module_name
+from reprolint.project import (
+    REFERENCE_ROOTS,
+    ProjectContext,
+    ProjectRule,
+    collect_usage,
+    module_name,
+    project_root,
+)
 
 # Below this many cache misses the pool costs more than it saves.
 _MIN_FILES_FOR_POOL = 8
@@ -47,6 +58,9 @@ class AnalysisReport:
     files_reanalyzed: List[Path] = field(default_factory=list)
     suppressed: int = 0
     errors: List[Violation] = field(default_factory=list)
+    #: Reference-root files outside the linted set whose identifiers
+    #: had to be parsed because the cache had no current entry.
+    names_reparsed: List[Path] = field(default_factory=list)
 
     @property
     def violation_files(self) -> int:
@@ -119,9 +133,65 @@ def _run_per_file_pass(
     return analyses, [path for path, _, _ in misses]
 
 
+def _reference_names(
+    path: Path, cache: Optional[AnalysisCache], reparsed: List[Path]
+) -> Dict[str, int]:
+    """Identifier counts of a reference-root file that was not linted."""
+    try:
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
+        return {}
+    content_hash = source_hash(source)
+    if cache is not None:
+        hit = cache.get_names(path, content_hash)
+        if hit is not None:
+            return hit
+    reparsed.append(path)
+    try:
+        names = collect_usage(ast.parse(source))[0]
+    except SyntaxError:
+        names = {}
+    if cache is not None:
+        cache.put_names(path, content_hash, names)
+    return names
+
+
+def _add_usage(
+    project: ProjectContext,
+    analyses: Dict[Path, FileAnalysis],
+    cache: Optional[AnalysisCache],
+    reparsed: List[Path],
+) -> None:
+    """Give ``project`` the ``src/`` definitions and reference-root uses."""
+    linted = {path.resolve(): analysis for path, analysis in analyses.items()}
+    roots = sorted({root for root in map(project_root, analyses) if root})
+    srcs = [root / "src" for root in roots]
+    for module, path in project.modules.items():
+        resolved = path.resolve()
+        if any(src in resolved.parents for src in srcs):
+            project.definitions[module] = analyses[path].definitions
+    counted = set()
+    for root in roots:
+        for top in REFERENCE_ROOTS:
+            for path in sorted((root / top).rglob("*.py")):
+                resolved = path.resolve()
+                if resolved in counted:
+                    continue
+                counted.add(resolved)
+                analysis = linted.get(resolved)
+                names = (
+                    analysis.names if analysis is not None
+                    else _reference_names(path, cache, reparsed)
+                )
+                for name, count in names.items():
+                    project.uses[name] = project.uses.get(name, 0) + count
+
+
 def _run_project_pass(
     analyses: Dict[Path, FileAnalysis],
     rules: Sequence[Rule],
+    cache: Optional[AnalysisCache],
+    reparsed: List[Path],
 ) -> Tuple[List[Violation], int]:
     """Run project rules over the assembled graph; record directive usage."""
     project = ProjectContext()
@@ -131,6 +201,8 @@ def _run_project_pass(
     project_rules = [
         rule for rule in rules if isinstance(rule, ProjectRule)
     ]
+    if any(rule.needs_usage for rule in project_rules):
+        _add_usage(project, analyses, cache, reparsed)
     violations: List[Violation] = []
     suppressed = 0
     by_module = sorted(project.modules.items())
@@ -176,7 +248,9 @@ def analyze_paths(
         if analysis.error is not None:
             report.errors.append(analysis.error)
 
-    project_violations, project_suppressed = _run_project_pass(analyses, rules)
+    project_violations, project_suppressed = _run_project_pass(
+        analyses, rules, cache, report.names_reparsed
+    )
     report.violations.extend(project_violations)
     report.suppressed += project_suppressed
 

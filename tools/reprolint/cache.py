@@ -7,13 +7,18 @@ Layout: a single JSON document at ``<cache-dir>/cache.json``::
       "signature": "<sha256 of analyzer sources + active rule ids>",
       "files": {
         "<path as given>": {"hash": "<sha256 of source>", "analysis": {...}}
+      },
+      "names": {
+        "<path as given>": {"hash": "<sha256 of source>", "names": {...}}
       }
     }
 
 The entry payload is :meth:`reprolint.engine.FileAnalysis.to_json` — the
 per-file pass output *including* import records and suppression
 directives, which is what lets the project pass and the RL009 audit run
-on a warm cache without re-parsing a single file.
+on a warm cache without re-parsing a single file. ``names`` holds the
+identifier counts of the reference-root files that were not linted
+themselves (``tools/``, ``perfbench/``), which RL010 reads as uses.
 
 Invalidation is entirely content-driven:
 
@@ -68,6 +73,7 @@ class AnalysisCache:
         self.path = cache_dir / "cache.json"
         self.signature = signature
         self._entries: Dict[str, Dict[str, object]] = {}
+        self._names: Dict[str, Dict[str, object]] = {}
         self._load()
 
     def _load(self) -> None:
@@ -84,6 +90,9 @@ class AnalysisCache:
         files = data.get("files")
         if isinstance(files, dict):
             self._entries = files
+        names = data.get("names")
+        if isinstance(names, dict):
+            self._names = names
 
     def get(self, path: Path, content_hash: str) -> Optional[FileAnalysis]:
         entry = self._entries.get(str(path))
@@ -105,6 +114,20 @@ class AnalysisCache:
             "analysis": analysis.to_json(),
         }
 
+    def get_names(
+        self, path: Path, content_hash: str
+    ) -> Optional[Dict[str, int]]:
+        entry = self._names.get(str(path))
+        if not isinstance(entry, dict) or entry.get("hash") != content_hash:
+            return None
+        names = entry.get("names")
+        return names if isinstance(names, dict) else None
+
+    def put_names(
+        self, path: Path, content_hash: str, names: Dict[str, int]
+    ) -> None:
+        self._names[str(path)] = {"hash": content_hash, "names": names}
+
     def save(self) -> None:
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -112,6 +135,7 @@ class AnalysisCache:
                 "version": CACHE_VERSION,
                 "signature": self.signature,
                 "files": self._entries,
+                "names": self._names,
             }
             tmp = self.path.with_suffix(".json.tmp")
             tmp.write_text(json.dumps(payload), encoding="utf-8")

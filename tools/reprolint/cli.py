@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Repo-native static analysis for the HBO reproduction: "
             "determinism, error hygiene, float equality, unit suffixes, "
             "public-API annotations, layering, RNG-stream discipline, "
-            "parity single-source, and suppression auditing."
+            "parity single-source, unreferenced definitions, and "
+            "suppression auditing."
         ),
     )
     parser.add_argument(

@@ -43,7 +43,13 @@ from typing import (
     Tuple,
 )
 
-from reprolint.project import ImportRecord, collect_imports, module_from_parts
+from reprolint.project import (
+    Definition,
+    ImportRecord,
+    collect_imports,
+    collect_usage,
+    module_from_parts,
+)
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"
@@ -336,6 +342,8 @@ class FileAnalysis:
     applied_rule_ids: Set[str] = field(default_factory=set)
     module: Optional[str] = None
     imports: Tuple[ImportRecord, ...] = ()
+    names: Dict[str, int] = field(default_factory=dict)
+    definitions: Tuple[Definition, ...] = ()
     error: Optional[Violation] = None
 
     def to_json(self) -> Dict[str, object]:
@@ -347,6 +355,8 @@ class FileAnalysis:
             "applied": sorted(self.applied_rule_ids),
             "module": self.module,
             "imports": [r.to_json() for r in self.imports],
+            "names": self.names,
+            "definitions": [d.to_json() for d in self.definitions],
             "error": self.error.to_json() if self.error else None,
         }
 
@@ -373,6 +383,11 @@ class FileAnalysis:
                 ImportRecord.from_json(r)
                 for r in data.get("imports", ())  # type: ignore[union-attr]
             ),
+            names=dict(data.get("names", {})),  # type: ignore[call-overload]
+            definitions=tuple(
+                Definition.from_json(d)
+                for d in data.get("definitions", ())  # type: ignore[union-attr]
+            ),
             error=Violation.from_json(path, error) if error else None,  # type: ignore[arg-type]
         )
 
@@ -389,8 +404,8 @@ def analyze_source(
 ) -> FileAnalysis:
     """Run the per-file pass over in-memory ``source``.
 
-    Parses once, extracts import records (when ``module`` resolves),
-    applies per-file rules under suppression matching, and records which
+    Parses once, extracts import records (when ``module`` resolves) and
+    identifier usage (for RL010), applies per-file rules under suppression matching, and records which
     directives were consumed.
     """
     try:
@@ -405,6 +420,7 @@ def analyze_source(
         )
         return FileAnalysis(path=path, violations=[error], error=error)
     analysis = FileAnalysis(path=path, module=module)
+    analysis.names, analysis.definitions = collect_usage(tree)
     if module is not None:
         analysis.imports = collect_imports(
             tree, module, is_package=path.name == "__init__.py"

@@ -14,6 +14,13 @@ belongs to a package iff every directory up to the package root carries
 an ``__init__.py``. Scripts outside any package (``benchmarks/*.py``,
 ``examples/*.py``) resolve to ``None`` and are invisible to the project
 pass by construction.
+
+The same parse also yields each file's *usage*: how often every
+identifier occurs outside imports, ``__all__`` and docstrings, plus the
+public definitions it makes. RL010 sums the identifier counts over the
+reference roots (:data:`REFERENCE_ROOTS`) to find ``src/`` definitions
+that nothing uses; the counts are cached with the rest of the per-file
+result.
 """
 
 from __future__ import annotations
@@ -25,13 +32,24 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "Definition",
     "ImportRecord",
     "ProjectContext",
     "ProjectRule",
+    "REFERENCE_ROOTS",
     "collect_imports",
+    "collect_usage",
     "module_from_parts",
     "module_name",
+    "project_root",
 ]
+
+#: Top-level directories whose code counts as a use of a ``src/``
+#: definition. ``tests/`` is deliberately absent: a definition only a
+#: test calls is dead to the system.
+REFERENCE_ROOTS: Tuple[str, ...] = (
+    "src", "benchmarks", "examples", "tools", "perfbench",
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,46 @@ class ImportRecord:
             type_checking=bool(type_checking),
             function_scope=bool(function_scope),
         )
+
+
+@dataclass(frozen=True)
+class Definition:
+    """One public function, method or class defined in a module.
+
+    ``own_uses`` counts the occurrences of ``name`` inside the
+    definition itself (recursion, a property's setter decorator), which
+    are not uses by anyone else.
+    """
+
+    qualname: str
+    line: int
+    col: int
+    own_uses: int
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rsplit(".", 1)[-1]
+
+    def to_json(self) -> List[object]:
+        return [self.qualname, self.line, self.col, self.own_uses]
+
+    @staticmethod
+    def from_json(data: Sequence[object]) -> "Definition":
+        qualname, line, col, own_uses = data
+        return Definition(
+            qualname=str(qualname),
+            line=int(line),  # type: ignore[arg-type]
+            col=int(col),  # type: ignore[arg-type]
+            own_uses=int(own_uses),  # type: ignore[arg-type]
+        )
+
+
+def project_root(path: Path) -> Optional[Path]:
+    """The directory holding the nearest ``src`` ancestor of ``path``."""
+    for parent in path.resolve().parents:
+        if parent.name == "src":
+            return parent.parent
+    return None
 
 
 def module_name(path: Path) -> Optional[str]:
@@ -200,12 +258,116 @@ def collect_imports(
     return tuple(visitor.records)
 
 
+_DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstring(body: Sequence[ast.stmt]) -> Optional[ast.AST]:
+    if (
+        body
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        return body[0].value
+    return None
+
+
+def _is_all_binding(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _count_names(root: ast.AST, counts: Dict[str, int]) -> None:
+    """Add every identifier use under ``root`` to ``counts``.
+
+    A use is a ``Name``, an ``Attribute``'s attribute, a call keyword,
+    or a string constant spelled like an identifier. Imports carry no
+    such nodes; ``__all__`` bindings and docstrings are skipped.
+    """
+    skip = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if _is_all_binding(node):
+            continue
+        if isinstance(node, (ast.Module, *_DEF_NODES)):
+            doc = _docstring(node.body)
+            if doc is not None:
+                skip.add(id(doc))
+        name: Optional[str] = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.keyword):
+            name = node.arg
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in skip
+        ):
+            name = node.value
+        if name is not None:
+            counts[name] = counts.get(name, 0) + 1
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _definitions(
+    body: Sequence[ast.stmt], prefix: str, out: List[Definition]
+) -> None:
+    for node in body:
+        if not isinstance(node, _DEF_NODES):
+            continue
+        if not node.name.startswith("_"):
+            own: Dict[str, int] = {}
+            _count_names(node, own)
+            out.append(
+                Definition(
+                    qualname=prefix + node.name,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    own_uses=own.get(node.name, 0),
+                )
+            )
+        if isinstance(node, ast.ClassDef):
+            _definitions(node.body, f"{prefix}{node.name}.", out)
+
+
+def collect_usage(
+    tree: ast.Module,
+) -> Tuple[Dict[str, int], Tuple[Definition, ...]]:
+    """A module's identifier-use counts and its public definitions.
+
+    Definitions are module-level functions and classes and, recursively,
+    the methods and nested classes of classes; functions defined inside
+    functions are local and not listed.
+    """
+    counts: Dict[str, int] = {}
+    _count_names(tree, counts)
+    definitions: List[Definition] = []
+    _definitions(tree.body, "", definitions)
+    return counts, tuple(definitions)
+
+
 @dataclass
 class ProjectContext:
-    """The whole-repo view consumed by project-scoped rules."""
+    """The whole-repo view consumed by project-scoped rules.
+
+    ``definitions`` holds the public definitions of the modules under a
+    ``src/`` directory and ``uses`` the identifier counts summed over
+    the reference roots; both are filled only when RL010 runs.
+    """
 
     modules: Dict[str, Path] = field(default_factory=dict)
     imports: Dict[str, Tuple[ImportRecord, ...]] = field(default_factory=dict)
+    definitions: Dict[str, Tuple[Definition, ...]] = field(default_factory=dict)
+    uses: Dict[str, int] = field(default_factory=dict)
 
     def add(
         self, module: str, path: Path, records: Tuple[ImportRecord, ...]
@@ -264,6 +426,8 @@ class ProjectRule:
     """
 
     scope = "project"
+    #: Set by rules that read ``ProjectContext.definitions``/``uses``.
+    needs_usage = False
 
     def check_module(
         self,

@@ -6,6 +6,7 @@ from typing import Dict, List
 
 from reprolint.engine import Rule
 from reprolint.rules.annotations import PublicAPIAnnotationsRule
+from reprolint.rules.dead_code import UnreferencedDefinitionRule
 from reprolint.rules.determinism import DeterminismRule
 from reprolint.rules.error_hygiene import ErrorHygieneRule
 from reprolint.rules.float_equality import FloatEqualityRule
@@ -25,6 +26,7 @@ ALL_RULES: List[Rule] = [
     RngStreamRule(),
     ParitySingleSourceRule(),
     SuppressionAuditRule(),
+    UnreferencedDefinitionRule(),
 ]
 
 
@@ -43,5 +45,6 @@ __all__ = [
     "RngStreamRule",
     "SuppressionAuditRule",
     "UnitSuffixRule",
+    "UnreferencedDefinitionRule",
     "rules_by_id",
 ]
