@@ -13,7 +13,7 @@ from conftest import BENCH_SEED, run_once
 
 from repro.core.controller import HBOConfig, HBOController
 from repro.core.lookup import LookupAwareController, LookupTable
-from repro.core.remote import NetworkLink
+from repro.edge.link import NetworkLink
 from repro.device.power import PowerModel
 from repro.experiments import sweep
 from repro.experiments.report import format_table

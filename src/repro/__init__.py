@@ -56,10 +56,10 @@ from repro.core import (
     LookupTable,
     MARSystem,
     Measurement,
-    NetworkLink,
     PeriodicPolicy,
 )
 from repro.device import DeviceSimulator, Resource, galaxy_s22_soc, pixel7_soc
+from repro.edge.link import NetworkLink
 from repro.errors import ReproError
 from repro.fleet import (
     FleetConfig,

@@ -13,10 +13,10 @@ This package implements the optimizer the paper builds HBO on (§IV-C):
   the per-resource task proportions joined with a box for the triangle
   ratio (Constraints 8–10).
 - :mod:`repro.bo.optimizer` — the ask/tell optimization loop with a random
-  initialization phase.
-- :mod:`repro.bo.sparse` — the scalable GP tier: subset-of-data
-  approximation with deterministic, seeded support selection
-  (``docs/optimizer.md``).
+  initialization phase, and the one guided proposal step it shares with
+  the fleet.
+- :mod:`repro.bo.sparse` — the scalable GP tier's deterministic, seeded
+  support selection (``docs/optimizer.md``).
 """
 
 from repro.bo.acquisition import (
@@ -26,11 +26,11 @@ from repro.bo.acquisition import (
     ProbabilityOfImprovement,
     make_acquisition,
 )
-from repro.bo.gp import GaussianProcess, GPPosterior, Surrogate
+from repro.bo.gp import GaussianProcess, GPPosterior
 from repro.bo.kernels import RBF, Kernel, Matern, WhiteNoise
 from repro.bo.optimizer import BayesianOptimizer, Observation
 from repro.bo.space import BoxSpace, HBOSpace, SimplexSpace
-from repro.bo.sparse import SparseGaussianProcess, select_support
+from repro.bo.sparse import select_support
 
 __all__ = [
     "AcquisitionFunction",
@@ -47,8 +47,6 @@ __all__ = [
     "ProbabilityOfImprovement",
     "RBF",
     "SimplexSpace",
-    "SparseGaussianProcess",
-    "Surrogate",
     "WhiteNoise",
     "make_acquisition",
     "select_support",

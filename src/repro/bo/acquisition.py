@@ -7,7 +7,9 @@ exploitation parameter") — §IV-C. All three are implemented so the
 ablation bench can reproduce that comparison.
 
 Conventions: the surrogate models a *cost* φ to be **minimized**; each
-acquisition returns a score to be **maximized** over candidates.
+acquisition returns a score to be **maximized** over candidates. Every
+acquisition scores posterior moments elementwise (:meth:`AcquisitionFunction.score`),
+so a ``(B, C)`` batch of pools takes one call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtr
 
-from repro.bo.gp import Surrogate
+from repro.bo.gp import GaussianProcess
 from repro.errors import ConfigurationError
 
 
@@ -41,18 +43,34 @@ def expected_improvement(
 
 
 class AcquisitionFunction(ABC):
-    """Scores candidate points given a fitted surrogate (either tier)."""
+    """Scores candidate points from their posterior moments.
+
+    Two acquisitions are equal when they are the same kind with the same
+    parameters (``xi`` / ``kappa``), so optimizers built apart can share
+    one batched :func:`~repro.bo.optimizer.guided_picks` call.
+    """
 
     name: str = "base"
 
     @abstractmethod
-    def __call__(
-        self, gp: Surrogate, x: np.ndarray, best_y: float
+    def score(
+        self, mean: np.ndarray, std: np.ndarray, best_y: Union[float, np.ndarray]
     ) -> np.ndarray:
-        """Score each row of ``x``; larger is better.
+        """Score each posterior ``(mean, std)`` elementwise; larger is better.
 
-        ``best_y`` is the incumbent (lowest observed cost so far).
+        ``best_y`` is the incumbent (lowest observed cost so far), or a
+        ``(B, 1)`` column of incumbents for ``(B, C)`` moments.
         """
+
+    def __call__(
+        self, gp: GaussianProcess, x: np.ndarray, best_y: float
+    ) -> np.ndarray:
+        """Score each row of ``x`` under the fitted ``gp``."""
+        post = gp.predict(x)
+        return self.score(post.mean, post.std, best_y)
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and vars(self) == vars(other)
 
 
 class ExpectedImprovement(AcquisitionFunction):
@@ -70,11 +88,10 @@ class ExpectedImprovement(AcquisitionFunction):
             raise ConfigurationError(f"xi must be finite and >= 0, got {xi}")
         self.xi = float(xi)
 
-    def __call__(
-        self, gp: Surrogate, x: np.ndarray, best_y: float
+    def score(
+        self, mean: np.ndarray, std: np.ndarray, best_y: Union[float, np.ndarray]
     ) -> np.ndarray:
-        post = gp.predict(x)
-        return expected_improvement(post.mean, post.std, best_y, self.xi)
+        return expected_improvement(mean, std, best_y, self.xi)
 
 
 class ProbabilityOfImprovement(AcquisitionFunction):
@@ -87,14 +104,13 @@ class ProbabilityOfImprovement(AcquisitionFunction):
             raise ConfigurationError(f"xi must be finite and >= 0, got {xi}")
         self.xi = float(xi)
 
-    def __call__(
-        self, gp: Surrogate, x: np.ndarray, best_y: float
+    def score(
+        self, mean: np.ndarray, std: np.ndarray, best_y: Union[float, np.ndarray]
     ) -> np.ndarray:
-        post = gp.predict(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = (best_y - post.mean - self.xi) / post.std
+            u = (best_y - mean - self.xi) / std
         pi = ndtr(u)
-        return np.where(post.std > 1e-12, pi, (post.mean < best_y - self.xi) * 1.0)
+        return np.where(std > 1e-12, pi, (mean < best_y - self.xi) * 1.0)
 
 
 class LowerConfidenceBound(AcquisitionFunction):
@@ -111,11 +127,10 @@ class LowerConfidenceBound(AcquisitionFunction):
             raise ConfigurationError(f"kappa must be finite and >= 0, got {kappa}")
         self.kappa = float(kappa)
 
-    def __call__(
-        self, gp: Surrogate, x: np.ndarray, best_y: float
+    def score(
+        self, mean: np.ndarray, std: np.ndarray, best_y: Union[float, np.ndarray]
     ) -> np.ndarray:
-        post = gp.predict(x)
-        return -(post.mean - self.kappa * post.std)
+        return -(mean - self.kappa * std)
 
 
 def make_acquisition(

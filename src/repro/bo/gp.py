@@ -12,7 +12,7 @@ numerically singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -47,29 +47,13 @@ class GPPosterior:
             )
 
 
-class Surrogate(Protocol):
-    """Structural interface the acquisition functions score against.
-
-    Both surrogate tiers — the exact :class:`GaussianProcess` and the
-    budgeted :class:`~repro.bo.sparse.SparseGaussianProcess` — satisfy
-    it; acquisition code never needs to know which tier produced the
-    posterior (see ``docs/optimizer.md``).
-    """
-
-    def predict(self, x: np.ndarray) -> GPPosterior:
-        """Posterior N(μ(x), σ²(x)) at each row of ``x``."""
-        ...
-
-
 class GaussianProcess:
     """Exact GP regression: fit on (X, y), predict N(μ, σ²) pointwise.
 
-    This is the **exact tier**: every :meth:`fit` factorizes the full
-    (n, n) covariance in O(n³). For datasets past the scaling wall, use the
-    **sparse tier** — :class:`~repro.bo.sparse.SparseGaussianProcess`
-    conditions on a budgeted support subset and keeps fit cost flat in
-    n. Both satisfy :class:`Surrogate`; `docs/optimizer.md` documents
-    the trade-off and the parity tolerances.
+    Every :meth:`fit` factorizes the full (n, n) covariance in O(n³). The
+    optimizer's sparse tier fits this same class on a budgeted support
+    subset (:func:`~repro.bo.sparse.select_support`), which keeps fit
+    cost flat in n; `docs/optimizer.md` documents the trade-off.
 
     Parameters
     ----------

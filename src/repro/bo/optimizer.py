@@ -10,7 +10,10 @@ reports the measured cost back via :meth:`BayesianOptimizer.tell`.
 The acquisition maximizer is derivative-free: it scores a pool of uniform
 samples from the constrained space plus local perturbations of the best
 incumbents, which respects the simplex constraint by construction (gradient
-steps would leave it).
+steps would leave it). :func:`guided_picks` is that step for B optimizers
+at once; a guided :meth:`BayesianOptimizer.ask` is its one-row call and
+the fleet's :class:`~repro.fleet.batch.SharedOptimizerService` its
+B-row call.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.bo.acquisition import AcquisitionFunction, ExpectedImprovement
-from repro.bo.gp import GaussianProcess, Surrogate
+from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Kernel, Matern
 from repro.bo.space import BoxSpace, HBOSpace
-from repro.bo.sparse import SparseGaussianProcess, select_support
+from repro.bo.sparse import select_support
 from repro.errors import ConfigurationError, GPFitError
 from repro.obs import runtime as obs
 from repro.rng import SeedLike, make_rng
@@ -134,11 +137,11 @@ class BayesianOptimizer:
         measurements and genuinely noisy.
     gp_tier:
         ``"exact"`` (default) refits the full O(n³) GP every guided ask;
-        ``"sparse"`` auto-switches to the budgeted
-        :class:`~repro.bo.sparse.SparseGaussianProcess` once the dataset
-        outgrows ``sparse_threshold``. Below the threshold the two tiers
-        run the identical exact code path, so small-n behavior — and
-        every tier-off run — is bit-for-bit unchanged.
+        ``"sparse"`` fits the same GP on a budgeted support subset
+        (:meth:`surrogate_dataset`) once the dataset outgrows
+        ``sparse_threshold``. Below the threshold the two tiers run the
+        identical exact code path, so small-n behavior — and every
+        tier-off run — is bit-for-bit unchanged.
     sparse_threshold:
         The auto-switch point n* and the sparse tier's support budget:
         fits at n ≤ n* are exact, larger ones condition on an n*-point
@@ -255,7 +258,14 @@ class BayesianOptimizer:
         else:
             obs.counter("bo_asks", phase="guided").inc()
             with obs.span("bo.propose", category="bo", n_obs=self.n_observations):
-                z = self._maximize_acquisition()
+                gp: Optional[GaussianProcess]
+                try:
+                    gp = self._fit_surrogate()
+                except GPFitError:
+                    # Degenerate dataset (e.g. identical costs everywhere):
+                    # the guided step falls back to a uniform row.
+                    gp = None
+                z = guided_picks([self], [gp], [self._rng], n_incumbents=3)[0]
         self._pending = z
         self.state.proposals.append(z.copy())
         return z.copy()
@@ -300,10 +310,11 @@ class BayesianOptimizer:
         """The (x, y) dataset the surrogate conditions on *right now*.
 
         Exact tier (or sparse tier below n*): every observation. Sparse
-        tier above n*: the deterministic support subset — the same
-        subset :meth:`_fit_surrogate` would select. The fleet's
-        :class:`~repro.fleet.batch.SharedOptimizerService` fits an exact
-        GP on it, so sparse sessions are priced on their support set.
+        tier above n*: the deterministic support subset
+        (:func:`~repro.bo.sparse.select_support`). Both the optimizer's
+        own fit and the fleet's
+        :class:`~repro.fleet.batch.SharedOptimizerService` fit the exact
+        GP on it.
         """
         x = np.asarray([o.z for o in self.state.observations])
         y = np.asarray([o.cost for o in self.state.observations])
@@ -314,63 +325,78 @@ class BayesianOptimizer:
 
     # ------------------------------------------------------------ internals
 
-    def _fit_surrogate(self) -> Surrogate:
-        observations = self.state.observations
-        if self.sparse_active:
-            return self._fit_sparse_surrogate()
-        with obs.span("bo.gp_fit", category="bo", n_obs=len(observations)):
-            x = np.asarray([o.z for o in observations])
-            y = np.asarray([o.cost for o in observations])
+    def _fit_surrogate(self) -> GaussianProcess:
+        """The exact GP on :meth:`surrogate_dataset`.
+
+        The sparse-tier probes fire only past the n* switch, so tier-off
+        runs (and sparse runs still below n*) emit byte-identical traces
+        and snapshots.
+        """
+        sparse = {"tier": "sparse"} if self.sparse_active else {}
+        with obs.span("bo.gp_fit", category="bo", n_obs=self.n_observations, **sparse):
+            x, y = self.surrogate_dataset()
             fitted = GaussianProcess(kernel=self.kernel, noise=self.noise).fit(x, y)
         obs.counter("bo_gp_fits").inc()
+        if sparse:
+            obs.counter("bo_gp_sparse_fits").inc()
+            obs.histogram("bo_sparse_support_size").observe(float(len(y)))
         return fitted
 
-    def _fit_sparse_surrogate(self) -> SparseGaussianProcess:
-        """Sparse-tier fit: O(m³) on a budgeted support set.
 
-        Every probe here fires only past the n* switch, so tier-off runs
-        (and sparse runs still below n*) emit byte-identical traces and
-        snapshots.
-        """
-        observations = self.state.observations
-        x = np.asarray([o.z for o in observations])
-        y = np.asarray([o.cost for o in observations])
-        with obs.span(
-            "bo.gp_fit", category="bo", n_obs=len(observations), tier="sparse"
-        ):
-            sgp = SparseGaussianProcess(
-                kernel=self.kernel,
-                noise=self.noise,
-                max_support=self.sparse_threshold,
-                seed=0,
-            ).fit(x, y)
-        obs.counter("bo_gp_fits").inc()
-        obs.counter("bo_gp_sparse_fits").inc()
-        obs.histogram("bo_sparse_support_size").observe(float(sgp.n_support))
-        return sgp
+def _pool_settings(optimizer: BayesianOptimizer) -> Tuple[object, ...]:
+    anchors = optimizer.anchors
+    return (
+        optimizer.n_candidates,
+        optimizer.n_local,
+        None if anchors is None else (anchors.shape, anchors.tobytes()),
+        optimizer.acquisition,
+    )
 
-    def _candidate_pool(self) -> np.ndarray:
-        best = sorted(self.state.observations, key=lambda o: o.cost)[:3]
-        return candidate_pool(
-            self.space, self._rng, self.n_candidates, self.anchors,
-            np.asarray([o.z for o in best]), self.n_local,
+
+def guided_picks(
+    optimizers: Sequence[BayesianOptimizer],
+    surrogates: Sequence[Optional[GaussianProcess]],
+    rngs: Sequence[np.random.Generator],
+    n_incumbents: int,
+) -> np.ndarray:
+    """The guided step (Alg. 1, Line 1) for B optimizers of one space:
+    ``(B, d)`` unprojected picks.
+
+    Each optimizer's :func:`candidate_pool` is drawn from its own stream
+    around its ``n_incumbents`` best observations; each fitted surrogate
+    predicts its own pool into ``(B, C)`` moments, one acquisition call
+    scores them all, and each row takes its ``nanargmax`` (its first pool
+    row when no score is finite). A ``None`` surrogate — a degenerate
+    fit — then draws one uniform row from its stream instead. Every pass
+    is row-wise, so each pick is bitwise the one its optimizer gets
+    alone. The pool size, local rows, anchors and acquisition come from
+    the optimizers and must agree across rows.
+    """
+    first = optimizers[0]
+    if any(_pool_settings(opt) != _pool_settings(first) for opt in optimizers[1:]):
+        raise ConfigurationError(
+            "guided picks need one n_candidates, n_local, anchors and "
+            "acquisition across the batch"
         )
-
-    def _maximize_acquisition(self) -> np.ndarray:
-        try:
-            gp = self._fit_surrogate()
-        except GPFitError:
-            # Degenerate dataset (e.g. identical costs everywhere): fall
-            # back to pure exploration rather than aborting the activation.
-            return self.space.sample(self._rng, size=1)[0]
-        best_y = self.best().cost
-        candidates = self._candidate_pool()
-        scores = self.acquisition(gp, candidates, best_y)
-        if not np.any(np.isfinite(scores)):
-            # Degenerate posterior (all-NaN scores): np.nanargmax would
-            # raise. Fall back to the first candidate — deterministic,
-            # and it leaves the RNG stream exactly as a scored pick
-            # would, so fixed-seed runs that later leave the degenerate
-            # regime stay reproducible.
-            return candidates[0]
-        return candidates[int(np.nanargmax(scores))]
+    space = first.space
+    best_y = np.array([[opt.best().cost] for opt in optimizers])
+    incumbents = [
+        [o.z for o in sorted(opt.state.observations, key=lambda o: o.cost)[:n_incumbents]]
+        for opt in optimizers
+    ]
+    pools = candidate_pool(
+        space, rngs, first.n_candidates, first.anchors, np.array(incumbents), first.n_local
+    )
+    mean, std = np.full((2,) + pools.shape[:2], np.nan)
+    for row, gp in enumerate(surrogates):
+        if gp is not None:
+            post = gp.predict(pools[row])
+            mean[row], std[row] = post.mean, post.std
+    scores = first.acquisition.score(mean, std, best_y)
+    guided = np.isfinite(scores).any(axis=1)
+    picks = np.nanargmax(np.where(guided[:, None], scores, 0.0), axis=1)
+    z = pools[np.arange(len(pools)), picks]
+    for row, gp in enumerate(surrogates):
+        if gp is None:
+            z[row] = space.sample(rngs[row], size=1)[0]
+    return z

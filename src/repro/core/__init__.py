@@ -22,7 +22,7 @@ from repro.core.allocation import allocate_tasks, proportions_to_counts
 from repro.core.controller import HBOConfig, HBOController, HBORunResult
 from repro.core.cost import cost_from_measurement, normalized_average_latency, reward
 from repro.core.lookup import EnvironmentSignature, LookupAwareController, LookupTable
-from repro.core.remote import NetworkLink, RemoteOptimizerProxy
+from repro.core.remote import RemoteOptimizerProxy
 from repro.core.system import MARSystem, Measurement
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "LookupTable",
     "MARSystem",
     "Measurement",
-    "NetworkLink",
     "RemoteOptimizerProxy",
     "PeriodicPolicy",
     "allocate_tasks",

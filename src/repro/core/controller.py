@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.core.remote import NetworkLink
+    from repro.edge.link import NetworkLink
 
 import numpy as np
 

@@ -27,7 +27,7 @@ from repro.edge.link import NetworkLink
 from repro.obs import runtime as obs
 from repro.rng import SeedLike, make_rng
 
-__all__ = ["NetworkLink", "OffloadStats", "RemoteOptimizerProxy"]
+__all__ = ["OffloadStats", "RemoteOptimizerProxy"]
 
 
 @dataclass

@@ -341,13 +341,20 @@ class FleetSession:
 
     def _start_optimizer(self) -> BayesianOptimizer:
         """A cold optimizer over the system's current space, continuing
-        this session's own stream, and the iteration that drives it."""
+        this session's own stream, and the iteration that drives it.
+
+        Its guided picks come from the fleet's batched
+        :class:`~repro.fleet.batch.SharedOptimizerService`, which scores a
+        256-row uniform pool and 32 local rows around the best observation.
+        """
         assert self.system is not None
         cfg = self.config
         self.optimizer = BayesianOptimizer(
             space=HBOSpace(self.system.n_resources, r_min=cfg.r_min),
             n_initial=cfg.n_initial,
             kernel=Matern(length_scale=cfg.kernel_length_scale, nu=2.5),
+            n_candidates=256,
+            n_local=32,
             noise=cfg.noise,
             seed=self.rng,
             gp_tier=cfg.gp_tier,

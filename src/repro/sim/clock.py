@@ -47,14 +47,5 @@ class SimClock:
         self._now += dt_s
         return self._now
 
-    def advance_to(self, t_s: float) -> float:
-        """Jump to an absolute time (must not move backwards)."""
-        if t_s < self._now:
-            raise SimulationError(
-                f"cannot rewind clock from {self._now} s to {t_s} s"
-            )
-        self._now = float(t_s)
-        return self._now
-
     def reset(self, start_s: float = 0.0) -> None:
         self._now = float(start_s)

@@ -11,9 +11,7 @@ temporal value carries its unit, either in the name (``latency_ms``,
 
 The aliases are plain ``float`` at runtime — they exist for reader and
 type-checker consumption, not dimensional analysis — so no call-site
-changes when a signature migrates to them. Convert explicitly at the
-boundary with :data:`MS_PER_S` so the factor of 1000 is greppable instead
-of inlined.
+changes when a signature migrates to them.
 """
 
 from __future__ import annotations
@@ -23,8 +21,5 @@ Ms = float
 #: Seconds. Annotation alias; plain ``float`` at runtime.
 Seconds = float
 
-#: Milliseconds per second — the only place this constant should live.
-MS_PER_S: float = 1000.0
 
-
-__all__ = ["MS_PER_S", "Ms", "Seconds"]
+__all__ = ["Ms", "Seconds"]

@@ -133,6 +133,28 @@ class TestMakeAcquisition:
             make_acquisition("ucb")
 
 
+class TestScoreMoments:
+    @pytest.mark.parametrize("name", ["ei", "pi", "lcb"])
+    def test_batched_score_is_row_by_row_call(self, fitted_gp, name):
+        """One ``(B, C)`` score call equals B predict-then-score calls."""
+        acquisition = make_acquisition(name)
+        pools = make_rng(3).uniform(-1, 2, size=(3, 16, 1))
+        best = np.array([[0.05], [0.2], [0.0]])
+        posts = [fitted_gp.predict(pool) for pool in pools]
+        batched = acquisition.score(
+            np.stack([p.mean for p in posts]), np.stack([p.std for p in posts]), best
+        )
+        for row, pool in enumerate(pools):
+            alone = acquisition(fitted_gp, pool, float(best[row, 0]))
+            assert batched[row].tobytes() == alone.tobytes()
+
+    def test_equal_by_kind_and_parameters(self):
+        assert ExpectedImprovement() == ExpectedImprovement(xi=0.01)
+        assert ExpectedImprovement() != ExpectedImprovement(xi=0.1)
+        assert ExpectedImprovement() != ProbabilityOfImprovement()
+        assert LowerConfidenceBound(kappa=2.0) == make_acquisition("lcb")
+
+
 class _FixedPosterior:
     """A surrogate stub whose posterior is given directly."""
 

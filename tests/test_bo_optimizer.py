@@ -1,12 +1,20 @@
 """Unit tests for repro.bo.optimizer (the ask/tell loop)."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.bo.acquisition import LowerConfidenceBound
-from repro.bo.optimizer import BayesianOptimizer, Observation, OptimizerState
+from repro.bo.acquisition import AcquisitionFunction, LowerConfidenceBound
+from repro.bo.gp import GaussianProcess
+from repro.bo.optimizer import (
+    BayesianOptimizer,
+    Observation,
+    OptimizerState,
+    candidate_pool,
+)
 from repro.bo.space import BoxSpace, HBOSpace
-from repro.errors import ConfigurationError, SearchSpaceError
+from repro.errors import ConfigurationError, GPFitError, SearchSpaceError
 
 
 def _quadratic(space):
@@ -201,11 +209,11 @@ def _quadratic_2d(space):
     return fn
 
 
-class _AllNaNAcquisition:
+class _AllNaNAcquisition(AcquisitionFunction):
     """Pathological acquisition: every candidate scores NaN."""
 
-    def __call__(self, gp, candidates, best_y):
-        return np.full(candidates.shape[0], np.nan)
+    def score(self, mean, std, best_y):
+        return np.full_like(mean, np.nan)
 
 
 class TestDegenerateAcquisition:
@@ -234,10 +242,35 @@ class TestDegenerateAcquisition:
         assert np.array_equal(proposals[0], proposals[1])
 
     def test_fallback_returns_first_candidate(self):
+        # The pool's first row is the first of its uniform draws.
         _, opt = self._seeded()
-        fixed = opt.space.sample(np.random.default_rng(0), size=4)
-        opt._candidate_pool = lambda: fixed
-        assert np.array_equal(opt.ask(), fixed[0])
+        stream = copy.deepcopy(opt._rng)
+        first = opt.space.sample(stream, size=opt.n_candidates)[0]
+        assert np.array_equal(opt.ask(), first)
+
+
+class TestDegenerateFit:
+    def test_draws_its_pool_then_one_uniform_row(self, monkeypatch):
+        """A degenerate fit takes the fleet's rule: the pool is drawn from
+        the optimizer's own stream, then one uniform row is the pick."""
+        space = HBOSpace(3)
+        opt = BayesianOptimizer(space, n_initial=2, seed=4)
+        for z, cost in zip(space.sample(np.random.default_rng(1), size=4), [0.4, 0.1, 0.9, 0.3]):
+            opt.tell(z, cost)
+        stream = copy.deepcopy(opt._rng)
+        best = sorted(opt.state.observations, key=lambda o: o.cost)[:3]
+        candidate_pool(
+            space, stream, opt.n_candidates, opt.anchors,
+            np.asarray([o.z for o in best]), opt.n_local,
+        )
+        expected = space.sample(stream, size=1)[0]
+
+        def fit(gp, x, y):
+            raise GPFitError("forced degenerate fit")
+
+        monkeypatch.setattr(GaussianProcess, "fit", fit)
+        assert np.array_equal(opt.ask(), expected)
+        assert opt._rng.bit_generator.state == stream.bit_generator.state
 
 
 class TestIncrementalSurrogate:
@@ -245,8 +278,6 @@ class TestIncrementalSurrogate:
     the posterior must match a fresh full fit on the same dataset."""
 
     def test_cached_surrogate_matches_fresh_fit(self):
-        from repro.bo.gp import GaussianProcess
-
         space = HBOSpace(3)
         opt = BayesianOptimizer(space, n_initial=3, seed=5)
         opt.minimize(_quadratic(space), 10)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bo.gp import GaussianProcess
 from repro.bo.optimizer import BayesianOptimizer, candidate_pool
 from repro.bo.space import BoxSpace, HBOSpace, SimplexSpace
 from repro.errors import ConfigurationError, SearchSpaceError
@@ -250,19 +251,20 @@ class TestStreamContract:
         np.testing.assert_array_equal(no_incumbents, space.sample(make_rng(1), size=8))
         np.testing.assert_array_equal(no_local, no_incumbents)
 
-    def test_optimizer_scores_the_scalar_pool(self):
+    def test_optimizer_scores_the_scalar_pool(self, monkeypatch):
         """A guided ask scores the pool around the three best observations,
         with the projected anchors, drawn from the optimizer's stream."""
         space = HBOSpace(3)
         scored = []
+        real_predict = GaussianProcess.predict
 
-        def first_candidate(gp, x, best_y):
-            scored.append(x)
-            return -np.arange(len(x), dtype=float)
+        def predict(gp, x):
+            scored.append(x.copy())
+            return real_predict(gp, x)
 
+        monkeypatch.setattr(GaussianProcess, "predict", predict)
         anchors = space.sample(make_rng(8), 5) * 1.5
         opt = BayesianOptimizer(space, n_initial=2, anchors=anchors, seed=3)
-        opt.acquisition = first_candidate
         zs = space.sample(make_rng(9), size=5)
         for z, cost in zip(zs, [0.4, 0.1, 0.9, 0.3, 0.2]):
             opt.tell(z, cost)

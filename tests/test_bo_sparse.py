@@ -4,8 +4,10 @@ Covers the tier contract in three layers:
 
 - :func:`~repro.bo.sparse.select_support` — a deterministic, seeded pure
   function of the observation sequence;
-- :class:`~repro.bo.sparse.SparseGaussianProcess` — bitwise parity with
-  the exact GP at n ≤ budget, bounded support above it;
+- the sparse-tier fit (the exact GP on
+  :meth:`~repro.bo.optimizer.BayesianOptimizer.surrogate_dataset`) —
+  bitwise parity with the exact GP at n ≤ budget, bounded support above
+  it;
 - the optimizer/fleet integration — sparse-tier proposals reproduce from
   (seed, observation sequence) alone, and tier-off runs stay
   byte-identical at the CLI level.
@@ -15,12 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bo import (
-    BayesianOptimizer,
-    GaussianProcess,
-    SparseGaussianProcess,
-    select_support,
-)
+from repro.bo import BayesianOptimizer, GaussianProcess, select_support
 from repro.bo.space import BoxSpace, HBOSpace
 from repro.bo.optimizer import Observation
 from repro.cli import main
@@ -67,6 +64,18 @@ class TestSelectSupport:
             select_support(y, 3)
 
 
+def _told_optimizer(x, y, threshold):
+    """A sparse-tier optimizer told ``(x, y)``, with support budget n*."""
+    opt = BayesianOptimizer(
+        BoxSpace([(0.0, 1.0)] * x.shape[1]),
+        gp_tier="sparse",
+        sparse_threshold=threshold,
+    )
+    for z, cost in zip(x, y):
+        opt.tell(z, cost)
+    return opt
+
+
 class TestSparseGaussianProcess:
     def test_bitwise_parity_with_exact_at_small_n(self):
         # n ≤ budget runs the identical exact fit: same ops, same order.
@@ -74,37 +83,31 @@ class TestSparseGaussianProcess:
             x, y = _data(n, seed=n)
             q, _ = _data(9, seed=99)
             exact = GaussianProcess(noise=1e-3).fit(x, y).predict(q)
-            sparse = (
-                SparseGaussianProcess(noise=1e-3, max_support=32)
-                .fit(x, y)
-                .predict(q)
-            )
+            sparse = _told_optimizer(x, y, 32)._fit_surrogate().predict(q)
             assert np.array_equal(exact.mean, sparse.mean)
             assert np.array_equal(exact.std, sparse.std)
 
     def test_large_n_conditions_on_the_budget_only(self):
         x, y = _data(300)
-        sgp = SparseGaussianProcess(noise=1e-3, max_support=24).fit(x, y)
-        assert sgp.n_support == 24
-        assert sgp.n_observations == 300
-        assert sgp.support_indices.shape == (24,)
+        opt = _told_optimizer(x, y, 24)
+        assert opt._fit_surrogate().n_observations == 24
+        assert opt.n_observations == 300
+        assert opt.surrogate_dataset()[0].shape == (24, 3)
 
     def test_refit_is_deterministic(self):
         x, y = _data(200)
         q, _ = _data(5, seed=7)
-        a = SparseGaussianProcess(max_support=16, seed=3).fit(x, y).predict(q)
-        b = SparseGaussianProcess(max_support=16, seed=3).fit(x, y).predict(q)
+        a = _told_optimizer(x, y, 16)._fit_surrogate().predict(q)
+        b = _told_optimizer(x, y, 16)._fit_surrogate().predict(q)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.std, b.std)
 
     def test_shape_mismatch_rejected(self):
-        x, y = _data(10)
+        # The support rows must be paired with the support costs.
+        x, y = _data(200)
+        support = select_support(y, 16)
         with pytest.raises(GPFitError):
-            SparseGaussianProcess().fit(x, y[:-1])
-
-    def test_support_indices_before_fit_raises(self):
-        with pytest.raises(GPFitError):
-            SparseGaussianProcess().support_indices
+            GaussianProcess().fit(x[support], y)
 
 
 def _seeded_optimizer(seed, tier="sparse", threshold=8, n_initial=3):

@@ -29,7 +29,6 @@ from repro.edge import (
     EdgeServerConfig,
     EdgeShare,
     LinkConfig,
-    NetworkLink,
     WirelessLink,
     build_edge_runtime,
     edge_compute_ms,
@@ -96,12 +95,6 @@ class TestWirelessLink:
         assert link.bandwidth_scale == 0.5
         with pytest.raises(EdgeError):
             link.set_bandwidth_scale(99.0)
-
-    def test_network_link_reexport_is_the_same_class(self):
-        """The NetworkLink hoist keeps core.remote's import working."""
-        from repro.core.remote import NetworkLink as Hoisted
-
-        assert Hoisted is NetworkLink
 
     def test_link_config_validation(self):
         with pytest.raises(EdgeError):

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bo.acquisition import expected_improvement
+from repro.bo.acquisition import ExpectedImprovement, expected_improvement
 from repro.bo.gp import GaussianProcess, GPPosterior
 from repro.bo.kernels import Matern
 from repro.bo.optimizer import BayesianOptimizer, candidate_pool
@@ -17,7 +17,7 @@ from repro.core.controller import HBOConfig
 from repro.device.profiles import GALAXY_S22, PIXEL7
 from repro.device.resources import Resource
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
-from repro.errors import FleetError, GPFitError
+from repro.errors import ConfigurationError, FleetError, GPFitError
 from repro.fleet import (
     FleetConfig,
     FleetScheduler,
@@ -44,6 +44,8 @@ from repro.rng import make_rng, spawn_rngs
 from repro.fleet.export import fleet_result_to_dict
 
 FAST = HBOConfig(n_initial=2, n_iterations=2)
+#: The pool settings a fleet session's optimizer carries.
+FLEET_POOL = {"n_candidates": 256, "n_local": 32}
 
 
 def _fleet_specs(arrivals=(0.0, 0.0)):
@@ -70,18 +72,22 @@ class TestBatchedExpectedImprovement:
 
 
 class TestSharedOptimizerService:
-    def _seeded_optimizer(self, seed, n_obs=4, dim_resources=3):
+    def _seeded_optimizer(self, seed, n_obs=4, dim_resources=3, **pool):
         space = HBOSpace(dim_resources, r_min=0.1)
-        optimizer = BayesianOptimizer(space=space, n_initial=2, seed=seed)
+        optimizer = BayesianOptimizer(
+            space=space, n_initial=2, seed=seed, **{**FLEET_POOL, **pool}
+        )
         rng = make_rng(seed + 1)
         for z in space.sample(rng, size=n_obs):
             optimizer.tell(z, float(rng.normal()))
         return optimizer
 
     def test_proposals_stay_in_space(self):
-        optimizers = [self._seeded_optimizer(seed) for seed in (1, 2, 3)]
-        service = SharedOptimizerService(n_candidates=32, n_local=4)
-        proposals = service.propose(optimizers, spawn_rngs(9, 3))
+        optimizers = [
+            self._seeded_optimizer(seed, n_candidates=32, n_local=4)
+            for seed in (1, 2, 3)
+        ]
+        proposals = SharedOptimizerService().propose(optimizers, spawn_rngs(9, 3))
         assert len(proposals) == 3
         for optimizer, z in zip(optimizers, proposals):
             assert optimizer.space.contains(z)
@@ -104,17 +110,24 @@ class TestSharedOptimizerService:
         with pytest.raises(FleetError):
             service.propose(optimizers, spawn_rngs(9, 2))
 
-    def test_constructor_validation(self):
-        with pytest.raises(FleetError):
-            SharedOptimizerService(n_candidates=0)
-        with pytest.raises(FleetError):
-            SharedOptimizerService(n_local=-1)
+    @pytest.mark.parametrize(
+        "pool",
+        [{"n_candidates": 64}, {"n_local": 0}, {"acquisition": ExpectedImprovement(xi=0.1)}],
+        ids=["n_candidates", "n_local", "xi"],
+    )
+    def test_mixed_pool_settings_rejected(self, pool):
+        optimizers = [self._seeded_optimizer(1), self._seeded_optimizer(2, **pool)]
+        with pytest.raises(ConfigurationError, match="n_candidates"):
+            SharedOptimizerService().propose(optimizers, spawn_rngs(9, 2))
 
-    @pytest.mark.parametrize("xi", [-0.1, float("nan"), float("inf")])
-    def test_bad_xi_rejected(self, xi):
-        """A NaN xi made every score NaN, so every guided pick fell back."""
-        with pytest.raises(FleetError, match="xi"):
-            SharedOptimizerService(xi=xi)
+    def test_acquisitions_compare_by_value(self):
+        """Every session builds its own EI; equal parameters batch."""
+        optimizers = [
+            self._seeded_optimizer(seed, acquisition=ExpectedImprovement())
+            for seed in (1, 2)
+        ]
+        assert optimizers[0].acquisition is not optimizers[1].acquisition
+        assert len(SharedOptimizerService().propose(optimizers, spawn_rngs(9, 2))) == 2
 
     @staticmethod
     def _tier_mix(length_scale, noise):
@@ -134,6 +147,7 @@ class TestSharedOptimizerService:
                 seed=seed,
                 gp_tier=tier,
                 sparse_threshold=6,
+                **FLEET_POOL,
             )
             for z in space.sample(make_rng(seed + 10), size=n_obs):
                 optimizer.tell(z, cost(z))
@@ -146,7 +160,8 @@ class TestSharedOptimizerService:
         """A copy of ``rng`` advanced past the session's pool, and the pool."""
         rng = copy.deepcopy(rng)
         pool = candidate_pool(
-            optimizer.space, rng, 256, None, optimizer.best().z[None], 32
+            optimizer.space, rng, optimizer.n_candidates, None,
+            optimizer.best().z[None], optimizer.n_local,
         )
         return rng, pool
 
@@ -206,7 +221,7 @@ class TestStackedProposals:
     where the one-session call leaves it."""
 
     @staticmethod
-    def _sessions():
+    def _sessions(**pool):
         """Mixed observation counts, and a sparse session past n* = 6."""
         cost = lambda z: float(np.sum((z - 0.3) ** 2))  # noqa: E731
         optimizers = []
@@ -216,7 +231,8 @@ class TestStackedProposals:
         ):
             space = HBOSpace(3, r_min=0.1)
             optimizer = BayesianOptimizer(
-                space, n_initial=2, seed=seed, gp_tier=tier, sparse_threshold=6
+                space, n_initial=2, seed=seed, gp_tier=tier, sparse_threshold=6,
+                **{**FLEET_POOL, **pool},
             )
             for z in space.sample(make_rng(seed + 20), size=n_obs):
                 optimizer.tell(z, cost(z))
@@ -241,8 +257,9 @@ class TestStackedProposals:
 
     @pytest.mark.parametrize("n_local", [32, 0])
     def test_mixed_sessions(self, n_local):
-        service = SharedOptimizerService(n_candidates=64, n_local=n_local)
-        self._assert_stacked_matches_alone(service, self._sessions())
+        self._assert_stacked_matches_alone(
+            SharedOptimizerService(), self._sessions(n_candidates=64, n_local=n_local)
+        )
 
     def test_forced_degenerate_fit(self, monkeypatch):
         optimizers = self._sessions()

@@ -6,7 +6,8 @@ import pytest
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
 from repro.core.controller import HBOConfig, HBOController
-from repro.core.remote import NetworkLink, OffloadStats, RemoteOptimizerProxy
+from repro.core.remote import OffloadStats, RemoteOptimizerProxy
+from repro.edge.link import NetworkLink
 from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.power import PowerModel, ProcessorPower, energy_aware_cost
 from repro.device.profiles import GALAXY_S22, get_profile

@@ -48,7 +48,7 @@ from reprolint.baseline import (  # noqa: E402
 from reprolint.cli import main as reprolint_main  # noqa: E402
 from reprolint.engine import Violation, parse_suppressions  # noqa: E402
 from reprolint.project import collect_imports, module_name  # noqa: E402
-from reprolint.rules import dead_code  # noqa: E402
+from reprolint.rules import dead_code, layering  # noqa: E402
 from reprolint.rules.layering import ALLOWLIST, band_of  # noqa: E402
 from reprolint.sarif import to_sarif  # noqa: E402
 
@@ -144,17 +144,26 @@ class TestLayeringRule:
         report = run_all(tmp_path)
         assert by_rule(report.violations, "RL006") == []
 
-    def test_allowlisted_seam_passes(self, tmp_path):
+    def test_allowlisted_seam_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            layering, "ALLOWLIST",
+            frozenset({("repro.sim.export", "repro.fleet.scheduler")}),
+        )
         write_package(
             tmp_path,
             {
-                "repro/core/remote.py": """\
-                    from repro.edge.link import NetworkLink
+                "repro/sim/export.py": """\
+                    from repro.fleet.scheduler import FleetResult
                     """,
             },
         )
         report = run_all(tmp_path)
         assert by_rule(report.violations, "RL006") == []
+
+    def test_allowlist_edges_are_upward(self):
+        # A downward or sideways edge never fires, so its entry is stale.
+        for importer, target in ALLOWLIST:
+            assert band_of(target) > band_of(importer), (importer, target)
 
     def test_relative_import_resolution(self, tmp_path):
         # `from ..fleet import scheduler` inside repro/sim/export.py is
@@ -473,6 +482,36 @@ class TestUnreferencedDefinitionRule:
             "repro.mod.Box", "repro.mod.Box.lonely", "repro.mod.unused",
         ]
         assert by_rule(report.violations, "RL010")[0].path.name == "mod.py"
+
+    def test_unreferenced_module_constant_fires(self, tmp_path):
+        write_package(
+            tmp_path / "src",
+            {
+                "repro/mod.py": """\
+                    USED: float = 1.0
+                    UNUSED = 2.0
+                    TIERS = ("a", "b")
+                    _PRIVATE = 3.0
+                    Alias = float
+
+
+                    class Box:
+                        LIMIT = 4
+
+
+                    def scale(x):
+                        return x * USED
+                    """,
+            },
+        )
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "test_bench.py").write_text(
+            "from repro.mod import TIERS, Box, scale\n\n\n"
+            "def test_scale():\n    scale(Box())\n    assert TIERS\n"
+        )
+        # Only module-level UPPER_CASE names count; the assignment target
+        # itself is not a use.
+        assert rl010_names(rl010(tmp_path)) == ["repro.mod.UNUSED"]
 
     def test_use_from_perfbench_or_benchmarks_is_clean(self, tmp_path):
         write_package(

@@ -33,13 +33,6 @@ class TestSimClock:
         assert clock.advance(0.5) == 3.0
         assert clock.now_s == 3.0
 
-    def test_advance_to(self):
-        clock = SimClock(start_s=1.0)
-        clock.advance_to(5.0)
-        assert clock.now_s == 5.0
-        with pytest.raises(SimulationError):
-            clock.advance_to(4.0)
-
     def test_negative_advance_rejected(self):
         with pytest.raises(SimulationError):
             SimClock().advance(-1.0)

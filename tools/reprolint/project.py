@@ -17,7 +17,8 @@ pass by construction.
 
 The same parse also yields each file's *usage*: how often every
 identifier occurs outside imports, ``__all__`` and docstrings, plus the
-public definitions it makes. RL010 sums the identifier counts over the
+public definitions (functions, classes, methods, module constants) it
+makes. RL010 sums the identifier counts over the
 reference roots (:data:`REFERENCE_ROOTS`) to find ``src/`` definitions
 that nothing uses; the counts are cached with the rest of the per-file
 result.
@@ -94,11 +95,13 @@ class ImportRecord:
 
 @dataclass(frozen=True)
 class Definition:
-    """One public function, method or class defined in a module.
+    """One public function, method, class or module-level constant
+    defined in a module.
 
     ``own_uses`` counts the occurrences of ``name`` inside the
-    definition itself (recursion, a property's setter decorator), which
-    are not uses by anyone else.
+    definition itself (recursion, a property's setter decorator, a
+    constant's own assignment target), which are not uses by anyone
+    else.
     """
 
     qualname: str
@@ -318,21 +321,40 @@ def _count_names(root: ast.AST, counts: Dict[str, int]) -> None:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _constant_names(node: ast.stmt) -> List[str]:
+    """Public UPPER_CASE names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    return [
+        t.id
+        for t in targets
+        if isinstance(t, ast.Name) and t.id[0].isalpha() and t.id.isupper()
+    ]
+
+
 def _definitions(
     body: Sequence[ast.stmt], prefix: str, out: List[Definition]
 ) -> None:
     for node in body:
-        if not isinstance(node, _DEF_NODES):
+        if isinstance(node, _DEF_NODES):
+            names = [] if node.name.startswith("_") else [node.name]
+        elif not prefix:
+            names = _constant_names(node)
+        else:
             continue
-        if not node.name.startswith("_"):
+        for name in names:
             own: Dict[str, int] = {}
             _count_names(node, own)
             out.append(
                 Definition(
-                    qualname=prefix + node.name,
+                    qualname=prefix + name,
                     line=node.lineno,
                     col=node.col_offset,
-                    own_uses=own.get(node.name, 0),
+                    own_uses=own.get(name, 0),
                 )
             )
         if isinstance(node, ast.ClassDef):
@@ -344,9 +366,10 @@ def collect_usage(
 ) -> Tuple[Dict[str, int], Tuple[Definition, ...]]:
     """A module's identifier-use counts and its public definitions.
 
-    Definitions are module-level functions and classes and, recursively,
-    the methods and nested classes of classes; functions defined inside
-    functions are local and not listed.
+    Definitions are module-level functions, classes and UPPER_CASE
+    constants and, recursively, the methods and nested classes of
+    classes; functions defined inside functions are local and not
+    listed.
     """
     counts: Dict[str, int] = {}
     _count_names(tree, counts)

@@ -76,14 +76,9 @@ LAYER_BANDS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 # Documented backward-compat seams: (importing module, imported module).
-# Each entry must correspond to a re-export noted in docs/architecture.md.
-ALLOWLIST: FrozenSet[Tuple[str, str]] = frozenset(
-    {
-        # PR 5 kept `repro.core.remote.NetworkLink` importable after the
-        # link model moved to the edge package.
-        ("repro.core.remote", "repro.edge.link"),
-    }
-)
+# Each entry must be an upward edge (a downward one never fires) and must
+# correspond to a re-export noted in docs/architecture.md.
+ALLOWLIST: FrozenSet[Tuple[str, str]] = frozenset()
 
 _PREFIX_TO_BAND: Dict[str, int] = {}
 _BAND_NAMES: Tuple[str, ...] = tuple(name for name, _ in LAYER_BANDS)
