@@ -19,7 +19,7 @@ per-object columns in sorted-id order: one scene's ``(L,)`` columns for a
 vector of total ratios, or ``(R, L)`` blocks with one scene per row.
 :func:`distribute_triangles_grouped` runs it once per object count for
 many scenes (the fleet tick); the mapping :func:`distribute_triangles`
-and :func:`distribute_triangles_batch` are thin wrappers. Every row is
+is its one-row call on an id → object scene. Every row is
 bit-identical to evaluating Eq. 1 object by object with
 :meth:`~repro.ar.degradation.DegradationModel.error`.
 
@@ -32,7 +32,7 @@ for concave quality curves).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,32 +98,14 @@ def distribute_triangles(
     the stretch of the curve the allocation actually moves on (a reference
     equal to the current ratio would make every sensitivity zero).
     """
-    ids, ratios = distribute_triangles_batch(
-        objects, distances, np.array([triangle_ratio], dtype=float), reference_ratio
-    )
-    return dict(zip(ids, ratios[0].tolist()))
-
-
-def distribute_triangles_batch(
-    objects: Mapping[str, VirtualObject],
-    distances: Mapping[str, float],
-    triangle_ratios: np.ndarray,
-    reference_ratio: Optional[float] = None,
-) -> Tuple[List[str], np.ndarray]:
-    """TD over a batch of total triangle ratios, one row per ratio, for a
-    scene given as id → object and id → distance maps.
-
-    Returns ``(ids, ratios)`` where ``ids`` is the sorted instance-id
-    order and ``ratios[k, j]`` is the decimation ratio of object
-    ``ids[j]`` under total ratio ``triangle_ratios[k]``.
-    """
     _validate_inputs(objects, distances)
-    ids: List[str] = sorted(objects)
+    ids = sorted(objects)
     max_tris = np.asarray([objects[i].max_triangles for i in ids], dtype=float)
     eq1 = eq1_columns([objects[i].params for i in ids], [distances[i] for i in ids])
-    return ids, distribute_triangles_columns(
-        max_tris, eq1, triangle_ratios, reference_ratio
+    ratios = distribute_triangles_columns(
+        max_tris, eq1, np.array([triangle_ratio], dtype=float), reference_ratio
     )
+    return dict(zip(ids, ratios[0].tolist()))
 
 
 def distribute_triangles_columns(

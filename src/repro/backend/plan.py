@@ -35,6 +35,12 @@ from repro.errors import DeviceError, EdgeError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.device.load import SystemLoad, TaskPlacement
 
+#: One live device configuration: ``(soc, placements, load, edge_share)``,
+#: with ``edge_share`` ``None`` on device-only systems.
+PlacementRow = Tuple[
+    SoCSpec, Sequence["TaskPlacement"], "SystemLoad", Optional[EdgeShare]
+]
+
 #: Processor axis of every ``(n, 3)`` array: CPU, GPU, NPU.
 PROC_CPU, PROC_GPU, PROC_NPU = 0, 1, 2
 
@@ -208,38 +214,27 @@ class EvalPlan:
     # -------------------------------------------------------------- builders
 
     @classmethod
-    def from_placement_rows(
-        cls,
-        rows: Sequence[Tuple],
-    ) -> "EvalPlan":
-        """Build a plan from ``(soc, placements, load[, edge_share])`` rows.
+    def from_placement_rows(cls, rows: Sequence[PlacementRow]) -> "EvalPlan":
+        """Build a plan from ``(soc, placements, load, edge_share)`` rows.
 
-        The one builder from live device state: the device, the
-        contention model, the baselines and the fleet tick all price
-        through it — one row per device/configuration, heterogeneous SoCs
-        and task counts allowed (short rows are padded). The optional
-        fourth element is an :class:`~repro.edge.share.EdgeShare` (or
-        ``None``); the plan carries an edge block only if at least one
-        row supplies one, so device-only batches stay byte-identical to
-        pre-edge plans.
+        The one builder from live device state
+        (:meth:`~repro.device.executor.DeviceSimulator.placement_row`):
+        one row per device/configuration, heterogeneous SoCs and task
+        counts allowed (short rows are padded). ``edge_share`` is an
+        :class:`~repro.edge.share.EdgeShare` or ``None``; the plan
+        carries an edge block only if at least one row supplies one, so
+        device-only batches stay byte-identical to pre-edge plans.
         """
         if not rows:
             raise DeviceError("EvalPlan needs at least one row")
-        parsed: List[Tuple[SoCSpec, Sequence["TaskPlacement"], "SystemLoad", Optional[EdgeShare]]] = []
         for row in rows:
-            if len(row) == 3:
-                soc, placements, load = row
-                share: Optional[EdgeShare] = None
-            elif len(row) == 4:
-                soc, placements, load, share = row
-            else:
+            if len(row) != 4:
                 raise DeviceError(
-                    f"placement rows must have 3 or 4 elements, got {len(row)}"
+                    f"placement rows must have 4 elements, got {len(row)}"
                 )
-            parsed.append((soc, placements, load, share))
-        n = len(parsed)
-        m = max(len(placements) for _, placements, _, _ in parsed)
-        any_edge = any(share is not None for _, _, _, share in parsed)
+        n = len(rows)
+        m = max(len(placements) for _, placements, _, _ in rows)
+        any_edge = any(share is not None for _, _, _, share in rows)
         edge_cap = np.ones(n, dtype=np.float64) if any_edge else None
         edge_exp = np.ones(n, dtype=np.float64) if any_edge else None
         edge_ext = np.zeros(n, dtype=np.float64) if any_edge else None
@@ -251,7 +246,7 @@ class EvalPlan:
         slots: List[Tuple[float, ...]] = []
         on_device: Dict[Tuple[int, int], Tuple[float, ...]] = {}
         task_ids: List[Tuple[str, ...]] = []
-        for i, (_, placements, _, share) in enumerate(parsed):
+        for i, (_, placements, _, share) in enumerate(rows):
             if share is not None:
                 assert edge_cap is not None and edge_exp is not None
                 assert edge_ext is not None
@@ -304,8 +299,8 @@ class EvalPlan:
         # contiguous (n, m) block.
         fields = flat.reshape(n * m, len(pad)).T.copy().reshape(len(pad), n, m)
         iso, kind, cpu_demand, gpu_demand, coverage, edge_tx, edge_dem = fields
-        socs = [soc for soc, _, _, _ in parsed]
-        loads = [load for _, _, load, _ in parsed]
+        socs = [soc for soc, _, _, _ in rows]
+        loads = [load for _, _, load, _ in rows]
         return cls(
             task_iso_ms=iso,
             task_kind=kind.astype(np.int64),
@@ -326,71 +321,14 @@ class EvalPlan:
             edge_queue_exponent=edge_exp,
             edge_extern_streams=edge_ext,
             row_task_ids=tuple(task_ids),
-            **_soc_fields(socs),
-        )
-
-    @classmethod
-    def for_single_soc(
-        cls,
-        soc: SoCSpec,
-        *,
-        task_iso_ms: np.ndarray,
-        task_kind: np.ndarray,
-        task_cpu_demand: np.ndarray,
-        task_gpu_demand: np.ndarray,
-        task_npu_coverage: np.ndarray,
-        n_objects: np.ndarray,
-        submitted_triangles: np.ndarray,
-        rendered_triangles: np.ndarray,
-        base_gpu_streams: np.ndarray,
-        task_expected_ms: Optional[np.ndarray] = None,
-        obj_ratio: Optional[np.ndarray] = None,
-        obj_a: Optional[np.ndarray] = None,
-        obj_b: Optional[np.ndarray] = None,
-        obj_c: Optional[np.ndarray] = None,
-        obj_denom: Optional[np.ndarray] = None,
-        w: Optional[float] = None,
-        task_edge_tx_ms: Optional[np.ndarray] = None,
-        task_edge_demand: Optional[np.ndarray] = None,
-        edge_capacity: Optional[np.ndarray] = None,
-        edge_queue_exponent: Optional[np.ndarray] = None,
-        edge_extern_streams: Optional[np.ndarray] = None,
-    ) -> "EvalPlan":
-        """Build a homogeneous-device plan straight from arrays.
-
-        The batch evaluators (frontier scoring, enumeration grids) use
-        this: every row runs on the same SoC, so its parameters are
-        broadcast rather than tabulated per row.
-        """
-        n = int(np.asarray(task_iso_ms).shape[0])
-        return cls(
-            task_iso_ms=np.asarray(task_iso_ms, dtype=np.float64),
-            task_kind=np.asarray(task_kind, dtype=np.int64),
-            task_cpu_demand=np.asarray(task_cpu_demand, dtype=np.float64),
-            task_gpu_demand=np.asarray(task_gpu_demand, dtype=np.float64),
-            task_npu_coverage=np.asarray(task_npu_coverage, dtype=np.float64),
-            n_objects=np.asarray(n_objects, dtype=np.float64),
-            submitted_triangles=np.asarray(submitted_triangles, dtype=np.float64),
-            rendered_triangles=np.asarray(rendered_triangles, dtype=np.float64),
-            base_gpu_streams=np.asarray(base_gpu_streams, dtype=np.float64),
-            task_expected_ms=task_expected_ms,
-            obj_ratio=obj_ratio,
-            obj_a=obj_a,
-            obj_b=obj_b,
-            obj_c=obj_c,
-            obj_denom=obj_denom,
-            w=w,
-            task_edge_tx_ms=task_edge_tx_ms,
-            task_edge_demand=task_edge_demand,
-            edge_capacity=edge_capacity,
-            edge_queue_exponent=edge_queue_exponent,
-            edge_extern_streams=edge_extern_streams,
-            **_soc_fields([soc] * n),
+            **soc_fields(socs),
         )
 
 
-def _soc_fields(socs: Sequence[SoCSpec]) -> Dict[str, np.ndarray]:
-    """Tabulate per-row SoC parameters for the plan constructor."""
+def soc_fields(socs: Sequence[SoCSpec]) -> Dict[str, np.ndarray]:
+    """Tabulate per-row SoC parameters for the plan constructor: the
+    ``capacity`` … ``gpu_triangles_per_stream`` keyword arguments of
+    :class:`EvalPlan` for rows running on ``socs``."""
     return {
         "capacity": np.stack(
             [

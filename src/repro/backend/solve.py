@@ -25,7 +25,7 @@ skips the per-element calls and is what enumeration-grid callers use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.backend.plan import (
     PROC_GPU,
     PROC_NPU,
     EvalPlan,
+    PlacementRow,
 )
 from repro.obs import runtime as obs
 
@@ -83,6 +84,20 @@ def solve(plan: EvalPlan, exact: bool = False) -> SolveResult:
         result = _solve_rows(plan, exact)
     obs.histogram("eval_batch_size").observe(float(n))
     return result
+
+
+def price_placement_rows(rows: Sequence[PlacementRow]) -> List[Dict[str, float]]:
+    """Steady-state latencies of live placement rows, one exact solve.
+
+    Row ``k`` of the result maps each task id of ``rows[k]`` to its
+    unthrottled latency (ms), bit-identical to the scalar contention
+    path; a thermal device applies its throttle factor per sample in
+    ``measure_period``. The device, the baselines' grid scans and the
+    fleet tick all price live rows through this one function.
+    """
+    plan = EvalPlan.from_placement_rows(rows)
+    result = solve(plan, exact=True)
+    return [plan.latency_map(result.latency_ms, r) for r in range(plan.n_rows)]
 
 
 def _pow(base: np.ndarray, exponent: np.ndarray, exact: bool) -> np.ndarray:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.backend.plan import EvalPlan
-from repro.backend.solve import solve
+from repro.backend.solve import price_placement_rows
 from repro.baselines.base import Baseline, BaselineOutcome
 from repro.core.system import MARSystem
 from repro.device.resources import ALL_RESOURCES, Resource
@@ -76,14 +75,8 @@ class GreedyDynamicBaseline(Baseline):
         rows = []
         for candidate in candidates:
             system.apply_uniform_ratio(candidate, 1.0)
-            device = system.device
-            rows.append((device.soc, device.placements(), device.load))
-        plan = EvalPlan.from_placement_rows(rows)
-        result = solve(plan, exact=True)
-        return [
-            plan.latency_map(result.latency_ms, i)
-            for i in range(len(candidates))
-        ]
+            rows.append(system.device.placement_row())
+        return price_placement_rows(rows)
 
     def run(self, system: MARSystem) -> BaselineOutcome:
         self.probes = 0

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.backend.plan import EvalPlan
-from repro.backend.solve import solve
+from repro.backend.solve import price_placement_rows
 from repro.baselines.base import Baseline, BaselineOutcome
 from repro.core.system import MARSystem, Measurement
 from repro.device.resources import Resource
@@ -88,13 +87,8 @@ class StaticMatchLatencyBaseline(Baseline):
         rows = []
         for ratio in grid:
             system.apply(allocation, ratio)
-            device = system.device
-            rows.append((device.soc, device.placements(), device.load))
-        plan = EvalPlan.from_placement_rows(rows)
-        result = solve(plan, exact=True)
-        return [
-            plan.latency_map(result.latency_ms, i) for i in range(len(grid))
-        ]
+            rows.append(system.device.placement_row())
+        return price_placement_rows(rows)
 
     def run(self, system: MARSystem) -> BaselineOutcome:
         allocation = system.taskset.affinity_allocation()

@@ -136,24 +136,6 @@ class GaussianProcess:
         self._y_raw = y.copy()
         return self
 
-    def update(self, x_new: np.ndarray, y_new: float) -> "GaussianProcess":
-        """Condition on one more observation: append it and :meth:`fit`
-        the whole dataset again, so there is one exact-fit path."""
-        if not self.is_fit:
-            raise GPFitError("update() called before fit()")
-        assert self._x_train is not None
-        row = np.asarray(x_new, dtype=float).ravel()[np.newaxis, :]
-        y_val = float(y_new)
-        if row.shape[1] != self._x_train.shape[1]:
-            raise GPFitError(
-                f"update point has dim {row.shape[1]}, "
-                f"trained on dim {self._x_train.shape[1]}"
-            )
-        if not np.all(np.isfinite(row)) or not np.isfinite(y_val):
-            raise GPFitError("GP update data contains NaN or inf")
-        x_all = np.vstack([self._x_train, row])
-        return self.fit(x_all, np.append(self._y_raw, y_val))
-
     def predict(self, x: np.ndarray) -> GPPosterior:
         """Posterior N(μ(x), σ²(x)) at each row of ``x``."""
         if not self.is_fit:

@@ -56,11 +56,12 @@ class DecodedPoint:
 class PendingEvaluation(DecodedPoint):
     """An iteration that has been applied but not yet measured.
 
-    :meth:`HBOIteration.begin` applies the configuration and returns
-    this; :meth:`HBOIteration.finish` measures, prices and tells. The
-    split exists so a batched driver (the fleet tick) can apply many
-    sessions' configurations, evaluate all their steady states through
-    one backend solve, and only then run each measurement.
+    :meth:`HBOIteration.apply` returns this; :meth:`HBOIteration.finish`
+    measures, prices and tells. The split exists so a batched driver (the
+    fleet tick) can apply many sessions' configurations, evaluate all
+    their steady states through one backend solve, and only then run
+    each measurement. The controller's incumbent is one too: the running
+    configuration, already applied.
     """
 
     object_ratios: Mapping[str, float]
@@ -125,27 +126,7 @@ class HBOIteration:
 
     def run_once(self) -> IterationResult:
         """Execute Algorithm 1 for one control period."""
-        return self.evaluate(self.optimizer.ask())  # Line 1
-
-    def evaluate(self, z: np.ndarray) -> IterationResult:
-        """Execute Lines 2–26 for an externally proposed configuration.
-
-        The fleet's shared optimizer service computes proposals for many
-        sessions in one call and feeds each session its ``z``
-        through this entry point; ``run_once`` is the single-session path
-        where the session's own optimizer proposes.
-        """
-        return self.finish(self.begin(z))
-
-    def begin(self, z: np.ndarray) -> PendingEvaluation:
-        """Lines 2–23: decode ``z`` and apply the configuration.
-
-        Leaves the system configured but unmeasured; pair with
-        :meth:`finish`. Batched drivers run many ``begin``\\ s, solve all
-        steady states in one :func:`repro.backend.solve` call, and feed
-        each row back through ``finish(pending, steady_latencies=...)``.
-        """
-        return self.apply(self.decode(z))
+        return self.finish(self.apply(self.decode(self.optimizer.ask())))  # Line 1
 
     def decode(self, z: np.ndarray) -> DecodedPoint:
         """Lines 2–22: ``z`` → proportions, task counts, allocation and
@@ -180,7 +161,7 @@ class HBOIteration:
         pending: PendingEvaluation,
         steady_latencies: Optional[Mapping[str, float]] = None,
     ) -> IterationResult:
-        """Lines 24–26: measure, price and record a begun evaluation."""
+        """Lines 24–26: measure, price and record an applied evaluation."""
         measurement = self.system.measure(
             steady_latencies=steady_latencies
         )  # Line 24
@@ -192,10 +173,7 @@ class HBOIteration:
             from repro.device.power import energy_aware_cost
 
             power_w = self._power_model.system_power_w(
-                self.system.device.soc,
-                self.system.device.placements(),
-                self.system.device.load,
-                edge=self.system.edge_share(),
+                *self.system.device.placement_row()
             )
             phi = energy_aware_cost(
                 measurement.quality,

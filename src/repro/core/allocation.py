@@ -24,6 +24,7 @@ resource, preferring ones with spare count.
 from __future__ import annotations
 
 import heapq
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -93,6 +94,31 @@ def proportions_to_counts_batch(
     )
     counts += ranks < remaining[:, np.newaxis]
     return counts
+
+
+def count_lattice(
+    n_tasks: int, n_resources: int, ratios: Sequence[float]
+) -> np.ndarray:
+    """The exact decision lattice as BO vectors ``[c; x]``, one per row.
+
+    Every integer count vector (``n_resources`` counts summing to
+    ``n_tasks``, in lexicographic order) as proportions ``counts /
+    n_tasks``, crossed count-major with ``ratios``. ``counts / n_tasks``
+    maps back to the same counts through :func:`proportions_to_counts`,
+    so the lattice covers every allocation cell once per ratio.
+    """
+    counts = np.array(
+        [
+            ks
+            for ks in product(range(n_tasks + 1), repeat=n_resources)
+            if sum(ks) == n_tasks
+        ],
+        dtype=float,
+    )
+    x = np.asarray(ratios, dtype=float)
+    return np.column_stack(
+        [np.repeat(counts / n_tasks, x.size, axis=0), np.tile(x, len(counts))]
+    )
 
 
 def allocations_for_counts(
@@ -214,14 +240,3 @@ def drain_priority_queue(
             remaining[best] -= 1
 
     return assigned
-
-
-def allocation_counts(
-    allocation: Dict[str, Resource],
-    resources: Tuple[Resource, ...] = ALL_RESOURCES,
-) -> Dict[Resource, int]:
-    """How many tasks each resource received (reporting helper)."""
-    counts = {res: 0 for res in resources}
-    for resource in allocation.values():
-        counts[resource] = counts.get(resource, 0) + 1
-    return counts

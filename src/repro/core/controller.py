@@ -10,6 +10,7 @@ the next activation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
@@ -22,7 +23,8 @@ from repro.bo.acquisition import AcquisitionFunction, ExpectedImprovement
 from repro.bo.kernels import Kernel, Matern
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
-from repro.core.algorithm import HBOIteration, IterationResult
+from repro.core.algorithm import HBOIteration, IterationResult, PendingEvaluation
+from repro.core.allocation import count_lattice
 from repro.core.system import MARSystem, Measurement
 from repro.errors import ConfigurationError
 from repro.obs import runtime as obs
@@ -149,24 +151,9 @@ class HBOController:
         """
         m = len(self.system.taskset)
         n = space.n_resources
-        if m == 0:
-            return None
-        from itertools import product
-
-        count_vectors = [
-            counts
-            for counts in product(range(m + 1), repeat=n)
-            if sum(counts) == m
-        ]
-        if len(count_vectors) > 128:  # large tasksets: sampling covers cells
-            return None
-        x_grid = np.linspace(self.config.r_min, 1.0, 5)
-        anchors = []
-        for counts in count_vectors:
-            c = np.asarray(counts, dtype=float) / m
-            for x in x_grid:
-                anchors.append(np.concatenate([c, [x]]))
-        return np.asarray(anchors)
+        if m == 0 or math.comb(m + n - 1, n - 1) > 128:
+            return None  # large tasksets: sampling covers the cells
+        return count_lattice(m, n, np.linspace(self.config.r_min, 1.0, 5))
 
     def _build_optimizer(self) -> BayesianOptimizer:
         cfg = self.config
@@ -187,55 +174,20 @@ class HBOController:
             sparse_threshold=cfg.gp_sparse_threshold,
         )
 
-    def _evaluate_incumbent(self, optimizer: BayesianOptimizer) -> "IterationResult":
-        """Measure the currently-running configuration and record it in
-        the BO dataset (see ``HBOConfig.seed_incumbent``)."""
-        from repro.core.algorithm import IterationResult
-        from repro.core.cost import cost_from_measurement, latency_cost
-
-        cfg = self.config
-        space: HBOSpace = optimizer.space  # type: ignore[assignment]
+    def _incumbent(self, space: HBOSpace) -> PendingEvaluation:
+        """The running configuration as an evaluation that is already
+        applied (see ``HBOConfig.seed_incumbent``): its counts as ``c``,
+        the scene's triangle ratio clipped into the space as ``x``."""
         allocation = self.system.device.allocation
-        m = max(1, len(allocation))
         counts = np.zeros(self.system.n_resources)
         resources = self.system.resources
         for resource in allocation.values():
             counts[resources.index(resource)] += 1
-        proportions = counts / m
-        ratio = float(
-            np.clip(self.system.scene.triangle_ratio, cfg.r_min, 1.0)
-        )
+        proportions = counts / max(1, len(allocation))
+        ratio = float(np.clip(self.system.scene.triangle_ratio, space.r_min, 1.0))
         z = space.project(space.join(proportions, ratio))
-        measurement = self.system.measure()
-        if cfg.latency_only:
-            phi = latency_cost(measurement.epsilon, cfg.w)
-        elif cfg.w_power > 0:
-            from repro.device.power import PowerModel, energy_aware_cost
-
-            power_w = PowerModel().system_power_w(
-                self.system.device.soc,
-                self.system.device.placements(),
-                self.system.device.load,
-                edge=self.system.edge_share(),
-            )
-            phi = energy_aware_cost(
-                measurement.quality,
-                measurement.epsilon,
-                power_w,
-                w_latency=cfg.w,
-                w_power=cfg.w_power,
-            )
-        else:
-            phi = cost_from_measurement(measurement, cfg.w)
-        optimizer.tell(z, phi)
-        return IterationResult(
-            z=z,
-            proportions=proportions,
-            triangle_ratio=ratio,
-            allocation=allocation,
-            object_ratios=self.system.scene.ratios(),
-            measurement=measurement,
-            cost=phi,
+        return PendingEvaluation(
+            z, proportions, ratio, allocation, self.system.scene.ratios()
         )
 
     def activate(self) -> HBORunResult:
@@ -268,7 +220,8 @@ class HBOController:
             offloaded=self._offload_link is not None,
         ):
             if cfg.seed_incumbent and len(self.system.scene) > 0:
-                result.iterations.append(self._evaluate_incumbent(optimizer))
+                incumbent = self._incumbent(optimizer.space)  # type: ignore[arg-type]
+                result.iterations.append(step.finish(incumbent))
             for _ in range(cfg.total_evaluations):
                 result.iterations.append(step.run_once())
         obs.counter("hbo_activations").inc()

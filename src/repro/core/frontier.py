@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.plan import EvalPlan, resource_kind
+from repro.backend.plan import EvalPlan, resource_kind, soc_fields
 from repro.backend.solve import SolveResult, solve
 from repro.ar.distribution import distribute_triangles_columns
 from repro.core.allocation import allocations_for_counts, proportions_to_counts_batch
@@ -210,8 +210,7 @@ class FrontierEvaluator:
                 "edge_extern_streams": np.full(n, share.extern_streams),
             }
 
-        plan = EvalPlan.for_single_soc(
-            self.system.device.soc,
+        plan = EvalPlan(
             task_iso_ms=iso,
             task_kind=kind,
             task_cpu_demand=np.broadcast_to(self._cpu_demand, iso.shape),
@@ -227,6 +226,7 @@ class FrontierEvaluator:
             w=self.w,
             **quality_block,
             **edge_block,  # type: ignore[arg-type]
+            **soc_fields([self.system.device.soc] * n),
         )
         result: SolveResult = solve(plan)
         assert result.epsilon is not None and result.phi is not None

@@ -38,9 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional
 
-from repro.backend.plan import EvalPlan
-from repro.backend.solve import solve
-
+from repro.backend.solve import price_placement_rows
 from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.resources import Processor, Resource
 from repro.device.soc import SoCSpec
@@ -208,8 +206,8 @@ class ContentionModel:
     ) -> Dict[str, Ms]:
         """Latency (ms) for every placed task under mutual contention.
 
-        Evaluates through the vectorized backend as a one-row
-        :class:`~repro.backend.plan.EvalPlan` in exact mode, which is
+        Prices the one row through
+        :func:`~repro.backend.solve.price_placement_rows`, which is
         bit-identical to composing :meth:`processor_state` with
         :meth:`task_latency` per task (the scalar methods above remain
         the executable reference the parity suite checks against).
@@ -221,6 +219,4 @@ class ContentionModel:
             raise DeviceError(f"duplicate task ids in placement set: {dupes}")
         if not placements:
             return {}
-        plan = EvalPlan.from_placement_rows([(self.soc, placements, load, edge)])
-        result = solve(plan, exact=True)
-        return plan.latency_map(result.latency_ms, 0)
+        return price_placement_rows([(self.soc, placements, load, edge)])[0]

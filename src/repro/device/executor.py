@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.backend.plan import PlacementRow
 from repro.device.contention import ContentionModel
 from repro.device.load import SystemLoad, TaskPlacement
 from repro.device.profiles import StaticProfile
@@ -206,6 +207,11 @@ class DeviceSimulator:
             TaskPlacement(task_id=tid, profile=self._tasks[tid], resource=res)
             for tid, res in self._allocation.items()
         ]
+
+    def placement_row(self) -> PlacementRow:
+        """This device's live ``(soc, placements, load, edge_share)`` row,
+        as :func:`~repro.backend.solve.price_placement_rows` prices it."""
+        return (self.soc, self.placements(), self._load, self.edge_share())
 
     def edge_share(self) -> Optional[EdgeShare]:
         """The current edge pricing snapshot, or ``None`` when the edge

@@ -20,12 +20,12 @@ to show the optimum retreating back on-device when the link collapses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.allocation import count_lattice
 from repro.core.controller import HBOConfig
 from repro.core.frontier import FrontierEvaluator, FrontierResult
 from repro.device.profiles import GALAXY_S22
@@ -110,22 +110,6 @@ class EdgeExperimentResult:
         return sum(1 for row in self.rows if row.epsilon_win > 0)
 
 
-def _lattice(n_tasks: int, n_res: int, ratios: np.ndarray) -> np.ndarray:
-    """Every integer count vector × every ratio, as BO vectors [c; x]."""
-    count_vectors = [
-        ks
-        for ks in itertools.product(range(n_tasks + 1), repeat=n_res)
-        if sum(ks) == n_tasks
-    ]
-    return np.array(
-        [
-            [k / n_tasks for k in ks] + [float(x)]
-            for ks in count_vectors
-            for x in ratios
-        ]
-    )
-
-
 def _best_at_ratio(result: FrontierResult, ratio: float) -> FrontierPoint:
     mask = np.isclose(result.triangle_ratio, ratio)
     idx = np.flatnonzero(mask)
@@ -162,8 +146,8 @@ def run_edge_experiment(
 
     n_tasks = len(device_system.taskset)
     ratios = np.linspace(r_min, 1.0, n_ratios)
-    zs_device = _lattice(n_tasks, device_system.n_resources, ratios)
-    zs_edge = _lattice(n_tasks, edge_system.n_resources, ratios)
+    zs_device = count_lattice(n_tasks, device_system.n_resources, ratios)
+    zs_edge = count_lattice(n_tasks, edge_system.n_resources, ratios)
 
     device_result = FrontierEvaluator(device_system, w=w).evaluate(zs_device)
     edge_result = FrontierEvaluator(edge_system, w=w).evaluate(zs_edge)

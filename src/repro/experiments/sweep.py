@@ -19,12 +19,12 @@ the text raises:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.allocation import count_lattice
 from repro.core.controller import HBOConfig, HBOController
 from repro.core.frontier import FrontierEvaluator
 from repro.device.profiles import GALAXY_S22, PIXEL7
@@ -217,23 +217,8 @@ def run_frontier_grid(
         device=device,
         seed=derive_seed(seed, "frontier", scenario, taskset),
     )
-    n_tasks = len(system.taskset)
-    n_res = len(ALL_RESOURCES)
-    count_vectors = [
-        ks
-        for ks in itertools.product(range(n_tasks + 1), repeat=n_res)
-        if sum(ks) == n_tasks
-    ]
     ratios = np.linspace(r_min, 1.0, n_ratios)
-    # counts/M recovers the counts exactly through the allocator's floor
-    # for the task-set sizes in play, so the lattice is covered 1:1.
-    zs = np.array(
-        [
-            [k / n_tasks for k in ks] + [float(x)]
-            for ks in count_vectors
-            for x in ratios
-        ]
-    )
+    zs = count_lattice(len(system.taskset), len(ALL_RESOURCES), ratios)
     optima: List[FrontierOptimum] = []
     for w in weights:
         evaluator = FrontierEvaluator(system, w=float(w))

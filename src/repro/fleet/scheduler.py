@@ -31,8 +31,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.plan import EvalPlan
-from repro.backend.solve import solve
+from repro.backend.solve import price_placement_rows
 from repro.ar.distribution import distribute_triangles_grouped
 from repro.core.algorithm import DecodedPoint, PendingEvaluation
 from repro.core.controller import HBOConfig
@@ -237,12 +236,10 @@ def batched_steady(
 ) -> List[Dict[str, float]]:
     """Steady-state latencies for all stepped session rows, one solve.
 
-    Each stepped session contributes its live device's ``(soc,
-    placements, load, edge_share)`` row to one multi-row
-    :meth:`~repro.backend.plan.EvalPlan.from_placement_rows` plan — the
-    builder the device and the baselines price through — and the plan
-    takes one exact solve. Rows are unthrottled: a thermal device applies
-    its per-sample throttle factor inside ``measure_period``.
+    Each stepped session contributes its live device's placement row to
+    one :func:`~repro.backend.solve.price_placement_rows` call. Rows are
+    unthrottled: a thermal device applies its per-sample throttle factor
+    inside ``measure_period``.
     """
     if not stepped:
         return []
@@ -250,13 +247,8 @@ def batched_steady(
     for i in stepped:
         system = sessions[i].system
         assert system is not None
-        device = system.device
-        rows.append(
-            (device.soc, device.placements(), device.load, device.edge_share())
-        )
-    plan = EvalPlan.from_placement_rows(rows)
-    result = solve(plan, exact=True)
-    return [plan.latency_map(result.latency_ms, r) for r in range(len(stepped))]
+        rows.append(system.device.placement_row())
+    return price_placement_rows(rows)
 
 
 def validate_specs(specs: Sequence[SessionSpec]) -> Tuple[SessionSpec, ...]:

@@ -5,11 +5,10 @@ import pytest
 
 from repro.ar.cache import DecimationServer, LODCache, quantize_ratio
 from repro.ar import distribution as distribution_module
-from repro.ar.degradation import DegradationParams, Eq1Columns
+from repro.ar.degradation import DegradationParams, Eq1Columns, eq1_columns
 from repro.ar.distribution import (
     MIN_OBJECT_RATIO,
     distribute_triangles,
-    distribute_triangles_batch,
     distribute_triangles_columns,
     distribute_triangles_grouped,
     greedy_optimal_distribution,
@@ -177,41 +176,47 @@ class TestTDColumnForm:
                     got = distribute_triangles(objects, distances, x, ref)
                     assert got == _scalar_td(objects, distances, x, ref)
 
+    @staticmethod
+    def _columns(objects, distances):
+        ids = sorted(objects)
+        max_tris = np.asarray([objects[i].max_triangles for i in ids], dtype=float)
+        eq1 = eq1_columns([objects[i].params for i in ids], [distances[i] for i in ids])
+        return max_tris, eq1
+
     def test_rows_are_independent(self, sc1_objects, sc1_distances, rng):
+        max_tris, eq1 = self._columns(sc1_objects, sc1_distances)
         xs = np.concatenate([rng.uniform(0.001, 1.0, 64), [1.0, 0.02]])
-        ids, batch = distribute_triangles_batch(sc1_objects, sc1_distances, xs)
-        assert ids == sorted(sc1_objects)
+        batch = distribute_triangles_columns(max_tris, eq1, xs)
         for k, x in enumerate(xs.tolist()):
-            _, alone = distribute_triangles_batch(sc1_objects, sc1_distances, [x])
+            alone = distribute_triangles_columns(max_tris, eq1, [x])
             assert alone[0].tolist() == batch[k].tolist()
-        _, reversed_batch = distribute_triangles_batch(
-            sc1_objects, sc1_distances, xs[::-1]
-        )
+            mapped = distribute_triangles(sc1_objects, sc1_distances, x)
+            assert list(mapped) == sorted(sc1_objects)
+            assert list(mapped.values()) == batch[k].tolist()
+        reversed_batch = distribute_triangles_columns(max_tris, eq1, xs[::-1])
         assert reversed_batch[::-1].tolist() == batch.tolist()
 
     def test_batch_validation(self, sc1_objects, sc1_distances):
+        max_tris, eq1 = self._columns(sc1_objects, sc1_distances)
         with pytest.raises(ConfigurationError):
-            distribute_triangles_batch(sc1_objects, sc1_distances, [])
+            distribute_triangles_columns(max_tris, eq1, [])
         for bad in ([0.5, 0.0], [1.2], [0.5, float("nan")], [-0.1]):
             with pytest.raises(ConfigurationError):
-                distribute_triangles_batch(sc1_objects, sc1_distances, bad)
+                distribute_triangles_columns(max_tris, eq1, bad)
         with pytest.raises(ConfigurationError):
-            distribute_triangles_batch(sc1_objects, {}, [0.5])
+            distribute_triangles_columns(max_tris, eq1, [0.5], 1.5)
         with pytest.raises(ConfigurationError):
-            distribute_triangles_batch(
-                sc1_objects, sc1_distances, [0.5], reference_ratio=1.5
-            )
+            distribute_triangles_columns(max_tris, eq1, [0.5, 0.6], [0.4, 0.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize(
         "allocator",
         [
             distribute_triangles,
-            lambda o, d, x: distribute_triangles_batch(o, d, [x]),
             uniform_distribution,
             greedy_optimal_distribution,
         ],
-        ids=["td", "td_batch", "uniform", "greedy"],
+        ids=["td", "uniform", "greedy"],
     )
     def test_non_finite_distance_rejected(
         self, sc1_objects, sc1_distances, allocator, bad

@@ -14,9 +14,10 @@ budgets and degradation parameters on both Table I device profiles.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend.plan import EvalPlan, resource_kind
+from repro.backend.plan import EvalPlan, resource_kind, soc_fields
 from repro.backend.solve import solve
 from repro.core.cost import cost, normalized_average_latency
 from repro.device.contention import ContentionModel
@@ -26,6 +27,7 @@ from repro.device.resources import ALL_RESOURCES, EDGE_RESOURCES, Processor
 from repro.device.soc import galaxy_s22_soc, pixel7_soc
 from repro.edge.runtime import EdgeConfig, extend_profile
 from repro.edge.share import EdgeShare
+from repro.errors import DeviceError
 
 _SOC_OF = {PIXEL7: pixel7_soc, GALAXY_S22: galaxy_s22_soc}
 _MODELS = (
@@ -105,7 +107,7 @@ class TestLatencyParity:
         placements = _placements(device, specs)
         state, scalar_lat = _scalar_reference(model, placements, load)
 
-        plan = EvalPlan.from_placement_rows([(soc, placements, load)])
+        plan = EvalPlan.from_placement_rows([(soc, placements, load, None)])
         result = solve(plan, exact=True)
 
         assert result.slowdown[0, 0] == state.slowdown[Processor.CPU]
@@ -125,7 +127,7 @@ class TestLatencyParity:
         placements = _placements(device, specs)
         state, scalar_lat = _scalar_reference(model, placements, load)
 
-        plan = EvalPlan.from_placement_rows([(soc, placements, load)])
+        plan = EvalPlan.from_placement_rows([(soc, placements, load, None)])
         result = solve(plan)
 
         expected_slow = [
@@ -147,7 +149,9 @@ class TestLatencyParity:
         """A row's bits don't depend on its batch-mates: heterogeneous
         task counts are padded, and padding must be inert."""
         soc = _SOC_OF[device]()
-        built = [(soc, _placements(device, specs), load) for specs, load in rows]
+        built = [
+            (soc, _placements(device, specs), load, None) for specs, load in rows
+        ]
         batched_plan = EvalPlan.from_placement_rows(built)
         batched = solve(batched_plan, exact=True)
         for i, row in enumerate(built):
@@ -223,22 +227,21 @@ class TestEdgeParity:
 
     @given(device=devices, specs=task_specs, load=loads)
     @settings(max_examples=60, deadline=None)
-    def test_shareless_four_tuple_rows_match_three_tuple_plans(
-        self, device, specs, load
-    ):
-        """Passing ``share=None`` in a 4-tuple builds a plan structurally
-        identical to the pre-edge 3-tuple path (no edge block at all)."""
+    def test_shareless_rows_carry_no_edge_block(self, device, specs, load):
+        """A row with ``edge_share=None`` builds a plan with no edge block
+        at all, prices bit-identically to the scalar path, and a row
+        without the share element is rejected."""
         soc = _SOC_OF[device]()
         placements = _placements(device, specs)
-        plan3 = EvalPlan.from_placement_rows([(soc, placements, load)])
-        plan4 = EvalPlan.from_placement_rows([(soc, placements, load, None)])
-        assert plan4.task_edge_tx_ms is None
-        assert plan4.edge_capacity is None
-        r3 = solve(plan3, exact=True)
-        r4 = solve(plan4, exact=True)
-        assert r4.edge_slowdown is None
-        assert np.array_equal(r3.latency_ms, r4.latency_ms)
-        assert np.array_equal(r3.slowdown, r4.slowdown)
+        plan = EvalPlan.from_placement_rows([(soc, placements, load, None)])
+        assert plan.task_edge_tx_ms is None
+        assert plan.edge_capacity is None
+        result = solve(plan, exact=True)
+        assert result.edge_slowdown is None
+        _, scalar_lat = _scalar_reference(ContentionModel(soc), placements, load)
+        assert plan.latency_map(result.latency_ms, 0) == scalar_lat
+        with pytest.raises(DeviceError, match="4 elements"):
+            EvalPlan.from_placement_rows([(soc, placements, load)])
 
 
 degradation_objects = st.lists(
@@ -302,8 +305,7 @@ class TestCostParity:
             obj_c=np.array([[o[2] for o in objects]]).reshape(1, l),
             obj_denom=np.array([[o[5] ** o[3] for o in objects]]).reshape(1, l),
         )
-        plan = EvalPlan.for_single_soc(
-            soc,
+        plan = EvalPlan(
             task_iso_ms=np.array(
                 [[p.profile.latency(p.resource) for p in placements]]
             ),
@@ -326,6 +328,7 @@ class TestCostParity:
             ),
             w=float(w),
             **quality_block,
+            **soc_fields([soc]),
         )
         assert plan.n_task_slots == m
 

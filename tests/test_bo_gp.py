@@ -44,6 +44,19 @@ class TestFit:
         gp.fit(x, y)  # must not raise
         assert gp.predict(x).mean == pytest.approx(np.full(6, 2.0), abs=1e-3)
 
+    def test_repeated_row_fits_via_jitter(self, rng):
+        """One row of a random dataset repeated: the noise-free covariance
+        is singular, and fit's jitter escalation must still succeed."""
+        x = rng.uniform(0, 1, size=(5, 2))
+        y = np.sin(3 * x[:, 0]) + x[:, 1]
+        gp = GaussianProcess(noise=0.0).fit(
+            np.vstack([x, x[:1]]), np.append(y, y[0])
+        )
+        assert gp.n_observations == 6
+        post = gp.predict(x)
+        assert np.all(np.isfinite(post.mean))
+        assert np.all(post.std > 0)
+
     def test_negative_noise_raises(self):
         with pytest.raises(GPFitError):
             GaussianProcess(noise=-1.0)
@@ -153,67 +166,3 @@ class TestSamplePosterior:
     def test_before_fit_raises(self, rng):
         with pytest.raises(GPFitError):
             GaussianProcess().sample_posterior(np.zeros((1, 1)), 10, rng)
-
-
-class TestUpdate:
-    """update() appends one observation and refits: it must agree with a
-    full fit on the whole dataset."""
-
-    def _data(self, rng, n=12):
-        x = rng.uniform(0, 1, size=(n, 2))
-        y = np.sin(3 * x[:, 0]) + x[:, 1]
-        return x, y
-
-    def test_matches_full_refit(self, rng):
-        x, y = self._data(rng)
-        inc = GaussianProcess(noise=1e-3).fit(x[:8], y[:8])
-        for i in range(8, 12):
-            inc = inc.update(x[i], y[i])
-        full = GaussianProcess(noise=1e-3).fit(x, y)
-        grid = rng.uniform(0, 1, size=(25, 2))
-        np.testing.assert_allclose(
-            inc.predict(grid).mean, full.predict(grid).mean, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            inc.predict(grid).std, full.predict(grid).std, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            inc.log_marginal_likelihood(),
-            full.log_marginal_likelihood(),
-            atol=1e-8,
-        )
-
-    def test_returns_self_and_grows(self, rng):
-        x, y = self._data(rng, n=6)
-        gp = GaussianProcess().fit(x[:5], y[:5])
-        assert gp.update(x[5], y[5]) is gp
-        assert gp.n_observations == 6
-
-    def test_duplicate_point_falls_back_to_full_fit(self, rng):
-        """A repeated row makes the covariance singular; update() must
-        survive via fit's jitter escalation."""
-        x, y = self._data(rng, n=5)
-        gp = GaussianProcess(noise=0.0).fit(x, y)
-        gp.update(x[0], y[0])  # must not raise
-        assert gp.n_observations == 6
-        post = gp.predict(x)
-        assert np.all(np.isfinite(post.mean))
-        assert np.all(post.std > 0)
-
-    def test_before_fit_raises(self):
-        with pytest.raises(GPFitError, match="before fit"):
-            GaussianProcess().update(np.zeros(2), 1.0)
-
-    def test_dim_mismatch_raises(self, rng):
-        x, y = self._data(rng, n=5)
-        gp = GaussianProcess().fit(x, y)
-        with pytest.raises(GPFitError, match="dim"):
-            gp.update(np.zeros(3), 1.0)
-
-    def test_nonfinite_raises(self, rng):
-        x, y = self._data(rng, n=5)
-        gp = GaussianProcess().fit(x, y)
-        with pytest.raises(GPFitError, match="NaN"):
-            gp.update(np.array([0.5, np.nan]), 1.0)
-        with pytest.raises(GPFitError, match="NaN"):
-            gp.update(np.array([0.5, 0.5]), float("inf"))

@@ -1,6 +1,8 @@
 """Unit tests for repro.core.algorithm, repro.core.activation and
 repro.core.controller."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.bo.space import BoxSpace, HBOSpace
 from repro.core.activation import EventBasedPolicy, PeriodicPolicy
 from repro.core.algorithm import HBOIteration
 from repro.core.controller import HBOConfig, HBOController, HBORunResult
+from repro.core.cost import cost_from_measurement, latency_cost
+from repro.device.power import PowerModel, energy_aware_cost
 from repro.errors import ConfigurationError
 
 
@@ -128,6 +132,44 @@ class TestController:
         distances = result.consecutive_distances()
         assert len(distances) == fast_config.total_evaluations
         assert np.all(distances >= 0)
+
+
+class TestIncumbent:
+    """The first row of an activation is the running configuration,
+    priced by the same cost branch as every proposed row."""
+
+    def test_latency_only_prices_its_own_epsilon(
+        self, sc1cf1_system, fast_config
+    ):
+        config = dataclasses.replace(fast_config, latency_only=True)
+        running = dict(sc1cf1_system.device.allocation)
+        result = HBOController(sc1cf1_system, config, seed=3).activate()
+        incumbent = result.iterations[0]
+        assert dict(incumbent.allocation) == running
+        assert incumbent.cost == latency_cost(
+            incumbent.measurement.epsilon, config.w
+        )
+
+    def test_power_weight_prices_energy(self, sc1cf1_system, fast_config):
+        config = dataclasses.replace(fast_config, w_power=0.4)
+        device = sc1cf1_system.device
+        power_w = PowerModel().system_power_w(
+            device.soc,
+            device.placements(),
+            device.load,
+            edge=sc1cf1_system.edge_share(),
+        )
+        result = HBOController(sc1cf1_system, config, seed=3).activate()
+        incumbent = result.iterations[0]
+        measurement = incumbent.measurement
+        assert incumbent.cost == energy_aware_cost(
+            measurement.quality,
+            measurement.epsilon,
+            power_w,
+            w_latency=config.w,
+            w_power=config.w_power,
+        )
+        assert incumbent.cost != cost_from_measurement(measurement, config.w)
 
 
 class TestEventBasedPolicy:

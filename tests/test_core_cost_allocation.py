@@ -1,13 +1,17 @@
 """Unit tests for repro.core.cost (Eq. 3-5) and repro.core.allocation
 (Algorithm 1, Lines 2-22)."""
 
+from collections import Counter
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 
 from repro.core.allocation import (
     allocate_tasks,
-    allocation_counts,
     build_priority_queue,
+    count_lattice,
     drain_priority_queue,
     proportions_to_counts,
 )
@@ -116,11 +120,38 @@ class TestPriorityQueue:
         assert len(build_priority_queue(ts)) == 5
 
 
+def _former_anchors(m, n, ratios):
+    """The controller's count-lattice anchors as they were built before
+    ``count_lattice`` existed: a float-array row per (counts, ratio)."""
+    anchors = []
+    for counts in product(range(m + 1), repeat=n):
+        if sum(counts) == m:
+            c = np.asarray(counts, dtype=float) / m
+            for x in ratios:
+                anchors.append(np.concatenate([c, [x]]))
+    return np.asarray(anchors)
+
+
+class TestCountLattice:
+    @pytest.mark.parametrize("m,n", [(6, 3), (3, 3), (6, 4), (3, 4)])
+    def test_shape_sums_and_former_anchor_bytes(self, m, n):
+        ratios = np.linspace(0.1, 1.0, 5)
+        rows = count_lattice(m, n, ratios)
+        assert rows.shape == (comb(m + n - 1, n - 1) * len(ratios), n + 1)
+        np.testing.assert_allclose(rows[:, :n].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert rows.tobytes() == _former_anchors(m, n, ratios).tobytes()
+
+    def test_every_row_maps_back_to_its_counts(self):
+        rows = count_lattice(6, 3, [0.5])
+        cells = {tuple(proportions_to_counts(row[:3], 6)) for row in rows}
+        assert len(cells) == len(rows) == comb(8, 2)
+
+
 class TestAllocateTasks:
     def test_counts_respected(self):
         cf1 = taskset_cf1(PIXEL7)
         allocation = allocate_tasks(cf1, [3, 0, 3])
-        counts = allocation_counts(allocation)
+        counts = Counter(allocation.values())
         assert counts[Resource.CPU] == 3
         assert counts[Resource.GPU_DELEGATE] == 0
         assert counts[Resource.NNAPI] == 3
@@ -185,11 +216,8 @@ class TestAllocateTasks:
             allocate_tasks(cf2, [-1, 2, 2])
 
     def test_allocation_counts_helper(self):
-        counts = allocation_counts(
-            {"a": Resource.CPU, "b": Resource.CPU, "c": Resource.NNAPI}
+        counts = Counter(
+            {"a": Resource.CPU, "b": Resource.CPU, "c": Resource.NNAPI}.values()
         )
-        assert counts == {
-            Resource.CPU: 2,
-            Resource.GPU_DELEGATE: 0,
-            Resource.NNAPI: 2 - 1,
-        }
+        assert counts == {Resource.CPU: 2, Resource.NNAPI: 1}
+        assert counts[Resource.GPU_DELEGATE] == 0

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend import solve
-from repro.backend.plan import EvalPlan
+from repro.backend.solve import price_placement_rows
 from repro.device.load import SystemLoad
 from repro.device.executor import DeviceSimulator
 from repro.device.profiles import GALAXY_S22, get_profile
@@ -257,15 +256,19 @@ class TestThermalPeriod:
         assert means["off"] == unthrottled["off"]
         assert means["nn"] == unthrottled["nn"] * factor
 
-    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
-    def test_injected_steady_row_matches_local_solve(self, noise_sigma):
-        injected = _thermal_device(noise_sigma, edge=False)
-        local = _thermal_device(noise_sigma, edge=False)
+    @pytest.mark.parametrize(
+        "noise_sigma,edge",
+        [(0.0, False), (0.05, False), (0.0, True), (0.05, True)],
+        ids=["0.0", "0.05", "edge-0.0", "edge-0.05"],
+    )
+    def test_injected_steady_row_matches_local_solve(self, noise_sigma, edge):
+        """The device's own placement row, priced in a batch call, is the
+        steady state its local measurement computes; with an EDGE task
+        the row carries the period's edge share."""
+        injected = _thermal_device(noise_sigma, edge=edge)
+        local = _thermal_device(noise_sigma, edge=edge)
         for _ in range(3):
-            plan = EvalPlan.from_placement_rows(
-                [(injected.soc, injected.placements(), injected.load)]
-            )
-            row = plan.latency_map(solve(plan, exact=True).latency_ms, 0)
+            row = price_placement_rows([injected.placement_row()])[0]
             assert injected.measure_period(steady_latencies=row) == (
                 local.measure_period()
             )

@@ -443,7 +443,7 @@ class TestBatchedSteady:
 class TestGroupedTick:
     def test_grouped_td_matches_per_session_begin(self):
         """After one tick whose TD runs once per object count, every
-        stepped session holds what its own ``HBOIteration.begin`` gives
+        stepped session holds what its own ``HBOIteration`` decode + apply give
         on a deep copy: object ratios, scene ratio column, device load,
         and the edge node's demand (applied in the same row order)."""
         specs = [
@@ -477,7 +477,8 @@ class TestGroupedTick:
         assert 0 < n_guided < len(stepped) == len(sessions)
         assert sorted({len(s.system.scene) for s in sessions}) == [7, 9]
         for i, pending in stepped:
-            alone = copies[i].iteration.begin(pending.z)
+            own = copies[i].iteration
+            alone = own.apply(own.decode(pending.z))
             assert list(pending.object_ratios.items()) == list(alone.object_ratios.items())
             grouped_system, own_system = sessions[i].system, copies[i].system
             assert (

@@ -3,7 +3,8 @@
 Usage: python tools/replay_check.py [--no-pins] [CASE ...]
 
 Every case is one ``python -m repro`` invocation. It runs twice — or
-once per shard count when the case names two — in fresh temporary
+once per argument list when the case names a second one (another shard
+count, another entry point to the same output) — in fresh temporary
 directories, and each artifact (stdout or a file the command writes)
 must come out byte-identical across the two runs. Where a case pins an
 artifact's sha256, the bytes must also match the pin. The pins were
@@ -41,9 +42,14 @@ class Case:
     #: ``"stdout"`` is the captured stdout; any other key is a file the
     #: command writes into ``{out}``.
     artifacts: Mapping[str, Optional[str]]
-    #: Run at these two shard counts (appended as ``--shards N``)
-    #: instead of twice at the same one.
-    shards: Optional[Tuple[int, int]] = None
+    #: The second run's arguments, when it must reach the same bytes
+    #: another way (default: ``argv`` again).
+    second: Optional[Tuple[str, ...]] = None
+
+
+#: `fleet-scale-smoke`, run at shards 1 and 4.
+_SCALE = ("fleet", "--sessions", "12", "--seed", "2024", "--edge-servers", "3",
+          "--initial", "2", "--iterations", "3", "--shards")
 
 
 CASES: Tuple[Case, ...] = (
@@ -52,10 +58,12 @@ CASES: Tuple[Case, ...] = (
         ("fleet", "--sessions", "8", "--initial", "3", "--iterations", "5"),
         {"stdout": "3a91fad1bd8ca4c5b0521f2a21ea5fd2e480b89fef33e26cad37ed500a082dc3"},
     ),
+    # The 16-session fleet report through both of its entry points.
     Case(
-        "fleet-16",
+        "fleet",
         ("fleet", "--sessions", "16", "--seed", "2024"),
         {"stdout": "6aeef4b7c645f4e14c63f843ff28ad50b959b2e3cc6c6588ab19b5395b320631"},
+        second=("experiment", "fleet", "--seed", "2024"),
     ),
     Case(
         "edge-16",
@@ -83,10 +91,9 @@ CASES: Tuple[Case, ...] = (
     ),
     Case(
         "fleet-scale-smoke",
-        ("fleet", "--sessions", "12", "--seed", "2024", "--edge-servers", "3",
-         "--initial", "2", "--iterations", "3"),
+        _SCALE + ("1",),
         {"stdout": "71c14fadb2715903708f71784b5eb405cdbbda20b87598850e322c5153dc9a4b"},
-        shards=(1, 4),
+        second=_SCALE + ("4",),
     ),
     Case(
         "scenario-smoke",
@@ -215,9 +222,8 @@ CASES: Tuple[Case, ...] = (
         {"stdout": "85a6c643d4becb8a9ef2cda24aaf8515d93bf077b8d1afa0f0ab448082092202"},
     ),
     # The repo's own experiments beyond the paper: the noise-free
-    # lattice optimum, the edge and saturation sweeps, the scenario
-    # catalog summary and the fleet report (the same bytes as
-    # `fleet-16`, reached through `repro experiment`).
+    # lattice optimum, the edge and saturation sweeps and the scenario
+    # catalog summary (`repro experiment fleet` is the `fleet` case).
     Case(
         "frontier",
         ("experiment", "frontier", "--seed", "2024"),
@@ -239,11 +245,6 @@ CASES: Tuple[Case, ...] = (
         {"stdout": "bfa448dc2d75cfb8600ee44a84450efedacf7fd7582b9fc0b4ee937471a456b7"},
     ),
     Case(
-        "fleet",
-        ("experiment", "fleet", "--seed", "2024"),
-        {"stdout": "6aeef4b7c645f4e14c63f843ff28ad50b959b2e3cc6c6588ab19b5395b320631"},
-    ),
-    Case(
         # `repro trace` also exits non-zero unless the trace is a
         # non-empty, schema-valid Chrome trace that round-trips.
         "trace-smoke",
@@ -257,14 +258,14 @@ CASES: Tuple[Case, ...] = (
 )
 
 
-def run_once(case: Case, extra: Sequence[str]) -> Dict[str, bytes]:
-    """Run the case's command once; returns its artifacts' bytes."""
+def run_once(case: Case, args: Sequence[str]) -> Dict[str, bytes]:
+    """Run ``repro <args>`` once; returns the case's artifacts' bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     with tempfile.TemporaryDirectory(prefix="replay-check-") as out:
-        argv = [arg.replace(OUT, out) for arg in case.argv] + list(extra)
+        argv = [arg.replace(OUT, out) for arg in args]
         proc = subprocess.run(
             [sys.executable, "-m", "repro", *argv],
             cwd=REPO,
@@ -284,11 +285,9 @@ def run_once(case: Case, extra: Sequence[str]) -> Dict[str, bytes]:
 
 def check(case: Case, pins: bool) -> List[str]:
     """Run one case both ways; returns one report line per artifact."""
-    if case.shards is None:
-        runs = [run_once(case, ()), run_once(case, ())]
-    else:
-        runs = [run_once(case, ("--shards", str(n))) for n in case.shards]
-    how = "twice" if case.shards is None else "at shards %d and %d" % case.shards
+    other = case.argv if case.second is None else case.second
+    runs = [run_once(case, case.argv), run_once(case, other)]
+    how = "twice" if case.second is None else f"as `repro {' '.join(other)}`"
     lines = []
     for name, pin in case.artifacts.items():
         first, second = runs[0][name], runs[1][name]
