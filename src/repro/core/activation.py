@@ -20,6 +20,27 @@ from typing import Optional
 from repro.errors import ConfigurationError
 
 
+def reward_drifted(
+    current: float,
+    reference: float,
+    increase_threshold: float = 0.05,
+    decrease_threshold: float = 0.10,
+    min_scale: float = 1.0,
+) -> bool:
+    """The §IV-E band test: has ``current`` left the band around
+    ``reference``?
+
+    Drift is relative with a scale floor: the reward B = Q − w·ε crosses
+    zero routinely, and dividing by a near-zero reference would turn
+    measurement noise into constant re-activations. A one-sided check
+    (the fleet's lookup verify only guards against a decrease) passes
+    ``increase_threshold=math.inf``.
+    """
+    scale = max(abs(reference), min_scale)
+    drift = (current - reference) / scale
+    return drift >= increase_threshold or drift <= -decrease_threshold
+
+
 class EventBasedPolicy:
     """The paper's event-based activation policy.
 
@@ -67,16 +88,13 @@ class EventBasedPolicy:
         """Decide whether the observed reward warrants re-optimizing."""
         if self._reference is None:
             return True  # first placement: establish the reference
-        ref = self._reference
-        # Relative drift with a scale floor: the reward B = Q − w·ε crosses
-        # zero routinely, and dividing by a near-zero reference would turn
-        # measurement noise into constant re-activations.
-        scale = max(abs(ref), self.min_scale)
-        drift = (current_reward - ref) / scale
-        drifting = (
-            drift >= self.increase_threshold or drift <= -self.decrease_threshold
-        )
-        if drifting:
+        if reward_drifted(
+            current_reward,
+            self._reference,
+            self.increase_threshold,
+            self.decrease_threshold,
+            self.min_scale,
+        ):
             self._drift_streak += 1
         else:
             self._drift_streak = 0

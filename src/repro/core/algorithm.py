@@ -57,7 +57,8 @@ class PendingEvaluation(DecodedPoint):
     """An iteration that has been applied but not yet measured.
 
     :meth:`HBOIteration.apply` returns this; :meth:`HBOIteration.finish`
-    measures, prices and tells. The split exists so a batched driver (the
+    measures, prices and tells (:meth:`HBOIteration.evaluate` is the
+    first two alone). The split exists so a batched driver (the
     fleet tick) can apply many sessions' configurations, evaluate all
     their steady states through one backend solve, and only then run
     each measurement. The controller's incumbent is one too: the running
@@ -162,10 +163,21 @@ class HBOIteration:
         steady_latencies: Optional[Mapping[str, float]] = None,
     ) -> IterationResult:
         """Lines 24–26: measure, price and record an applied evaluation."""
+        result = self.evaluate(pending, steady_latencies)
+        self.optimizer.tell(result.z, result.cost)  # Line 26
+        return result
+
+    def evaluate(
+        self,
+        pending: PendingEvaluation,
+        steady_latencies: Optional[Mapping[str, float]] = None,
+    ) -> IterationResult:
+        """Lines 24–25: measure and price an applied evaluation, without
+        telling the optimizer (a fleet session locked onto a stored
+        configuration only measures it)."""
         measurement = self.system.measure(
             steady_latencies=steady_latencies
         )  # Line 24
-        allocation = pending.allocation
 
         if self.latency_only:
             phi = latency_cost(measurement.epsilon, self.w)
@@ -184,13 +196,11 @@ class HBOIteration:
             )
         else:
             phi = cost_from_measurement(measurement, self.w)  # Line 25
-        self.optimizer.tell(pending.z, phi)  # Line 26
-
         return IterationResult(
             z=pending.z,
             proportions=pending.proportions,
             triangle_ratio=pending.triangle_ratio,
-            allocation=allocation,
+            allocation=pending.allocation,
             object_ratios=pending.object_ratios,
             measurement=measurement,
             cost=phi,

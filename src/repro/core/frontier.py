@@ -37,7 +37,11 @@ import numpy as np
 from repro.backend.plan import EvalPlan, resource_kind, soc_fields
 from repro.backend.solve import SolveResult, solve
 from repro.ar.distribution import distribute_triangles_columns
-from repro.core.allocation import allocations_for_counts, proportions_to_counts_batch
+from repro.core.allocation import (
+    allocations_for_counts,
+    count_lattice,
+    proportions_to_counts_batch,
+)
 from repro.core.system import MARSystem
 from repro.device.resources import Resource
 from repro.edge.share import edge_compute_ms, edge_demand, edge_tx_ms
@@ -280,3 +284,26 @@ class FrontierEvaluator:
             kind_rows.append(cached[0])
             iso_rows.append(cached[1])
         return np.stack(kind_rows), np.stack(iso_rows)
+
+
+#: Triangle ratios the regret lattice crosses with every count vector:
+#: ``repro experiment frontier``'s grid (46 steps from Constraint 10's
+#: ``r_min`` = 0.1).
+_REGRET_RATIOS = np.linspace(0.1, 1.0, 46)
+
+
+def regret(system: MARSystem, z: np.ndarray, w: float) -> float:
+    """Noise-free φ of ``z`` minus the exact lattice optimum at ``w``.
+
+    The optimum is the lowest φ over :func:`~repro.core.allocation.
+    count_lattice` (every count vector × 46 triangle ratios from 0.1 to
+    1), scored by one :class:`FrontierEvaluator` on ``system``'s scene,
+    taskset and edge share — the yardstick a run's final configuration
+    is judged by. An off-grid ``z`` can score marginally below the
+    lattice, so the value may be slightly negative.
+    """
+    evaluator = FrontierEvaluator(system, w=w)
+    lattice = count_lattice(len(system.taskset), system.n_resources, _REGRET_RATIOS)
+    optimum = float(np.min(evaluator.evaluate(lattice).phi))
+    phi = evaluator.evaluate(np.asarray(z, dtype=np.float64)).phi
+    return float(phi[0]) - optimum

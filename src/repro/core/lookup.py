@@ -38,6 +38,12 @@ from repro.errors import ConfigurationError
 
 PathLike = Union[str, Path]
 
+#: Maximum :meth:`EnvironmentSignature.distance_to` at which a stored
+#: solution is applied as-is (§VI): the single-device table's hit
+#: threshold, and the bar a fleet session's warm entry must clear before
+#: the session verifies and locks onto the donor's best configuration.
+APPLY_THRESHOLD = 0.15
+
 
 @dataclass(frozen=True)
 class EnvironmentSignature:
@@ -148,7 +154,9 @@ class LookupTable:
     """
 
     def __init__(
-        self, max_entries: int = 32, similarity_threshold: float = 0.15
+        self,
+        max_entries: int = 32,
+        similarity_threshold: float = APPLY_THRESHOLD,
     ) -> None:
         if max_entries < 1:
             raise ConfigurationError(f"max_entries must be >= 1, got {max_entries}")
@@ -184,16 +192,30 @@ class LookupTable:
         self.misses += 1
         return None
 
+    def _duplicate_index(self, signature: EnvironmentSignature) -> Optional[int]:
+        for i, existing in enumerate(self._entries):
+            if signature.distance_to(existing.signature) <= (
+                self.similarity_threshold / 2.0
+            ):
+                return i
+        return None
+
+    def near_duplicate(
+        self, signature: EnvironmentSignature
+    ) -> Optional[StoredConfiguration]:
+        """The stored entry :meth:`store` would replace for ``signature``
+        (within half the similarity threshold), or None."""
+        i = self._duplicate_index(signature)
+        return None if i is None else self._entries[i]
+
     def store(self, entry: StoredConfiguration) -> None:
         """Insert an entry, replacing a near-duplicate signature if any."""
         self._tick += 1
-        for i, existing in enumerate(self._entries):
-            if entry.signature.distance_to(existing.signature) <= (
-                self.similarity_threshold / 2.0
-            ):
-                self._entries[i] = entry
-                self._last_use[id(entry)] = self._tick
-                return
+        i = self._duplicate_index(entry.signature)
+        if i is not None:
+            self._entries[i] = entry
+            self._last_use[id(entry)] = self._tick
+            return
         self._entries.append(entry)
         self._last_use[id(entry)] = self._tick
         if len(self._entries) > self.max_entries:

@@ -103,6 +103,7 @@ def render(experiment: FleetExperimentResult) -> str:
                 ["mean best cost", aggregates.mean_best_cost],
                 ["store hit rate", result.store_stats["hit_rate"]],
                 ["store transfer rate", result.store_stats["transfer_rate"]],
+                ["sessions locked in", sum(r.locked_in for r in result.reports)],
                 ["batched GP passes", result.service_stats["batches"]],
                 ["proposals served", result.service_stats["proposals_served"]],
             ],

@@ -47,6 +47,7 @@ def fleet_report_to_dict(report: "FleetSessionReport") -> Dict[str, Any]:
         "edge_node": report.edge_node,
         "fallback_reason": report.fallback_reason,
         "migrations": report.migrations,
+        "locked_in": report.locked_in,
     }
 
 

@@ -184,13 +184,14 @@ def propose_and_begin(
     Rows whose live optimizer is past its random phase are grouped by
     that optimizer's space dimension (ascending) and each group takes one
     :meth:`SharedOptimizerService.propose` call; initial-phase rows ask
-    their own samplers. Every row's point is decoded, TD runs once per
-    object count over all rows
+    their own samplers and verify rows take their donor's best. Every
+    row's point is decoded, TD runs once per object count over all rows
     (:func:`~repro.ar.distribution.distribute_triangles_grouped`), and
     then each session applies its row, in row order, so edge demand
-    accumulates as if the sessions had begun one by one. Returns the
-    begun ``(row, pending)`` pairs, the dims proposed, and the guided
-    count.
+    accumulates as if the sessions had begun one by one. Locked rows
+    skip all of that: their held configuration is still applied, so they
+    join the stepped list as-is, to be measured. Returns the stepped
+    ``(row, pending)`` pairs, the dims proposed, and the guided count.
     """
     # Sessions that fell back to the device run a 3-simplex next to their
     # 4-simplex peers; one propose() call takes one space dimension, so
@@ -198,9 +199,12 @@ def propose_and_begin(
     # homogeneous).
     groups: Dict[int, List[int]] = {}
     initial: List[int] = []
+    held: List[Tuple[int, PendingEvaluation]] = []
     for i in table.active_indices():
         session = sessions[i]
-        if session.needs_guided_proposal:
+        if session.locked:
+            held.append((int(i), session.held))
+        elif session.needs_guided_proposal:
             assert session.optimizer is not None
             groups.setdefault(session.optimizer.space.dim, []).append(int(i))
         else:
@@ -227,7 +231,7 @@ def propose_and_begin(
         (i, sessions[i].begin(point, row))
         for (i, point), row in zip(decoded, td_rows)
     ]
-    return stepped, sorted(groups), n_guided
+    return stepped + held, sorted(groups), n_guided
 
 
 def batched_steady(

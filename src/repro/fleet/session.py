@@ -16,6 +16,18 @@ donor's observations seed the optimizer and the random initialization
 phase is skipped (see
 :meth:`~repro.bo.optimizer.BayesianOptimizer.warm_start`).
 
+§VI's lookup hit, inside the fleet: when the warm entry's signature is
+within :data:`~repro.core.lookup.APPLY_THRESHOLD` and the entry is
+``confirmed`` (a warm-started search of the environment failed to beat
+it, see :meth:`~repro.fleet.store.SharedConfigStore.donate`), the
+session's first period applies the donor's best ``z`` as a *verify*.
+Unless its reward falls below the entry's by more than §IV-E's decrease
+band (:func:`~repro.core.activation.reward_drifted`), the session locks
+in: every later period only measures that configuration (no ask, fit,
+tell, decode, TD or apply) and it donates nothing. A scene event, a shed, an
+outage fallback or a migration ends the lock-in (:meth:`FleetSession.
+unlock`), and warm-started BO runs the rest of the budget.
+
 Every per-session fact has one writer. The coordinator's
 :class:`~repro.fleet.table.SessionTable` records lifecycle ticks and
 edge decisions (serving node, migrations, fallback reason); the session
@@ -38,6 +50,7 @@ import numpy as np
 from repro.bo.kernels import Matern
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
+from repro.core.activation import reward_drifted
 from repro.core.algorithm import (
     DecodedPoint,
     HBOIteration,
@@ -45,7 +58,7 @@ from repro.core.algorithm import (
     PendingEvaluation,
 )
 from repro.core.controller import HBOConfig
-from repro.core.lookup import EnvironmentSignature
+from repro.core.lookup import APPLY_THRESHOLD, EnvironmentSignature
 from repro.core.system import MARSystem
 from repro.device.profiles import PIXEL7, StaticProfile
 from repro.device.resources import Resource
@@ -58,6 +71,7 @@ from repro.edge.topology import EdgeTopology
 from repro.errors import FleetError
 from repro.fleet.store import WarmStartEntry
 from repro.fleet.table import SessionTable
+from repro.obs import runtime as obs
 from repro.rng import derive_seed
 from repro.sim.scenarios import (
     build_system,
@@ -213,6 +227,10 @@ class FleetSession:
         #: First lowest-cost result so far (what ``finish`` locks in).
         self.best: Optional[IterationResult] = None
         self.warm_entry: Optional[WarmStartEntry] = None
+        #: The donor's best ``z`` while the verify period is still due.
+        self._verify_z: Optional[np.ndarray] = None
+        #: The verified configuration a locked session keeps measuring.
+        self._held: Optional[PendingEvaluation] = None
 
     # --------------------------------------------------------------- states
 
@@ -233,13 +251,29 @@ class FleetSession:
         return self.phase is SessionPhase.DONE
 
     @property
+    def locked(self) -> bool:
+        """True while the session only measures its verified stored
+        configuration."""
+        return bool(self.table.locked_at[self.index])
+
+    @property
+    def held(self) -> PendingEvaluation:
+        """The configuration a locked session keeps running."""
+        if not self.locked or self._held is None:
+            raise FleetError(f"{self.spec.session_id}: not locked in")
+        return self._held
+
+    @property
     def needs_guided_proposal(self) -> bool:
         """True when this tick's proposal should come from the shared
-        proposal service instead of the session's own random sampler."""
+        proposal service instead of the session itself (its random
+        sampler, or its pending lookup verify)."""
         return (
             self.active
             and self.optimizer is not None
             and not self.optimizer.in_initial_phase
+            and self._verify_z is None
+            and not self.locked
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -327,8 +361,15 @@ class FleetSession:
             and warm_entry.observations
             and len(warm_entry.observations[0][0]) == optimizer.space.dim
         ):
-            optimizer.warm_start(warm_entry.to_observations())
+            n_warm = optimizer.warm_start(warm_entry.to_observations())
             self.warm_entry = warm_entry
+            if (
+                warm_entry.confirmed
+                and self.signature.distance_to(warm_entry.signature)
+                <= APPLY_THRESHOLD
+            ):
+                donor = optimizer.state.observations[:n_warm]
+                self._verify_z = min(donor, key=lambda o: o.cost).z.copy()
         self.phase = SessionPhase.ACTIVE
         table, i = self.table, self.index
         table.n_warm[i] = optimizer.n_warm
@@ -395,6 +436,7 @@ class FleetSession:
                 device.set_allocation(
                     task_id, _device_fallback_resource(profile_of[task_id])
                 )
+        self.unlock()
         self._start_optimizer()
         # The rebuilt optimizer starts cold over the 3-simplex, and the
         # session's report says so.
@@ -435,6 +477,16 @@ class FleetSession:
             link,
         )
         runtime.set_demand_streams(demand)
+        self.unlock()
+
+    def unlock(self) -> None:
+        """End a lock-in, or drop a verify not yet run: the session's
+        conditions changed (scene event, shed, outage, migration), so the
+        stored solution no longer describes them. BO resumes from the
+        session's warm-started optimizer on its next period."""
+        self._verify_z = None
+        self._held = None
+        self.table.locked_at[self.index] = 0
 
     def _live_iteration(self) -> HBOIteration:
         if not self.active or self.iteration is None:
@@ -443,8 +495,11 @@ class FleetSession:
 
     def decode(self, z: Optional[np.ndarray] = None) -> DecodedPoint:
         """Record and decode a proposal from the shared batched service,
-        or (``None``) ask the session's own optimizer for one."""
+        or (``None``) the session's own: its pending lookup verify, else
+        its optimizer's ask."""
         iteration = self._live_iteration()
+        if z is None:
+            z = self._verify_z
         if z is None:
             return iteration.decode(iteration.optimizer.ask())
         z = np.asarray(z, dtype=float).ravel()
@@ -467,21 +522,40 @@ class FleetSession:
 
         The scheduler computes every stepped session's steady state in
         one :func:`repro.backend.solve` pass and injects each row here;
-        passing ``None`` recomputes it locally (identical bits).
+        passing ``None`` recomputes it locally (identical bits). A locked
+        session's period is measured and recorded only: no tell, and it
+        does not compete for ``best``. The verify period decides the
+        lock-in.
         """
-        if not self.active or self.iteration is None:
-            raise FleetError(f"{self.spec.session_id}: stepped while not active")
-        result = self.iteration.finish(pending, steady_latencies=steady_latencies)
-        # Strict < keeps the earliest of equal-cost results.
-        if self.best is None or result.cost < self.best.cost:
-            self.best = result
-        self.table.record_result(
-            self.index,
+        iteration = self._live_iteration()
+        if self.locked:
+            result = iteration.evaluate(pending, steady_latencies)
+        else:
+            result = iteration.finish(pending, steady_latencies)
+            # Strict < keeps the earliest of equal-cost results.
+            if self.best is None or result.cost < self.best.cost:
+                self.best = result
+        table, i = self.table, self.index
+        table.record_result(
+            i,
             result.cost,
             result.measurement.mean_latency_ms,
             result.measurement.quality,
             result.measurement.epsilon,
         )
+        if self._verify_z is not None:
+            self._verify_z = None
+            assert self.warm_entry is not None
+            if reward_drifted(
+                -result.cost,
+                self.warm_entry.reward,
+                increase_threshold=math.inf,
+            ):
+                obs.counter("fleet_verify_failures").inc()
+            else:
+                table.locked_at[i] = table.n_results[i]
+                self._held = pending
+                obs.counter("fleet_lockins").inc()
         return result
 
     def finish(self) -> Optional[Dict[str, Any]]:
@@ -489,7 +563,8 @@ class FleetSession:
 
         The payload is the exact ``store.donate`` kwargs; the coordinator
         owns the store and applies it. ``None`` when the session has no
-        signature.
+        signature, or is locked onto a stored solution: its donor's entry,
+        which it only verified, keeps serving.
         """
         if not self.active:
             raise FleetError(f"{self.spec.session_id}: finished while not active")
@@ -514,9 +589,11 @@ class FleetSession:
                 )
                 for task_id, resource in allocation.items()
             }
-        self.system.apply(allocation, best.triangle_ratio)
+        locked = self.locked
+        if not locked:  # a locked session is already running its best
+            self.system.apply(allocation, best.triangle_ratio)
         donation: Optional[Dict[str, Any]] = None
-        if self.signature is not None:
+        if self.signature is not None and not locked:
             # Donate only this session's own measurements — warm-start
             # observations would otherwise echo through the fleet forever.
             own = self.optimizer.state.observations[self.optimizer.n_warm :]
@@ -528,6 +605,7 @@ class FleetSession:
                 observations=own,
                 scope=self.spec.device,
                 session_id=self.spec.session_id,
+                warm_started=bool(self.table.warm_started[self.index]),
             )
         # Leave the edge node: a finished session's offloaded demand must
         # stop slowing the tenants still running. The coordinator's table

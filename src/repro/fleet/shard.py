@@ -204,7 +204,8 @@ class _ShardWorker:
 
         Runs after the coordinator's commands and before the batched
         proposals, so a scene or link change takes effect inside the same
-        tick's evaluation. Sessions are visited in spec order and each
+        tick's evaluation. A scene event ends a lock-in (or drops a
+        pending verify): the stored solution was for the old scene. Sessions are visited in spec order and each
         event fires exactly once (a per-session cursor); events due while
         a session was still waiting all fire on its first active tick.
         Per-session drift is applied after topology-level cell drift
@@ -225,6 +226,7 @@ class _ShardWorker:
                 cursor = self._event_cursors.get(sid, 0)
                 while cursor < len(script) and script[cursor].time_s <= now_s:
                     script[cursor].apply(session.system.scene)
+                    session.unlock()
                     obs.counter("fleet_scene_events").inc()
                     cursor += 1
                 self._event_cursors[sid] = cursor

@@ -17,6 +17,7 @@ serializes to JSON, so warm-start state survives across fleet runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +51,11 @@ class WarmStartEntry(StoredConfiguration):
 
     observations: Tuple[Tuple[Tuple[float, ...], float], ...] = ()
     source_session: str = ""
+    #: True once a warm-started session searched this environment and
+    #: could not beat this entry's reward: the fleet's BO has converged
+    #: here, so a matching newcomer applies the entry's best as-is
+    #: (verify, then lock-in) instead of only seeding BO from it.
+    confirmed: bool = False
 
     def to_observations(self) -> List[Observation]:
         """Optimizer-ready observations (lowest donor cost first)."""
@@ -70,6 +76,7 @@ def warm_start_entry_to_dict(entry: WarmStartEntry) -> Dict[str, Any]:
             {"z": list(z), "cost": cost} for z, cost in entry.observations
         ],
         "source_session": entry.source_session,
+        "confirmed": entry.confirmed,
     }
 
 
@@ -88,6 +95,7 @@ def warm_start_entry_from_dict(data: Mapping[str, Any]) -> WarmStartEntry:
             for obs in data.get("observations", [])
         ),
         source_session=str(data.get("source_session", "")),
+        confirmed=bool(data.get("confirmed", False)),
     )
 
 
@@ -180,9 +188,29 @@ class SharedConfigStore:
         observations: Sequence[Observation],
         scope: str = "",
         session_id: str = "",
+        warm_started: bool = False,
     ) -> WarmStartEntry:
         """Store a finished session's best configuration and the
-        observations that found it; returns the stored entry."""
+        observations that found it; returns the entry now serving its
+        environment.
+
+        The store keeps the best-known solution per environment: a
+        donation whose reward is below its near-duplicate entry's does
+        not displace that entry. If its donor was ``warm_started`` — a
+        BO search seeded from the store that still could not beat the
+        entry — the entry becomes ``confirmed``.
+        """
+        self.donations += 1
+        obs.counter("store_donations", scope=scope or "default").inc()
+        table = self.table_for(scope)
+        incumbent = table.near_duplicate(signature)
+        if isinstance(incumbent, WarmStartEntry) and incumbent.reward > reward:
+            if warm_started and not incumbent.confirmed:
+                confirmed = dataclasses.replace(incumbent, confirmed=True)
+                table.replace(incumbent, confirmed)
+                obs.counter("store_confirmations", scope=scope or "default").inc()
+                return confirmed
+            return incumbent
         kept = sorted(observations, key=lambda o: o.cost)[: self.max_observations]
         entry = WarmStartEntry(
             signature=signature,
@@ -194,9 +222,7 @@ class SharedConfigStore:
             ),
             source_session=session_id,
         )
-        self.table_for(scope).store(entry)
-        self.donations += 1
-        obs.counter("store_donations", scope=scope or "default").inc()
+        table.store(entry)
         self._enforce_budget()
         return entry
 
@@ -223,15 +249,11 @@ class SharedConfigStore:
                 if not isinstance(entry, WarmStartEntry) or not entry.observations:
                     continue
                 drop = min(excess, len(entry.observations))
-                trimmed = WarmStartEntry(
-                    signature=entry.signature,
-                    allocation=entry.allocation,
-                    triangle_ratio=entry.triangle_ratio,
-                    reward=entry.reward,
+                trimmed = dataclasses.replace(
+                    entry,
                     observations=entry.observations[
                         : len(entry.observations) - drop
                     ],
-                    source_session=entry.source_session,
                 )
                 table.replace(entry, trimmed)
                 excess -= drop
@@ -349,7 +371,8 @@ class SharedConfigStore:
 
         The eviction-budget fields shipped after the original format, so
         they default (no budget, zero evictions) when absent — pre-budget
-        JSON saves load unchanged.
+        JSON saves load unchanged. So does an entry saved before
+        ``confirmed`` existed: it reads as unconfirmed.
         """
         budget = data.get("observation_budget")
         store = cls(

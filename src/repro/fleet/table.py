@@ -9,9 +9,10 @@ vectorized stepping). Every column has one writer:
 - the coordinator's table owns lifecycle (phase, start/end/attach
   ticks) and edge decisions (serving node, migrations, fallback
   reason);
-- each shard worker's table owns its rows' measurements and warm-start
-  report fields, written by :class:`~repro.fleet.session.FleetSession`
-  (which also moves its worker row's phase);
+- each shard worker's table owns its rows' measurements, warm-start
+  report fields and lock-in period, written by
+  :class:`~repro.fleet.session.FleetSession` (which also moves its
+  worker row's phase);
 - whether a session's next proposal is guided, and over which space
   dimension, is read off its live optimizer and has no column.
 
@@ -110,6 +111,9 @@ class SessionTable:
         self.migrations = np.zeros(n, dtype=np.int64)
         self.attached_tick = np.full(n, -1, dtype=np.int64)
         self.best_cost = np.full(n, np.inf, dtype=np.float64)
+        #: 1-based period of the verify a session locked in at; 0 while
+        #: it runs BO (never locked, or unlocked by a later event).
+        self.locked_at = np.zeros(n, dtype=np.int64)
         # String state (small, cold): plain Python lists indexed by row.
         self.warm_source: List[str] = [""] * n
         self.edge_node: List[str] = [""] * n
@@ -152,7 +156,11 @@ class SessionTable:
         quality: float,
         epsilon: float,
     ) -> None:
-        """Append one control period's measurements to row ``i``."""
+        """Append one control period's measurements to row ``i``.
+
+        A locked row's measure-only repeats of one configuration do not
+        compete for its best cost: they would win on noise alone.
+        """
         n = int(self.n_results[i])
         if n >= self.max_budget:
             raise FleetError(
@@ -162,7 +170,7 @@ class SessionTable:
         self.latencies_ms[i, n] = latency_ms
         self.qualities[i, n] = quality
         self.epsilons[i, n] = epsilon
-        if cost < self.best_cost[i]:
+        if cost < self.best_cost[i] and not self.locked_at[i]:
             self.best_cost[i] = cost
         self.n_results[i] = n + 1
 
@@ -182,9 +190,14 @@ class SessionTable:
         return per_cohort[self.cohort_code]
 
     def converged_at(self) -> np.ndarray:
-        """Vectorized time-to-cohort-target per row (1-based, censored)."""
+        """Vectorized time-to-cohort-target per row (1-based, censored).
+
+        A locked row is judged on its periods up to the verify: its
+        final configuration was settled there."""
         return convergence_from_columns(
-            self.costs, self.n_results, self.cohort_best()
+            self.costs,
+            np.where(self.locked_at > 0, self.locked_at, self.n_results),
+            self.cohort_best(),
         )
 
     def aggregates(self) -> "FleetAggregates":
@@ -249,6 +262,7 @@ class SessionTable:
                     edge_node=self.edge_node[i],
                     fallback_reason=self.fallback_reason[i],
                     migrations=int(self.migrations[i]),
+                    locked_in=bool(self.locked_at[i]),
                 )
             )
         return tuple(reports)
@@ -259,9 +273,9 @@ class SessionTable:
         """Merge a shard worker's rows back: its local row ``j`` is
         global row ``rows[j]``.
 
-        ``payload`` carries the worker-owned columns (measurements and
-        warm-start report fields); the coordinator's own lifecycle and
-        edge columns are left alone.
+        ``payload`` carries the worker-owned columns (measurements,
+        warm-start report fields and lock-in period); the coordinator's
+        own lifecycle and edge columns are left alone.
         """
         width = payload["costs"].shape[1]
         self.costs[rows, :width] = payload["costs"]
@@ -272,6 +286,7 @@ class SessionTable:
         self.best_cost[rows] = payload["best_cost"]
         self.n_warm[rows] = payload["n_warm"]
         self.warm_started[rows] = payload["warm_started"]
+        self.locked_at[rows] = payload["locked_at"]
         for row, source in zip(rows.tolist(), payload["warm_source"]):
             self.warm_source[row] = source
 
@@ -286,5 +301,6 @@ class SessionTable:
             "best_cost": self.best_cost,
             "n_warm": self.n_warm,
             "warm_started": self.warm_started,
+            "locked_at": self.locked_at,
             "warm_source": list(self.warm_source),
         }

@@ -82,6 +82,9 @@ class FleetSessionReport:
     fallback_reason: str = ""
     #: Number of mid-run server migrations.
     migrations: int = 0
+    #: True when the session finished locked onto a stored solution it
+    #: verified on its first period (no BO after the verify).
+    locked_in: bool = False
 
     def __post_init__(self) -> None:
         if not self.costs:

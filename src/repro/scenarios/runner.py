@@ -94,6 +94,7 @@ def export_run(run: ScenarioRun) -> Dict[str, Any]:
                 "edge_node": r.edge_node,
                 "fallback_reason": r.fallback_reason,
                 "migrations": r.migrations,
+                "locked_in": r.locked_in,
             }
             for r in run.result.reports
         ],

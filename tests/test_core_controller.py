@@ -2,13 +2,14 @@
 repro.core.controller."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import BoxSpace, HBOSpace
-from repro.core.activation import EventBasedPolicy, PeriodicPolicy
+from repro.core.activation import EventBasedPolicy, PeriodicPolicy, reward_drifted
 from repro.core.algorithm import HBOIteration
 from repro.core.controller import HBOConfig, HBOController, HBORunResult
 from repro.core.cost import cost_from_measurement, latency_cost
@@ -50,6 +51,21 @@ class TestHBOIteration:
         optimizer = BayesianOptimizer(HBOSpace(3), seed=0)
         with pytest.raises(ConfigurationError):
             HBOIteration(sc1cf1_system, optimizer, w=-1.0)
+
+    def test_evaluate_prices_without_telling(self, sc1cf1_system):
+        """``finish`` is ``evaluate`` plus the tell: the same φ, and only
+        ``finish`` grows the optimizer's dataset."""
+        optimizer = BayesianOptimizer(HBOSpace(3, r_min=0.1), seed=0)
+        step = HBOIteration(sc1cf1_system, optimizer, w=2.5)
+        pending = step.apply(step.decode(optimizer.ask()))
+        priced = step.evaluate(pending)
+        assert optimizer.n_observations == 0
+        assert priced.cost == pytest.approx(
+            -(priced.measurement.quality - 2.5 * priced.measurement.epsilon)
+        )
+        told = step.finish(pending)
+        assert optimizer.n_observations == 1
+        assert optimizer.best().cost == told.cost
 
 
 class TestHBOConfig:
@@ -222,6 +238,30 @@ class TestEventBasedPolicy:
             EventBasedPolicy(increase_threshold=0.0)
         with pytest.raises(ConfigurationError):
             EventBasedPolicy(decrease_threshold=-0.1)
+
+
+class TestRewardDrifted:
+    """The one §IV-E band test, shared by the policy and the fleet's
+    lookup verify."""
+
+    def test_band_edges_and_scale_floor(self):
+        assert not reward_drifted(1.04, 1.0)
+        assert reward_drifted(1.06, 1.0)
+        assert not reward_drifted(0.91, 1.0)
+        assert reward_drifted(0.89, 1.0)
+        # |reference| < 1 is scaled by the floor: an absolute band.
+        assert not reward_drifted(0.12, 0.2)
+        assert reward_drifted(0.09, 0.2)
+
+    def test_one_sided_check(self):
+        assert not reward_drifted(5.0, 1.0, increase_threshold=math.inf)
+        assert reward_drifted(0.5, 1.0, increase_threshold=math.inf)
+
+    def test_policy_fires_exactly_when_the_band_test_does(self):
+        policy = EventBasedPolicy(confirmations=1)
+        policy.record_reference(-0.4)
+        for reward in np.linspace(-1.0, 0.5, 61):
+            assert policy.should_activate(reward) == reward_drifted(reward, -0.4)
 
 
 class TestPeriodicPolicy:

@@ -214,10 +214,3 @@ class TestAllocateTasks:
             allocate_tasks(cf2, [5, 0, 0])  # wrong sum
         with pytest.raises(AllocationError):
             allocate_tasks(cf2, [-1, 2, 2])
-
-    def test_allocation_counts_helper(self):
-        counts = Counter(
-            {"a": Resource.CPU, "b": Resource.CPU, "c": Resource.NNAPI}.values()
-        )
-        assert counts == {Resource.CPU: 2, Resource.NNAPI: 1}
-        assert counts[Resource.GPU_DELEGATE] == 0

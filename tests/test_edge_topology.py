@@ -388,14 +388,15 @@ class TestSingletonEquivalence:
     one-shared-server fleet it replaced and names the node it used."""
 
     def test_edge_cli_matches_pinned_singleton_bytes(self, capsys):
-        # Measured on the retired singleton-server path at seed 2024.
+        # Measured on the retired singleton-server path at seed 2024, and
+        # re-pinned when lock-in onto confirmed store entries landed.
         assert main(
             ["fleet", "--edge", "--sessions", "16", "--seed", "2024",
              "--initial", "2", "--iterations", "3"]
         ) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c6cc54d1b9808517cd75035c6ee2e218470c1e1526982b2f431a7b29439047fb"
+            "dc806b27a19d1745a43167bce600bce3589b3c5feec1e951d293a77ef93a6f35"
         )
 
     def test_edge_export_names_the_shared_server(self, tmp_path, capsys):

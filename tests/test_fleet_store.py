@@ -346,3 +346,56 @@ class TestLookupTableReplace:
         table.store(self._entry(500_000))
         with pytest.raises(ConfigurationError):
             table.replace(self._entry(500_000), self._entry(900_000))
+
+
+class TestBestKnownEntries:
+    """A donation only displaces a near-duplicate entry it beats; a
+    warm-started donor that could not beat it confirms it."""
+
+    def _donate(self, store, reward, warm_started, session_id):
+        return store.donate(
+            signature=_signature(),
+            allocation=_ALLOCATION,
+            triangle_ratio=0.5,
+            reward=reward,
+            observations=_observations([-reward]),
+            scope="pixel7",
+            session_id=session_id,
+            warm_started=warm_started,
+        )
+
+    def test_better_donation_replaces_unconfirmed(self):
+        store = SharedConfigStore()
+        self._donate(store, 0.2, False, "cold")
+        entry = self._donate(store, 0.5, True, "warm")
+        assert entry.source_session == "warm" and not entry.confirmed
+        assert len(store) == 1 and store.donations == 2
+
+    def test_worse_cold_donation_is_dropped_without_confirming(self):
+        store = SharedConfigStore()
+        self._donate(store, 0.5, False, "first")
+        entry = self._donate(store, 0.2, False, "fallback")
+        assert entry.source_session == "first" and not entry.confirmed
+
+    def test_worse_warm_donation_confirms_the_incumbent(self):
+        store = SharedConfigStore()
+        self._donate(store, 0.5, False, "first")
+        entry = self._donate(store, 0.2, True, "refiner")
+        assert entry.source_session == "first" and entry.confirmed
+        served = store.warm_start_for(_signature(), scope="pixel7")
+        assert served == entry
+        assert store.total_observations == 1
+
+    def test_confirmed_flag_round_trips_and_legacy_reads_unconfirmed(self):
+        store = SharedConfigStore()
+        self._donate(store, 0.5, False, "first")
+        self._donate(store, 0.2, True, "refiner")
+        data = store.to_dict()
+        (saved,) = data["scopes"]["pixel7"]["entries"]
+        assert saved["confirmed"] is True
+        assert SharedConfigStore.from_dict(data).to_dict() == data
+        # A save from before the flag existed loads as unconfirmed.
+        del saved["confirmed"]
+        rebuilt = SharedConfigStore.from_dict(data)
+        entry = rebuilt.warm_start_for(_signature(), scope="pixel7")
+        assert entry is not None and not entry.confirmed

@@ -50,8 +50,9 @@ REPEATS = 3
 MIN_SPEEDUP = 10.0
 MAX_TICK_MS = 1000.0  # one 1 s control period = "interactive"
 #: sha256 of `repro fleet --sessions 16 --seed 2024` stdout, pinned when
-#: the fleet experiment landed — the SoA core must not move it.
-LEGACY_SHA = "6aeef4b7c645f4e14c63f843ff28ad50b959b2e3cc6c6588ab19b5395b320631"
+#: the fleet experiment landed — the SoA core must not move it. Re-pinned
+#: when lock-in onto confirmed store entries changed the fleet's output.
+LEGACY_SHA = "7be70d883c6a1d7ca503c44006c11fedc4c8dfa6eb3afe9a51c7d4665cecbfcc"
 BENCH_CONFIG = HBOConfig(n_initial=2, n_iterations=3)
 
 

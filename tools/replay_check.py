@@ -47,6 +47,10 @@ class Case:
     second: Optional[Tuple[str, ...]] = None
 
 
+#: `fleet-lockin`, run at shards 1 and 2: staggered cohorts whose later
+#: arrivals verify and lock onto confirmed store entries.
+_LOCKIN = ("fleet", "--sessions", "24", "--seed", "2024", "--initial", "2",
+           "--iterations", "3", "--shards")
 #: `fleet-scale-smoke`, run at shards 1 and 4.
 _SCALE = ("fleet", "--sessions", "12", "--seed", "2024", "--edge-servers", "3",
           "--initial", "2", "--iterations", "3", "--shards")
@@ -56,51 +60,57 @@ CASES: Tuple[Case, ...] = (
     Case(
         "fleet-smoke",
         ("fleet", "--sessions", "8", "--initial", "3", "--iterations", "5"),
-        {"stdout": "3a91fad1bd8ca4c5b0521f2a21ea5fd2e480b89fef33e26cad37ed500a082dc3"},
+        {"stdout": "56168907dc946193268a649b67c4930e3414d13562c45107cf9dd0a34e6e4c08"},
     ),
     # The 16-session fleet report through both of its entry points.
     Case(
         "fleet",
         ("fleet", "--sessions", "16", "--seed", "2024"),
-        {"stdout": "6aeef4b7c645f4e14c63f843ff28ad50b959b2e3cc6c6588ab19b5395b320631"},
+        {"stdout": "7be70d883c6a1d7ca503c44006c11fedc4c8dfa6eb3afe9a51c7d4665cecbfcc"},
         second=("experiment", "fleet", "--seed", "2024"),
     ),
     Case(
         "edge-16",
         ("fleet", "--edge", "--sessions", "16", "--seed", "2024"),
-        {"stdout": "8a09e209e10df7705c1e064fdb4ffdeb85cefd42e76787931afd7b468bbc9754"},
+        {"stdout": "3385f7e6dbc93a2016632362bdbc4598de28739e21249c9d9a1d13b47ddfebed"},
     ),
     Case(
         "edge-smoke",
         ("fleet", "--edge", "--sessions", "16", "--seed", "2024",
          "--initial", "2", "--iterations", "3"),
-        {"stdout": "c6cc54d1b9808517cd75035c6ee2e218470c1e1526982b2f431a7b29439047fb"},
+        {"stdout": "dc806b27a19d1745a43167bce600bce3589b3c5feec1e951d293a77ef93a6f35"},
     ),
     Case(
         "edge-topology-smoke",
         ("fleet", "--edge-servers", "4", "--sessions", "16", "--seed", "2024",
          "--initial", "2", "--iterations", "3"),
-        {"stdout": "a1aec98ee73f8907195fdc20229e1ad90145f3e08266c2f1e378662c71cd89c0"},
+        {"stdout": "b4deeca5f9152cb7863111b0c337c673799bb01a6f79aa592ceea8a692eee97c"},
     ),
     Case(
         "gp-smoke",
         ("fleet", "--gp-tier", "sparse", "--gp-threshold", "6",
          "--sessions", "8", "--seed", "2024", "--initial", "3",
          "--iterations", "8"),
-        {"stdout": "42b46fa0b8d4cadbf9cd2a40e9e9d01b4fec90b1e3da8bbd8f35632b2b28518c"},
+        {"stdout": "9d8fd24ad9b927178c09d2fd7a38098985a0debdb2f43e1e15e741e11f62bb2f"},
     ),
     Case(
         "fleet-scale-smoke",
         _SCALE + ("1",),
-        {"stdout": "71c14fadb2715903708f71784b5eb405cdbbda20b87598850e322c5153dc9a4b"},
+        {"stdout": "68cb7ac56e9ef39b6fd261ca494eccd351b554a60ccdb34b3390e8bfa4dc3022"},
         second=_SCALE + ("4",),
+    ),
+    Case(
+        "fleet-lockin",
+        _LOCKIN + ("1",),
+        {"stdout": "61a6b06554faee12f6eca1d22d6b26b35972bbce5131c41a919cd4c4cb954b43"},
+        second=_LOCKIN + ("2",),
     ),
     Case(
         "scenario-smoke",
         ("scenario", "run", "flash-crowd", "--seed", "2024", "--sessions", "6",
          "--initial", "2", "--iterations", "3",
          "--export", f"{OUT}/scenario.json"),
-        {"scenario.json": "31eae2d2721e722c813da8bdb0f9302b9c495362ef40e5f1f92408e3d4735e43"},
+        {"scenario.json": "4fd451f63636a7db70abab673cb1c1074ecf26b3c9752fca8bdb8344b6a821b6"},
     ),
     # Catalog entries that exercise the fleet's scene-event, link-drift,
     # shed, rejection and migration paths at full population.
@@ -109,28 +119,28 @@ CASES: Tuple[Case, ...] = (
         ("scenario", "run", "commuter-mobility", "--sessions", "8",
          "--seed", "2024", "--initial", "2", "--iterations", "3",
          "--export", f"{OUT}/commuter-mobility.json"),
-        {"commuter-mobility.json": "4b01fbd7ecf91784ff821a297689299da0a3b09b07be453b3905b65005cbe23a"},
+        {"commuter-mobility.json": "cd9fafb7c5dc127d63b749cb5dd76a8bf2a1a14d17bfc86f0eb16549e9c43063"},
     ),
     Case(
         "network-collapse",
         ("scenario", "run", "network-collapse", "--seed", "2024",
          "--initial", "2", "--iterations", "3",
          "--export", f"{OUT}/network-collapse.json"),
-        {"network-collapse.json": "f4bd5618bb18ff5507f5a8cde9e0dc5340a554a100c948dfc86bf0f44f808a76"},
+        {"network-collapse.json": "e485ecbf01415300d0c1dc74688cd64807ac9c8756be0d22ba7491a458e20e84"},
     ),
     Case(
         "flash-crowd",
         ("scenario", "run", "flash-crowd", "--seed", "2024",
          "--initial", "2", "--iterations", "3",
          "--export", f"{OUT}/flash-crowd.json"),
-        {"flash-crowd.json": "fd42473edf8443bf3f2ec8fefad0373b3068c76a8f46a74ab8476819814eb556"},
+        {"flash-crowd.json": "3bae357427535765a549191a7ee1fb1c0171681b51917ba055c98352ef249f57"},
     ),
     Case(
         "low-tier-surge",
         ("scenario", "run", "low-tier-surge", "--seed", "2024",
          "--initial", "2", "--iterations", "3",
          "--export", f"{OUT}/low-tier-surge.json"),
-        {"low-tier-surge.json": "c3f45a8c10b37a55db79a65e27f1380a76bca07c4ad66d07d072a76c506d8d9a"},
+        {"low-tier-surge.json": "ce7956f8e8be749682fe7425972ce6fbe13e5dfb95050ab74e3fdedb4bfa6062"},
     ),
     # The most thermal-heavy catalog entry: every hot session's period
     # runs the throttle recurrence inside `measure_period`.
@@ -139,7 +149,7 @@ CASES: Tuple[Case, ...] = (
         ("scenario", "run", "hot-device", "--seed", "2024",
          "--initial", "2", "--iterations", "3",
          "--export", f"{OUT}/hot-device.json"),
-        {"hot-device.json": "81d52a46efa3c69fd6965bd190945d3d364b50f189a4861addfb017e8d55a145"},
+        {"hot-device.json": "84f8fc615bc15a81eabe36a65ef6b33769c972d63c5dae16d61340fca23582b6"},
     ),
     # The paper's single-device loop (Alg. 1 via `HBOController.activate`):
     # the exact and sparse GP tiers, device-only and with the edge.
