@@ -182,9 +182,6 @@ class Scene:
 
     # ---------------------------------------------------------------- ratios
 
-    def set_ratio(self, instance_id: str, ratio: float) -> None:
-        self.apply_ratios({instance_id: ratio})
-
     def apply_ratios(self, ratios: Mapping[str, float]) -> None:
         """Redraw the given objects at new ratios; all or nothing — every
         id and ratio is validated before the ratio column changes."""

@@ -9,6 +9,7 @@ under heavy rendering.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.baselines.base import Baseline, BaselineOutcome
@@ -27,15 +28,7 @@ class BayesianNoTriangleBaseline(Baseline):
     ) -> None:
         base = config if config is not None else HBOConfig()
         # Same exploration budget as HBO, but the latency-only cost.
-        self.config = HBOConfig(
-            w=base.w,
-            n_initial=base.n_initial,
-            n_iterations=base.n_iterations,
-            r_min=base.r_min,
-            kernel_length_scale=base.kernel_length_scale,
-            noise=base.noise,
-            latency_only=True,
-        )
+        self.config = replace(base, latency_only=True)
         self.seed = seed
 
     def run(self, system: MARSystem) -> BaselineOutcome:

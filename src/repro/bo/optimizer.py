@@ -130,8 +130,9 @@ class BayesianOptimizer:
     n_candidates:
         Size of the uniform candidate pool per ask.
     n_local:
-        Number of perturbed candidates generated around each of the best
-        few incumbents.
+        Number of perturbed candidates generated around the incumbents.
+    n_incumbents:
+        How many of the best observations the local candidates surround.
     noise:
         GP observation-noise variance; HBO cost observations are runtime
         measurements and genuinely noisy.
@@ -156,6 +157,7 @@ class BayesianOptimizer:
         acquisition: Optional[AcquisitionFunction] = None,
         n_candidates: int = 512,
         n_local: int = 64,
+        n_incumbents: int = 3,
         noise: float = 1e-3,
         anchors: Optional[np.ndarray] = None,
         seed: SeedLike = None,
@@ -168,6 +170,8 @@ class BayesianOptimizer:
             raise ConfigurationError(f"n_candidates must be >= 1, got {n_candidates}")
         if n_local < 0:
             raise ConfigurationError(f"n_local must be >= 0, got {n_local}")
+        if n_incumbents < 1:
+            raise ConfigurationError(f"n_incumbents must be >= 1, got {n_incumbents}")
         if not (np.isfinite(noise) and noise >= 0):
             raise ConfigurationError(f"noise must be finite and >= 0, got {noise}")
         if gp_tier not in GP_TIERS:
@@ -186,6 +190,7 @@ class BayesianOptimizer:
         self.acquisition = acquisition if acquisition is not None else ExpectedImprovement()
         self.n_candidates = int(n_candidates)
         self.n_local = int(n_local)
+        self.n_incumbents = int(n_incumbents)
         self.noise = float(noise)
         if anchors is not None:
             anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
@@ -265,7 +270,7 @@ class BayesianOptimizer:
                     # Degenerate dataset (e.g. identical costs everywhere):
                     # the guided step falls back to a uniform row.
                     gp = None
-                z = guided_picks([self], [gp], [self._rng], n_incumbents=3)[0]
+                z = guided_picks([self], [gp], [self._rng])[0]
         self._pending = z
         self.state.proposals.append(z.copy())
         return z.copy()
@@ -348,6 +353,7 @@ def _pool_settings(optimizer: BayesianOptimizer) -> Tuple[object, ...]:
     return (
         optimizer.n_candidates,
         optimizer.n_local,
+        optimizer.n_incumbents,
         None if anchors is None else (anchors.shape, anchors.tobytes()),
         optimizer.acquisition,
     )
@@ -357,7 +363,6 @@ def guided_picks(
     optimizers: Sequence[BayesianOptimizer],
     surrogates: Sequence[Optional[GaussianProcess]],
     rngs: Sequence[np.random.Generator],
-    n_incumbents: int,
 ) -> np.ndarray:
     """The guided step (Alg. 1, Line 1) for B optimizers of one space:
     ``(B, d)`` unprojected picks.
@@ -369,19 +374,20 @@ def guided_picks(
     row when no score is finite). A ``None`` surrogate — a degenerate
     fit — then draws one uniform row from its stream instead. Every pass
     is row-wise, so each pick is bitwise the one its optimizer gets
-    alone. The pool size, local rows, anchors and acquisition come from
-    the optimizers and must agree across rows.
+    alone. The pool size, local rows, incumbent count, anchors and
+    acquisition come from the optimizers and must agree across rows.
     """
     first = optimizers[0]
     if any(_pool_settings(opt) != _pool_settings(first) for opt in optimizers[1:]):
         raise ConfigurationError(
-            "guided picks need one n_candidates, n_local, anchors and "
-            "acquisition across the batch"
+            "guided picks need one n_candidates, n_local, n_incumbents, "
+            "anchors and acquisition across the batch"
         )
     space = first.space
     best_y = np.array([[opt.best().cost] for opt in optimizers])
+    n = first.n_incumbents
     incumbents = [
-        [o.z for o in sorted(opt.state.observations, key=lambda o: o.cost)[:n_incumbents]]
+        [o.z for o in sorted(opt.state.observations, key=lambda o: o.cost)[:n]]
         for opt in optimizers
     ]
     pools = candidate_pool(

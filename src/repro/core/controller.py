@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, ClassVar, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.edge.link import NetworkLink
 
 import numpy as np
 
-from repro.bo.acquisition import AcquisitionFunction, ExpectedImprovement
+from repro.bo.acquisition import AcquisitionFunction
 from repro.bo.kernels import Kernel, Matern
 from repro.bo.optimizer import BayesianOptimizer
 from repro.bo.space import HBOSpace
@@ -42,11 +42,12 @@ class HBOConfig:
     kernel_length_scale: float = 1.0  # Eq. 7's l
     noise: float = 1e-3  # GP observation-noise variance
     latency_only: bool = False  # BNT's simplified cost
-    #: Evaluate the configuration already running as the first dataset
-    #: entry of each activation. The paper seeds D with random configs
-    #: only; including the incumbent guarantees an activation never
-    #: settles on something worse than the status quo.
-    seed_incumbent: bool = True
+    #: An activation evaluates the configuration already running as its
+    #: first dataset entry (the paper seeds D with random configs only;
+    #: the incumbent guarantees an activation never settles on something
+    #: worse than the status quo). Not a field: perfbench/workloads.py
+    #: reads this name to size its budget.
+    seed_incumbent: ClassVar[bool] = True
     #: Energy extension (off by default, beyond the paper): price the
     #: system's relative power draw into the BO cost with this weight —
     #: see :func:`repro.device.power.energy_aware_cost`.
@@ -87,6 +88,67 @@ class HBOConfig:
     def total_evaluations(self) -> int:
         """Evaluated configurations per activation (random + guided)."""
         return self.n_initial + self.n_iterations
+
+
+@dataclass(frozen=True)
+class PoolSettings:
+    """Where a loop's guided step looks for its next point: uniform rows,
+    local rows around the ``n_incumbents`` best observations, and — for a
+    taskset with at most ``max_anchor_cells`` integer task-count splits —
+    count-lattice anchors (docs/optimizer.md, "Candidate pools")."""
+
+    n_candidates: int
+    n_local: int
+    n_incumbents: int
+    max_anchor_cells: int
+
+
+#: :class:`HBOController`'s pool: one activation at a time.
+PAPER_POOL = PoolSettings(n_candidates=512, n_local=64, n_incumbents=3, max_anchor_cells=128)
+#: The fleet's pool: B sessions per tick through one batched guided step.
+FLEET_POOL = PoolSettings(n_candidates=256, n_local=32, n_incumbents=1, max_anchor_cells=0)
+
+
+def build_iteration(
+    system: MARSystem,
+    config: HBOConfig,
+    rng: np.random.Generator,
+    pool: PoolSettings,
+    kernel: Optional[Kernel] = None,
+    acquisition: Optional[AcquisitionFunction] = None,
+) -> HBOIteration:
+    """One activation's Algorithm 1: a cold optimizer over the system's
+    space that continues ``rng``, inside the :class:`HBOIteration` that
+    prices its evaluations. Every :class:`HBOConfig` field lands here;
+    ``kernel`` / ``acquisition`` replace Matérn-5/2 at
+    ``kernel_length_scale`` and EI (the ablation benches). The anchors
+    are the centers of the heuristic's rounding cells, which for small
+    tasksets can be slivers that uniform rows miss.
+    """
+    space = HBOSpace(system.n_resources, r_min=config.r_min)
+    m, n = len(system.taskset), space.n_resources
+    anchors = None
+    if m > 0 and math.comb(m + n - 1, n - 1) <= pool.max_anchor_cells:
+        anchors = count_lattice(m, n, np.linspace(config.r_min, 1.0, 5))
+    if kernel is None:
+        kernel = Matern(length_scale=config.kernel_length_scale, nu=2.5)
+    optimizer = BayesianOptimizer(
+        space=space,
+        n_initial=config.n_initial,
+        kernel=kernel,
+        acquisition=acquisition,
+        n_candidates=pool.n_candidates,
+        n_local=pool.n_local,
+        n_incumbents=pool.n_incumbents,
+        noise=config.noise,
+        anchors=anchors,
+        seed=rng,
+        gp_tier=config.gp_tier,
+        sparse_threshold=config.gp_sparse_threshold,
+    )
+    return HBOIteration(
+        system, optimizer, w=config.w, latency_only=config.latency_only, w_power=config.w_power
+    )
 
 
 @dataclass
@@ -142,38 +204,6 @@ class HBOController:
         #: BO runs on-device, the default).
         self.last_offload_stats = None
 
-    def _count_lattice_anchors(self, space: HBOSpace) -> Optional[np.ndarray]:
-        """Candidate anchors at the centers of the heuristic's rounding
-        cells: one proportion vector per integer task-count split, crossed
-        with a coarse triangle-ratio grid. For small tasksets some count
-        cells are narrow slivers of the simplex that uniform sampling can
-        miss entirely; anchoring guarantees the acquisition scores them.
-        """
-        m = len(self.system.taskset)
-        n = space.n_resources
-        if m == 0 or math.comb(m + n - 1, n - 1) > 128:
-            return None  # large tasksets: sampling covers the cells
-        return count_lattice(m, n, np.linspace(self.config.r_min, 1.0, 5))
-
-    def _build_optimizer(self) -> BayesianOptimizer:
-        cfg = self.config
-        space = HBOSpace(self.system.n_resources, r_min=cfg.r_min)
-        return BayesianOptimizer(
-            space=space,
-            n_initial=cfg.n_initial,
-            kernel=self._kernel
-            if self._kernel is not None
-            else Matern(length_scale=cfg.kernel_length_scale, nu=2.5),
-            acquisition=self._acquisition
-            if self._acquisition is not None
-            else ExpectedImprovement(),
-            noise=cfg.noise,
-            anchors=self._count_lattice_anchors(space),
-            seed=self._rng,
-            gp_tier=cfg.gp_tier,
-            sparse_threshold=cfg.gp_sparse_threshold,
-        )
-
     def _incumbent(self, space: HBOSpace) -> PendingEvaluation:
         """The running configuration as an evaluation that is already
         applied (see ``HBOConfig.seed_incumbent``): its counts as ``c``,
@@ -197,21 +227,16 @@ class HBOController:
         with random configurations on each activation, §V-D).
         """
         cfg = self.config
-        optimizer = self._build_optimizer()
+        step = build_iteration(
+            self.system, cfg, self._rng, PAPER_POOL, self._kernel, self._acquisition
+        )
         if self._offload_link is not None:
             # §VI: run BO on an edge server; ask/tell cross the network.
             from repro.core.remote import RemoteOptimizerProxy
 
-            optimizer = RemoteOptimizerProxy(
-                optimizer, link=self._offload_link, seed=self._rng
+            step.optimizer = RemoteOptimizerProxy(  # type: ignore[assignment]
+                step.optimizer, link=self._offload_link, seed=self._rng
             )
-        step = HBOIteration(
-            self.system,
-            optimizer,
-            w=cfg.w,
-            latency_only=cfg.latency_only,
-            w_power=cfg.w_power,
-        )
         result = HBORunResult()
         with obs.span(
             "hbo.activation",
@@ -219,8 +244,8 @@ class HBOController:
             n_evaluations=cfg.total_evaluations,
             offloaded=self._offload_link is not None,
         ):
-            if cfg.seed_incumbent and len(self.system.scene) > 0:
-                incumbent = self._incumbent(optimizer.space)  # type: ignore[arg-type]
+            if len(self.system.scene) > 0:
+                incumbent = self._incumbent(step.optimizer.space)  # type: ignore[arg-type]
                 result.iterations.append(step.finish(incumbent))
             for _ in range(cfg.total_evaluations):
                 result.iterations.append(step.run_once())
@@ -235,5 +260,5 @@ class HBOController:
         result.final_measurement = self.system.measure()
         self.activations.append(result)
         if self._offload_link is not None:
-            self.last_offload_stats = optimizer.stats
+            self.last_offload_stats = step.optimizer.stats  # type: ignore[attr-defined]
         return result

@@ -102,13 +102,6 @@ class DeviceSimulator:
         self._allocation[task_id] = resource
         self._sync_edge_demand()
 
-    def remove_task(self, task_id: str) -> None:
-        if task_id not in self._tasks:
-            raise DeviceError(f"unknown task id {task_id!r}")
-        del self._tasks[task_id]
-        del self._allocation[task_id]
-        self._sync_edge_demand()
-
     def profile_of(self, task_id: str) -> StaticProfile:
         if task_id not in self._tasks:
             raise DeviceError(f"unknown task id {task_id!r}")

@@ -85,10 +85,3 @@ def resource_from_name(name: str) -> Resource:
             f"unknown resource {name!r}; expected one of {sorted(_NAME_ALIASES)}"
         )
     return _NAME_ALIASES[key]
-
-
-def resource_index(
-    resource: Resource, resources: Tuple[Resource, ...] = ALL_RESOURCES
-) -> int:
-    """Position of ``resource`` in ``resources`` (default on-device trio)."""
-    return resources.index(resource)

@@ -19,7 +19,7 @@ the text raises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -68,12 +68,7 @@ def run_w_sweep(
     base = config if config is not None else HBOConfig()
     points: List[SweepPoint] = []
     for w in weights:
-        cfg = HBOConfig(
-            w=float(w),
-            n_initial=base.n_initial,
-            n_iterations=base.n_iterations,
-            r_min=base.r_min,
-        )
+        cfg = replace(base, w=float(w))
         system = build_system(
             scenario, taskset, seed=derive_seed(seed, "wsweep", scenario, taskset)
         )

@@ -6,7 +6,7 @@ session fits its own :class:`~repro.bo.gp.GaussianProcess` on
 :meth:`~repro.bo.optimizer.BayesianOptimizer.surrogate_dataset`; the
 rest is the paper loop's own guided step,
 :func:`~repro.bo.optimizer.guided_picks`, called once with B rows around
-each session's best observation, and one ``project_rows`` call over the
+each session's best observations, and one ``project_rows`` call over the
 picks. Every pass is row-wise, so each proposal is bitwise the one the
 session would get alone. At n ≤ 30, one small Cholesky per session is
 as fast as a padded batch.
@@ -67,7 +67,7 @@ class SharedOptimizerService:
                 except GPFitError:
                     span.set(degenerate_fit=True)
                     surrogates.append(None)
-            z = guided_picks(optimizers, surrogates, rngs, n_incumbents=1)
+            z = guided_picks(optimizers, surrogates, rngs)
             proposals = list(space.project_rows(z))
         obs.counter("fleet_gp_batches").inc()
         obs.histogram("fleet_gp_batch_size", edges=(1, 2, 4, 8, 16, 32, 64)).observe(

@@ -47,9 +47,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.bo.kernels import Matern
 from repro.bo.optimizer import BayesianOptimizer
-from repro.bo.space import HBOSpace
 from repro.core.activation import reward_drifted
 from repro.core.algorithm import (
     DecodedPoint,
@@ -57,7 +55,7 @@ from repro.core.algorithm import (
     IterationResult,
     PendingEvaluation,
 )
-from repro.core.controller import HBOConfig
+from repro.core.controller import FLEET_POOL, HBOConfig, build_iteration
 from repro.core.lookup import APPLY_THRESHOLD, EnvironmentSignature
 from repro.core.system import MARSystem
 from repro.device.profiles import PIXEL7, StaticProfile
@@ -385,25 +383,12 @@ class FleetSession:
         this session's own stream, and the iteration that drives it.
 
         Its guided picks come from the fleet's batched
-        :class:`~repro.fleet.batch.SharedOptimizerService`, which scores a
-        256-row uniform pool and 32 local rows around the best observation.
+        :class:`~repro.fleet.batch.SharedOptimizerService` over
+        :data:`~repro.core.controller.FLEET_POOL`.
         """
         assert self.system is not None
-        cfg = self.config
-        self.optimizer = BayesianOptimizer(
-            space=HBOSpace(self.system.n_resources, r_min=cfg.r_min),
-            n_initial=cfg.n_initial,
-            kernel=Matern(length_scale=cfg.kernel_length_scale, nu=2.5),
-            n_candidates=256,
-            n_local=32,
-            noise=cfg.noise,
-            seed=self.rng,
-            gp_tier=cfg.gp_tier,
-            sparse_threshold=cfg.gp_sparse_threshold,
-        )
-        self.iteration = HBOIteration(
-            self.system, self.optimizer, w=cfg.w, latency_only=cfg.latency_only
-        )
+        self.iteration = build_iteration(self.system, self.config, self.rng, FLEET_POOL)
+        self.optimizer = self.iteration.optimizer
         return self.optimizer
 
     def fallback_to_device(self) -> None:

@@ -119,9 +119,9 @@ class TestScene:
 
     def test_invalid_ratio_rejected(self, scene):
         with pytest.raises(SceneError):
-            scene.set_ratio("bike", 0.0)
+            scene.apply_ratios({"bike": 0.0})
         with pytest.raises(SceneError):
-            scene.set_ratio("bike", 1.2)
+            scene.apply_ratios({"bike": 1.2})
 
     def test_empty_scene_aggregates(self):
         scene = Scene()
@@ -164,7 +164,7 @@ class TestScene:
         assert cols.ids == ("bike", "apricot")
         with pytest.raises(ValueError):
             cols.ratios[0] = 0.5
-        scene.set_ratio("bike", 0.5)
+        scene.apply_ratios({"bike": 0.5})
         assert cols.ratios.tolist() == [1.0, 1.0]
         assert scene.columns.ratios.tolist() == [0.5, 1.0]
 
@@ -325,7 +325,7 @@ class TestRenderLoadModel:
         scene.add("bike", object_by_name("bike"), position=(0, 0, 1.0))
         model = RenderLoadModel()
         model.rendered_triangles(scene)
-        scene.set_ratio("bike", 0.5)
+        scene.apply_ratios({"bike": 0.5})
         model.rendered_triangles(scene)
         assert calls == [1]
         scene.move_user((0.0, 0.0, -1.0))

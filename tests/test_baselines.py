@@ -1,5 +1,7 @@
 """Unit tests for repro.baselines (SMQ, SML, BNT, AllN)."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import (
@@ -114,6 +116,14 @@ class TestBNT:
     def test_uses_latency_only_cost(self, fast_config):
         baseline = BayesianNoTriangleBaseline(config=fast_config)
         assert baseline.config.latency_only
+
+    def test_config_keeps_every_field(self):
+        config = HBOConfig(
+            w=1.5, n_initial=3, n_iterations=4, r_min=0.2, kernel_length_scale=0.5,
+            noise=1e-2, w_power=0.3, gp_tier="sparse", gp_sparse_threshold=8,
+        )
+        baseline = BayesianNoTriangleBaseline(config=config)
+        assert baseline.config == dataclasses.replace(config, latency_only=True)
 
 
 class TestAllN:

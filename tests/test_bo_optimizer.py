@@ -104,6 +104,8 @@ class TestAskTell:
             BayesianOptimizer(HBOSpace(3), n_candidates=0)
         with pytest.raises(ConfigurationError):
             BayesianOptimizer(HBOSpace(3), n_local=-1)
+        with pytest.raises(ConfigurationError):
+            BayesianOptimizer(HBOSpace(3), n_incumbents=0)
 
 
 class TestAnchors:

@@ -35,13 +35,6 @@ class TestTaskManagement:
         with pytest.raises(DeviceError, match="already registered"):
             sim.add_task("t", deeplab)
 
-    def test_remove(self, sim, deeplab):
-        sim.add_task("t", deeplab)
-        sim.remove_task("t")
-        assert sim.task_ids == ()
-        with pytest.raises(DeviceError):
-            sim.remove_task("t")
-
     def test_incompatible_add_rejected(self, sim):
         profile = get_profile(GALAXY_S22, "efficientdet-lite")  # no NNAPI
         with pytest.raises(IncompatibleDelegateError):

@@ -7,7 +7,6 @@ from repro.device.resources import (
     Processor,
     Resource,
     resource_from_name,
-    resource_index,
 )
 from repro.device.soc import RenderCostModel, SoCSpec, galaxy_s22_soc, pixel7_soc
 from repro.errors import ConfigurationError, DeviceError
@@ -43,10 +42,6 @@ class TestResources:
     def test_unknown_name_raises(self):
         with pytest.raises(DeviceError):
             resource_from_name("tpu")
-
-    def test_resource_index_roundtrip(self):
-        for i, res in enumerate(ALL_RESOURCES):
-            assert resource_index(res) == i
 
 
 class TestRenderCostModel:

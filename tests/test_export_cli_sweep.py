@@ -1,5 +1,6 @@
 """Tests for JSON export, the CLI, and the sweep experiments."""
 
+import dataclasses
 import json
 
 import pytest
@@ -134,6 +135,22 @@ class TestSweeps:
         assert high_w.epsilon <= low_w.epsilon + 0.15
         text = sweep.render_w_sweep(result)
         assert "Weight sweep" in text
+
+    def test_w_sweep_keeps_every_other_field(self, monkeypatch):
+        seen = []
+
+        class Recording(HBOController):
+            def __init__(self, system, config, seed):
+                seen.append(config)
+                super().__init__(system, config, seed=seed)
+
+        monkeypatch.setattr(sweep, "HBOController", Recording)
+        base = HBOConfig(
+            n_initial=1, n_iterations=0, r_min=0.2, kernel_length_scale=0.5,
+            noise=1e-2, w_power=0.3, gp_tier="sparse", gp_sparse_threshold=8,
+        )
+        sweep.run_w_sweep(weights=(0.5, 8.0), seed=3, config=base)
+        assert seen == [dataclasses.replace(base, w=0.5), dataclasses.replace(base, w=8.0)]
 
     def test_device_comparison_covers_both_devices(self):
         result = sweep.run_device_comparison(

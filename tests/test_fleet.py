@@ -45,7 +45,7 @@ from repro.fleet.export import fleet_result_to_dict
 
 FAST = HBOConfig(n_initial=2, n_iterations=2)
 #: The pool settings a fleet session's optimizer carries.
-FLEET_POOL = {"n_candidates": 256, "n_local": 32}
+FLEET_POOL = {"n_candidates": 256, "n_local": 32, "n_incumbents": 1}
 
 
 def _fleet_specs(arrivals=(0.0, 0.0)):
@@ -112,8 +112,13 @@ class TestSharedOptimizerService:
 
     @pytest.mark.parametrize(
         "pool",
-        [{"n_candidates": 64}, {"n_local": 0}, {"acquisition": ExpectedImprovement(xi=0.1)}],
-        ids=["n_candidates", "n_local", "xi"],
+        [
+            {"n_candidates": 64},
+            {"n_local": 0},
+            {"n_incumbents": 3},
+            {"acquisition": ExpectedImprovement(xi=0.1)},
+        ],
+        ids=["n_candidates", "n_local", "n_incumbents", "xi"],
     )
     def test_mixed_pool_settings_rejected(self, pool):
         optimizers = [self._seeded_optimizer(1), self._seeded_optimizer(2, **pool)]

@@ -95,7 +95,7 @@ class TestFrameTime:
         scene = Scene()
         scene.add("bike", object_by_name("bike"), position=(0, 0, 1.0))
         full = model.frame_time_ms(scene)
-        scene.set_ratio("bike", 0.2)
+        scene.apply_ratios({"bike": 0.2})
         assert model.frame_time_ms(scene) < full
 
     def test_invalid_costs_rejected(self):

@@ -153,6 +153,27 @@ class TestRemoteOptimizerProxy:
         assert mean_ms == pytest.approx(8.0, abs=0.5)
 
 
+#: ``(z, cost)`` per evaluation of the offloaded SC2-CF2 activation below
+#: (seed 9; the first row is the incumbent).
+OFFLOADED_ACTIVATION = [
+    ([0.0, 0.3333333333333333, 0.6666666666666666, 1.0], -0.6849771993338605),
+    ([0.20285169714969228, 0.3867035950967395, 0.4104447077535683, 0.7444671666432088],
+     -0.6129080969143474),
+    ([0.7032930226110098, 0.017437051834445966, 0.2792699255545444, 0.5364498942795592],
+     2.847105014101876),
+    ([0.007583801089676166, 0.7728234656600759, 0.21959273325024786, 0.8798916599444778],
+     6.540617887196507),
+    ([0.09035382208412018, 0.09096051332956386, 0.8186856645863158, 0.601959908656384],
+     0.8714871785447763),
+    ([0.3298397645901262, 0.14871969876323282, 0.5214405366466409, 0.9963334230543835],
+     -0.6046857310589698),
+    ([0.19765249454671308, 0.2073377875225542, 0.5950097179307328, 0.9114103666333793],
+     -0.6626460995729961),
+    ([0.17455664056336903, 0.32092564296505416, 0.5045177164715768, 0.8081065364171411],
+     -0.633445598198195),
+]
+
+
 class TestOffloadedController:
     def test_controller_with_offload_link(self, fast_config):
         system = build_system("SC2", "CF2", seed=9, noise_sigma=0.02)
@@ -169,7 +190,10 @@ class TestOffloadedController:
         # One ask + one tell per non-incumbent evaluation; the incumbent
         # seeding is a tell-only exchange.
         assert stats.exchanges == 2 * fast_config.total_evaluations + 1
-        assert stats.network_ms > 0
+        # The optimizer and the link share the controller's stream: a
+        # reordered draw moves these values.
+        assert [(it.z.tolist(), it.cost) for it in result.iterations] == OFFLOADED_ACTIVATION
+        assert stats.network_ms == 117.1935186711274
 
 
 class TestBatchedOffload:

@@ -86,7 +86,7 @@ _TESTED_LIBRARY_SURFACE: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ),
     (
         "per-object ratio edit of the scene API (TD uses the sorted row)",
-        ("repro.ar.scene.Scene.set_ratio",),
+        ("repro.ar.scene.Scene.apply_ratios",),
     ),
     (
         "GP model selection and posterior draws beside the fixed Eq. 7 fit",
@@ -111,19 +111,17 @@ _TESTED_LIBRARY_SURFACE: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         ),
     ),
     (
-        "delegate-failure injection and task removal on the device model",
+        "delegate-failure injection on the device model",
         (
-            "repro.device.executor.DeviceSimulator.remove_task",
             "repro.device.executor.DeviceSimulator.failed_resources",
             "repro.device.executor.DeviceSimulator.fail_resource",
             "repro.device.executor.DeviceSimulator.restore_resource",
         ),
     ),
     (
-        "energy and resource lookups for users of the device model",
+        "energy lookups for users of the device model",
         (
             "repro.device.power.PowerModel.period_energy_j",
-            "repro.device.resources.resource_index",
             "repro.models.zoo.ModelZoo.isolation_table",
         ),
     ),
