@@ -3,7 +3,6 @@
 - :mod:`repro.ar.mesh` — triangle meshes and procedural generators.
 - :mod:`repro.ar.decimation` — mesh decimation to a target triangle count
   (the "object decimation algorithm" of the paper's Fig. 3 server).
-- :mod:`repro.ar.cache` — LOD cache + simulated decimation server.
 - :mod:`repro.ar.degradation` — the eAR degradation model (Eq. 1) and its
   offline parameter fitting.
 - :mod:`repro.ar.quality` — average on-screen quality (Eq. 2).
@@ -15,22 +14,18 @@
   (Alg. 1, Line 23).
 """
 
-from repro.ar.cache import DecimationServer, LODCache
 from repro.ar.decimation import decimate
 from repro.ar.degradation import DegradationModel, DegradationParams, fit_degradation_params
 from repro.ar.distribution import distribute_triangles, uniform_distribution
-from repro.ar.mesh import TriangleMesh, make_box, make_cylinder, make_procedural, make_sphere
-from repro.ar.meshio import load_obj, save_obj
+from repro.ar.mesh import TriangleMesh, make_procedural, make_sphere
 from repro.ar.objects import VirtualObject, catalog_sc1, catalog_sc2, object_by_name
 from repro.ar.quality import average_quality, object_quality
 from repro.ar.renderer import RenderLoadModel
 from repro.ar.scene import PlacedObject, Scene
 
 __all__ = [
-    "DecimationServer",
     "DegradationModel",
     "DegradationParams",
-    "LODCache",
     "PlacedObject",
     "RenderLoadModel",
     "Scene",
@@ -42,13 +37,9 @@ __all__ = [
     "decimate",
     "distribute_triangles",
     "fit_degradation_params",
-    "load_obj",
-    "make_box",
-    "make_cylinder",
     "make_procedural",
     "make_sphere",
     "object_by_name",
     "object_quality",
-    "save_obj",
     "uniform_distribution",
 ]

@@ -61,15 +61,6 @@ class TriangleMesh:
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         return float(0.5 * np.linalg.norm(cross, axis=1).sum())
 
-    def face_normals(self) -> np.ndarray:
-        """Unit normals per face, (F, 3). Degenerate faces get zero."""
-        tri = self.vertices[self.faces]
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        norms = np.linalg.norm(cross, axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(norms > 1e-12, cross / norms, 0.0)
-        return unit
-
     def remove_degenerate_faces(self) -> "TriangleMesh":
         """Drop faces with repeated vertex indices or (near-)zero area."""
         f = self.faces
@@ -115,70 +106,6 @@ def make_sphere(target_triangles: int, radius: float = 0.5) -> TriangleMesh:
     n_lat = max(2, int(round(np.sqrt(target_triangles / 4.0))))
     mesh = _sphere_grid(n_lat, 2 * n_lat)
     return TriangleMesh(vertices=mesh.vertices * radius, faces=mesh.faces)
-
-
-def make_box(
-    target_triangles: int, extents: Tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> TriangleMesh:
-    """Axis-aligned box tessellated to approximately ``target_triangles``."""
-    if target_triangles < 12:
-        raise MeshError(f"target_triangles must be >= 12, got {target_triangles}")
-    # 6 faces, each an (n x n) grid of quads = 2 n^2 triangles.
-    n = max(1, int(round(np.sqrt(target_triangles / 12.0))))
-    u = np.linspace(-0.5, 0.5, n + 1)
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    verts_list, faces_list = [], []
-    offset = 0
-    # (axis pointing out, sign)
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            grid = np.zeros(((n + 1) * (n + 1), 3))
-            others = [a for a in range(3) if a != axis]
-            grid[:, others[0]] = uu.ravel()
-            grid[:, others[1]] = vv.ravel()
-            grid[:, axis] = 0.5 * sign
-            verts_list.append(grid)
-            i = np.arange(n)[:, None]
-            j = np.arange(n)[None, :]
-            v00 = (i * (n + 1) + j).ravel() + offset
-            v01 = v00 + 1
-            v10 = v00 + (n + 1)
-            v11 = v10 + 1
-            faces_list.append(np.stack([v00, v10, v11], axis=1))
-            faces_list.append(np.stack([v00, v11, v01], axis=1))
-            offset += (n + 1) * (n + 1)
-    vertices = np.vstack(verts_list) * np.asarray(extents)
-    faces = np.vstack(faces_list)
-    return TriangleMesh(vertices=vertices, faces=faces).remove_degenerate_faces()
-
-
-def make_cylinder(
-    target_triangles: int, radius: float = 0.3, height: float = 1.0
-) -> TriangleMesh:
-    """Open cylinder tessellated to approximately ``target_triangles``."""
-    if target_triangles < 8:
-        raise MeshError(f"target_triangles must be >= 8, got {target_triangles}")
-    # n_seg around x n_rows tall quads, 2 triangles each; n_seg = 4 n_rows.
-    n_rows = max(1, int(round(np.sqrt(target_triangles / 8.0))))
-    n_seg = 4 * n_rows
-    theta = np.linspace(0.0, 2.0 * np.pi, n_seg, endpoint=False)
-    z = np.linspace(-height / 2.0, height / 2.0, n_rows + 1)
-    tg, zg = np.meshgrid(theta, z, indexing="ij")
-    vertices = np.stack(
-        [radius * np.cos(tg).ravel(), radius * np.sin(tg).ravel(), zg.ravel()],
-        axis=1,
-    )
-    i = np.arange(n_seg)[:, None]
-    j = np.arange(n_rows)[None, :]
-    inext = (i + 1) % n_seg
-    v00 = (i * (n_rows + 1) + j).ravel()
-    v01 = v00 + 1
-    v10 = (inext * (n_rows + 1) + j).ravel()
-    v11 = v10 + 1
-    faces = np.concatenate(
-        [np.stack([v00, v10, v11], axis=1), np.stack([v00, v11, v01], axis=1)]
-    )
-    return TriangleMesh(vertices=vertices, faces=faces).remove_degenerate_faces()
 
 
 def make_procedural(name: str, target_triangles: int) -> TriangleMesh:

@@ -108,27 +108,3 @@ class RenderLoadModel:
             submitted_triangles=scene.drawn_triangles,
             base_gpu_streams=self.base_gpu_streams,
         )
-
-    def frame_time_ms(
-        self,
-        scene: Scene,
-        base_frame_ms: float = 4.0,
-        ms_per_100k_triangles: float = 1.1,
-        ms_per_object: float = 0.25,
-    ) -> float:
-        """Estimated render frame time for this scene (ms).
-
-        A simple linear cost model: session overhead + rasterized
-        triangles + per-draw-call cost. The paper scopes frame rate out of
-        its quality metric (§III-A); this estimate exists so users can
-        sanity-check that a configuration keeps the app above an FPS
-        floor (e.g. 16.7 ms for 60 Hz).
-        """
-        if base_frame_ms < 0 or ms_per_100k_triangles < 0 or ms_per_object < 0:
-            raise ConfigurationError("frame-time cost terms must be >= 0")
-        rendered = self.rendered_triangles(scene)
-        return (
-            base_frame_ms
-            + (rendered / 100_000.0) * ms_per_100k_triangles
-            + len(scene) * ms_per_object
-        )

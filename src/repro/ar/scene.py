@@ -12,7 +12,7 @@ Eq. 2 average quality are column expressions over that state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -181,19 +181,6 @@ class Scene:
         return dict(zip(self._cols.ids, self._cols.distances.tolist()))
 
     # ---------------------------------------------------------------- ratios
-
-    def apply_ratios(self, ratios: Mapping[str, float]) -> None:
-        """Redraw the given objects at new ratios; all or nothing — every
-        id and ratio is validated before the ratio column changes."""
-        unknown = set(ratios) - set(self._index)
-        if unknown:
-            raise SceneError(f"unknown instance ids in ratio map: {sorted(unknown)}")
-        for instance_id, ratio in ratios.items():
-            _check_ratio(instance_id, ratio)
-        column = self._cols.ratios.copy()
-        column[[self._index[iid] for iid in ratios]] = list(ratios.values())
-        column.flags.writeable = False
-        self._cols = self._cols._replace(ratios=column)
 
     def apply_sorted_ratios(self, ratios: np.ndarray) -> Dict[str, float]:
         """Redraw every object from a ratio row in sorted-id (TD) order;

@@ -27,7 +27,7 @@ from repro.bo.acquisition import (
     make_acquisition,
 )
 from repro.bo.gp import GaussianProcess, GPPosterior
-from repro.bo.kernels import RBF, Kernel, Matern, WhiteNoise
+from repro.bo.kernels import RBF, Kernel, Matern
 from repro.bo.optimizer import BayesianOptimizer, Observation
 from repro.bo.space import BoxSpace, HBOSpace, SimplexSpace
 from repro.bo.sparse import select_support
@@ -47,7 +47,6 @@ __all__ = [
     "ProbabilityOfImprovement",
     "RBF",
     "SimplexSpace",
-    "WhiteNoise",
     "make_acquisition",
     "select_support",
 ]

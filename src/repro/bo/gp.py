@@ -203,23 +203,3 @@ class GaussianProcess:
                 best_gp, best_lml = candidate, lml
         assert best_gp is not None
         return best_gp
-
-    def sample_posterior(
-        self, x: np.ndarray, n_samples: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw joint posterior function samples at rows of ``x``.
-
-        Returns an array of shape ``(n_samples, len(x))``. Used by tests to
-        check posterior consistency, and available for Thompson-sampling
-        style extensions.
-        """
-        if not self.is_fit:
-            raise GPFitError("sample_posterior() called before fit()")
-        x = _as_2d(x)
-        k_star = self.kernel(x, self._x_train)
-        mean_n = k_star @ self._alpha
-        v = _cho_solve(self._cho, k_star.T)
-        cov_n = self.kernel(x, x) - k_star @ v
-        cov_n += 1e-10 * np.eye(cov_n.shape[0])
-        draws = rng.multivariate_normal(mean_n, cov_n, size=n_samples, method="cholesky")
-        return draws * self._y_std + self._y_mean

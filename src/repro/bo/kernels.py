@@ -7,8 +7,7 @@ length scale l = 1:
 
 where ``r`` is the Euclidean distance between the two configurations. We
 also implement ν ∈ {1/2, 3/2} and the RBF (squared-exponential) kernel so
-the ablation bench can compare kernel choices, plus a white-noise kernel
-used to model observation noise.
+the ablation bench can compare kernel choices.
 
 All kernels evaluate a full cross-covariance matrix in one vectorized call:
 ``k(X, Z) -> (n, m)`` for ``X`` of shape ``(n, d)`` and ``Z`` of shape
@@ -138,29 +137,6 @@ class RBF(Kernel):
 
     def __repr__(self) -> str:
         return f"RBF(length_scale={self.length_scale}, variance={self.variance})"
-
-
-class WhiteNoise(Kernel):
-    """Independent observation noise: ``σ_n² I`` on identical rows."""
-
-    def __init__(self, noise: float = 1e-6) -> None:
-        if noise < 0:
-            raise ConfigurationError(f"noise must be >= 0, got {noise}")
-        self.noise = float(noise)
-
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        x = _as_2d(x)
-        z = _as_2d(z)
-        if x.shape == z.shape and np.array_equal(x, z):
-            return self.noise * np.eye(x.shape[0])
-        return np.zeros((x.shape[0], z.shape[0]))
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        x = _as_2d(x)
-        return np.full(x.shape[0], self.noise)
-
-    def __repr__(self) -> str:
-        return f"WhiteNoise(noise={self.noise})"
 
 
 class Sum(Kernel):

@@ -19,7 +19,7 @@ B-row call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -287,22 +287,6 @@ class BayesianOptimizer:
         """Lowest-cost observation so far."""
         return self.state.best()
 
-    def minimize(
-        self, fn: Callable[[np.ndarray], float], n_iterations: int
-    ) -> Observation:
-        """Convenience driver: run ``n_iterations`` ask/evaluate/tell rounds.
-
-        ``fn`` maps a configuration vector to a scalar cost. Returns the
-        best observation. (HBO itself drives ask/tell manually because each
-        evaluation spans a live control period.)
-        """
-        if n_iterations < 1:
-            raise ConfigurationError(f"n_iterations must be >= 1, got {n_iterations}")
-        for _ in range(n_iterations):
-            z = self.ask()
-            self.tell(z, float(fn(z)))
-        return self.best()
-
     @property
     def sparse_active(self) -> bool:
         """True when the next surrogate fit will run on the sparse tier."""
@@ -375,7 +359,9 @@ def guided_picks(
     fit — then draws one uniform row from its stream instead. Every pass
     is row-wise, so each pick is bitwise the one its optimizer gets
     alone. The pool size, local rows, incumbent count, anchors and
-    acquisition come from the optimizers and must agree across rows.
+    acquisition come from the optimizers and must agree across rows, and
+    so must the number of incumbents each row has (``n_incumbents`` or
+    its observation count, whichever is smaller).
     """
     first = optimizers[0]
     if any(_pool_settings(opt) != _pool_settings(first) for opt in optimizers[1:]):
@@ -383,9 +369,15 @@ def guided_picks(
             "guided picks need one n_candidates, n_local, n_incumbents, "
             "anchors and acquisition across the batch"
         )
+    n = first.n_incumbents
+    if n > 1 and len({min(n, opt.n_observations) for opt in optimizers}) > 1:
+        raise ConfigurationError(
+            "guided picks need one incumbent count across the batch, got "
+            f"{[min(n, opt.n_observations) for opt in optimizers]} "
+            f"(n_incumbents={n})"
+        )
     space = first.space
     best_y = np.array([[opt.best().cost] for opt in optimizers])
-    n = first.n_incumbents
     incumbents = [
         [o.z for o in sorted(opt.state.observations, key=lambda o: o.cost)[:n]]
         for opt in optimizers

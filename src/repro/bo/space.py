@@ -42,17 +42,6 @@ class _RowSpace:
         """Euclidean projection of ``z`` into the space."""
         return self.project_rows(np.asarray(z, dtype=float).ravel()[None])[0]
 
-    def perturb(self, z: np.ndarray, scale: float, rng: SeedLike) -> np.ndarray:
-        """Gaussian jitter at ``scale``, projected back into the space."""
-        z = np.asarray(z, dtype=float).ravel()
-        return self.perturb_rows(z[None], [scale], rng)[0]
-
-    def perturb_rows(
-        self, centers: np.ndarray, scales: Sequence[float], rng: SeedLike
-    ) -> np.ndarray:
-        """Row ``i`` is ``centers[i]`` jittered at ``scales[i]``, projected."""
-        return self.project_rows(self.jitter_rows(centers, scales, rng))
-
     def jitter_rows(
         self, centers: np.ndarray, scales: Sequence[float], rng: SeedLike
     ) -> np.ndarray:

@@ -18,7 +18,7 @@ server with one argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +38,9 @@ class OffloadStats:
     bytes_up: int = 0
     bytes_down: int = 0
     network_ms: float = 0.0
-    #: Exchanges that carried more than one observation (``tell_many`` /
-    #: ``warm_start``): the batching amortizes per-exchange framing and
-    #: round trips across the whole payload.
+    #: Exchanges that carried a batch of observations (``warm_start``):
+    #: the batching amortizes per-exchange framing and round trips across
+    #: the whole payload.
     batched_exchanges: int = 0
     #: Observations shipped inside batched exchanges.
     batched_observations: int = 0
@@ -48,10 +48,6 @@ class OffloadStats:
     @property
     def total_bytes(self) -> int:
         return self.bytes_up + self.bytes_down
-
-    @property
-    def mean_bytes_per_exchange(self) -> float:
-        return self.total_bytes / self.exchanges if self.exchanges else 0.0
 
 
 class RemoteOptimizerProxy:
@@ -142,25 +138,11 @@ class RemoteOptimizerProxy:
         self.stats.network_ms += transfer
         self._record_exchange("batch", payload, transfer)
 
-    def tell_many(self, observations: Sequence[Tuple[np.ndarray, float]]) -> None:
-        """Upload a batch of measured costs in a single exchange.
-
-        Fleet deployments report several sessions' control periods per
-        tick; shipping them together pays one round trip and one frame for
-        the whole batch instead of per observation, so the per-observation
-        network cost shrinks as the batch grows.
-        """
-        if not observations:
-            return
-        self._account_batch(len(observations))
-        for z, cost in observations:
-            self._optimizer.tell(z, cost)
-
     def warm_start(self, observations: Sequence[Observation]) -> int:
         """Ship donor observations to the server-side optimizer.
 
-        The transfer is one batched exchange (same accounting as
-        :meth:`tell_many`); see
+        The transfer is one batched exchange: one shared frame and one
+        round trip for the whole batch; see
         :meth:`~repro.bo.optimizer.BayesianOptimizer.warm_start`.
         """
         if observations:

@@ -73,10 +73,6 @@ class DeviceSimulator:
         self._tasks: Dict[str, StaticProfile] = {}
         self._allocation: Dict[str, Resource] = {}
         self._load = SystemLoad()
-        self._failed_resources: set = set()
-        #: Fallback reassignments caused by delegate failures, in order:
-        #: (task_id, failed_resource, fallback_resource).
-        self.failure_log: List[Tuple[str, Resource, Resource]] = []
 
     # -------------------------------------------------------------- taskset
 
@@ -115,12 +111,7 @@ class DeviceSimulator:
         return dict(self._allocation)
 
     def set_allocation(self, task_id: str, resource: Resource) -> None:
-        """Move one task to another allocation choice (live reallocation).
-
-        Assigning to a failed delegate triggers the Android-runtime
-        behavior: the task silently falls back to its best still-working
-        resource and the event is recorded in :attr:`failure_log`.
-        """
+        """Move one task to another allocation choice (live reallocation)."""
         if task_id not in self._tasks:
             raise DeviceError(f"unknown task id {task_id!r}")
         profile = self._tasks[task_id]
@@ -130,10 +121,6 @@ class DeviceSimulator:
             raise DeviceError(
                 f"cannot place {task_id!r} on EDGE: no edge runtime attached"
             )
-        if resource in self._failed_resources:
-            fallback = self._best_available(profile)
-            self.failure_log.append((task_id, resource, fallback))
-            resource = fallback
         self._allocation[task_id] = resource
         self._sync_edge_demand()
 
@@ -152,46 +139,6 @@ class DeviceSimulator:
     def set_load(self, load: SystemLoad) -> None:
         """Update the AR-side load (triangles drawn, object count)."""
         self._load = load
-
-    # ------------------------------------------------------ failure injection
-
-    @property
-    def failed_resources(self) -> Tuple[Resource, ...]:
-        return tuple(self._failed_resources)
-
-    def _best_available(self, profile: StaticProfile) -> Resource:
-        """Fastest compatible resource that has not failed."""
-        options = [
-            (profile.latency(res), i, res)
-            for i, res in enumerate(Resource)
-            if profile.supports(res)
-            and res not in self._failed_resources
-            and (res is not Resource.EDGE or self.edge is not None)
-        ]
-        if not options:
-            raise DeviceError(
-                f"model {profile.model!r} has no working resource left "
-                f"(failed: {sorted(str(r) for r in self._failed_resources)})"
-            )
-        return min(options)[2]
-
-    def fail_resource(self, resource: Resource) -> None:
-        """Inject a runtime delegate failure (driver crash, delegate
-        rejecting graphs mid-session). Tasks currently on the failed
-        delegate immediately fall back to their best working resource,
-        mirroring what the Android runtime does; each fallback is
-        recorded in :attr:`failure_log`."""
-        self._failed_resources.add(resource)
-        for task_id, current in list(self._allocation.items()):
-            if current is resource:
-                fallback = self._best_available(self._tasks[task_id])
-                self.failure_log.append((task_id, resource, fallback))
-                self._allocation[task_id] = fallback
-        self._sync_edge_demand()
-
-    def restore_resource(self, resource: Resource) -> None:
-        """Clear an injected failure (tasks stay where they fell back to)."""
-        self._failed_resources.discard(resource)
 
     # ----------------------------------------------------------- measurement
 

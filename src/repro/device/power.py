@@ -173,19 +173,6 @@ class PowerModel:
             total += self.radio.radio_power_w(placements, edge, state.edge_slowdown)
         return total
 
-    def period_energy_j(
-        self,
-        soc: SoCSpec,
-        placements: Iterable[TaskPlacement],
-        load: SystemLoad,
-        period_s: float,
-        edge: Optional[EdgeShare] = None,
-    ) -> float:
-        """Energy (J) consumed over one control period."""
-        if period_s <= 0:
-            raise ConfigurationError(f"period_s must be > 0, got {period_s}")
-        return self.system_power_w(soc, placements, load, edge=edge) * period_s
-
 
 def energy_aware_cost(
     quality: float,

@@ -25,7 +25,6 @@ from repro.fleet.telemetry import (
     FleetAggregates,
     FleetSessionReport,
     convergence_histogram,
-    cost_trajectories,
     fleet_aggregates,
     iterations_to_converge,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "FleetAggregates",
     "FleetSessionReport",
     "convergence_histogram",
-    "cost_trajectories",
     "fleet_aggregates",
     "iterations_to_converge",
 ]

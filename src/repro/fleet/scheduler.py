@@ -379,12 +379,6 @@ class FleetResult:
     #: server of ``--edge``), see :func:`topology_stats`.
     topology_stats: Optional[Dict[str, Any]] = None
 
-    def report_for(self, session_id: str) -> FleetSessionReport:
-        for report in self.reports:
-            if report.session_id == session_id:
-                return report
-        raise FleetError(f"no session {session_id!r} in this fleet run")
-
 
 #: Seed of the coordinator's placeholder links. The coordinator never
 #: samples a link (workers own the drift traces, seeded from their own

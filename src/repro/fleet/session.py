@@ -192,9 +192,9 @@ class FleetSession:
         spec: SessionSpec,
         config: HBOConfig,
         rng: np.random.Generator,
-        topology: Optional[EdgeTopology] = None,
-        table: Optional[SessionTable] = None,
-        index: int = 0,
+        topology: Optional[EdgeTopology],
+        table: SessionTable,
+        index: int,
         thermal: Optional[ThermalSpec] = None,
     ) -> None:
         self.spec = spec
@@ -205,11 +205,6 @@ class FleetSession:
         # spec opts this session in — either alone leaves the device
         # athermal, so legacy configs are byte-identical.
         self._thermal_spec = thermal if spec.thermal else None
-        # A standalone session owns a private 1-row table so the
-        # per-session API works without a scheduler.
-        if table is None:
-            table = SessionTable((spec,), config)
-            index = 0
         if table.session_ids[index] != spec.session_id:
             raise FleetError(
                 f"{spec.session_id}: bound to table row {index} which "

@@ -10,7 +10,7 @@ experienced while the optimizers explored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,13 +237,3 @@ def convergence_histogram(
     for report in reports:
         histogram[report.converged_at] = histogram.get(report.converged_at, 0) + 1
     return dict(sorted(histogram.items()))
-
-
-def cost_trajectories(
-    reports: Sequence[FleetSessionReport],
-) -> Dict[str, List[float]]:
-    """Running-minimum cost per session (the Fig. 4c-style series)."""
-    return {
-        r.session_id: np.minimum.accumulate(np.asarray(r.costs)).tolist()
-        for r in reports
-    }

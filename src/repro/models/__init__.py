@@ -2,24 +2,17 @@
 
 - :mod:`repro.models.zoo` — the model registry (the stand-in for the
   TensorFlow Lite hosted-models repository the paper pulls from).
-- :mod:`repro.models.ops` — synthetic per-model operator graphs used to
-  make NNAPI's op-splitting concrete (which ops land on the NPU vs GPU).
 - :mod:`repro.models.tasks` — task instances and the paper's tasksets
   CF1/CF2 (Table II).
 """
 
-from repro.models.ops import Op, OpGraph, build_op_graph, partition_for_nnapi
 from repro.models.tasks import AITask, TaskSet, taskset_cf1, taskset_cf2
 from repro.models.zoo import ModelZoo
 
 __all__ = [
     "AITask",
     "ModelZoo",
-    "Op",
-    "OpGraph",
     "TaskSet",
-    "build_op_graph",
-    "partition_for_nnapi",
     "taskset_cf1",
     "taskset_cf2",
 ]

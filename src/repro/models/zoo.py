@@ -11,7 +11,7 @@ Eq. 4. Algorithm 1's queue is built by
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from repro.device.profiles import (
     GALAXY_S22,
@@ -58,12 +58,6 @@ class ModelZoo:
         """Round-trip wire bytes of one offloaded inference (in + out)."""
         profile = self.profile(model)
         return int(profile.input_bytes + profile.output_bytes)
-
-    def isolation_table(self) -> Dict[str, Dict[Resource, Optional[float]]]:
-        """The device's Table I slice: model → resource → ms (None = NA)."""
-        return {
-            name: dict(self.profile(name).latency_ms) for name in self.names()
-        }
 
 
 __all__ = ["ModelZoo", "GALAXY_S22", "PIXEL7"]

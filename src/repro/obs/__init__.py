@@ -31,7 +31,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetrics,
     NULL_METRICS,
-    snapshot_delta,
 )
 from repro.obs.runtime import (
     Instrumentation,
@@ -70,7 +69,6 @@ __all__ = [
     "install",
     "instrumented",
     "load_trace_json",
-    "snapshot_delta",
     "trace_events",
     "uninstall",
     "validate_events",

@@ -5,8 +5,7 @@ addressed by name plus a sorted label set, so
 ``registry.counter("store_lookups", scope="model")`` always returns the
 same :class:`Counter` object. Snapshots (:meth:`MetricsRegistry.snapshot`)
 are plain nested dicts with deterministically sorted keys — safe to JSON-
-dump and diff across runs; :func:`snapshot_delta` subtracts two snapshots
-for before/after accounting.
+dump and diff across runs.
 
 Metric names follow the repo-wide unit convention enforced by reprolint
 rule RL004: any name that talks about time must carry a ``_ms``/``_s``
@@ -255,37 +254,6 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-
-
-def snapshot_delta(
-    before: Mapping[str, Any], after: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Subtract two :meth:`MetricsRegistry.snapshot` dicts.
-
-    Counters subtract; gauges report the ``after`` value; histograms
-    subtract counts/sums (quantiles are omitted — they do not compose).
-    Series absent from ``before`` are treated as zero.
-    """
-    before_counters = before.get("counters", {})
-    after_counters = after.get("counters", {})
-    before_hists = before.get("histograms", {})
-    after_hists = after.get("histograms", {})
-    delta_hists: Dict[str, Any] = {}
-    for key in sorted(after_hists):
-        prev = before_hists.get(key, {})
-        cur = after_hists[key]
-        delta_hists[key] = {
-            "count": cur["count"] - prev.get("count", 0),
-            "sum": cur["sum"] - prev.get("sum", 0.0),
-        }
-    return {
-        "counters": {
-            k: after_counters[k] - before_counters.get(k, 0.0)
-            for k in sorted(after_counters)
-        },
-        "gauges": dict(after.get("gauges", {})),
-        "histograms": delta_hists,
-    }
 
 
 class _NullCounter:

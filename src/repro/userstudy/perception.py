@@ -38,9 +38,3 @@ class PerceptionModel:
             raise ConfigurationError(f"quality must be in [0, 1], got {quality}")
         sigmoid = 1.0 / (1.0 + np.exp(-self.steepness * (quality - self.midpoint)))
         return float(1.0 + 4.0 * sigmoid)
-
-    def mean_opinion_score_batch(self, qualities: np.ndarray) -> np.ndarray:
-        q = np.asarray(qualities, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ConfigurationError("all qualities must be in [0, 1]")
-        return 1.0 + 4.0 / (1.0 + np.exp(-self.steepness * (q - self.midpoint)))

@@ -1,9 +1,8 @@
-"""Unit tests for repro.ar.distribution (TD heuristic) and repro.ar.cache."""
+"""Unit tests for repro.ar.distribution (the TD heuristic)."""
 
 import numpy as np
 import pytest
 
-from repro.ar.cache import DecimationServer, LODCache, quantize_ratio
 from repro.ar import distribution as distribution_module
 from repro.ar.degradation import DegradationParams, Eq1Columns, eq1_columns
 from repro.ar.distribution import (
@@ -317,73 +316,3 @@ class TestGreedyOptimal:
     def test_invalid_chunks_rejected(self, sc1_objects, sc1_distances):
         with pytest.raises(ConfigurationError):
             greedy_optimal_distribution(sc1_objects, sc1_distances, 0.5, n_chunks=0)
-
-
-class TestLODCache:
-    def test_quantize(self):
-        assert quantize_ratio(0.714) == pytest.approx(0.72)
-        assert quantize_ratio(1.0) == 1.0
-        assert quantize_ratio(0.001) == pytest.approx(0.02)  # never below a quantum
-        with pytest.raises(ConfigurationError):
-            quantize_ratio(0.0)
-
-    def test_hit_miss_accounting(self):
-        cache = LODCache(max_entries=4)
-        mesh = object_by_name("cabin").mesh(500)
-        assert cache.get("cabin", 0.5) is None
-        cache.put("cabin", 0.5, mesh)
-        assert cache.get("cabin", 0.5) is mesh
-        assert cache.get("cabin", 0.508) is mesh  # same quantized key
-        assert cache.hits == 2 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(2 / 3)
-
-    def test_lru_eviction(self):
-        cache = LODCache(max_entries=2)
-        mesh = object_by_name("cabin").mesh(500)
-        cache.put("a", 0.5, mesh)
-        cache.put("b", 0.5, mesh)
-        cache.get("a", 0.5)  # refresh 'a'
-        cache.put("c", 0.5, mesh)  # evicts 'b'
-        assert cache.get("b", 0.5) is None
-        assert cache.get("a", 0.5) is mesh
-
-    def test_invalid_size(self):
-        with pytest.raises(ConfigurationError):
-            LODCache(max_entries=0)
-
-
-class TestDecimationServer:
-    def test_fetch_decimates_and_caches(self):
-        server = DecimationServer(mesh_resolution=800)
-        obj = object_by_name("hammer")
-        first = server.fetch(obj, 0.4)
-        assert not first.from_cache
-        assert first.latency_ms > 0
-        assert first.mesh.n_triangles < obj.mesh(800).n_triangles
-        second = server.fetch(obj, 0.41)  # same quantized LOD
-        assert second.from_cache
-        assert second.latency_ms == 0.0
-
-    def test_full_ratio_serves_original(self):
-        server = DecimationServer(mesh_resolution=800)
-        obj = object_by_name("cabin")
-        result = server.fetch(obj, 1.0)
-        assert result.mesh.n_triangles == obj.mesh(800).n_triangles
-
-    def test_transfer_latency_scales_with_triangles(self):
-        server = DecimationServer(rtt_ms=10, ms_per_million_triangles=100)
-        small = server.fetch(object_by_name("cabin"), 0.5)  # 2.3k tris
-        large = server.fetch(object_by_name("bike"), 0.5)  # 178k tris
-        assert large.latency_ms > small.latency_ms
-
-    def test_train_parameters_produces_decreasing_error(self):
-        server = DecimationServer(mesh_resolution=600)
-        params = server.train_parameters(object_by_name("ATV"), seed=5)
-        from repro.ar.degradation import DegradationModel
-
-        model = DegradationModel(params)
-        assert model.error(0.15, 1.0) > model.error(0.8, 1.0)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DecimationServer(rtt_ms=-1)

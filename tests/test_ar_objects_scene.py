@@ -101,27 +101,23 @@ class TestScene:
 
     def test_ratios_and_triangle_accounting(self, scene):
         assert scene.triangle_ratio == pytest.approx(1.0)
-        scene.apply_ratios({"bike": 0.5, "apricot": 0.5})
+        scene.apply_sorted_ratios(np.array([0.5, 0.5]))
         assert scene.triangle_ratio == pytest.approx(0.5)
         expected_drawn = 0.5 * (178_552 + 86_016)
         assert scene.drawn_triangles == pytest.approx(expected_drawn)
-
-    def test_apply_ratios_unknown_id_rejected(self, scene):
-        with pytest.raises(SceneError, match="unknown instance"):
-            scene.apply_ratios({"ghost": 0.5})
 
     def test_quality_full_ratio_is_one(self, scene):
         assert scene.average_quality() == pytest.approx(1.0, abs=1e-9)
 
     def test_quality_drops_with_decimation(self, scene):
-        scene.apply_ratios({"bike": 0.3, "apricot": 0.3})
+        scene.apply_sorted_ratios(np.array([0.3, 0.3]))
         assert scene.average_quality() < 0.95
 
     def test_invalid_ratio_rejected(self, scene):
         with pytest.raises(SceneError):
-            scene.apply_ratios({"bike": 0.0})
+            scene.apply_sorted_ratios(np.array([1.0, 0.0]))
         with pytest.raises(SceneError):
-            scene.apply_ratios({"bike": 1.2})
+            scene.apply_sorted_ratios(np.array([1.0, 1.2]))
 
     def test_empty_scene_aggregates(self):
         scene = Scene()
@@ -143,13 +139,13 @@ class TestScene:
         with pytest.raises(SceneError, match="user position"):
             Scene(user_position=position)
 
-    def test_apply_ratios_is_atomic(self, scene):
-        scene.apply_ratios({"bike": 0.7, "apricot": 0.6})
-        with pytest.raises(SceneError, match="ratio must be in"):
-            scene.apply_ratios({"apricot": 0.5, "bike": 1.5})
+    def test_apply_sorted_ratios_is_atomic(self, scene):
+        scene.apply_sorted_ratios(np.array([0.6, 0.7]))
+        with pytest.raises(SceneError, match="ratios in"):
+            scene.apply_sorted_ratios(np.array([0.5, 1.5]))
         assert scene.ratios() == {"bike": 0.7, "apricot": 0.6}
-        with pytest.raises(SceneError, match="unknown instance"):
-            scene.apply_ratios({"apricot": 0.5, "ghost": 0.5})
+        with pytest.raises(SceneError, match="need 2 ratios"):
+            scene.apply_sorted_ratios(np.array([0.5, 0.5, 0.5]))
         assert scene.ratios() == {"bike": 0.7, "apricot": 0.6}
 
     def test_positions_are_copied_on_the_way_in(self, scene):
@@ -164,7 +160,7 @@ class TestScene:
         assert cols.ids == ("bike", "apricot")
         with pytest.raises(ValueError):
             cols.ratios[0] = 0.5
-        scene.apply_ratios({"bike": 0.5})
+        scene.apply_sorted_ratios(np.array([1.0, 0.5]))
         assert cols.ratios.tolist() == [1.0, 1.0]
         assert scene.columns.ratios.tolist() == [0.5, 1.0]
 
@@ -202,7 +198,8 @@ def _per_object_reference(scene, model):
 
 class TestSceneColumnParity:
     """The column expressions are bit-identical (``==``) to the per-object
-    loops, through add / remove / move_user / apply_ratios sequences."""
+    loops, through add / remove / move_user / apply_sorted_ratios
+    sequences."""
 
     ASSETS = [obj for obj, _count in catalog_sc1() + catalog_sc2()]
 
@@ -246,9 +243,9 @@ class TestSceneColumnParity:
             ids = scene.columns.ids
             if op == 0:
                 picked = rng.permutation(len(ids))[: int(rng.integers(1, len(ids) + 1))]
-                scene.apply_ratios(
-                    {ids[j]: float(rng.uniform(0.05, 1.0)) for j in picked}
-                )
+                ratios = scene.ratios()
+                ratios.update({ids[j]: float(rng.uniform(0.05, 1.0)) for j in picked})
+                scene.apply_sorted_ratios(np.array([ratios[i] for i in sorted(ratios)]))
             elif op == 1:
                 scene.move_user(self._random_position(rng))
             elif op == 2 and len(ids) > 1:
@@ -325,7 +322,7 @@ class TestRenderLoadModel:
         scene.add("bike", object_by_name("bike"), position=(0, 0, 1.0))
         model = RenderLoadModel()
         model.rendered_triangles(scene)
-        scene.apply_ratios({"bike": 0.5})
+        scene.apply_sorted_ratios(np.array([0.5]))
         model.rendered_triangles(scene)
         assert calls == [1]
         scene.move_user((0.0, 0.0, -1.0))

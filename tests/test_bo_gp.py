@@ -149,20 +149,3 @@ class TestLogMarginalLikelihood:
     def test_before_fit_raises(self):
         with pytest.raises(GPFitError):
             GaussianProcess().log_marginal_likelihood()
-
-
-class TestSamplePosterior:
-    def test_samples_match_posterior_moments(self, rng):
-        x = rng.uniform(0, 1, size=(10, 1))
-        gp = GaussianProcess(kernel=Matern(length_scale=0.5)).fit(
-            x, _toy_function(x)
-        )
-        x_test = np.array([[0.2], [0.9]])
-        draws = gp.sample_posterior(x_test, n_samples=4000, rng=rng)
-        post = gp.predict(x_test)
-        assert draws.shape == (4000, 2)
-        assert np.allclose(draws.mean(axis=0), post.mean, atol=0.05)
-
-    def test_before_fit_raises(self, rng):
-        with pytest.raises(GPFitError):
-            GaussianProcess().sample_posterior(np.zeros((1, 1)), 10, rng)

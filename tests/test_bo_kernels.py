@@ -9,7 +9,6 @@ from repro.bo.kernels import (
     RBF,
     Matern,
     Sum,
-    WhiteNoise,
     make_kernel,
     pairwise_distances,
 )
@@ -132,29 +131,14 @@ class TestRBF:
             RBF(length_scale=float("nan"))
 
 
-class TestWhiteNoise:
-    def test_identity_on_same_rows(self, rng):
-        x = rng.normal(size=(5, 2))
-        k = WhiteNoise(noise=0.3)(x, x)
-        assert np.allclose(k, 0.3 * np.eye(5))
-
-    def test_zero_cross_covariance(self, rng):
-        x = rng.normal(size=(5, 2))
-        z = rng.normal(size=(4, 2))
-        assert np.allclose(WhiteNoise(noise=0.3)(x, z), 0.0)
-
-    def test_negative_noise_raises(self):
-        with pytest.raises(ConfigurationError):
-            WhiteNoise(noise=-1e-9)
-
-
 class TestSum:
     def test_sum_adds_pointwise(self, rng):
         x = rng.normal(size=(4, 2))
-        combined = Matern() + WhiteNoise(noise=0.1)
+        z = rng.normal(size=(3, 2))
+        combined = Matern() + RBF(variance=0.1)
         assert isinstance(combined, Sum)
         assert np.allclose(
-            combined(x, x), Matern()(x, x) + 0.1 * np.eye(4)
+            combined(x, z), Matern()(x, z) + RBF(variance=0.1)(x, z)
         )
         assert np.allclose(combined.diag(x), Matern().diag(x) + 0.1)
 

@@ -12,6 +12,7 @@ from repro.bo.optimizer import (
     Observation,
     OptimizerState,
     candidate_pool,
+    guided_picks,
 )
 from repro.bo.space import BoxSpace, HBOSpace
 from repro.errors import ConfigurationError, GPFitError, SearchSpaceError
@@ -29,6 +30,14 @@ def _quadratic(space):
         )
 
     return fn
+
+
+def _run(opt, fn, n_iterations):
+    """``n_iterations`` ask/evaluate/tell rounds; the best observation."""
+    for _ in range(n_iterations):
+        z = opt.ask()
+        opt.tell(z, float(fn(z)))
+    return opt.best()
 
 
 class TestObservation:
@@ -140,7 +149,7 @@ class TestMinimize:
         space = HBOSpace(3, r_min=0.1)
         fn = _quadratic(space)
         opt = BayesianOptimizer(space, n_initial=5, seed=42)
-        best = opt.minimize(fn, 30)
+        best = _run(opt, fn, 30)
         # Pure random baseline with the same budget.
         random_best = min(
             fn(z) for z in space.sample(np.random.default_rng(42), 30)
@@ -150,13 +159,13 @@ class TestMinimize:
     def test_converges_near_optimum(self):
         space = HBOSpace(3, r_min=0.1)
         opt = BayesianOptimizer(space, n_initial=5, seed=7)
-        best = opt.minimize(_quadratic(space), 40)
+        best = _run(opt, _quadratic(space), 40)
         assert best.cost < 0.02
 
     def test_trajectory_monotone_nonincreasing(self):
         space = HBOSpace(2)
         opt = BayesianOptimizer(space, seed=3)
-        opt.minimize(_quadratic_2d(space), 15)
+        _run(opt, _quadratic_2d(space), 15)
         trajectory = opt.state.best_cost_trajectory()
         assert np.all(np.diff(trajectory) <= 1e-12)
 
@@ -165,13 +174,13 @@ class TestMinimize:
         fn = _quadratic(space)
         gen = np.random.default_rng(0)
         opt = BayesianOptimizer(space, n_initial=5, noise=1e-2, seed=11)
-        best = opt.minimize(lambda z: fn(z) + gen.normal(0, 0.02), 30)
+        best = _run(opt, lambda z: fn(z) + gen.normal(0, 0.02), 30)
         assert best.cost < 0.3
 
     def test_works_with_plain_box_space(self):
         space = BoxSpace([(-2.0, 2.0), (-2.0, 2.0)])
         opt = BayesianOptimizer(space, n_initial=4, seed=5)
-        best = opt.minimize(lambda z: float(np.sum(z**2)), 25)
+        best = _run(opt, lambda z: float(np.sum(z**2)), 25)
         assert best.cost < 0.1
 
     def test_alternative_acquisition(self):
@@ -179,25 +188,21 @@ class TestMinimize:
         opt = BayesianOptimizer(
             space, acquisition=LowerConfidenceBound(kappa=2.0), seed=9
         )
-        best = opt.minimize(_quadratic(space), 25)
+        best = _run(opt, _quadratic(space), 25)
         assert best.cost < 0.1
 
     def test_constant_objective_does_not_crash(self):
         """Degenerate (zero-information) costs must fall back gracefully."""
         space = HBOSpace(3)
         opt = BayesianOptimizer(space, n_initial=3, seed=2)
-        best = opt.minimize(lambda z: 1.0, 12)
+        best = _run(opt, lambda z: 1.0, 12)
         assert best.cost == 1.0
-
-    def test_zero_iterations_raises(self):
-        with pytest.raises(ConfigurationError):
-            BayesianOptimizer(HBOSpace(2), seed=0).minimize(lambda z: 0.0, 0)
 
     def test_seeded_runs_reproducible(self):
         space = HBOSpace(3)
         fn = _quadratic(space)
         runs = [
-            BayesianOptimizer(space, seed=123).minimize(fn, 15).cost
+            _run(BayesianOptimizer(space, seed=123), fn, 15).cost
             for _ in range(2)
         ]
         assert runs[0] == pytest.approx(runs[1])
@@ -282,7 +287,7 @@ class TestIncrementalSurrogate:
     def test_cached_surrogate_matches_fresh_fit(self):
         space = HBOSpace(3)
         opt = BayesianOptimizer(space, n_initial=3, seed=5)
-        opt.minimize(_quadratic(space), 10)
+        _run(opt, _quadratic(space), 10)
         gp = opt._fit_surrogate()
         assert gp.n_observations == opt.n_observations
 
@@ -296,3 +301,29 @@ class TestIncrementalSurrogate:
         np.testing.assert_allclose(
             gp.predict(grid).std, fresh.predict(grid).std, atol=1e-8
         )
+
+
+class TestGuidedPicks:
+    """The batched guided step needs one incumbent count per batch."""
+
+    def _optimizer(self, seed, n_observations):
+        space = HBOSpace(3)
+        opt = BayesianOptimizer(space, n_initial=1, seed=seed)
+        fn = _quadratic(space)
+        for z in space.sample(np.random.default_rng(seed), size=n_observations):
+            opt.tell(z, fn(z))
+        return opt
+
+    def test_unequal_incumbent_counts_raise(self):
+        opts = [self._optimizer(1, 2), self._optimizer(2, 4)]
+        surrogates = [opt._fit_surrogate() for opt in opts]
+        rngs = [opt._rng for opt in opts]
+        with pytest.raises(ConfigurationError, match=r"incumbent count.*\[2, 3\]"):
+            guided_picks(opts, surrogates, rngs)
+
+    def test_equal_counts_pick_as_each_optimizer_alone(self):
+        opts = [self._optimizer(1, 2), self._optimizer(2, 2)]
+        alone = [copy.deepcopy(opt).ask() for opt in opts]
+        surrogates = [opt._fit_surrogate() for opt in opts]
+        picks = guided_picks(opts, surrogates, [opt._rng for opt in opts])
+        np.testing.assert_array_equal(picks, np.array(alone))

@@ -10,6 +10,12 @@ from repro.errors import ConfigurationError, SearchSpaceError
 from repro.rng import make_rng
 
 
+def _perturb(space, z, scale, rng):
+    """One row jittered at ``scale`` and projected, as ``candidate_pool``
+    builds its local rows."""
+    return space.project_rows(space.jitter_rows(np.asarray(z)[None], [scale], rng))[0]
+
+
 class TestSimplexSpace:
     def test_samples_live_on_simplex(self, rng):
         space = SimplexSpace(4)
@@ -55,7 +61,7 @@ class TestSimplexSpace:
         space = SimplexSpace(4)
         c = np.array([0.25, 0.25, 0.25, 0.25])
         for scale in (0.01, 0.5, 5.0):
-            assert space.contains(space.perturb(c, scale, rng))
+            assert space.contains(_perturb(space, c, scale, rng))
 
     def test_single_coordinate_simplex(self, rng):
         space = SimplexSpace(1)
@@ -86,7 +92,7 @@ class TestBoxSpace:
     def test_perturb_stays_inside(self, rng):
         space = BoxSpace([(0.2, 0.8)])
         for _ in range(20):
-            assert space.contains(space.perturb(np.array([0.5]), 2.0, rng))
+            assert space.contains(_perturb(space, np.array([0.5]), 2.0, rng))
 
 
 class TestHBOSpace:
@@ -123,7 +129,7 @@ class TestHBOSpace:
         space = HBOSpace(3, r_min=0.1)
         z = space.sample(rng)[0]
         for scale in (0.05, 1.0):
-            assert space.contains(space.perturb(z, scale, rng))
+            assert space.contains(_perturb(space, z, scale, rng))
 
     def test_invalid_r_min_raises(self):
         with pytest.raises(SearchSpaceError):
@@ -212,20 +218,11 @@ class TestStreamContract:
         centers = np.vstack([space.sample(make_rng(3), size=3)] * 2)
         scales = [0.05, 0.05, 0.05, 0.15, 0.0, 2.0]
         a, b = make_rng(99), make_rng(99)
-        rows = space.perturb_rows(centers, scales, a)
+        rows = space.project_rows(space.jitter_rows(centers, scales, a))
         expected = np.stack(
             [_scalar_perturb(space, z, s, b) for z, s in zip(centers, scales)]
         )
         np.testing.assert_array_equal(rows, expected)
-        assert a.uniform() == b.uniform()
-
-    @pytest.mark.parametrize("space", SPACES)
-    def test_scalar_perturb_is_one_row(self, space):
-        z = space.sample(make_rng(4))[0]
-        a, b = make_rng(7), make_rng(7)
-        np.testing.assert_array_equal(
-            space.perturb(z, 0.1, a), _scalar_perturb(space, z, 0.1, b)
-        )
         assert a.uniform() == b.uniform()
 
     @pytest.mark.parametrize(
@@ -290,16 +287,16 @@ class TestStreamContract:
     def test_bad_scale_raises_search_space_error(self, space, scale):
         z = space.sample(make_rng(0))[0]
         with pytest.raises(SearchSpaceError):
-            space.perturb(z, scale, make_rng(0))
+            space.jitter_rows(z[None], [scale], make_rng(0))
         with pytest.raises(SearchSpaceError):
-            space.perturb_rows(np.stack([z, z]), [0.1, scale], make_rng(0))
+            space.jitter_rows(np.stack([z, z]), [0.1, scale], make_rng(0))
 
     def test_perturb_rows_shape_errors(self):
         space = HBOSpace(3)
         with pytest.raises(SearchSpaceError):
-            space.perturb_rows(np.zeros((2, 3)), [0.1, 0.1], make_rng(0))
+            space.jitter_rows(np.zeros((2, 3)), [0.1, 0.1], make_rng(0))
         with pytest.raises(SearchSpaceError):
-            space.perturb_rows(np.zeros((2, 4)), [0.1], make_rng(0))
+            space.jitter_rows(np.zeros((2, 4)), [0.1], make_rng(0))
 
 
 class TestStackedCandidatePool:
@@ -332,12 +329,3 @@ class TestStackedCandidatePool:
             candidate_pool(space, [make_rng(1)], 8, None, incumbents, 4)
         with pytest.raises(ConfigurationError):
             candidate_pool(space, [], 8, None, incumbents[:0], 4)
-
-    @pytest.mark.parametrize("space", SPACES)
-    def test_perturb_rows_projects_jitter_rows(self, space):
-        centers = space.sample(make_rng(3), size=4)
-        a, b = make_rng(21), make_rng(21)
-        jittered = space.jitter_rows(centers, [0.05, 0.15, 0.0, 1.0], a)
-        projected = space.perturb_rows(centers, [0.05, 0.15, 0.0, 1.0], b)
-        np.testing.assert_array_equal(space.project_rows(jittered), projected)
-        assert a.bit_generator.state == b.bit_generator.state

@@ -9,18 +9,8 @@ from repro.core.controller import HBOConfig, HBOController
 from repro.cli import build_parser, main
 from repro.errors import ExperimentError
 from repro.experiments import sweep
-from repro.sim.export import (
-    allocation_from_dict,
-    load_json,
-    measurement_to_dict,
-    run_result_to_dict,
-    save_json,
-    trace_from_dict,
-    trace_to_dict,
-)
+from repro.sim.export import measurement_to_dict, run_result_to_dict, save_json
 from repro.sim.scenarios import build_system
-from repro.sim.trace import ActivationRecord, RewardSample, SessionTrace
-from repro.device.resources import Resource
 
 FAST = HBOConfig(n_initial=3, n_iterations=3)
 
@@ -36,7 +26,7 @@ class TestExport:
         payload = run_result_to_dict(run_result)
         path = tmp_path / "run.json"
         save_json(payload, path)
-        loaded = load_json(path)
+        loaded = json.loads(path.read_text())
         assert loaded["best_index"] == run_result.best_index
         assert len(loaded["iterations"]) == len(run_result.iterations)
         best = loaded["iterations"][loaded["best_index"]]
@@ -49,41 +39,11 @@ class TestExport:
         }
         assert all(isinstance(v, str) for v in d["allocation"].values())
 
-    def test_allocation_roundtrip(self, run_result):
-        d = measurement_to_dict(run_result.best.measurement)["allocation"]
-        restored = allocation_from_dict(d)
-        assert restored == dict(run_result.best.measurement.allocation)
-        assert all(isinstance(r, Resource) for r in restored.values())
-
-    def test_trace_roundtrip(self):
-        trace = SessionTrace()
-        trace.add_sample(RewardSample(time_s=0.0, reward=0.1, n_objects=1))
-        trace.add_sample(
-            RewardSample(time_s=2.0, reward=-0.2, n_objects=2, event="placed")
-        )
-        trace.add_activation(
-            ActivationRecord(
-                start_time_s=2.0, end_time_s=10.0, trigger="placed",
-                best_cost=0.3, best_triangle_ratio=0.7,
-                reward_before=-0.2, reward_after=0.1, n_iterations=4,
-            )
-        )
-        restored = trace_from_dict(trace_to_dict(trace))
-        assert len(restored.samples) == 2
-        assert restored.samples[1].event == "placed"
-        assert restored.activations[0].best_triangle_ratio == 0.7
-
     def test_empty_run_rejected(self):
         from repro.core.controller import HBORunResult
 
         with pytest.raises(ExperimentError):
             run_result_to_dict(HBORunResult())
-
-    def test_load_rejects_non_object(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps([1, 2, 3]))
-        with pytest.raises(ExperimentError):
-            load_json(path)
 
 
 class TestCLI:

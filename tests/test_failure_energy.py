@@ -1,73 +1,10 @@
-"""Failure injection and the energy-aware cost variant."""
+"""The energy-aware cost variant."""
 
 import pytest
 
 from repro.core.controller import HBOConfig, HBOController
-from repro.device.executor import DeviceSimulator
-from repro.device.profiles import GALAXY_S22, PIXEL7, get_profile
-from repro.device.resources import Resource
-from repro.device.soc import galaxy_s22_soc
-from repro.errors import ConfigurationError, DeviceError
+from repro.errors import ConfigurationError
 from repro.sim.scenarios import build_system
-
-
-class TestFailureInjection:
-    @pytest.fixture
-    def sim(self):
-        sim = DeviceSimulator(galaxy_s22_soc(), noise_sigma=0.0, seed=0)
-        sim.add_task("seg", get_profile(GALAXY_S22, "deeplabv3"), Resource.NNAPI)
-        sim.add_task("cls", get_profile(GALAXY_S22, "mobilenet-v1"), Resource.NNAPI)
-        return sim
-
-    def test_failure_relocates_resident_tasks(self, sim):
-        sim.fail_resource(Resource.NNAPI)
-        assert Resource.NNAPI in sim.failed_resources
-        # deeplabv3 falls back to GPU (45 ms < 46 ms CPU on the S22).
-        assert sim.allocation["seg"] is Resource.GPU_DELEGATE
-        assert sim.allocation["cls"] is Resource.GPU_DELEGATE
-        assert len(sim.failure_log) == 2
-        task_id, failed, fallback = sim.failure_log[0]
-        assert failed is Resource.NNAPI
-
-    def test_assignment_to_failed_resource_falls_back(self, sim):
-        sim.fail_resource(Resource.NNAPI)
-        sim.set_allocation("seg", Resource.NNAPI)  # controller unaware
-        assert sim.allocation["seg"] is not Resource.NNAPI
-        assert sim.failure_log[-1][0] == "seg"
-
-    def test_measurements_continue_after_failure(self, sim):
-        sim.fail_resource(Resource.NNAPI)
-        latencies = sim.measure_period(n_samples=3)
-        assert set(latencies) == {"seg", "cls"}
-        assert all(v > 0 for v in latencies.values())
-
-    def test_restore_allows_reassignment(self, sim):
-        sim.fail_resource(Resource.NNAPI)
-        sim.restore_resource(Resource.NNAPI)
-        sim.set_allocation("seg", Resource.NNAPI)
-        assert sim.allocation["seg"] is Resource.NNAPI
-
-    def test_total_loss_raises(self, sim):
-        sim.fail_resource(Resource.NNAPI)
-        sim.fail_resource(Resource.GPU_DELEGATE)
-        with pytest.raises(DeviceError, match="no working resource"):
-            sim.fail_resource(Resource.CPU)
-
-    def test_hbo_recovers_from_mid_session_failure(self, fast_config):
-        """End to end: NNAPI dies mid-session; the next activation finds a
-        working configuration and the system keeps running."""
-        system = build_system("SC2", "CF2", seed=6, noise_sigma=0.02)
-        controller = HBOController(system, fast_config, seed=6)
-        controller.activate()
-        system.device.fail_resource(Resource.NNAPI)
-        # Monitoring still works and HBO can re-optimize around the loss.
-        reward_after_failure = system.measure_reward(fast_config.w, samples=3)
-        result = controller.activate()
-        assert result.final_measurement is not None
-        assert Resource.NNAPI not in set(system.device.allocation.values())
-        assert result.final_measurement.reward(fast_config.w) >= (
-            reward_after_failure - 0.5
-        )
 
 
 class TestEnergyAwareHBO:

@@ -35,7 +35,6 @@ from repro.fleet.table import SessionTable
 from repro.fleet.telemetry import (
     FleetSessionReport,
     convergence_histogram,
-    cost_trajectories,
     fleet_aggregates,
     iterations_to_converge,
 )
@@ -319,9 +318,15 @@ class TestSessionSpecValidation:
             SessionSpec(session_id="s", n_evaluations=0)
 
 
+def _standalone_session():
+    """The first test spec as a session on its own one-row table."""
+    spec = _fleet_specs()[0]
+    return FleetSession(spec, FAST, make_rng(1), None, SessionTable((spec,), FAST), 0)
+
+
 class TestSessionLifecycle:
     def test_step_before_admit(self):
-        session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
+        session = _standalone_session()
         with pytest.raises(FleetError):
             session.decode()
         with pytest.raises(FleetError):
@@ -331,13 +336,13 @@ class TestSessionLifecycle:
         assert session.best is None
 
     def test_double_admission(self):
-        session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
+        session = _standalone_session()
         session.admit(("device",))
         with pytest.raises(FleetError):
             session.admit(("device",))
 
     def test_phases_progress(self):
-        session = FleetSession(_fleet_specs()[0], FAST, make_rng(1))
+        session = _standalone_session()
         table, i = session.table, session.index
         assert session.phase is SessionPhase.WAITING
         session.admit(("device",))
@@ -368,7 +373,7 @@ class TestBatchedSteady:
         table = SessionTable(specs, FAST)
         sessions = [
             FleetSession(
-                spec, FAST, make_rng(i), table=table, index=i,
+                spec, FAST, make_rng(i), topology=None, table=table, index=i,
                 thermal=ThermalSpec(ambient_c=60.0),
             )
             for i, spec in enumerate(specs)
@@ -530,8 +535,8 @@ class TestFleetScheduler:
             seed=11,
             config=FleetConfig(hbo=FAST),
         )
-        donor = result.report_for("s0")
-        follower = result.report_for("s1")
+        reports = {r.session_id: r for r in result.reports}
+        donor, follower = reports["s0"], reports["s1"]
         assert not donor.warm_started and donor.n_warm == 0
         assert follower.warm_started
         assert follower.warm_source == "s0"
@@ -576,17 +581,14 @@ class TestFleetScheduler:
             SessionSpec(session_id="s22", device=GALAXY_S22, arrival_s=late),
         ]
         result = run_fleet(specs, seed=3, config=FleetConfig(hbo=FAST))
-        assert not result.report_for("s22").warm_started
+        reports = {r.session_id: r for r in result.reports}
+        assert not reports["s22"].warm_started
 
     def test_session_budget_override(self):
         spec = SessionSpec(session_id="short", n_evaluations=3)
         result = run_fleet([spec], seed=5, config=FleetConfig(hbo=FAST))
-        assert len(result.report_for("short").costs) == 3
-
-    def test_report_for_unknown_session(self):
-        result = run_fleet(_fleet_specs()[:1], seed=5, config=FleetConfig(hbo=FAST))
-        with pytest.raises(FleetError):
-            result.report_for("nope")
+        reports = {r.session_id: r for r in result.reports}
+        assert len(reports["short"].costs) == 3
 
     def test_export_structure(self):
         result = run_fleet(_fleet_specs(), seed=7, config=FleetConfig(hbo=FAST))
@@ -667,6 +669,3 @@ class TestTelemetry:
             self._report("b", costs=(2.0, 1.0)),
         ]
         assert convergence_histogram(reports) == {2: 2}
-        trajectories = cost_trajectories(reports)
-        assert trajectories["a"] == [3.0, 1.0]
-        assert trajectories["b"] == [2.0, 1.0]

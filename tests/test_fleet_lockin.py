@@ -103,7 +103,7 @@ class TestLockIn:
         ):
             _count_calls(monkeypatch, owner, name, calls)
         session, result, counters = _one_session(store)
-        report = result.report_for("s")
+        report = {r.session_id: r for r in result.reports}["s"]
         budget = FAST.total_evaluations
         assert report.locked_in and report.warm_started
         # One verify (told, applied), then measure-only periods.
@@ -129,7 +129,7 @@ class TestLockIn:
 
     def test_inflated_stored_reward_fails_verify(self):
         session, result, counters = _one_session(_confirmed_store(5.0))
-        report = result.report_for("s")
+        report = {r.session_id: r for r in result.reports}["s"]
         assert not report.locked_in
         assert counters["fleet_verify_failures"] == 1.0
         assert "fleet_lockins" not in counters
@@ -146,7 +146,7 @@ class TestLockIn:
         (entry,) = table.entries()
         table.replace(entry, dataclasses.replace(entry, confirmed=False))
         session, result, counters = _one_session(store)
-        assert not result.report_for("s").locked_in
+        assert not {r.session_id: r for r in result.reports}["s"].locked_in
         assert "fleet_lockins" not in counters
         assert session.optimizer.n_observations == (
             session.optimizer.n_warm + FAST.total_evaluations
@@ -157,7 +157,7 @@ class TestLockIn:
         session, result, counters = _one_session(
             _confirmed_store(), session_events={"s": (event,)}
         )
-        report = result.report_for("s")
+        report = {r.session_id: r for r in result.reports}["s"]
         assert counters["fleet_lockins"] == 1.0
         assert not report.locked_in
         # Periods 1-2 were the verify and one measure-only repeat; from

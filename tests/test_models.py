@@ -1,13 +1,12 @@
-"""Unit tests for repro.models (zoo, op graphs, tasksets)."""
+"""Unit tests for repro.models (zoo, tasksets)."""
 
 from collections import Counter
 
 import pytest
 
-from repro.device.profiles import GALAXY_S22, PIXEL7, get_profile, model_names
-from repro.device.resources import ALL_RESOURCES, Processor, Resource
+from repro.device.profiles import GALAXY_S22, PIXEL7
+from repro.device.resources import ALL_RESOURCES, Resource
 from repro.errors import ConfigurationError, UnknownModelError
-from repro.models.ops import build_op_graph, partition_for_nnapi
 from repro.models.tasks import AITask, TaskSet, build_taskset, taskset_cf1, taskset_cf2
 from repro.models.zoo import ModelZoo
 
@@ -30,49 +29,9 @@ class TestModelZoo:
         assert not zoo.supports("deeplabv3", Resource.NNAPI)
         assert all(zoo.supports("mnist", res) for res in ALL_RESOURCES)
 
-    def test_isolation_table_shape(self):
-        table = ModelZoo(GALAXY_S22).isolation_table()
-        assert set(table) == set(model_names(GALAXY_S22))
-        for row in table.values():
-            assert set(row) == set(ALL_RESOURCES)
-
     def test_unknown_device_raises(self):
         with pytest.raises(UnknownModelError):
             ModelZoo("Nokia 3310")
-
-
-class TestOpGraphs:
-    @pytest.mark.parametrize("model", ["mobilenet-v1", "deeplabv3", "mnist"])
-    def test_coverage_matches_profile(self, model):
-        profile = get_profile(GALAXY_S22, model)
-        graph = build_op_graph(profile)
-        assert graph.npu_coverage() == pytest.approx(profile.npu_coverage, abs=0.06)
-
-    def test_zero_coverage_model_has_no_npu_ops(self):
-        profile = get_profile(PIXEL7, "deeplabv3")  # npu_coverage = 0
-        graph = build_op_graph(profile)
-        assert graph.npu_flops() == 0.0
-
-    def test_flops_normalized(self):
-        graph = build_op_graph(get_profile(PIXEL7, "mobilenet-v1"))
-        assert graph.total_flops() == pytest.approx(1.0)
-
-    def test_deterministic(self):
-        profile = get_profile(PIXEL7, "mobilenet-v1")
-        g1, g2 = build_op_graph(profile), build_op_graph(profile)
-        assert g1 == g2
-
-    def test_partition_respects_support_flags(self):
-        graph = build_op_graph(get_profile(GALAXY_S22, "inception-v1-q"))
-        partition = partition_for_nnapi(graph)
-        assert all(op.npu_supported for op in partition[Processor.NPU])
-        assert all(not op.npu_supported for op in partition[Processor.GPU])
-        total = len(partition[Processor.NPU]) + len(partition[Processor.GPU])
-        assert total == len(graph.ops)
-
-    def test_partition_count_positive(self):
-        graph = build_op_graph(get_profile(GALAXY_S22, "mobilenet-v1"))
-        assert graph.partition_count() >= 1
 
 
 class TestTaskSets:

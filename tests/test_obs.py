@@ -23,7 +23,6 @@ from repro.obs import (
     install,
     instrumented,
     load_trace_json,
-    snapshot_delta,
     trace_events,
     uninstall,
     validate_events,
@@ -321,19 +320,6 @@ class TestMetricsRegistry:
         registry.counter("zz")
         registry.counter("aa")
         assert list(registry.snapshot()["counters"]) == ["aa", "zz"]
-
-    def test_snapshot_delta(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("events")
-        hist = registry.histogram("payload_bytes", edges=(10.0,))
-        counter.inc(2)
-        hist.observe(4.0)
-        before = registry.snapshot()
-        counter.inc(3)
-        hist.observe(6.0)
-        delta = snapshot_delta(before, registry.snapshot())
-        assert delta["counters"]["events"] == 3.0
-        assert delta["histograms"]["payload_bytes"] == {"count": 1, "sum": 6.0}
 
     def test_errors_are_repro_errors(self):
         with pytest.raises(ReproError):

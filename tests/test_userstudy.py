@@ -25,14 +25,6 @@ class TestPerceptionModel:
         assert model.mean_opinion_score(0.87) > 4.5
         assert model.mean_opinion_score(0.5) == pytest.approx(3.0, abs=0.3)
 
-    def test_batch_matches_scalar(self, rng):
-        model = PerceptionModel()
-        qualities = rng.uniform(0, 1, 15)
-        batch = model.mean_opinion_score_batch(qualities)
-        assert np.allclose(
-            batch, [model.mean_opinion_score(q) for q in qualities]
-        )
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PerceptionModel(steepness=0)

@@ -56,113 +56,15 @@ ALLOWLIST: Dict[str, str] = {
         "per-report reference the tests check `SessionTable.histogram` "
         "against"
     ),
+    "repro.bo.gp.GaussianProcess.optimized_over_length_scales": (
+        "length-scale model selection for the planned A54 length-scale "
+        "diagnosis (ROADMAP item 5)"
+    ),
+    "repro.scenarios.catalog.load_spec": (
+        "typed-error reader of `repro scenario export` output, the target "
+        "of the planned catalog-JSON fuzz test (ROADMAP item 2)"
+    ),
 }
-
-#: Library surface outside the paper's loop that tier-1 tests exercise by
-#: name, grouped under one reason each; it stays until it gets a caller in
-#: the roots or is retired together with its tests.
-_TESTED_LIBRARY_SURFACE: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    (
-        "LOD cache and decimation-server model of the Fig. 3 server",
-        (
-            "repro.ar.cache.DecimationServer",
-            "repro.ar.cache.DecimationServer.fetch",
-            "repro.ar.cache.DecimationServer.train_parameters",
-        ),
-    ),
-    (
-        "mesh utilities for user assets: generators, normals, OBJ I/O",
-        (
-            "repro.ar.mesh.TriangleMesh.face_normals",
-            "repro.ar.mesh.make_box",
-            "repro.ar.mesh.make_cylinder",
-            "repro.ar.meshio.save_obj",
-            "repro.ar.meshio.load_obj",
-        ),
-    ),
-    (
-        "FPS-floor estimate; the paper scopes frame rate out of quality",
-        ("repro.ar.renderer.RenderLoadModel.frame_time_ms",),
-    ),
-    (
-        "per-object ratio edit of the scene API (TD uses the sorted row)",
-        ("repro.ar.scene.Scene.apply_ratios",),
-    ),
-    (
-        "GP model selection and posterior draws beside the fixed Eq. 7 fit",
-        (
-            "repro.bo.gp.GaussianProcess.optimized_over_length_scales",
-            "repro.bo.gp.GaussianProcess.sample_posterior",
-            "repro.bo.kernels.WhiteNoise",
-        ),
-    ),
-    (
-        "standalone optimizer API for objectives outside the MAR loop",
-        (
-            "repro.bo.optimizer.BayesianOptimizer.minimize",
-            "repro.bo.space._RowSpace.perturb",
-        ),
-    ),
-    (
-        "batched offload of observations to the remote optimizer",
-        (
-            "repro.core.remote.OffloadStats.mean_bytes_per_exchange",
-            "repro.core.remote.RemoteOptimizerProxy.tell_many",
-        ),
-    ),
-    (
-        "delegate-failure injection on the device model",
-        (
-            "repro.device.executor.DeviceSimulator.failed_resources",
-            "repro.device.executor.DeviceSimulator.fail_resource",
-            "repro.device.executor.DeviceSimulator.restore_resource",
-        ),
-    ),
-    (
-        "energy lookups for users of the device model",
-        (
-            "repro.device.power.PowerModel.period_energy_j",
-            "repro.models.zoo.ModelZoo.isolation_table",
-        ),
-    ),
-    (
-        "per-session fleet result lookups",
-        (
-            "repro.fleet.scheduler.FleetResult.report_for",
-            "repro.fleet.telemetry.cost_trajectories",
-        ),
-    ),
-    (
-        "NNAPI op-graph partition model behind the npu_coverage figures",
-        (
-            "repro.models.ops.OpGraph.partition_count",
-            "repro.models.ops.build_op_graph",
-            "repro.models.ops.partition_for_nnapi",
-        ),
-    ),
-    (
-        "metrics API: before/after snapshot deltas",
-        ("repro.obs.metrics.snapshot_delta",),
-    ),
-    (
-        "JSON loaders that read back what the export helpers write",
-        (
-            "repro.scenarios.catalog.load_spec",
-            "repro.sim.export.trace_to_dict",
-            "repro.sim.export.trace_from_dict",
-            "repro.sim.export.allocation_from_dict",
-            "repro.sim.export.load_json",
-        ),
-    ),
-    (
-        "batched opinion scores for simulator users",
-        ("repro.userstudy.perception.PerceptionModel.mean_opinion_score_batch",),
-    ),
-)
-ALLOWLIST.update(
-    {name: reason for reason, names in _TESTED_LIBRARY_SURFACE for name in names}
-)
-
 
 class UnreferencedDefinitionRule(Rule, ProjectRule):
     id = "RL010"
