@@ -52,16 +52,6 @@ class VirtualObject:
     def degradation(self) -> DegradationModel:
         return DegradationModel(self.params)
 
-    def mesh(self, mesh_triangles: int = 5_000) -> TriangleMesh:
-        """Procedural stand-in geometry for this asset.
-
-        ``mesh_triangles`` caps the generated resolution — experiments
-        never need the literal 178k-triangle bike to exist in memory; the
-        triangle *count* drives the performance model while this mesh
-        drives geometry-dependent code paths (decimation, fitting).
-        """
-        return _procedural_mesh(self.name, min(self.max_triangles, mesh_triangles))
-
     @classmethod
     def with_fitted_params(
         cls,

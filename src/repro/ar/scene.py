@@ -173,10 +173,6 @@ class Scene:
         self._user = _checked_position(position, "user position")
         self._set_geometry(*self._cols[:4])
 
-    def distance(self, instance_id: str) -> float:
-        """User-object distance D_{t,i}, clamped to MIN_DISTANCE_M."""
-        return float(self._cols.distances[self._position_of(instance_id)])
-
     def distances(self) -> Dict[str, float]:
         return dict(zip(self._cols.ids, self._cols.distances.tolist()))
 

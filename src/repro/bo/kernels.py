@@ -64,9 +64,6 @@ class Kernel(ABC):
         x = _as_2d(x)
         return np.diag(self(x, x)).copy()
 
-    def __add__(self, other: "Kernel") -> "Kernel":
-        return Sum(self, other)
-
 
 class Matern(Kernel):
     """Matérn kernel with smoothness ν ∈ {1/2, 3/2, 5/2}.
@@ -137,23 +134,6 @@ class RBF(Kernel):
 
     def __repr__(self) -> str:
         return f"RBF(length_scale={self.length_scale}, variance={self.variance})"
-
-
-class Sum(Kernel):
-    """Pointwise sum of two kernels."""
-
-    def __init__(self, left: Kernel, right: Kernel) -> None:
-        self.left = left
-        self.right = right
-
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.left(x, z) + self.right(x, z)
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        return self.left.diag(x) + self.right.diag(x)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} + {self.right!r})"
 
 
 def make_kernel(name: str, length_scale: float = 1.0, variance: float = 1.0) -> Kernel:

@@ -297,14 +297,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         shards=args.shards,
     )
     print(fleet_exp.render(experiment))
+    from repro.sim.export import save_json
+
     if args.export:
         from repro.fleet.export import fleet_result_to_dict
-        from repro.sim.export import save_json
 
         save_json(fleet_result_to_dict(experiment.result), args.export)
         print(f"fleet trace exported to {args.export}")
     if args.store:
-        experiment.store.save(args.store)
+        save_json(experiment.store.to_dict(), args.store)
         print(f"warm-start store exported to {args.store}")
     return 0
 

@@ -105,10 +105,6 @@ class EventBasedPolicy:
         self._reference = float(reward)
         self._drift_streak = 0
 
-    def reset(self) -> None:
-        self._reference = None
-        self._drift_streak = 0
-
 
 class PeriodicPolicy:
     """Re-optimize every ``period`` monitoring steps (Fig. 8b)."""
@@ -135,6 +131,3 @@ class PeriodicPolicy:
         """Advance one monitoring interval."""
         if self._steps_since is not None:
             self._steps_since += 1
-
-    def reset(self) -> None:
-        self._steps_since = None

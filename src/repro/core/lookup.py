@@ -20,23 +20,24 @@ This module implements exactly that:
   activation it first consults the table; a close-enough hit applies the
   stored configuration (one control period instead of ~20), a miss runs
   a full activation and stores the result.
+
+Tables live in memory for one run. The fleet's
+:class:`~repro.fleet.store.SharedConfigStore` keeps one table per device
+model; ``repro fleet --store`` writes that store out as JSON, and
+nothing reads it back.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Generic, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.controller import HBOController, HBORunResult
 from repro.core.system import MARSystem, Measurement
-from repro.device.resources import Resource, resource_from_name
+from repro.device.resources import Resource
 from repro.errors import ConfigurationError
-
-PathLike = Union[str, Path]
 
 #: Maximum :meth:`EnvironmentSignature.distance_to` at which a stored
 #: solution is applied as-is (§VI): the single-device table's hit
@@ -93,26 +94,6 @@ class EnvironmentSignature:
         return float(d_tri + d_objects + d_dist)
 
 
-def signature_to_dict(signature: EnvironmentSignature) -> Dict[str, Any]:
-    """Serialize an :class:`EnvironmentSignature` to plain JSON types."""
-    return {
-        "total_max_triangles": signature.total_max_triangles,
-        "n_objects": signature.n_objects,
-        "mean_distance_m": signature.mean_distance_m,
-        "taskset_key": list(signature.taskset_key),
-    }
-
-
-def signature_from_dict(data: Mapping[str, Any]) -> EnvironmentSignature:
-    """Rebuild an :class:`EnvironmentSignature` from its exported form."""
-    return EnvironmentSignature(
-        total_max_triangles=float(data["total_max_triangles"]),
-        n_objects=int(data["n_objects"]),
-        mean_distance_m=float(data["mean_distance_m"]),
-        taskset_key=tuple(str(t) for t in data["taskset_key"]),
-    )
-
-
 @dataclass(frozen=True)
 class StoredConfiguration:
     """A configuration remembered for an environment."""
@@ -123,30 +104,12 @@ class StoredConfiguration:
     reward: float  # B achieved when this configuration was stored
 
 
-def stored_configuration_to_dict(entry: StoredConfiguration) -> Dict[str, Any]:
-    """Serialize a :class:`StoredConfiguration` to plain JSON types."""
-    return {
-        "signature": signature_to_dict(entry.signature),
-        "allocation": {task: str(res) for task, res in entry.allocation.items()},
-        "triangle_ratio": entry.triangle_ratio,
-        "reward": entry.reward,
-    }
+#: The entry type a table holds (the fleet's store keeps
+#: :class:`~repro.fleet.store.WarmStartEntry` values).
+EntryT = TypeVar("EntryT", bound=StoredConfiguration)
 
 
-def stored_configuration_from_dict(data: Mapping[str, Any]) -> StoredConfiguration:
-    """Rebuild a :class:`StoredConfiguration` from its exported form."""
-    return StoredConfiguration(
-        signature=signature_from_dict(data["signature"]),
-        allocation={
-            task: resource_from_name(name)
-            for task, name in data["allocation"].items()
-        },
-        triangle_ratio=float(data["triangle_ratio"]),
-        reward=float(data["reward"]),
-    )
-
-
-class LookupTable:
+class LookupTable(Generic[EntryT]):
     """A bounded store of environment → configuration entries.
 
     Eviction is least-recently-*hit*: environments the user keeps coming
@@ -166,7 +129,7 @@ class LookupTable:
             )
         self.max_entries = int(max_entries)
         self.similarity_threshold = float(similarity_threshold)
-        self._entries: List[StoredConfiguration] = []
+        self._entries: List[EntryT] = []
         self._last_use: Dict[int, int] = {}
         self._tick = 0
         self.hits = 0
@@ -175,9 +138,7 @@ class LookupTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(
-        self, signature: EnvironmentSignature
-    ) -> Optional[StoredConfiguration]:
+    def lookup(self, signature: EnvironmentSignature) -> Optional[EntryT]:
         """Closest stored entry within the similarity threshold, or None."""
         self._tick += 1
         best_idx, best_distance = None, float("inf")
@@ -200,15 +161,13 @@ class LookupTable:
                 return i
         return None
 
-    def near_duplicate(
-        self, signature: EnvironmentSignature
-    ) -> Optional[StoredConfiguration]:
+    def near_duplicate(self, signature: EnvironmentSignature) -> Optional[EntryT]:
         """The stored entry :meth:`store` would replace for ``signature``
         (within half the similarity threshold), or None."""
         i = self._duplicate_index(signature)
         return None if i is None else self._entries[i]
 
-    def store(self, entry: StoredConfiguration) -> None:
+    def store(self, entry: EntryT) -> None:
         """Insert an entry, replacing a near-duplicate signature if any."""
         self._tick += 1
         i = self._duplicate_index(entry.signature)
@@ -225,14 +184,12 @@ class LookupTable:
             self._entries.remove(victim)
             self._last_use.pop(id(victim), None)
 
-    def replace(
-        self, old: StoredConfiguration, new: StoredConfiguration
-    ) -> None:
+    def replace(self, old: EntryT, new: EntryT) -> None:
         """Swap ``old`` (matched by identity) for ``new`` in place.
 
         Unlike :meth:`store`, the slot keeps its recency: the eviction
-        policy must not interpret an in-place rewrite (e.g. the shared
-        store trimming observations to fit a budget) as a fresh use.
+        policy must not interpret an in-place rewrite (the shared store
+        confirming an entry) as a fresh use.
         """
         for i, entry in enumerate(self._entries):
             if entry is old:
@@ -246,53 +203,11 @@ class LookupTable:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def entries(self) -> Tuple[StoredConfiguration, ...]:
+    def entries(self) -> Tuple[EntryT, ...]:
         """Stored entries in least-recently-used-first order."""
         return tuple(
             sorted(self._entries, key=lambda e: self._last_use.get(id(e), 0))
         )
-
-    # -------------------------------------------------------- persistence
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the table (entries in LRU order, plus hit counters) so
-        fleet/session state survives across runs."""
-        return {
-            "max_entries": self.max_entries,
-            "similarity_threshold": self.similarity_threshold,
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": [stored_configuration_to_dict(e) for e in self.entries()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LookupTable":
-        """Rebuild a table from :meth:`to_dict` output. Entries are
-        restored in the serialized (LRU) order, so eviction behaves the
-        same after a reload."""
-        table = cls(
-            max_entries=int(data["max_entries"]),
-            similarity_threshold=float(data["similarity_threshold"]),
-        )
-        for entry_data in data.get("entries", []):
-            table.store(stored_configuration_from_dict(entry_data))
-        table.hits = int(data.get("hits", 0))
-        table.misses = int(data.get("misses", 0))
-        return table
-
-    def save(self, path: PathLike) -> None:
-        """Write the table to ``path`` as pretty-printed JSON."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: PathLike) -> "LookupTable":
-        """Read a table previously written by :meth:`save`."""
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"{path}: expected a JSON object at top level"
-            )
-        return cls.from_dict(data)
 
 
 @dataclass
@@ -311,7 +226,7 @@ class LookupAwareController:
     def __init__(
         self,
         controller: HBOController,
-        table: Optional[LookupTable] = None,
+        table: Optional[LookupTable[StoredConfiguration]] = None,
     ) -> None:
         self.controller = controller
         self.table = table if table is not None else LookupTable()

@@ -12,13 +12,16 @@ a simulated network link, accounting round-trip time and payload bytes,
 while the device-side compute cost of the GP drops to zero. The proxy is
 drop-in compatible with :class:`~repro.core.algorithm.HBOIteration`
 (same ask/tell/space surface), so a controller can be pointed at an edge
-server with one argument.
+server with one argument: :meth:`~repro.core.controller.HBOController.
+activate` wraps its step's optimizer when given an ``offload_link``. It
+wraps a fresh optimizer, so no warm start ever crosses the link, and the
+fleet never builds a proxy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,12 +41,6 @@ class OffloadStats:
     bytes_up: int = 0
     bytes_down: int = 0
     network_ms: float = 0.0
-    #: Exchanges that carried a batch of observations (``warm_start``):
-    #: the batching amortizes per-exchange framing and round trips across
-    #: the whole payload.
-    batched_exchanges: int = 0
-    #: Observations shipped inside batched exchanges.
-    batched_observations: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -120,34 +117,6 @@ class RemoteOptimizerProxy:
         self.stats.network_ms += transfer
         self._record_exchange("tell", payload, transfer)
         self._optimizer.tell(z, cost)
-
-    def _batched_payload_bytes(self, n_observations: int) -> int:
-        """Upload size of ``n_observations`` (vector, cost) pairs shipped
-        in one exchange: one shared frame instead of one per observation."""
-        per_observation = 4 * self.space.dim + 4  # float32 vector + cost
-        return n_observations * per_observation + self._FRAME_BYTES
-
-    def _account_batch(self, n_observations: int) -> None:
-        payload = self._batched_payload_bytes(n_observations)
-        self.stats.exchanges += 1
-        self.stats.batched_exchanges += 1
-        self.stats.batched_observations += n_observations
-        self.stats.bytes_up += payload
-        self.stats.bytes_down += self._FRAME_BYTES  # the ack
-        transfer = self.link.transfer_ms(payload, self._rng)
-        self.stats.network_ms += transfer
-        self._record_exchange("batch", payload, transfer)
-
-    def warm_start(self, observations: Sequence[Observation]) -> int:
-        """Ship donor observations to the server-side optimizer.
-
-        The transfer is one batched exchange: one shared frame and one
-        round trip for the whole batch; see
-        :meth:`~repro.bo.optimizer.BayesianOptimizer.warm_start`.
-        """
-        if observations:
-            self._account_batch(len(observations))
-        return self._optimizer.warm_start(observations)
 
     def best(self) -> Observation:
         return self._optimizer.best()

@@ -98,11 +98,6 @@ class DeviceSimulator:
         self._allocation[task_id] = resource
         self._sync_edge_demand()
 
-    def profile_of(self, task_id: str) -> StaticProfile:
-        if task_id not in self._tasks:
-            raise DeviceError(f"unknown task id {task_id!r}")
-        return self._tasks[task_id]
-
     # ----------------------------------------------------------- allocation
 
     @property

@@ -82,9 +82,6 @@ class ThermalModel:
         excess = max(0.0, self.temperature_c - self.throttle_start_c)
         return 1.0 + self.throttle_slope * excess
 
-    def reset(self) -> None:
-        self.temperature_c = self.ambient_c
-
 
 @dataclass(frozen=True)
 class ThermalSpec:

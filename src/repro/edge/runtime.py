@@ -170,19 +170,12 @@ class EdgeRuntime:
         self.server = server
         self.link = link
 
-    def release(self) -> None:
-        """Leave the server (a finished fleet session stops contending)."""
-        if not self._released:
-            self.server.release(self.session_id)
-            self._released = True
-
     def abandon(self) -> None:
         """Mark the runtime released without touching the server.
 
         Used when an :class:`~repro.edge.topology.EdgeTopology` already
-        detached the tenancy on the session's behalf — calling
-        :meth:`release` afterwards would double-release and raise
-        :class:`~repro.errors.UnknownTenantError`.
+        detached the tenancy on the session's behalf: the topology, not
+        the runtime, releases the server.
         """
         self._released = True
 

@@ -360,10 +360,3 @@ class EdgeTopology:
             node.tenants(),
             node.config.server.capacity_streams,
         )
-
-    def total_streams(self) -> float:
-        """Fleet-wide offloaded demand, summed in node config order."""
-        total = 0.0
-        for node in self._nodes.values():
-            total += node.server.total_streams
-        return total

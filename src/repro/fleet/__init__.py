@@ -18,7 +18,6 @@ from repro.fleet.session import FleetSession, SessionPhase, SessionSpec
 from repro.fleet.store import (
     SharedConfigStore,
     WarmStartEntry,
-    warm_start_entry_from_dict,
     warm_start_entry_to_dict,
 )
 from repro.fleet.telemetry import (
@@ -42,7 +41,6 @@ __all__ = [
     "SessionSpec",
     "SharedConfigStore",
     "WarmStartEntry",
-    "warm_start_entry_from_dict",
     "warm_start_entry_to_dict",
     "FleetAggregates",
     "FleetSessionReport",

@@ -11,32 +11,36 @@ instead of cold random initialization.
 
 :class:`SharedConfigStore` partitions entries by *scope* (the fleet keys
 scopes by device model, so a Pixel 7 never warm-starts from Galaxy S22
-measurements) and tracks fleet-wide hit/transfer rates. The whole store
-serializes to JSON, so warm-start state survives across fleet runs.
+measurements) and tracks fleet-wide hit/transfer rates. Its bounds are
+the module constants below. ``repro fleet --store PATH`` writes
+:meth:`SharedConfigStore.to_dict` as JSON for inspection; nothing reads
+it back.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bo.optimizer import Observation
-from repro.core.lookup import (
-    EnvironmentSignature,
-    LookupTable,
-    PathLike,
-    StoredConfiguration,
-    signature_from_dict,
-    signature_to_dict,
-)
-from repro.device.resources import Resource, resource_from_name
-from repro.errors import ConfigurationError
+from repro.core.lookup import EnvironmentSignature, LookupTable, StoredConfiguration
+from repro.device.resources import Resource
 from repro.obs import runtime as obs
+
+#: Bound of each scope's table (LRU-by-hit eviction, inherited from
+#: :class:`~repro.core.lookup.LookupTable`).
+MAX_ENTRIES_PER_SCOPE = 64
+#: Maximum :meth:`EnvironmentSignature.distance_to` for a hit. Looser than
+#: the single-device :data:`~repro.core.lookup.APPLY_THRESHOLD` (0.35 vs
+#: 0.15): a warm start only *seeds* BO, which then refines, so
+#: approximate donors are still useful.
+SIMILARITY_THRESHOLD = 0.35
+#: Observations kept per donated entry (the lowest-cost ones); bounds
+#: both the store's footprint and the warm-start payload.
+MAX_OBSERVATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,12 @@ class WarmStartEntry(StoredConfiguration):
 def warm_start_entry_to_dict(entry: WarmStartEntry) -> Dict[str, Any]:
     """Serialize a :class:`WarmStartEntry` to plain JSON types."""
     return {
-        "signature": signature_to_dict(entry.signature),
+        "signature": {
+            "total_max_triangles": entry.signature.total_max_triangles,
+            "n_objects": entry.signature.n_objects,
+            "mean_distance_m": entry.signature.mean_distance_m,
+            "taskset_key": list(entry.signature.taskset_key),
+        },
         "allocation": {task: str(res) for task, res in entry.allocation.items()},
         "triangle_ratio": entry.triangle_ratio,
         "reward": entry.reward,
@@ -80,25 +89,6 @@ def warm_start_entry_to_dict(entry: WarmStartEntry) -> Dict[str, Any]:
     }
 
 
-def warm_start_entry_from_dict(data: Mapping[str, Any]) -> WarmStartEntry:
-    """Rebuild a :class:`WarmStartEntry` from its exported form."""
-    return WarmStartEntry(
-        signature=signature_from_dict(data["signature"]),
-        allocation={
-            task: resource_from_name(name)
-            for task, name in data["allocation"].items()
-        },
-        triangle_ratio=float(data["triangle_ratio"]),
-        reward=float(data["reward"]),
-        observations=tuple(
-            (tuple(float(v) for v in obs["z"]), float(obs["cost"]))
-            for obs in data.get("observations", [])
-        ),
-        source_session=str(data.get("source_session", "")),
-        confirmed=bool(data.get("confirmed", False)),
-    )
-
-
 class SharedConfigStore:
     """Cross-session warm-start store for a fleet-serving edge optimizer.
 
@@ -106,68 +96,19 @@ class SharedConfigStore:
     model), holding :class:`WarmStartEntry` values. Lookup hits within a
     scope transfer the donor's observations to the requesting session;
     the store counts donations, lookups, and transfers fleet-wide.
-
-    Parameters
-    ----------
-    max_entries_per_scope:
-        Bound of each scope's table (LRU-by-hit eviction, inherited from
-        :class:`LookupTable`).
-    similarity_threshold:
-        Maximum :meth:`EnvironmentSignature.distance_to` for a hit. The
-        fleet default is looser than the single-device lookup default
-        (0.35 vs 0.15): a warm start only *seeds* BO, which then refines,
-        so approximate donors are still useful.
-    max_observations:
-        Observations kept per donated entry (the lowest-cost ones); bounds
-        both the store's footprint and the warm-start payload.
-    observation_budget:
-        Optional *store-wide* cap on the total number of observations
-        held across every scope and entry. ``max_observations`` bounds
-        each entry, but a busy fleet keeps adding entries, so the
-        aggregate donor set still grows without bound — exactly the
-        streaming-observation regime the sparse GP tier exists for. When
-        the budget is exceeded after a donation, :meth:`_enforce_budget`
-        trims observations from the least-recently-hit entries first
-        (highest-cost observations within each entry go first); the
-        configurations themselves survive, only their donor payloads
-        shrink. ``None`` (default) keeps the pre-budget behavior.
     """
 
-    def __init__(
-        self,
-        max_entries_per_scope: int = 64,
-        similarity_threshold: float = 0.35,
-        max_observations: int = 8,
-        observation_budget: Optional[int] = None,
-    ) -> None:
-        if max_observations < 1:
-            raise ConfigurationError(
-                f"max_observations must be >= 1, got {max_observations}"
-            )
-        if observation_budget is not None and observation_budget < 1:
-            raise ConfigurationError(
-                f"observation_budget must be >= 1 or None, got {observation_budget}"
-            )
-        self.max_entries_per_scope = int(max_entries_per_scope)
-        self.similarity_threshold = float(similarity_threshold)
-        self.max_observations = int(max_observations)
-        self.observation_budget = (
-            None if observation_budget is None else int(observation_budget)
-        )
-        self._tables: Dict[str, LookupTable] = {}
+    def __init__(self) -> None:
+        self._tables: Dict[str, LookupTable[WarmStartEntry]] = {}
         self.donations = 0
         self.transfers = 0
-        #: Observations dropped by budget enforcement over the store's life.
-        self.evicted_observations = 0
 
-    # ------------------------------------------------------------- tables
-
-    def table_for(self, scope: str = "") -> LookupTable:
+    def _table_for(self, scope: str) -> LookupTable[WarmStartEntry]:
         """The scope's table, created on first use."""
         if scope not in self._tables:
             self._tables[scope] = LookupTable(
-                max_entries=self.max_entries_per_scope,
-                similarity_threshold=self.similarity_threshold,
+                max_entries=MAX_ENTRIES_PER_SCOPE,
+                similarity_threshold=SIMILARITY_THRESHOLD,
             )
         return self._tables[scope]
 
@@ -202,16 +143,16 @@ class SharedConfigStore:
         """
         self.donations += 1
         obs.counter("store_donations", scope=scope or "default").inc()
-        table = self.table_for(scope)
+        table = self._table_for(scope)
         incumbent = table.near_duplicate(signature)
-        if isinstance(incumbent, WarmStartEntry) and incumbent.reward > reward:
+        if incumbent is not None and incumbent.reward > reward:
             if warm_started and not incumbent.confirmed:
                 confirmed = dataclasses.replace(incumbent, confirmed=True)
                 table.replace(incumbent, confirmed)
                 obs.counter("store_confirmations", scope=scope or "default").inc()
                 return confirmed
             return incumbent
-        kept = sorted(observations, key=lambda o: o.cost)[: self.max_observations]
+        kept = sorted(observations, key=lambda o: o.cost)[:MAX_OBSERVATIONS]
         entry = WarmStartEntry(
             signature=signature,
             allocation=dict(allocation),
@@ -223,44 +164,7 @@ class SharedConfigStore:
             source_session=session_id,
         )
         table.store(entry)
-        self._enforce_budget()
         return entry
-
-    def _enforce_budget(self) -> None:
-        """Trim stored observations down to ``observation_budget``.
-
-        Victim order is least-recently-hit entries first (scopes visited
-        in sorted order), mirroring the table's own LRU eviction; within
-        an entry the highest-cost observations go first (donations are
-        stored cost-ascending, so the trim drops the tuple's tail). A
-        fully trimmed entry keeps its configuration: it can still serve
-        lookup hits, it just no longer ships donor observations.
-        """
-        if self.observation_budget is None:
-            return
-        excess = self.total_observations - self.observation_budget
-        if excess <= 0:
-            return
-        for scope in self.scopes():
-            table = self._tables[scope]
-            for entry in table.entries():  # least-recently-hit first
-                if excess <= 0:
-                    return
-                if not isinstance(entry, WarmStartEntry) or not entry.observations:
-                    continue
-                drop = min(excess, len(entry.observations))
-                trimmed = dataclasses.replace(
-                    entry,
-                    observations=entry.observations[
-                        : len(entry.observations) - drop
-                    ],
-                )
-                table.replace(entry, trimmed)
-                excess -= drop
-                self.evicted_observations += drop
-                obs.counter(
-                    "store_evicted_observations", scope=scope or "default"
-                ).inc(drop)
 
     def warm_start_for(
         self, signature: EnvironmentSignature, scope: str = ""
@@ -272,20 +176,11 @@ class SharedConfigStore:
         """
         label = scope or "default"
         obs.counter("store_lookups", scope=label).inc()
-        entry = self.table_for(scope).lookup(signature)
+        entry = self._table_for(scope).lookup(signature)
         if entry is None:
             obs.counter("store_misses", scope=label).inc()
             return None
         obs.counter("store_hits", scope=label).inc()
-        if not isinstance(entry, WarmStartEntry):
-            # A plain StoredConfiguration (e.g. loaded from a legacy
-            # single-device table) has no observations to transfer.
-            entry = WarmStartEntry(
-                signature=entry.signature,
-                allocation=entry.allocation,
-                triangle_ratio=entry.triangle_ratio,
-                reward=entry.reward,
-            )
         if entry.observations:
             self.transfers += 1
             obs.counter("store_transfers", scope=label).inc()
@@ -319,7 +214,6 @@ class SharedConfigStore:
             len(entry.observations)
             for table in self._tables.values()
             for entry in table.entries()
-            if isinstance(entry, WarmStartEntry)
         )
 
     def stats(self) -> Dict[str, Any]:
@@ -334,72 +228,20 @@ class SharedConfigStore:
             "transfers": self.transfers,
             "transfer_rate": self.transfer_rate,
             "total_observations": self.total_observations,
-            "observation_budget": self.observation_budget,
-            "evicted_observations": self.evicted_observations,
         }
-
-    # -------------------------------------------------------- persistence
 
     def to_dict(self) -> Dict[str, Any]:
-        """Serialize the whole store (all scopes, entries, counters)."""
-        scopes_data: Dict[str, Any] = {}
-        for scope in self.scopes():
-            table = self._tables[scope]
-            scopes_data[scope] = {
-                "hits": table.hits,
-                "misses": table.misses,
-                "entries": [
-                    warm_start_entry_to_dict(e)
-                    for e in table.entries()
-                    if isinstance(e, WarmStartEntry)
-                ],
-            }
+        """The whole store (every scope's entries, in least-recently-hit
+        order, and counters) as plain JSON types."""
         return {
-            "max_entries_per_scope": self.max_entries_per_scope,
-            "similarity_threshold": self.similarity_threshold,
-            "max_observations": self.max_observations,
-            "observation_budget": self.observation_budget,
             "donations": self.donations,
             "transfers": self.transfers,
-            "evicted_observations": self.evicted_observations,
-            "scopes": scopes_data,
+            "scopes": {
+                scope: {
+                    "hits": table.hits,
+                    "misses": table.misses,
+                    "entries": [warm_start_entry_to_dict(e) for e in table.entries()],
+                }
+                for scope, table in sorted(self._tables.items())
+            },
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SharedConfigStore":
-        """Rebuild a store from :meth:`to_dict` output.
-
-        The eviction-budget fields shipped after the original format, so
-        they default (no budget, zero evictions) when absent — pre-budget
-        JSON saves load unchanged. So does an entry saved before
-        ``confirmed`` existed: it reads as unconfirmed.
-        """
-        budget = data.get("observation_budget")
-        store = cls(
-            max_entries_per_scope=int(data["max_entries_per_scope"]),
-            similarity_threshold=float(data["similarity_threshold"]),
-            max_observations=int(data["max_observations"]),
-            observation_budget=None if budget is None else int(budget),
-        )
-        for scope, scope_data in data.get("scopes", {}).items():
-            table = store.table_for(scope)
-            for entry_data in scope_data.get("entries", []):
-                table.store(warm_start_entry_from_dict(entry_data))
-            table.hits = int(scope_data.get("hits", 0))
-            table.misses = int(scope_data.get("misses", 0))
-        store.donations = int(data.get("donations", 0))
-        store.transfers = int(data.get("transfers", 0))
-        store.evicted_observations = int(data.get("evicted_observations", 0))
-        return store
-
-    def save(self, path: PathLike) -> None:
-        """Write the store to ``path`` as pretty-printed JSON."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: PathLike) -> "SharedConfigStore":
-        """Read a store previously written by :meth:`save`."""
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"{path}: expected a JSON object at top level")
-        return cls.from_dict(data)

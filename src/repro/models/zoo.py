@@ -54,10 +54,5 @@ class ModelZoo:
         _, latency = self.profile(model).best_resource()
         return latency
 
-    def payload_bytes(self, model: str) -> int:
-        """Round-trip wire bytes of one offloaded inference (in + out)."""
-        profile = self.profile(model)
-        return int(profile.input_bytes + profile.output_bytes)
-
 
 __all__ = ["ModelZoo", "GALAXY_S22", "PIXEL7"]

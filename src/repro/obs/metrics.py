@@ -249,12 +249,6 @@ class MetricsRegistry:
             },
         }
 
-    def reset(self) -> None:
-        """Drop every registered series."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
 
 class _NullCounter:
     __slots__ = ()
@@ -318,9 +312,6 @@ class NullMetrics:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def reset(self) -> None:
-        pass
 
 
 #: Shared no-op registry (see :mod:`repro.obs.runtime`).

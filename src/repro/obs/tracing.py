@@ -283,12 +283,3 @@ class Tracer:
     def spans_by_start(self) -> List[SpanRecord]:
         """Closed spans in open order (pre-order over the span tree)."""
         return sorted(self.spans, key=lambda s: s.seq_open)
-
-    def reset(self) -> None:
-        """Drop all recorded spans (open spans must be closed first)."""
-        if self._stack:
-            raise ObservabilityError(
-                f"cannot reset with {len(self._stack)} span(s) still open"
-            )
-        self.spans.clear()
-        self._seq = 0

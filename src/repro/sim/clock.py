@@ -46,6 +46,3 @@ class SimClock:
             raise SimulationError(f"cannot advance time by {dt_s} s")
         self._now += dt_s
         return self._now
-
-    def reset(self, start_s: float = 0.0) -> None:
-        self._now = float(start_s)

@@ -70,7 +70,3 @@ class SessionTrace:
         times = np.asarray([s.time_s for s in self.samples])
         rewards = np.asarray([s.reward for s in self.samples])
         return times, rewards
-
-    def events(self) -> List[Tuple[float, str]]:
-        """Scene events observed during the session."""
-        return [(s.time_s, s.event) for s in self.samples if s.event]

@@ -49,11 +49,6 @@ class TestCatalogs:
         with pytest.raises(SceneError):
             object_by_name("teapot")
 
-    def test_mesh_generation_capped(self):
-        bike = object_by_name("bike")
-        mesh = bike.mesh(mesh_triangles=2_000)
-        assert mesh.n_triangles <= 2_600  # capped, not 178k
-
     def test_with_fitted_params_runs_pipeline(self):
         obj = VirtualObject.with_fitted_params("custom-vase", 5_000, seed=1)
         assert obj.degradation.error(0.2, 1.0) > obj.degradation.error(0.9, 1.0)
@@ -88,16 +83,15 @@ class TestScene:
             scene.remove("apricot")
 
     def test_distances(self, scene):
-        assert scene.distance("bike") == pytest.approx(2.0)
-        assert scene.distance("apricot") == pytest.approx(1.0)
+        assert scene.distances() == pytest.approx({"bike": 2.0, "apricot": 1.0})
 
     def test_distance_clamped_near_user(self, scene):
         scene.add("near", object_by_name("cabin"), position=(0, 0, 0.01))
-        assert scene.distance("near") == MIN_DISTANCE_M
+        assert scene.distances()["near"] == MIN_DISTANCE_M
 
     def test_move_user_updates_distances(self, scene):
         scene.move_user((0, 0, 1.0))
-        assert scene.distance("bike") == pytest.approx(1.0)
+        assert scene.distances()["bike"] == pytest.approx(1.0)
 
     def test_ratios_and_triangle_accounting(self, scene):
         assert scene.triangle_ratio == pytest.approx(1.0)
@@ -152,7 +146,7 @@ class TestScene:
         user = np.array([0.0, 0.0, 1.0])
         scene.move_user(user)
         user[2] = 5.0  # the scene caches distances; a caller's array must not alias
-        assert scene.distance("bike") == 1.0
+        assert scene.distances()["bike"] == 1.0
         assert scene.user_position.tolist() == [0.0, 0.0, 1.0]
 
     def test_columns_are_read_only_snapshots(self, scene):
@@ -271,8 +265,9 @@ class TestSortedIdColumns:
         max_tris, eq1 = scene.columns.td_columns()
         ids = sorted(scene.columns.ids)
         assert max_tris.tolist() == [scene.get(i).obj.max_triangles for i in ids]
+        distances = scene.distances()
         assert eq1.denom.tolist() == [
-            scene.distance(i) ** scene.get(i).obj.params.d for i in ids
+            distances[i] ** scene.get(i).obj.params.d for i in ids
         ]
 
     def test_apply_sorted_ratios(self):

@@ -8,7 +8,6 @@ import pytest
 from repro.bo.kernels import (
     RBF,
     Matern,
-    Sum,
     make_kernel,
     pairwise_distances,
 )
@@ -129,18 +128,6 @@ class TestRBF:
             RBF(length_scale=-0.1)
         with pytest.raises(ConfigurationError):
             RBF(length_scale=float("nan"))
-
-
-class TestSum:
-    def test_sum_adds_pointwise(self, rng):
-        x = rng.normal(size=(4, 2))
-        z = rng.normal(size=(3, 2))
-        combined = Matern() + RBF(variance=0.1)
-        assert isinstance(combined, Sum)
-        assert np.allclose(
-            combined(x, z), Matern()(x, z) + RBF(variance=0.1)(x, z)
-        )
-        assert np.allclose(combined.diag(x), Matern().diag(x) + 0.1)
 
 
 class TestMakeKernel:

@@ -226,13 +226,6 @@ class TestEventBasedPolicy:
         with pytest.raises(ConfigurationError):
             EventBasedPolicy(confirmations=0)
 
-    def test_reset(self):
-        policy = EventBasedPolicy()
-        policy.record_reference(1.0)
-        policy.reset()
-        assert policy.reference is None
-        assert policy.should_activate(1.0)
-
     def test_invalid_thresholds(self):
         with pytest.raises(ConfigurationError):
             EventBasedPolicy(increase_threshold=0.0)

@@ -40,10 +40,6 @@ class TestTaskManagement:
         with pytest.raises(IncompatibleDelegateError):
             sim.add_task("t", profile, Resource.NNAPI)
 
-    def test_profile_of_unknown_raises(self, sim):
-        with pytest.raises(DeviceError):
-            sim.profile_of("ghost")
-
 
 class TestAllocation:
     def test_set_allocation_moves_task(self, sim, deeplab):
@@ -100,7 +96,8 @@ class TestMeasurement:
 
     def test_isolation_latency_lookup(self, sim, deeplab):
         sim.add_task("t", deeplab)
-        assert sim.profile_of("t").latency(Resource.NNAPI) == pytest.approx(27.0)
+        (placement,) = sim.placements()
+        assert placement.profile.latency(Resource.NNAPI) == pytest.approx(27.0)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(DeviceError):
@@ -134,12 +131,6 @@ class TestThermal:
         assert thermal.throttle_factor() == 1.0
         thermal.temperature_c = 50.0
         assert thermal.throttle_factor() == pytest.approx(1.1)
-
-    def test_reset(self):
-        thermal = ThermalModel()
-        thermal.step(1.0)
-        thermal.reset()
-        assert thermal.temperature_c == thermal.ambient_c
 
     def test_invalid_utilization_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -217,8 +217,8 @@ class TestRuntimeAndProfiles:
         rt_b.set_demand_streams(5.0)
         assert rt_a.share().extern_streams == 5.0
         assert rt_b.share().extern_streams == 3.0
-        rt_b.release()
-        rt_b.release()  # idempotent
+        server.release("b")  # as the topology detaches a tenant
+        rt_b.abandon()
         assert rt_a.share().extern_streams == 0.0
         with pytest.raises(EdgeError):
             rt_b.set_demand_streams(1.0)

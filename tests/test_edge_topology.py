@@ -44,7 +44,7 @@ from repro.edge.placement import (
     place,
     resolve_policy,
 )
-from repro.edge.runtime import EdgeConfig, build_edge_runtime, extend_profile
+from repro.edge.runtime import EdgeConfig, extend_profile
 from repro.edge.server import EdgeServer, EdgeServerConfig
 from repro.edge.topology import (
     EdgeNodeConfig,
@@ -110,13 +110,6 @@ class TestUnknownTenant:
 
     def test_unknown_tenant_error_is_an_edge_error(self):
         assert issubclass(UnknownTenantError, EdgeError)
-
-    def test_runtime_release_stays_idempotent(self):
-        """The runtime wrapper absorbs double release — only raw server
-        handles carry the strict contract."""
-        runtime = build_edge_runtime(session_id="r0", seed=1)
-        runtime.release()
-        runtime.release()  # no raise
 
     def test_topology_detach_of_unassigned_session_raises(self):
         topology = EdgeTopology(EdgeTopologyConfig.single())

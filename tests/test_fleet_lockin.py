@@ -58,9 +58,9 @@ def _confirmed_store(reward_shift=0.0, topology=None):
         config=FleetConfig(hbo=FAST, topology=topology),
         store=donor_store,
     )
-    (entry,) = donor_store.table_for(PIXEL7).entries()
+    (entry,) = donor_store._table_for(PIXEL7).entries()
     store = SharedConfigStore()
-    store.table_for(PIXEL7).store(
+    store._table_for(PIXEL7).store(
         dataclasses.replace(
             entry, confirmed=True, reward=entry.reward + reward_shift
         )
@@ -122,7 +122,7 @@ class TestLockIn:
 
     def test_verify_applies_the_donors_best_observation(self):
         store = _confirmed_store()
-        (entry,) = store.table_for(PIXEL7).entries()
+        (entry,) = store._table_for(PIXEL7).entries()
         session, _, _ = _one_session(store)
         donor_best = min(entry.observations, key=lambda o: o[1])[0]
         np.testing.assert_array_equal(session.best.z, donor_best)
@@ -142,7 +142,7 @@ class TestLockIn:
 
     def test_unconfirmed_entry_only_seeds(self):
         store = _confirmed_store()
-        table = store.table_for(PIXEL7)
+        table = store._table_for(PIXEL7)
         (entry,) = table.entries()
         table.replace(entry, dataclasses.replace(entry, confirmed=False))
         session, result, counters = _one_session(store)
@@ -170,7 +170,7 @@ class TestLockIn:
     def test_shed_ends_lock_in(self):
         topology = EdgeTopologyConfig.single()
         store = _confirmed_store(topology=topology)
-        (entry,) = store.table_for(PIXEL7).entries()
+        (entry,) = store._table_for(PIXEL7).entries()
         config = FleetConfig(hbo=FAST, topology=topology)
         worker = _ShardWorker([_spec()], config, spawn_rngs(11, 1))
         node = topology.nodes[0].name

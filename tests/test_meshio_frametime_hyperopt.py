@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bo.gp import GaussianProcess
-from repro.bo.kernels import Matern, RBF
+from repro.bo.kernels import Kernel, Matern, RBF
 from repro.errors import GPFitError
 
 
@@ -46,7 +46,13 @@ class TestLengthScaleSelection:
             gp.optimized_over_length_scales(x, y, (0.0,))
 
     def test_unsupported_kernel_rejected(self, rng):
+        class Constant(Kernel):
+            """A kernel with no ``length_scale`` to vary."""
+
+            def __call__(self, x, z):
+                return np.ones((len(x), len(z)))
+
         x = rng.uniform(0, 1, size=(5, 1))
-        gp = GaussianProcess(kernel=Matern() + RBF())
+        gp = GaussianProcess(kernel=Constant())
         with pytest.raises(GPFitError, match="cannot vary"):
             gp.optimized_over_length_scales(x, x[:, 0], (1.0,))

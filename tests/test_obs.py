@@ -173,15 +173,6 @@ class TestTracer:
         with pytest.raises(ObservabilityError, match="non-empty"):
             Tracer().span("")
 
-    def test_reset_requires_closed_spans(self):
-        tracer = Tracer()
-        span = tracer.span("open")
-        with pytest.raises(ObservabilityError, match="still open"):
-            tracer.reset()
-        span.__exit__(None, None, None)
-        tracer.reset()
-        assert tracer.spans == [] and tracer.depth == 0
-
     def test_exception_still_closes_span(self):
         tracer = Tracer()
         with pytest.raises(ValueError):

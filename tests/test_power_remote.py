@@ -183,31 +183,3 @@ class TestOffloadedController:
         # reordered draw moves these values.
         assert [(it.z.tolist(), it.cost) for it in result.iterations] == OFFLOADED_ACTIVATION
         assert stats.network_ms == 117.1935186711274
-
-
-class TestBatchedOffload:
-    def _proxy(self, space_dim=3, seed=0):
-        return RemoteOptimizerProxy(
-            BayesianOptimizer(HBOSpace(space_dim), seed=seed),
-            link=NetworkLink(jitter_ms=0.0),
-            seed=seed,
-        )
-
-    def test_warm_start_accounts_one_batch(self, rng):
-        from repro.bo.optimizer import Observation
-
-        proxy = self._proxy()
-        donors = [
-            Observation(z=z, cost=float(i))
-            for i, z in enumerate(proxy.space.sample(rng, size=5))
-        ]
-        assert proxy.warm_start(donors) == 5
-        assert proxy.stats.batched_exchanges == 1
-        assert proxy.stats.batched_observations == 5
-        assert proxy.n_observations == 5
-        assert proxy.stats.exchanges == 1
-        # One shared frame for the batch, not one per observation.
-        assert proxy.stats.bytes_up == 5 * (4 * proxy.space.dim + 4) + 16
-        fresh = self._proxy(seed=2)
-        assert fresh.warm_start([]) == 0  # no traffic for an empty donation
-        assert fresh.stats.exchanges == 0

@@ -544,6 +544,48 @@ class TestUnreferencedDefinitionRule:
         )
         assert rl010_names(rl010(tmp_path)) == []
 
+    def test_bare_name_does_not_keep_a_method_alive(self, tmp_path):
+        write_package(
+            tmp_path / "src",
+            {
+                "repro/mod.py": """\
+                    class Device:
+                        def profile_of(self, task):
+                            return task
+
+                        def measure(self):
+                            return 0
+
+                        def update(self):
+                            return 0
+
+                        def patched(self):
+                            return 0
+
+
+                    def helper(tasks):
+                        return tasks
+
+
+                    def run(tasks, device):
+                        profile_of = {t: helper(t) for t in tasks}
+                        return dict(profile_of, update=device.measure())
+                    """,
+            },
+        )
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "layers.py").write_text(
+            "from repro.mod import Device, run\n"
+            "PATCHES = [(Device, 'patched')]\n"
+            "run((), Device())\n"
+        )
+        # A method is reached only as an attribute or a string: the local
+        # `profile_of` and the `update=` keyword are other bindings, while
+        # the module-level `helper` is reached by its bare name.
+        assert rl010_names(rl010(tmp_path)) == [
+            "repro.mod.Device.profile_of", "repro.mod.Device.update",
+        ]
+
     def test_use_only_from_tests_fires(self, tmp_path):
         write_package(
             tmp_path / "src", {"repro/mod.py": "def helper():\n    return 0\n"}

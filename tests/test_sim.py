@@ -37,12 +37,6 @@ class TestSimClock:
         with pytest.raises(SimulationError):
             SimClock().advance(-1.0)
 
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(10)
-        clock.reset()
-        assert clock.now_s == 0.0
-
 
 class TestEvents:
     def test_placement_applies(self):
@@ -119,7 +113,6 @@ class TestTrace:
         assert np.allclose(times, [0, 2, 4])
         windows = [(a.start_time_s, a.end_time_s) for a in trace.activations]
         assert windows == [(2.0, 6.0)]
-        assert trace.events() == [(2.0, "placed")]
         assert trace.n_activations == 1
 
 

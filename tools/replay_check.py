@@ -69,6 +69,15 @@ CASES: Tuple[Case, ...] = (
         {"stdout": "7be70d883c6a1d7ca503c44006c11fedc4c8dfa6eb3afe9a51c7d4665cecbfcc"},
         second=("experiment", "fleet", "--seed", "2024"),
     ),
+    # The warm-start store the same run leaves behind: every scope's
+    # entries (confirmed flags, cost-sorted observations) and counters.
+    # Stdout echoes the temporary path, so only the JSON is pinned.
+    Case(
+        "fleet-store",
+        ("fleet", "--sessions", "16", "--seed", "2024",
+         "--store", f"{OUT}/store.json"),
+        {"store.json": "4ed26ee4453e1ef9c6157cc46bc09e0ed7e8a006d29592258d52dbf24b0c6659"},
+    ),
     Case(
         "edge-16",
         ("fleet", "--edge", "--sessions", "16", "--seed", "2024"),

@@ -3,7 +3,7 @@
 Layout: a single JSON document at ``<cache-dir>/cache.json``::
 
     {
-      "version": 1,
+      "version": 2,
       "signature": "<sha256 of analyzer sources + active rule ids>",
       "files": {
         "<path as given>": {"hash": "<sha256 of source>", "analysis": {...}}
@@ -41,7 +41,7 @@ from typing import Dict, Optional, Sequence
 
 from reprolint.engine import FileAnalysis, Rule
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 DEFAULT_CACHE_DIR = Path(".reprolint_cache")
 
 

@@ -18,10 +18,12 @@ pass by construction.
 The same parse also yields each file's *usage*: how often every
 identifier occurs outside imports, ``__all__`` and docstrings, plus the
 public definitions (functions, classes, methods, module constants) it
-makes. RL010 sums the identifier counts over the
-reference roots (:data:`REFERENCE_ROOTS`) to find ``src/`` definitions
-that nothing uses; the counts are cached with the rest of the per-file
-result.
+makes. An identifier reached as an attribute or spelled as a string
+counts under ``.name``, a bare name or call keyword under ``name``
+(:func:`reaching_uses` reads them back). RL010 sums the identifier
+counts over the reference roots (:data:`REFERENCE_ROOTS`) to find
+``src/`` definitions that nothing uses; the counts are cached with the
+rest of the per-file result.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import ast
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Definition",
@@ -43,6 +45,7 @@ __all__ = [
     "module_from_parts",
     "module_name",
     "project_root",
+    "reaching_uses",
 ]
 
 #: Top-level directories whose code counts as a use of a ``src/``
@@ -98,8 +101,8 @@ class Definition:
     """One public function, method, class or module-level constant
     defined in a module.
 
-    ``own_uses`` counts the occurrences of ``name`` inside the
-    definition itself (recursion, a property's setter decorator, a
+    ``own_uses`` counts the uses of its name inside the definition
+    itself that :func:`reaching_uses` would count (recursion, a
     constant's own assignment target), which are not uses by anyone
     else.
     """
@@ -108,10 +111,6 @@ class Definition:
     line: int
     col: int
     own_uses: int
-
-    @property
-    def name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
 
     def to_json(self) -> List[object]:
         return [self.qualname, self.line, self.col, self.own_uses]
@@ -288,9 +287,10 @@ def _is_all_binding(node: ast.AST) -> bool:
 def _count_names(root: ast.AST, counts: Dict[str, int]) -> None:
     """Add every identifier use under ``root`` to ``counts``.
 
-    A use is a ``Name``, an ``Attribute``'s attribute, a call keyword,
-    or a string constant spelled like an identifier. Imports carry no
-    such nodes; ``__all__`` bindings and docstrings are skipped.
+    A use is a ``Name`` or a call keyword (counted under ``name``), or an
+    ``Attribute``'s attribute or a string constant spelled like an
+    identifier (counted under ``.name``). Imports carry no such nodes;
+    ``__all__`` bindings and docstrings are skipped.
     """
     skip = set()
     stack = [root]
@@ -306,7 +306,7 @@ def _count_names(root: ast.AST, counts: Dict[str, int]) -> None:
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
-            name = node.attr
+            name = "." + node.attr
         elif isinstance(node, ast.keyword):
             name = node.arg
         elif (
@@ -315,7 +315,7 @@ def _count_names(root: ast.AST, counts: Dict[str, int]) -> None:
             and node.value.isidentifier()
             and id(node) not in skip
         ):
-            name = node.value
+            name = "." + node.value
         if name is not None:
             counts[name] = counts.get(name, 0) + 1
         stack.extend(ast.iter_child_nodes(node))
@@ -354,11 +354,26 @@ def _definitions(
                     qualname=prefix + name,
                     line=node.lineno,
                     col=node.col_offset,
-                    own_uses=own.get(name, 0),
+                    own_uses=reaching_uses(own, prefix + name),
                 )
             )
         if isinstance(node, ast.ClassDef):
             _definitions(node.body, f"{prefix}{node.name}.", out)
+
+
+def reaching_uses(counts: Mapping[str, int], qualname: str) -> int:
+    """How many of the uses in ``counts`` can reach ``qualname``.
+
+    A module-level definition is reached by its bare name, an attribute
+    or a string. A method or nested class is reached only as an
+    attribute or a string: a bare ``Name`` of the same spelling is some
+    other binding (a local, a parameter, a module function).
+    """
+    name = qualname.rsplit(".", 1)[-1]
+    reached = counts.get("." + name, 0)
+    if "." not in qualname:
+        reached += counts.get(name, 0)
+    return reached
 
 
 def collect_usage(

@@ -8,14 +8,16 @@ somewhere in the reference roots:
 code that only its own tests call is dead to the system, and its tests
 pin behaviour nobody runs.
 
-A use site is an identifier anywhere in those roots — a ``Name``, an
-``Attribute``'s attribute or a call keyword — outside the definition's
-own body, or a string constant exactly equal to the name
-(``getattr(obj, "name")``, a patch target). Three things are not uses:
-``import`` lines, ``__all__`` entries and docstrings, so a package
-re-export alone does not keep a definition alive. Matching is by bare
-name across the whole tree, which errs toward keeping code: any other
-definition or attribute of the same name counts as a use.
+A use site is an identifier anywhere in those roots, outside the
+definition's own body: an ``Attribute``'s attribute or a string constant
+exactly equal to the name (``getattr(obj, "name")``, a patch target)
+and, for a module-level definition only, a ``Name`` or a call keyword.
+A method or nested class is reachable only as an attribute, so a bare
+local of the same spelling does not keep it alive. Three things are not
+uses: ``import`` lines, ``__all__`` entries and docstrings, so a package
+re-export alone does not keep a definition alive. Matching is by name
+across the whole tree, which errs toward keeping code: any other
+attribute of the same name counts as a use.
 
 The roots outside the linted paths are found from the ``src`` directory
 of the linted tree and parsed for names only; their identifier counts
@@ -32,7 +34,12 @@ from pathlib import Path
 from typing import Dict, Iterator, Tuple
 
 from reprolint.engine import FileContext, Rule, Violation
-from reprolint.project import ImportRecord, ProjectContext, ProjectRule
+from reprolint.project import (
+    ImportRecord,
+    ProjectContext,
+    ProjectRule,
+    reaching_uses,
+)
 
 #: Dotted definition name → why it stays without a use in the roots.
 ALLOWLIST: Dict[str, str] = {
@@ -86,7 +93,7 @@ class UnreferencedDefinitionRule(Rule, ProjectRule):
             dotted = f"{module}.{definition.qualname}"
             if dotted in ALLOWLIST:
                 continue
-            if project.uses.get(definition.name, 0) > definition.own_uses:
+            if reaching_uses(project.uses, definition.qualname) > definition.own_uses:
                 continue
             yield Violation(
                 path=path,
