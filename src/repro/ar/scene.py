@@ -6,13 +6,15 @@ and max triangles. User distances, the Eq. 1 columns taken at them and
 the sorted-id permutation TD reads its columns through are recomputed
 only in ``add``, ``remove`` and ``move_user``; a ratio change replaces
 the ratio column alone. T^max, the drawn triangle count and the
-Eq. 2 average quality are column expressions over that state.
+Eq. 2 average quality are column expressions over that state; x and the
+Eq. 2 quality are computed once per column snapshot (every mutation
+installs a new :class:`SceneColumns` tuple).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +91,9 @@ class Scene:
     def __init__(self, user_position: Sequence[float] = (0.0, 0.0, 0.0)) -> None:
         self._user = _checked_position(user_position, "user position")
         self._set_geometry((), (), np.zeros((0, 3)), np.zeros(0))
+        #: The column snapshot ``_memo`` holds aggregates of.
+        self._memo_of = self._cols
+        self._memo: Dict[str, float] = {}
 
     def _set_geometry(
         self,
@@ -145,14 +150,31 @@ class Scene:
         position: Sequence[float],
         ratio: float = 1.0,
     ) -> None:
-        if instance_id in self._index:
-            raise SceneError(f"instance id {instance_id!r} already placed")
-        pos = _checked_position(position, f"{instance_id!r}: position")
-        _check_ratio(instance_id, ratio)
+        self.add_many([(instance_id, obj, position, ratio)])
+
+    def add_many(
+        self, instances: Iterable[Tuple[str, VirtualObject, Sequence[float], float]]
+    ) -> None:
+        """Place ``(instance_id, obj, position, ratio)`` instances in order
+        with one column build. Every id, position and ratio is checked
+        before anything is placed, and the columns are the ones adding
+        the instances one at a time would leave."""
+        new_ids: List[str] = []
+        new_objects: List[VirtualObject] = []
+        new_positions: List[np.ndarray] = []
+        new_ratios: List[float] = []
+        for instance_id, obj, position, ratio in instances:
+            if instance_id in self._index or instance_id in new_ids:
+                raise SceneError(f"instance id {instance_id!r} already placed")
+            new_positions.append(_checked_position(position, f"{instance_id!r}: position"))
+            _check_ratio(instance_id, ratio)
+            new_ids.append(instance_id)
+            new_objects.append(obj)
+            new_ratios.append(ratio)
         ids, objects, positions, ratios = self._cols[:4]
         self._set_geometry(
-            ids + (instance_id,), objects + (obj,),
-            np.vstack([positions, pos]), np.append(ratios, ratio),
+            ids + tuple(new_ids), objects + tuple(new_objects),
+            np.vstack([positions, *new_positions]), np.append(ratios, new_ratios),
         )
 
     def remove(self, instance_id: str) -> None:
@@ -206,15 +228,31 @@ class Scene:
         """Triangles currently submitted for rendering (before culling)."""
         return ordered_sum(self._cols.ratios * self._cols.max_triangles)
 
+    def _memoised(self, key: str, compute: Callable[[], float]) -> float:
+        """``compute()`` once per column snapshot: ``_cols`` is immutable
+        and replaced whole on every mutation, so its identity keys it."""
+        if self._memo_of is not self._cols:
+            self._memo_of, self._memo = self._cols, {}
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     @property
     def triangle_ratio(self) -> float:
         """Current overall ratio x = drawn / T^max (1.0 for empty scenes)."""
-        total = self.total_max_triangles
-        return self.drawn_triangles / total if total > 0 else 1.0
+
+        def ratio() -> float:
+            total = self.total_max_triangles
+            return self.drawn_triangles / total if total > 0 else 1.0
+
+        return self._memoised("triangle_ratio", ratio)
 
     def average_quality(self) -> float:
         """Eq. 2 over the on-screen objects at their drawn ratios."""
-        return float(eq2_quality(self._cols.eq1, self._cols.ratios[np.newaxis])[0])
+        return self._memoised(
+            "quality",
+            lambda: float(eq2_quality(self._cols.eq1, self._cols.ratios[np.newaxis])[0]),
+        )
 
     def snapshot(self) -> List[PlacedObject]:
         """Immutable copy of the current placement list."""

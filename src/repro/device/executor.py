@@ -214,7 +214,7 @@ class DeviceSimulator:
             # stream — and every downstream number — is bit-identical to
             # a per-sample loop.
             steady = (
-                dict(steady_latencies)
+                steady_latencies
                 if steady_latencies is not None
                 else self.contention.latencies(
                     self.placements(), self._load, self.edge_share()
@@ -246,11 +246,9 @@ class DeviceSimulator:
                     0.0, self.noise_sigma, size=(n_samples, len(ids))
                 )
                 rows = rows * np.exp(noise)
-            # Sequential accumulation (not a pairwise np.sum) to match the
-            # per-sample loop's addition order bit-for-bit.
-            totals = np.zeros(len(ids), dtype=np.float64)
-            for row in range(n_samples):
-                totals = totals + rows[row]
+            # Sequential accumulation (not a pairwise np.sum): add.accumulate
+            # adds the samples in the per-sample loop's order, bit-for-bit.
+            totals = np.cumsum(rows, axis=0)[-1]
             means = {
                 tid: float(totals[j] / n_samples) for j, tid in enumerate(ids)
             }

@@ -238,12 +238,14 @@ def batched_steady(
     sessions: Sequence[FleetSession],
     stepped: Sequence[int],
 ) -> List[Dict[str, float]]:
-    """Steady-state latencies for all stepped session rows, one solve.
+    """Steady-state latencies for the stepped session rows that need a
+    price, one solve.
 
-    Each stepped session contributes its live device's placement row to
+    Each listed session contributes its live device's placement row to
     one :func:`~repro.backend.solve.price_placement_rows` call. Rows are
     unthrottled: a thermal device applies its per-sample throttle factor
-    inside ``measure_period``.
+    inside ``measure_period``. A locked device-only session is not
+    listed: it re-measures its :attr:`~FleetSession.held_steady` row.
     """
     if not stepped:
         return []
@@ -411,7 +413,12 @@ class FleetScheduler:
     ) -> None:
         # Imported here: repro.fleet.shard builds on this module's
         # row-pass helpers, so a module-level import would be a cycle.
-        from repro.fleet.shard import _shard_worker_main, _ShardWorker, shard_rows
+        from repro.fleet.shard import (
+            _shard_worker_main,
+            _ShardWorker,
+            shard_rows,
+            single_threaded_blas,
+        )
 
         specs = validate_specs(specs)
         self.specs = specs
@@ -459,23 +466,24 @@ class FleetScheduler:
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
         ctx = mp.get_context(method)
-        for k, rows in enumerate(self._rows):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(
-                    child,
-                    [specs[r] for r in rows],
-                    self.config,
-                    shard_rngs[k],
-                ),
-                name=f"fleet-shard-{k}",
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
+        with single_threaded_blas():
+            for k, rows in enumerate(self._rows):
+                parent, child = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_shard_worker_main,
+                    args=(
+                        child,
+                        [specs[r] for r in rows],
+                        self.config,
+                        shard_rngs[k],
+                    ),
+                    name=f"fleet-shard-{k}",
+                    daemon=True,
+                )
+                proc.start()
+                child.close()
+                self._conns.append(parent)
+                self._procs.append(proc)
 
     # ----------------------------------------------------------- addressing
 

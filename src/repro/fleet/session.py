@@ -24,9 +24,13 @@ session's first period applies the donor's best ``z`` as a *verify*.
 Unless its reward falls below the entry's by more than §IV-E's decrease
 band (:func:`~repro.core.activation.reward_drifted`), the session locks
 in: every later period only measures that configuration (no ask, fit,
-tell, decode, TD or apply) and it donates nothing. A scene event, a shed, an
-outage fallback or a migration ends the lock-in (:meth:`FleetSession.
-unlock`), and warm-started BO runs the rest of the budget.
+tell, decode, TD or apply) and it donates nothing. A device-only session
+also keeps the verify period's unthrottled steady state
+(:attr:`FleetSession.held_steady`), so its later periods are not priced
+again; an edge session's price moves with its server's demand, so it is
+priced every period. A scene event, a shed, an outage fallback or a
+migration ends the lock-in (:meth:`FleetSession.unlock`), and
+warm-started BO runs the rest of the budget.
 
 Every per-session fact has one writer. The coordinator's
 :class:`~repro.fleet.table.SessionTable` records lifecycle ticks and
@@ -224,6 +228,8 @@ class FleetSession:
         self._verify_z: Optional[np.ndarray] = None
         #: The verified configuration a locked session keeps measuring.
         self._held: Optional[PendingEvaluation] = None
+        #: Its verify period's unthrottled steady state (device-only).
+        self._held_steady: Optional[Mapping[str, float]] = None
 
     # --------------------------------------------------------------- states
 
@@ -255,6 +261,15 @@ class FleetSession:
         if not self.locked or self._held is None:
             raise FleetError(f"{self.spec.session_id}: not locked in")
         return self._held
+
+    @property
+    def held_steady(self) -> Optional[Mapping[str, float]]:
+        """The unthrottled steady state a locked device-only session keeps
+        from its verify period: its placement, load and (absent) edge
+        share stay fixed while it is locked, so the row is priced once.
+        ``None`` while unlocked, on an edge session, or when the verify
+        period was priced locally."""
+        return self._held_steady
 
     @property
     def needs_guided_proposal(self) -> bool:
@@ -466,6 +481,7 @@ class FleetSession:
         session's warm-started optimizer on its next period."""
         self._verify_z = None
         self._held = None
+        self._held_steady = None
         self.table.locked_at[self.index] = 0
 
     def _live_iteration(self) -> HBOIteration:
@@ -505,7 +521,8 @@ class FleetSession:
         passing ``None`` recomputes it locally (identical bits). A locked
         session's period is measured and recorded only: no tell, and it
         does not compete for ``best``. The verify period decides the
-        lock-in.
+        lock-in; a device-only session locking in keeps its row as
+        :attr:`held_steady`.
         """
         iteration = self._live_iteration()
         if self.locked:
@@ -535,6 +552,9 @@ class FleetSession:
             else:
                 table.locked_at[i] = table.n_results[i]
                 self._held = pending
+                assert self.system is not None
+                if self.system.device.edge is None:
+                    self._held_steady = steady_latencies
                 obs.counter("fleet_lockins").inc()
         return result
 

@@ -44,9 +44,10 @@ Each tick runs in lockstep:
    only written during begins and externs only read after, so one
    barrier per tick suffices for bitwise parity.
 4. **Worker finish** — inject externs, one columnar
-   :func:`~repro.backend.solve.solve` over the shard's stepped rows
-   (row-independent, padding-invariant), measure, retire; donations ride
-   up as payloads.
+   :func:`~repro.backend.solve.solve` over the shard's stepped rows that
+   need a price (row-independent, padding-invariant; a locked
+   device-only session re-measures the steady state it kept at its
+   verify), measure, retire; donations ride up as payloads.
 5. **Coordinator close** — donations applied in global spec order,
    retiring tenancies released, phases advanced.
 
@@ -61,7 +62,12 @@ shard count.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import contextlib
+import ctypes
+import glob
+import os
+import sys
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -241,12 +247,21 @@ class _ShardWorker:
             node.server.extern_override = externs
 
     def tick_finish(self) -> Dict[str, Any]:
-        """Solve, measure, retire; ship worker-truth events up."""
-        stepped = self._stepped
-        for (i, pending), steady in zip(
-            stepped, batched_steady(self.sessions, [i for i, _ in stepped])
-        ):
-            self.sessions[i].finish_step(pending, steady_latencies=steady)
+        """Solve, measure, retire; ship worker-truth events up.
+
+        Only rows without a :attr:`~FleetSession.held_steady` state go
+        into the solve: begun rows and locked edge rows."""
+        stepped, sessions = self._stepped, self.sessions
+        held = [sessions[i].held_steady for i, _ in stepped]
+        priced = iter(
+            batched_steady(
+                sessions, [i for (i, _), row in zip(stepped, held) if row is None]
+            )
+        )
+        for (i, pending), row in zip(stepped, held):
+            sessions[i].finish_step(
+                pending, steady_latencies=row if row is not None else next(priced)
+            )
         retired: List[int] = []
         donations: List[Tuple[int, Optional[Dict[str, Any]]]] = []
         for i in self.table.exhausted_indices():
@@ -260,6 +275,56 @@ class _ShardWorker:
             "retired": retired,
             "donations": donations,
         }
+
+
+def _openblas_thread_controls() -> List[Tuple[Any, Any]]:
+    """``(get, set)`` thread-count calls of every OpenBLAS that the loaded
+    NumPy and SciPy wheels bundle (``scipy_openblas``, 64- and 32-bit
+    integer builds); other BLAS builds are not found and stay as they
+    are."""
+    controls: List[Tuple[Any, Any]] = []
+    if not hasattr(os, "RTLD_NOLOAD"):  # no dlopen: no fork either
+        return controls
+    for package in ("numpy", "scipy"):
+        module = sys.modules.get(package)
+        if module is None or module.__file__ is None:
+            continue
+        site = os.path.dirname(os.path.dirname(module.__file__))
+        for path in sorted(glob.glob(os.path.join(site, f"{package}.libs", "*openblas*"))):
+            try:  # the copy the package loaded, never a second one
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return controls
+
+
+@contextlib.contextmanager
+def single_threaded_blas() -> Iterator[None]:
+    """Fork shard workers inside this block to give each one BLAS thread.
+
+    A forked child starts OpenBLAS's thread pool on its first BLAS call,
+    sized by the count it inherited. Two workers' pools spinning on the
+    same two cores made a two-shard run two to three times slower than
+    with one thread each. The count is one while the block forks and is
+    put back for this process after it.
+    """
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
 
 
 def _shard_worker_main(

@@ -108,15 +108,7 @@ class MonitoringEngine:
                         self.policy, EventBasedPolicy
                     ) else "period elapsed"
 
-            trace.add_sample(
-                RewardSample(
-                    time_s=now,
-                    reward=reward,
-                    n_objects=len(system.scene),
-                    during_activation=False,
-                    event=event_note,
-                )
-            )
+            trace.add_sample(RewardSample(time_s=now, reward=reward))
 
             if activate:
                 self._run_activation(trace, trigger, reward)
@@ -142,12 +134,7 @@ class MonitoringEngine:
             for iteration in result.iterations:
                 self.clock.advance(self.control_period_s)
                 trace.add_sample(
-                    RewardSample(
-                        time_s=self.clock.now_s,
-                        reward=-iteration.cost,
-                        n_objects=len(self.controller.system.scene),
-                        during_activation=True,
-                    )
+                    RewardSample(time_s=self.clock.now_s, reward=-iteration.cost)
                 )
             span.set(n_iterations=len(result.iterations), best_cost=result.best.cost)
         obs.counter("engine_activations").inc()

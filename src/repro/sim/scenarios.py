@@ -86,9 +86,10 @@ def place_catalog(
     the range the paper's screenshots show.
     """
     rng = make_rng(seed)
-    for instance_id, obj in expand_instances(catalog):
-        offset = rng.uniform(-spread_m, spread_m, 3)
-        scene.add(instance_id, obj, position=np.asarray(center) + offset)
+    scene.add_many(
+        (instance_id, obj, np.asarray(center) + rng.uniform(-spread_m, spread_m, 3), 1.0)
+        for instance_id, obj in expand_instances(catalog)
+    )
 
 
 def build_system(

@@ -9,7 +9,7 @@ resulting :class:`SessionTrace` is what the Fig. 8 bench renders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -22,9 +22,6 @@ class RewardSample:
 
     time_s: float
     reward: float
-    n_objects: int
-    during_activation: bool = False
-    event: Optional[str] = None  # scene event fired at this step, if any
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,12 @@ from repro.ar.objects import (
     object_by_name,
     total_max_triangles,
 )
+from repro.ar import scene as scene_module
 from repro.ar.renderer import RenderLoadModel
-from repro.ar.scene import MIN_DISTANCE_M, PlacedObject, Scene
+from repro.ar.scene import MIN_DISTANCE_M, Scene, ordered_sum
 from repro.errors import ConfigurationError, SceneError
+from repro.rng import make_rng
+from repro.sim.scenarios import place_catalog, scenario_catalog
 
 
 class TestCatalogs:
@@ -282,6 +285,115 @@ class TestSortedIdColumns:
             with pytest.raises(SceneError):
                 scene.apply_sorted_ratios(bad)
         assert scene.ratios() == before
+
+
+class TestAggregateMemo:
+    """x and the Eq. 2 quality are computed once per column snapshot, and
+    every mutation installs a new one."""
+
+    @staticmethod
+    def _fresh(scene, eq2_quality):
+        cols = scene.columns
+        quality = float(eq2_quality(cols.eq1, cols.ratios[np.newaxis])[0])
+        drawn = ordered_sum(cols.ratios * cols.max_triangles)
+        return quality, drawn / ordered_sum(cols.max_triangles)
+
+    def test_every_mutation_invalidates_the_memo(self, monkeypatch):
+        calls = []
+        original = scene_module.eq2_quality
+        monkeypatch.setattr(
+            scene_module, "eq2_quality", lambda *a: calls.append(1) or original(*a)
+        )
+        scene = Scene(user_position=(0.0, 0.0, 0.0))
+        scene.add("bike", object_by_name("bike"), position=(0, 0, 2.0))
+        scene.add("apricot", object_by_name("apricot"), position=(1.0, 0, 0), ratio=0.5)
+        mutations = {
+            "add": lambda: scene.add(
+                "cabin", object_by_name("cabin"), position=(0, 1.5, 0), ratio=0.3
+            ),
+            "remove": lambda: scene.remove("bike"),
+            "move_user": lambda: scene.move_user((0.4, 0.2, 0.0)),
+            "apply_sorted_ratios": lambda: scene.apply_sorted_ratios(
+                np.full(len(scene), 0.7)
+            ),
+        }
+        for name, mutate in mutations.items():
+            before = scene.average_quality(), scene.triangle_ratio
+            n_calls = len(calls)
+            mutate()
+            after = scene.average_quality(), scene.triangle_ratio
+            assert after[0] != before[0], name
+            assert after == self._fresh(scene, original), name
+            # Repeat reads of one snapshot are served from the memo.
+            assert (scene.average_quality(), scene.triangle_ratio) == after
+            assert len(calls) == n_calls + 1, name
+
+
+class TestOneBuildPlacement:
+    """``place_catalog`` places a scene with one column build, equal to
+    adding its instances one ``Scene.add`` at a time."""
+
+    @staticmethod
+    def _assert_columns_equal(got, want):
+        assert got.ids == want.ids
+        assert got.objects == want.objects
+        for a, b in zip(got[2:], want[2:]):
+            if isinstance(a, tuple):  # the Eq. 1 columns
+                for x, y in zip(a, b):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("scenario", ["SC1", "SC2"])
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_matches_sequential_adds_bitwise(self, scenario, seed):
+        catalog = scenario_catalog(scenario)
+        built = Scene()
+        place_catalog(built, catalog, seed=seed)
+        sequential = Scene()
+        rng = make_rng(seed)
+        for instance_id, obj in expand_instances(catalog):
+            offset = rng.uniform(-1.2, 1.2, 3)
+            sequential.add(instance_id, obj, position=np.asarray((0.0, 0.0, 1.3)) + offset)
+        self._assert_columns_equal(built.columns, sequential.columns)
+        assert built.average_quality() == sequential.average_quality()
+
+    def test_appends_to_a_placed_scene(self):
+        scene = Scene(user_position=(0.1, 0.0, 0.0))
+        scene.add("bike", object_by_name("bike"), position=(0, 0, 2.0), ratio=0.5)
+        scene.add_many([
+            ("apricot", object_by_name("apricot"), (1.0, 0, 0), 1.0),
+            ("andy", object_by_name("andy"), (0, 0.2, 0), 0.25),
+        ])
+        one_by_one = Scene(user_position=(0.1, 0.0, 0.0))
+        one_by_one.add("bike", object_by_name("bike"), position=(0, 0, 2.0), ratio=0.5)
+        one_by_one.add("apricot", object_by_name("apricot"), position=(1.0, 0, 0))
+        one_by_one.add("andy", object_by_name("andy"), position=(0, 0.2, 0), ratio=0.25)
+        self._assert_columns_equal(scene.columns, one_by_one.columns)
+
+    @pytest.mark.parametrize(
+        "instances,match",
+        [
+            ([("bike", "bike", (0, 0, 1.0), 1.0)], "already placed"),
+            ([("a", "bike", (0, 0, 1.0), 1.0), ("a", "bike", (0, 1, 1.0), 1.0)],
+             "already placed"),
+            ([("a", "bike", (0, 0, np.nan), 1.0)], "finite 3-vector"),
+            ([("a", "bike", (0, 0), 1.0)], "finite 3-vector"),
+            ([("a", "bike", (0, 0, 1.0), 1.0), ("b", "bike", (0, 0, 1.0), 0.0)],
+             "ratio must be in"),
+        ],
+        ids=["existing-id", "repeated-id", "nan-position", "short-position", "bad-ratio"],
+    )
+    def test_bad_instances_place_nothing(self, instances, match):
+        scene = Scene()
+        scene.add("bike", object_by_name("bike"), position=(0, 0, 2.0))
+        before = scene.columns
+        with pytest.raises(SceneError, match=match):
+            scene.add_many(
+                (iid, object_by_name(name), pos, ratio)
+                for iid, name, pos, ratio in instances
+            )
+        assert scene.columns is before
 
 
 class TestRenderLoadModel:

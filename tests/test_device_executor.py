@@ -205,12 +205,39 @@ def _per_sample_period(sim, rng, n_samples):
     sums = dict.fromkeys(sim.task_ids, 0.0)
     for _ in range(n_samples):
         steady = sim.steady_state_latencies()
-        sim.thermal.step(sim._busy_fraction())
+        if sim.thermal is not None:
+            sim.thermal.step(sim._busy_fraction())
         for tid, lat in steady.items():
             if sim.noise_sigma > 0:
                 lat = lat * float(np.exp(rng.normal(0.0, sim.noise_sigma)))
             sums[tid] += lat
     return {tid: total / n_samples for tid, total in sums.items()}
+
+
+class TestPeriodSum:
+    """The one-pass period sum is bitwise the sequential per-sample loop,
+    with and without a thermal model."""
+
+    @pytest.mark.parametrize("thermal", [True, False], ids=["thermal", "athermal"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    def test_matches_sequential_loop_bitwise(self, thermal, noise_sigma):
+        sim, twin = (_thermal_device(noise_sigma, edge=False) for _ in range(2))
+        if not thermal:
+            sim.thermal = twin.thermal = None
+        rng = make_rng(5)
+        for n_samples in (1, 7, 20, 33):
+            got = sim.measure_period(n_samples=n_samples)
+            want = _per_sample_period(twin, rng, n_samples)
+            assert list(got) == list(want)
+            for tid in want:
+                assert np.float64(got[tid]).tobytes() == np.float64(want[tid]).tobytes()
+
+    def test_injected_row_is_not_mutated(self):
+        sim = _thermal_device(0.05, edge=False)
+        row = price_placement_rows([sim.placement_row()])[0]
+        kept = dict(row)
+        sim.measure_period(steady_latencies=row)
+        assert row == kept
 
 
 class TestThermalPeriod:

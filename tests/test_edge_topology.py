@@ -17,7 +17,6 @@ The tentpole contracts under test:
 import hashlib
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +38,6 @@ from repro.edge.admission import (
 from repro.edge.link import LinkConfig, WirelessLink
 from repro.edge.placement import (
     PlacementRequest,
-    migration_candidate,
     node_offload_price_ms,
     place,
     resolve_policy,

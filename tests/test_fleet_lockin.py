@@ -22,7 +22,9 @@ from repro.core.system import MARSystem
 from repro.device.profiles import PIXEL7
 from repro.edge.topology import EdgeTopologyConfig
 from repro.fleet import FleetConfig, FleetScheduler, SessionSpec, SharedConfigStore, run_fleet
+from repro.fleet import shard as shard_module
 from repro.fleet.export import fleet_result_to_dict
+from repro.fleet.session import FleetSession
 from repro.fleet.shard import _ShardWorker
 from repro.obs import MetricsRegistry, Tracer, instrumented
 from repro.rng import derive_seed, spawn_rngs
@@ -88,6 +90,31 @@ def _count_calls(monkeypatch, owner, name, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+
+
+def _record_priced(monkeypatch, priced):
+    """Record the rows each tick hands the fleet's one batched solve."""
+    original = shard_module.batched_steady
+
+    def recording(sessions, stepped):
+        priced.append(list(stepped))
+        return original(sessions, stepped)
+
+    monkeypatch.setattr(shard_module, "batched_steady", recording)
+
+
+def _tick_worker(worker):
+    """Drive one ``_ShardWorker`` tick by tick, as the coordinator does."""
+
+    def tick(tick_no, **commands):
+        msg = {"tick": tick_no, "admit": [], "shed": [], "migrate": []}
+        msg.update(commands)
+        worker.tick_begin(msg)
+        if worker.topology is not None:
+            worker.inject_externs({"s": 0.0})
+        return worker.tick_finish()
+
+    return tick
 
 
 class TestLockIn:
@@ -174,14 +201,7 @@ class TestLockIn:
         config = FleetConfig(hbo=FAST, topology=topology)
         worker = _ShardWorker([_spec()], config, spawn_rngs(11, 1))
         node = topology.nodes[0].name
-
-        def tick(tick_no, **commands):
-            msg = {"tick": tick_no, "admit": [], "shed": [], "migrate": []}
-            msg.update(commands)
-            worker.tick_begin(msg)
-            worker.inject_externs({"s": 0.0})
-            return worker.tick_finish()
-
+        tick = _tick_worker(worker)
         tick(0, admit=[(0, ("node", node), entry)])
         session = worker.sessions[0]
         assert session.locked
@@ -192,6 +212,102 @@ class TestLockIn:
         assert session.system.device.edge is None
         # The rebuilt (cold, 3-simplex) optimizer took the period.
         assert session.optimizer.n_observations == 1
+
+
+class TestLockedPricing:
+    """A locked device-only session's steady state is priced once, at its
+    verify; begun rows and locked edge rows are priced every period."""
+
+    def test_only_begun_rows_are_priced(self, monkeypatch):
+        specs = default_fleet_specs(GATE_SESSIONS, GATE, seed=GATE_SEED)
+        seed = derive_seed(GATE_SEED, "fleet")
+        config = FleetConfig(hbo=GATE)
+        begun, ticks = [], []  # ticks: (begun rows, priced rows) per tick
+        original_begin = FleetSession.begin
+        original_steady = shard_module.batched_steady
+
+        def begin(self, *args, **kwargs):
+            begun.append(self.index)
+            return original_begin(self, *args, **kwargs)
+
+        def steady(sessions, stepped):
+            ticks.append((sorted(begun), sorted(stepped)))
+            begun.clear()
+            return original_steady(sessions, stepped)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSession, "begin", begin)
+            patch.setattr(shard_module, "batched_steady", steady)
+            result = run_fleet(specs, seed=seed, config=config)
+        n_locked = sum(r.locked_in for r in result.reports)
+        assert n_locked > 0
+        assert all(rows == priced for rows, priced in ticks)
+        n_priced = sum(len(priced) for _, priced in ticks)
+        n_measured = sum(len(r.costs) for r in result.reports)
+        assert n_priced < n_measured
+
+        # Every row recomputed locally (no injected or kept steady state)
+        # gives the same bytes.
+        monkeypatch.setattr(
+            shard_module, "batched_steady",
+            lambda sessions, stepped: [None] * len(stepped),
+        )
+        local = run_fleet(specs, seed=seed, config=config)
+        assert json.dumps(fleet_result_to_dict(local), sort_keys=True) == json.dumps(
+            fleet_result_to_dict(result), sort_keys=True
+        )
+
+    def test_locked_edge_session_is_priced_every_tick(self, monkeypatch):
+        topology = EdgeTopologyConfig.single()
+        store = _confirmed_store(topology=topology)
+        (entry,) = store._table_for(PIXEL7).entries()
+        worker = _ShardWorker(
+            [_spec()], FleetConfig(hbo=FAST, topology=topology), spawn_rngs(11, 1)
+        )
+        priced = []
+        _record_priced(monkeypatch, priced)
+        tick = _tick_worker(worker)
+        tick(0, admit=[(0, ("node", topology.nodes[0].name), entry)])
+        session = worker.sessions[0]
+        for tick_no in (1, 2):
+            tick(tick_no)
+            assert session.locked and session.held_steady is None
+        tick(3, shed=[0])
+        assert not session.locked
+        assert priced == [[0]] * 4
+
+    def test_scene_event_drops_the_kept_row(self, monkeypatch):
+        store = _confirmed_store()
+        (entry,) = store._table_for(PIXEL7).entries()
+        event = DistanceChange(time_s=2.0, user_position=(0.0, 0.0, -1.0))
+        worker = _ShardWorker(
+            [_spec()],
+            FleetConfig(hbo=FAST, session_events={"s": (event,)}),
+            spawn_rngs(11, 1),
+        )
+        priced = []
+        _record_priced(monkeypatch, priced)
+        tick = _tick_worker(worker)
+        tick(0, admit=[(0, ("device",), entry)])
+        session = worker.sessions[0]
+        assert session.locked and session.held_steady is not None
+        tick(1)
+        assert session.held_steady is not None
+        tick(2)  # the event fires: BO takes the period, priced again
+        assert not session.locked and session.held_steady is None
+        assert priced == [[0], [], [0]]
+
+    def test_unlock_drops_the_kept_row(self):
+        """Shed, outage fallback and migration all end a lock-in through
+        ``unlock``."""
+        store = _confirmed_store()
+        (entry,) = store._table_for(PIXEL7).entries()
+        worker = _ShardWorker([_spec()], FleetConfig(hbo=FAST), spawn_rngs(11, 1))
+        _tick_worker(worker)(0, admit=[(0, ("device",), entry)])
+        session = worker.sessions[0]
+        assert session.held_steady is not None
+        session.unlock()
+        assert session.held_steady is None
 
 
 class TestShardIdentity:

@@ -13,7 +13,10 @@ path.
 
 import dataclasses
 import json
+import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +40,12 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.export import fleet_result_to_dict
-from repro.fleet.shard import _ShardWorker, shard_rows, shard_sizes
+from repro.fleet.shard import (
+    _openblas_thread_controls,
+    _ShardWorker,
+    shard_rows,
+    shard_sizes,
+)
 from repro.fleet.telemetry import (
     convergence_from_columns,
     convergence_histogram,
@@ -459,3 +467,43 @@ class TestShardFailure:
             signal.signal(signal.SIGALRM, previous)
         assert isinstance(info.value.__cause__, EOFError)
         assert not any(proc.is_alive() for proc in scheduler._procs)
+
+
+#: Starts a two-shard fleet, steps it past its first guided (GP-fitted)
+#: proposals, and prints each forked worker's thread count.
+_THREAD_PROBE = """
+import json, os
+from repro.core.controller import HBOConfig
+from repro.fleet import FleetConfig, FleetScheduler, SessionSpec
+specs = [SessionSpec(f"s{i}") for i in range(8)]
+scheduler = FleetScheduler(
+    specs, seed=3, config=FleetConfig(hbo=HBOConfig(n_initial=2, n_iterations=6), shards=2)
+)
+try:
+    for tick in range(6):
+        scheduler.step(tick)
+    print(json.dumps([len(os.listdir(f"/proc/{p.pid}/task")) for p in scheduler._procs]))
+finally:
+    scheduler._shutdown()
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/task"
+)
+class TestWorkerBlasThreads:
+    def test_each_forked_worker_runs_one_thread(self):
+        """With no thread-count variable set, a forked worker still runs
+        its BLAS on one thread after its first GP fits."""
+        if not _openblas_thread_controls():
+            pytest.skip("no bundled OpenBLAS whose thread count can be set")
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert json.loads(out.stdout.splitlines()[-1]) == [1, 1]

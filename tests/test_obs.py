@@ -11,13 +11,11 @@ from repro.errors import ObservabilityError, ReproError
 from repro.scenarios.generator import default_fleet_specs
 from repro.fleet.scheduler import FleetConfig, FleetScheduler
 from repro.obs import (
-    DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
     NULL_SPAN,
     NULL_TRACER,
-    SpanRecord,
     Tracer,
     active,
     install,

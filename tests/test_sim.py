@@ -91,17 +91,14 @@ class TestEvents:
 class TestTrace:
     def test_samples_must_be_time_ordered(self):
         trace = SessionTrace()
-        trace.add_sample(RewardSample(time_s=1.0, reward=0.5, n_objects=1))
+        trace.add_sample(RewardSample(time_s=1.0, reward=0.5))
         with pytest.raises(SimulationError):
-            trace.add_sample(RewardSample(time_s=0.5, reward=0.5, n_objects=1))
+            trace.add_sample(RewardSample(time_s=0.5, reward=0.5))
 
     def test_series_and_windows(self):
         trace = SessionTrace()
         for t in (0.0, 2.0, 4.0):
-            trace.add_sample(
-                RewardSample(time_s=t, reward=-t, n_objects=1,
-                             event="placed" if t == 2.0 else None)
-            )
+            trace.add_sample(RewardSample(time_s=t, reward=-t))
         trace.add_activation(
             ActivationRecord(
                 start_time_s=2.0, end_time_s=6.0, trigger="placed",
